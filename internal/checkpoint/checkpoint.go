@@ -95,6 +95,9 @@ func ident(mod *dram.Module) ModuleIdent {
 // plus the module's per-chip clocks. seed is the module's
 // construction seed. Call it between epochs (never mid-epoch —
 // RunEpoch holds saved live data that a snapshot does not cover).
+// The snapshot shares st's failure sets with the scheduler, which is
+// safe because the scheduler never rewrites a published prefix (see
+// onlinetest.Scheduler.State); treat them as read-only.
 func Capture(mod *dram.Module, seed uint64, st onlinetest.State) *Snapshot {
 	snap := &Snapshot{Schema: Schema, Module: ident(mod), Seed: seed, Scheduler: st}
 	for i := 0; i < mod.Chips(); i++ {

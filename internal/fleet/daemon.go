@@ -24,6 +24,10 @@ const (
 	CounterRetired     = "fleet.retired"
 	CounterEpochs      = "fleet.epochs"
 	CounterNewFailures = "fleet.new_failures"
+	// CounterRetiredEpochs counts the epochs that retired modules ran
+	// under this daemon, including an epoch that was in flight when its
+	// module was retired.
+	CounterRetiredEpochs = "fleet.retired_epochs"
 )
 
 // StateSchema identifies the persisted per-module state entry layout.
@@ -258,13 +262,15 @@ func (d *Daemon) Report() *obs.Report { return d.col.Snapshot("parbord") }
 
 // Reconcile cross-checks the fleet-level counters against per-module
 // ground truth: the daemon's epoch counter must equal the sum of
-// epochs its modules ran under it, and every per-module obs report
-// must satisfy its own invariants. Call it only while the pool is
-// quiet (drained or quiesced); a running quantum legitimately has
-// counters in motion.
+// epochs its modules ran under it — enrolled modules from their
+// snapshots, retired ones through CounterRetiredEpochs, which each
+// retirement fills from the module's snapshot — and every per-module
+// obs report must satisfy its own invariants. Call it only while the
+// pool is quiet (drained or quiesced); a running quantum legitimately
+// has counters in motion.
 func (d *Daemon) Reconcile() error {
 	rep := d.Report()
-	var wantEpochs uint64
+	wantEpochs := rep.Counters[CounterRetiredEpochs]
 	for _, m := range d.reg.List() {
 		st := m.Snapshot().Scheduler
 		if ran := st.Epochs - m.baseEpochs; ran > 0 {

@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"parbor/internal/chaos"
+	"parbor/internal/checkpoint"
 	"parbor/internal/coupling"
 	"parbor/internal/faults"
+	"parbor/internal/fleetlog"
 	"parbor/internal/memctl"
 	"parbor/internal/onlinetest"
 )
@@ -185,6 +187,177 @@ func TestFleetRunsToBudget(t *testing.T) {
 	if vendorMods != n {
 		t.Fatalf("vendor breakdown covers %d of %d modules", vendorMods, n)
 	}
+}
+
+// TestReconcileAfterRetire: retiring modules that ran must not break
+// Reconcile on a healthy daemon — whether the retirement lands between
+// quanta, before a module's first quantum, on a module resumed from a
+// checkpoint, or in the middle of a quantum, after the epoch completed
+// and logged but before it was published.
+func TestReconcileAfterRetire(t *testing.T) {
+	d := newDaemon(t, Config{Workers: 2})
+	for i := 0; i < 4; i++ {
+		if _, err := d.Enroll(testSpec(300+i), nil); err != nil {
+			t.Fatalf("enroll: %v", err)
+		}
+	}
+	d.Start(context.Background())
+	d.Quiesce()
+	d.Pool().Drain()
+
+	// Between quanta: a module that ran its whole budget.
+	if !d.Retire("mod-0300") {
+		t.Fatal("retire of an enrolled module reported false")
+	}
+	// A resumed module retired after running: only the epochs it ran
+	// under this daemon count.
+	src, _ := d.Registry().Get("mod-0301")
+	snap := src.Snapshot()
+	if !d.Retire("mod-0301") {
+		t.Fatal("retire reported false")
+	}
+	sp := testSpec(301)
+	sp.MaxEpochs = 6
+	if _, err := d.Enroll(sp, snap); err != nil {
+		t.Fatalf("re-enroll from checkpoint: %v", err)
+	}
+	// Never ran: enrolled and retired before any quantum.
+	if _, err := d.Enroll(testSpec(310), nil); err != nil {
+		t.Fatalf("enroll: %v", err)
+	}
+	d.Retire("mod-0310")
+	d.Start(context.Background())
+	d.Quiesce()
+	d.Pool().Drain()
+	d.Retire("mod-0301")
+	if err := d.Reconcile(); err != nil {
+		t.Fatalf("reconcile after retirements between quanta: %v", err)
+	}
+
+	// Mid-quantum: the module's event sink retires it while its second
+	// epoch is in flight — completed and logged, not yet published.
+	const id = "mod-0320"
+	var m *Module
+	sink := func(ev fleetlog.Event) error {
+		if ev.Epoch == 2 && !d.Retire(id) {
+			t.Error("mid-quantum retire reported false")
+		}
+		return nil
+	}
+	m, err := buildModule(testSpec(320), nil, d.col, sink)
+	if err != nil {
+		t.Fatalf("buildModule: %v", err)
+	}
+	if err := d.reg.Add(m); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	quanta := 0
+	for m.RunQuantum(context.Background()) {
+		quanta++
+	}
+	if quanta != 1 || m.Status() != StatusRetired {
+		t.Fatalf("module ran %d requeued quanta and ended %s; want 1 and retired", quanta, m.Status())
+	}
+	if got := m.Snapshot().Scheduler.Epochs; got != 2 {
+		t.Fatalf("retired module's snapshot holds %d epochs, want the in-flight one too (2)", got)
+	}
+	if err := d.Reconcile(); err != nil {
+		t.Fatalf("reconcile after a mid-quantum retirement: %v", err)
+	}
+	// 4 modules x 4 epochs, 2 more after the resume, and the 2 of the
+	// mid-quantum retiree.
+	if got := d.Report().Counters[CounterEpochs]; got != 4*4+2+2 {
+		t.Fatalf("daemon counted %d epochs, want %d", got, 4*4+2+2)
+	}
+}
+
+// TestSnapshotReadsDuringSweep: snapshots share the schedulers'
+// failure-set arrays, so readers marshaling them while epochs keep
+// growing those sets must see each snapshot exactly as it was
+// published, then and after the sweep. Run under -race, this is the
+// check that the scheduler never writes below a published length.
+func TestSnapshotReadsDuringSweep(t *testing.T) {
+	d := newDaemon(t, Config{Workers: 2})
+	var mods []*Module
+	for i := 0; i < 6; i++ {
+		sp := testSpec(400 + i)
+		// Soft errors keep turning up new cells below the end of the
+		// known set, so epochs merge into fresh arrays, not only append.
+		sp.Faults.SoftErrorPerRowRead = 0.05
+		sp.MaxEpochs = 24
+		m, err := d.Enroll(sp, nil)
+		if err != nil {
+			t.Fatalf("enroll: %v", err)
+		}
+		mods = append(mods, m)
+	}
+	type read struct {
+		snap *checkpoint.Snapshot
+		data []byte
+	}
+	stop := make(chan struct{})
+	done := make(chan []read)
+	go func() {
+		var seen []read
+		defer func() { done <- seen }()
+		last := make(map[*Module]*checkpoint.Snapshot)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, m := range mods {
+				snap := m.Snapshot()
+				if last[m] == snap {
+					continue
+				}
+				last[m] = snap
+				data, err := snap.Marshal()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ever := snap.Scheduler.EverSeen
+				for j := 1; j < len(ever); j++ {
+					if !addrBefore(ever[j-1], ever[j]) {
+						t.Errorf("module %s: snapshot failure set out of order at %d", m.ID(), j)
+						return
+					}
+				}
+				seen = append(seen, read{snap, data})
+			}
+		}
+	}()
+	d.Start(context.Background())
+	d.Quiesce()
+	close(stop)
+	seen := <-done
+	if len(seen) < 2*len(mods) {
+		t.Fatalf("only %d snapshots read during the sweep", len(seen))
+	}
+	for i, r := range seen {
+		if data, _ := r.snap.Marshal(); string(data) != string(r.data) {
+			t.Fatalf("snapshot %d changed after it was published", i)
+		}
+	}
+	d.Pool().Drain()
+	if err := d.Reconcile(); err != nil {
+		t.Fatalf("reconcile: %v", err)
+	}
+}
+
+func addrBefore(a, b memctl.BitAddr) bool {
+	if a.Chip != b.Chip {
+		return a.Chip < b.Chip
+	}
+	if a.Bank != b.Bank {
+		return a.Bank < b.Bank
+	}
+	if a.Row != b.Row {
+		return a.Row < b.Row
+	}
+	return a.Col < b.Col
 }
 
 func TestPoolDrainKeepsQueueAndRestarts(t *testing.T) {

@@ -146,7 +146,7 @@ func buildModule(spec ModuleSpec, snap *checkpoint.Snapshot, fleetRec obs.Record
 	// Checkpoint immediately: the fleet invariant is that every
 	// enrolled module has a current snapshot at all times, so a drain
 	// arriving before the first quantum still persists the member.
-	m.refreshSnapshotLocked()
+	m.snap = m.captureLocked()
 	if m.budgetExhaustedLocked() {
 		m.status = StatusDone
 	} else {
@@ -155,15 +155,15 @@ func buildModule(spec ModuleSpec, snap *checkpoint.Snapshot, fleetRec obs.Record
 	return m, nil
 }
 
-// refreshSnapshotLocked captures the current between-epochs state.
+// captureLocked captures the current between-epochs state. Capture
+// shares the scheduler's failure sets instead of copying them (see
+// onlinetest.Scheduler.State), so it costs O(1) in the failure count.
 // Callers must hold execMu (or be the constructor, before the module
 // is published).
-func (m *Module) refreshSnapshotLocked() {
+func (m *Module) captureLocked() *checkpoint.Snapshot {
 	snap := checkpoint.Capture(m.mod, m.spec.Seed, m.sched.State())
 	snap.HostAttempts = m.host.Attempts()
-	m.stateMu.Lock()
-	m.snap = snap
-	m.stateMu.Unlock()
+	return snap
 }
 
 // budgetExhaustedLocked reports whether the epoch budget is spent.
@@ -213,12 +213,26 @@ func (m *Module) RunQuantum(ctx context.Context) bool {
 	// previous snapshot (enrollment, or the last completed epoch) is
 	// exactly the state a rebuilt module resumes from bit-identically;
 	// the drifted in-memory state is abandoned with this process.
+	var snap *checkpoint.Snapshot
 	if err == nil {
-		m.refreshSnapshotLocked()
+		snap = m.captureLocked()
 	}
 
 	m.stateMu.Lock()
 	defer m.stateMu.Unlock()
+	if err == nil {
+		// Publish and count the epoch in one stateMu section, so that a
+		// concurrent retire either sees this epoch in the snapshot it
+		// accounts for or not at all (and then it is counted here).
+		m.snap = snap
+		if m.fleetRec != nil {
+			m.fleetRec.Add(CounterEpochs, 1)
+			m.fleetRec.Add(CounterNewFailures, uint64(len(res.NewFailures)))
+			if m.status == StatusRetired {
+				m.fleetRec.Add(CounterRetiredEpochs, 1)
+			}
+		}
+	}
 	if m.status == StatusRetired {
 		// Retired while the quantum ran: keep the terminal status (the
 		// epoch's results are still in the snapshot for archaeology)
@@ -236,10 +250,6 @@ func (m *Module) RunQuantum(ctx context.Context) bool {
 		m.lastErr = err
 		return false
 	}
-	if m.fleetRec != nil {
-		m.fleetRec.Add(CounterEpochs, 1)
-		m.fleetRec.Add(CounterNewFailures, uint64(len(res.NewFailures)))
-	}
 	if sinkErr != nil {
 		// The epoch completed and is counted above, but its event never
 		// reached the log; take the module off the schedule rather than
@@ -256,13 +266,23 @@ func (m *Module) RunQuantum(ctx context.Context) bool {
 	return true
 }
 
-// retire takes the module off the schedule. Safe to call at any time;
-// a quantum already executing finishes normally (and its snapshot is
-// kept, in case the operator re-enrolls from it).
+// retire takes the module off the schedule. Safe to call at any time,
+// and it never waits on execMu: a quantum already executing finishes
+// normally (and its snapshot is kept, in case the operator re-enrolls
+// from it). The epochs the module ran under this daemon move into
+// CounterRetiredEpochs, so Daemon.Reconcile can still account for them
+// once the module has left the registry; an epoch that completes after
+// the retirement adds itself there when it publishes.
 func (m *Module) retire() {
 	m.stateMu.Lock()
+	defer m.stateMu.Unlock()
+	if m.status == StatusRetired {
+		return
+	}
 	m.status = StatusRetired
-	m.stateMu.Unlock()
+	if ran := m.snap.Scheduler.Epochs - m.baseEpochs; ran > 0 && m.fleetRec != nil {
+		m.fleetRec.Add(CounterRetiredEpochs, uint64(ran))
+	}
 }
 
 // ID returns the spec ID.

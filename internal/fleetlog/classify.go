@@ -364,8 +364,11 @@ func Analyze(dir string, cfg ClassifierConfig) (*Rollup, error) {
 	}
 	//parbor:droperr classifier close releases scratch spill state; Finish already returned the rollup or an error
 	defer c.Close()
+	// One event is decoded into over and over: Observe keeps nothing
+	// of it but the module name, and strings are immutable.
+	var ev Event
 	for {
-		ev, err := it.Next()
+		err := it.nextInto(&ev)
 		if err == io.EOF {
 			break
 		}

@@ -126,67 +126,82 @@ func (c *payloadCursor) delta(prev int64, lo, hi int64, field string) (int64, er
 // out-of-range coordinates, and its allocations are bounded by the
 // payload size regardless of what the header claims.
 func DecodeEvent(p []byte) (Event, error) {
+	var ev Event
+	if err := decodeEventInto(p, &ev); err != nil {
+		return Event{}, err
+	}
+	return ev, nil
+}
+
+// decodeEventInto is DecodeEvent into a caller-owned event, reusing
+// its Fails array and, when the module id is unchanged, its Module
+// string, so a stream of events decodes without allocating per event.
+// On error ev holds garbage.
+func decodeEventInto(p []byte, ev *Event) error {
 	c := payloadCursor{p: p}
 	idLen, err := c.uvarint()
 	if err != nil {
-		return Event{}, err
+		return err
 	}
 	if idLen == 0 || idLen > maxModuleID || idLen > uint64(len(p)-c.off) {
-		return Event{}, fmt.Errorf("fleetlog: implausible module id length %d", idLen)
+		return fmt.Errorf("fleetlog: implausible module id length %d", idLen)
 	}
-	ev := Event{Module: string(p[c.off : c.off+int(idLen)])}
+	if id := p[c.off : c.off+int(idLen)]; ev.Module != string(id) {
+		ev.Module = string(id)
+	}
 	c.off += int(idLen)
 	epoch, err := c.uvarint()
 	if err != nil {
-		return Event{}, err
+		return err
 	}
 	if epoch > math.MaxInt64 {
-		return Event{}, fmt.Errorf("fleetlog: epoch %d out of range", epoch)
+		return fmt.Errorf("fleetlog: epoch %d out of range", epoch)
 	}
 	ev.Epoch = int(epoch)
 	count, err := c.uvarint()
 	if err != nil {
-		return Event{}, err
+		return err
 	}
 	// Each failure needs at least four varint bytes, so the claimed
 	// count is bounded by the remaining payload: a short payload
 	// claiming 2^40 failures must not allocate for them.
 	if count > uint64(len(p)-c.off)/4 {
-		return Event{}, fmt.Errorf("fleetlog: failure count %d exceeds payload capacity", count)
+		return fmt.Errorf("fleetlog: failure count %d exceeds payload capacity", count)
 	}
-	if count > 0 {
+	ev.Fails = ev.Fails[:0]
+	if count > uint64(cap(ev.Fails)) {
 		ev.Fails = make([]memctl.BitAddr, 0, count)
 	}
 	var prev memctl.BitAddr
 	for i := uint64(0); i < count; i++ {
 		chip, err := c.delta(int64(prev.Chip), math.MinInt16, math.MaxInt16, "chip")
 		if err != nil {
-			return Event{}, fmt.Errorf("fleetlog: failure %d: %w", i, err)
+			return fmt.Errorf("fleetlog: failure %d: %w", i, err)
 		}
 		bank, err := c.delta(int64(prev.Bank), math.MinInt16, math.MaxInt16, "bank")
 		if err != nil {
-			return Event{}, fmt.Errorf("fleetlog: failure %d: %w", i, err)
+			return fmt.Errorf("fleetlog: failure %d: %w", i, err)
 		}
 		row, err := c.delta(int64(prev.Row), math.MinInt32, math.MaxInt32, "row")
 		if err != nil {
-			return Event{}, fmt.Errorf("fleetlog: failure %d: %w", i, err)
+			return fmt.Errorf("fleetlog: failure %d: %w", i, err)
 		}
 		col, err := c.delta(int64(prev.Col), math.MinInt32, math.MaxInt32, "col")
 		if err != nil {
-			return Event{}, fmt.Errorf("fleetlog: failure %d: %w", i, err)
+			return fmt.Errorf("fleetlog: failure %d: %w", i, err)
 		}
 		a := memctl.BitAddr{Chip: int16(chip), Bank: int16(bank), Row: int32(row), Col: int32(col)}
 		// Canonical order is part of the format: every accepted
 		// payload re-encodes to the identical bytes, so compaction
 		// and replication can compare records without decoding.
 		if i > 0 && addrLess(a, prev) {
-			return Event{}, fmt.Errorf("fleetlog: failure %d out of canonical order", i)
+			return fmt.Errorf("fleetlog: failure %d out of canonical order", i)
 		}
 		ev.Fails = append(ev.Fails, a)
 		prev = a
 	}
 	if c.off != len(p) {
-		return Event{}, fmt.Errorf("fleetlog: %d trailing bytes after event payload", len(p)-c.off)
+		return fmt.Errorf("fleetlog: %d trailing bytes after event payload", len(p)-c.off)
 	}
-	return ev, nil
+	return nil
 }

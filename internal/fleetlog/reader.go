@@ -216,29 +216,40 @@ func OpenIterFS(fsys faultfs.FS, dir string) (*Iter, error) {
 
 // Next returns the next event, or io.EOF when the log is exhausted.
 // Any other error is a hard corruption the log cannot stream past.
+// Each returned event is freshly allocated and owned by the caller.
 func (it *Iter) Next() (Event, error) {
+	var ev Event
+	if err := it.nextInto(&ev); err != nil {
+		return Event{}, err
+	}
+	return ev, nil
+}
+
+// nextInto is Next decoding into a caller-owned event whose storage it
+// reuses (see decodeEventInto): the allocation-free path for consumers
+// that do not retain events, such as Analyze.
+func (it *Iter) nextInto(ev *Event) error {
 	for {
 		if it.cur == nil {
 			if len(it.pending) == 0 {
-				return Event{}, io.EOF
+				return io.EOF
 			}
 			name := it.pending[0]
 			it.pending = it.pending[1:]
 			sr, err := openSegment(it.fsys, filepath.Join(it.dir, name))
 			if err != nil {
-				return Event{}, err
+				return err
 			}
 			it.cur, it.curName = sr, name
 		}
 		payload, err := it.cur.next()
 		switch e := err.(type) {
 		case nil:
-			ev, derr := DecodeEvent(payload)
-			if derr != nil {
-				return Event{}, fmt.Errorf("fleetlog: %s: %w", it.curName, derr)
+			if derr := decodeEventInto(payload, ev); derr != nil {
+				return fmt.Errorf("fleetlog: %s: %w", it.curName, derr)
 			}
 			it.events++
-			return ev, nil
+			return nil
 		case errTorn:
 			it.truncs = append(it.truncs, Truncation{Segment: it.curName, CleanBytes: e.cleanLen})
 			it.closeCur()
@@ -248,7 +259,7 @@ func (it *Iter) Next() (Event, error) {
 				continue
 			}
 			it.closeCur()
-			return Event{}, fmt.Errorf("fleetlog: %s: %w", it.curName, err)
+			return fmt.Errorf("fleetlog: %s: %w", it.curName, err)
 		}
 	}
 }

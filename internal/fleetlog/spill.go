@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"parbor/internal/faultfs"
 )
@@ -30,8 +30,8 @@ const keyBytes = 20
 type spillKey [keyBytes]byte
 
 // spillSet is a deduplicating set of spillKeys with bounded memory:
-// at most limit keys are held in the in-memory map; beyond that the
-// map is sorted and flushed to a run file, and merge() streams the
+// at most limit keys are held in memory; beyond that they are sorted,
+// deduplicated and flushed to a run file, and merge() streams the
 // union of all runs plus the residue in sorted order. Disk usage is
 // O(total distinct-ish keys); memory stays O(limit + runs).
 type spillSet struct {
@@ -39,8 +39,14 @@ type spillSet struct {
 	limit  int
 	dir    string
 	prefix string
-	mem    map[spillKey]struct{}
-	runs   []string
+	// mem is a flat buffer of the keys added since the last spill,
+	// duplicates included: spill and merge sort and compact it in
+	// place. It starts at initialKeys and, the first time it fills,
+	// grows once straight to limit, which every later run reuses:
+	// small streams stay small, and a large one leaves no chain of
+	// doubled buffers behind as garbage.
+	mem  []spillKey
+	runs []string
 	// spilled counts keys written to runs (with cross-run duplicates),
 	// for diagnostics.
 	spilled int
@@ -55,14 +61,24 @@ func newSpillSet(fsys faultfs.FS, limit int, dir, prefix string) *spillSet {
 		limit:  limit,
 		dir:    dir,
 		prefix: prefix,
-		mem:    make(map[spillKey]struct{}, min(limit, 1<<16)),
+		mem:    make([]spillKey, 0, min(limit, initialKeys)),
 	}
 }
 
-// add inserts a key, spilling the in-memory set to a run file when
-// the budget is exceeded.
+// initialKeys is the spill buffer's starting capacity, in keys.
+const initialKeys = 1 << 16
+
+// add inserts a key, spilling the in-memory keys to a run file when
+// the budget is reached. Duplicates count against the budget until
+// the spill removes them, which changes how many runs are written but
+// never the merged set.
 func (s *spillSet) add(k spillKey) error {
-	s.mem[k] = struct{}{}
+	if len(s.mem) == cap(s.mem) && cap(s.mem) < s.limit {
+		grown := make([]spillKey, len(s.mem), s.limit)
+		copy(grown, s.mem)
+		s.mem = grown
+	}
+	s.mem = append(s.mem, k)
 	if len(s.mem) >= s.limit {
 		return s.spill()
 	}
@@ -87,8 +103,10 @@ func (s *spillSet) spill() error {
 		return fmt.Errorf("fleetlog: creating spill run: %w", err)
 	}
 	bw := bufio.NewWriterSize(f, 1<<16)
-	for _, k := range keys {
-		if _, err := bw.Write(k[:]); err != nil {
+	// Slice the keys in place: ranging by value would copy each key
+	// into a variable that escapes through the io.Writer call.
+	for i := range keys {
+		if _, err := bw.Write(keys[i][:]); err != nil {
 			f.Close()
 			return fmt.Errorf("fleetlog: writing spill run: %w", err)
 		}
@@ -102,17 +120,16 @@ func (s *spillSet) spill() error {
 	}
 	s.runs = append(s.runs, path)
 	s.spilled += len(keys)
-	s.mem = make(map[spillKey]struct{}, min(s.limit, 1<<16))
+	s.mem = s.mem[:0]
 	return nil
 }
 
+// sortedMem sorts and deduplicates the in-memory keys in place and
+// returns them.
 func (s *spillSet) sortedMem() []spillKey {
-	keys := make([]spillKey, 0, len(s.mem))
-	for k := range s.mem {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i][:], keys[j][:]) < 0 })
-	return keys
+	slices.SortFunc(s.mem, func(a, b spillKey) int { return bytes.Compare(a[:], b[:]) })
+	s.mem = slices.Compact(s.mem)
+	return s.mem
 }
 
 // runCursor is one merge source: a spilled run file or the in-memory

@@ -41,6 +41,7 @@ package onlinetest
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -114,8 +115,15 @@ type Scheduler struct {
 	cursor int
 	rounds int
 
-	everSeen  map[memctl.BitAddr]struct{}
-	sweepSeen map[memctl.BitAddr]struct{}
+	// everSeen and sweepSeen are the failure sets, each kept sorted in
+	// canonical (chip, bank, row, col) order and free of duplicates, so
+	// that an epoch folds its few new cells in without re-sorting and
+	// State can hand them out without copying. Published prefixes are
+	// never written again: new cells are either appended past every
+	// length State has returned or merged into a fresh array (see
+	// union).
+	everSeen  []memctl.BitAddr
+	sweepSeen []memctl.BitAddr
 	tests     int
 
 	quarantined map[int]struct{}
@@ -127,6 +135,33 @@ type Scheduler struct {
 	// fleet) budgets and compares runs in epochs, and a resumed
 	// scheduler must continue the count rather than restart it.
 	epochs int
+
+	// patRows holds one materialized row per pattern (parallel to
+	// pats), which every row under test aliases.
+	patRows [][]uint64
+	scratch epochScratch
+
+	// passObserved, when non-nil, sees each successful test pass's
+	// failures as the host returned them. It is set only by the
+	// package's tests (export_test.go): an aborted epoch returns no
+	// result, yet the cells its completed passes saw are folded into
+	// the failure sets, and only the raw pass output lets a reference
+	// model check that fold.
+	passObserved func([]memctl.BitAddr)
+}
+
+// epochScratch holds the buffers every epoch reuses. Nothing in it
+// outlives an epoch: whatever an epoch returns or folds into the
+// failure sets is copied out first.
+type epochScratch struct {
+	// saved holds the live contents of the rows under test, one
+	// buffer per row, in the order of the epoch's tested rows.
+	saved [][]uint64
+	// data is the per-pass row-data slice handed to the host.
+	data [][]uint64
+	// obs collects every failure the epoch's passes report,
+	// repeats included, until the epoch sorts and deduplicates it.
+	obs []memctl.BitAddr
 }
 
 // New builds a scheduler.
@@ -156,13 +191,24 @@ func New(host *memctl.Host, cfg Config) (*Scheduler, error) {
 			}
 		}
 	}
+	// Every neighbor-aware pattern (and its inverse) is Uniform — the
+	// same data in every row — and the pattern set never changes, so
+	// each is materialized once for the scheduler's lifetime. The host
+	// only reads pass data (memctl.Host.Pass's aliasing contract), so
+	// one row can back every row under test in every epoch.
+	patRows := make([][]uint64, len(pats))
+	for i, p := range pats {
+		patRows[i] = make([]uint64, g.Words())
+		p.Fill(0, 0, 0, patRows[i])
+	}
 	return &Scheduler{
 		host:        host,
 		cfg:         cfg,
 		pats:        pats,
+		patRows:     patRows,
 		rows:        rows,
-		everSeen:    make(map[memctl.BitAddr]struct{}),
-		sweepSeen:   make(map[memctl.BitAddr]struct{}),
+		everSeen:    []memctl.BitAddr{},
+		sweepSeen:   []memctl.BitAddr{},
 		quarantined: make(map[int]struct{}),
 	}, nil
 }
@@ -172,7 +218,8 @@ type EpochResult struct {
 	// RowsTested is the slice of rows taken out of service and
 	// actually tested this epoch (quarantine-skipped rows excluded).
 	RowsTested []memctl.Row
-	// NewFailures are failures not seen in any earlier epoch.
+	// NewFailures are failures not seen in any earlier epoch, in
+	// canonical (chip, bank, row, col) order.
 	NewFailures []memctl.BitAddr
 	// Observed are all distinct failures seen this epoch — repeats of
 	// previously known failures included — in canonical (chip, bank,
@@ -241,14 +288,15 @@ func (s *Scheduler) RunEpochCtx(ctx context.Context) (result *EpochResult, err e
 	// quarantined and its rows drop out of the epoch — nothing has
 	// been written to them yet, so they are skipped, not lost.
 	words := s.host.Geometry().Words()
+	s.scratch.grow(len(slice), words)
 	var rows []memctl.Row
-	var saved [][]uint64
 	for _, r := range slice {
 		if _, q := s.quarantined[r.Chip]; q {
 			res.SkippedRows = append(res.SkippedRows, r)
 			continue
 		}
-		buf := make([]uint64, words)
+		// A row whose save fails leaves its buffer to the next row.
+		buf := s.scratch.saved[len(rows)]
 		rerr := s.retrying(ctx, res, func() error { return s.host.ReadRowIntoCtx(ctx, r, buf) })
 		if rerr != nil {
 			if ctx.Err() != nil {
@@ -264,8 +312,8 @@ func (s *Scheduler) RunEpochCtx(ctx context.Context) (result *EpochResult, err e
 			continue
 		}
 		rows = append(rows, r)
-		saved = append(saved, buf)
 	}
+	saved := s.scratch.saved[:len(rows)]
 	res.RowsTested = rows
 
 	// From the first test write on, rows/saved hold overwritten live
@@ -274,8 +322,16 @@ func (s *Scheduler) RunEpochCtx(ctx context.Context) (result *EpochResult, err e
 	// The restore set is all saved rows, including chips quarantined
 	// mid-epoch: quarantine stops testing a chip, not the attempt to
 	// give its live data back.
-	wrote := false
+	//
+	// Failures seen by the passes that did complete count as seen
+	// even when the epoch aborts: they are folded into the failure sets
+	// on every exit path, as the success path does below.
+	wrote, folded := false, false
+	s.scratch.obs = s.scratch.obs[:0]
 	defer func() {
+		if !folded {
+			s.fold(sortedDistinct(s.scratch.obs))
+		}
 		if wrote {
 			s.restore(context.WithoutCancel(ctx), res, rows, saved)
 		}
@@ -287,26 +343,16 @@ func (s *Scheduler) RunEpochCtx(ctx context.Context) (result *EpochResult, err e
 	}()
 
 	testRows := rows
-	// epochSeen dedupes within the epoch: several patterns commonly
-	// re-expose the same cell, but one epoch is one observation.
-	epochSeen := make(map[memctl.BitAddr]struct{})
-	bufs := make([][]uint64, len(rows))
-	for i := range bufs {
-		bufs[i] = make([]uint64, words)
-	}
-	for _, p := range s.pats {
+	for pi := range s.pats {
 		if len(testRows) == 0 {
 			break
 		}
-		fill := bufs[:len(testRows)]
-		for i, r := range testRows {
-			p.Fill(r.Chip, r.Bank, r.Row, fill[i])
-		}
+		data := s.fillRows(pi, testRows)
 		wrote = true
 		var fails []memctl.BitAddr
 		perr := s.retrying(ctx, res, func() error {
 			var e error
-			fails, e = s.host.PassCtx(ctx, testRows, fill)
+			fails, e = s.host.PassCtx(ctx, testRows, data)
 			return e
 		})
 		if perr != nil {
@@ -326,27 +372,65 @@ func (s *Scheduler) RunEpochCtx(ctx context.Context) (result *EpochResult, err e
 		}
 		res.Tests++
 		s.tests++
-		for _, a := range fails {
-			epochSeen[a] = struct{}{}
-			s.sweepSeen[a] = struct{}{}
-			if _, ok := s.everSeen[a]; !ok {
-				s.everSeen[a] = struct{}{}
-				res.NewFailures = append(res.NewFailures, a)
-			}
+		if s.passObserved != nil {
+			s.passObserved(fails)
 		}
+		s.scratch.obs = append(s.scratch.obs, fails...)
 	}
-	if len(epochSeen) > 0 {
-		res.Observed = sortedAddrs(epochSeen)
+	// Several patterns commonly re-expose the same cell, but one epoch
+	// is one observation: dedupe before folding.
+	observed := sortedDistinct(s.scratch.obs)
+	if len(observed) > 0 {
+		res.Observed = slices.Clone(observed)
 	}
+	res.NewFailures = s.fold(observed)
+	folded = true
 
 	s.cursor = (s.cursor + n) % len(s.rows)
 	if s.cursor == 0 {
 		s.rounds++
 		res.SweepCompleted = true
-		s.sweepSeen = make(map[memctl.BitAddr]struct{})
+		// The next sweep will likely see about as many cells: reserve
+		// them so its appends never regrow the set.
+		s.sweepSeen = make([]memctl.BitAddr, 0, len(s.sweepSeen))
 	}
 	s.epochs++
 	return res, nil
+}
+
+// grow makes room for rows save buffers of words words each, keeping
+// every buffer already allocated.
+func (sc *epochScratch) grow(rows, words int) {
+	for len(sc.saved) < rows {
+		sc.saved = append(sc.saved, make([]uint64, words))
+	}
+	if cap(sc.data) < rows {
+		sc.data = make([][]uint64, rows)
+	}
+}
+
+// fillRows returns pattern pi's data for rows: its materialized row,
+// aliased for every row. The slice is scratch, valid until the next
+// call.
+func (s *Scheduler) fillRows(pi int, rows []memctl.Row) [][]uint64 {
+	data := s.scratch.data[:len(rows)]
+	for i := range data {
+		data[i] = s.patRows[pi]
+	}
+	return data
+}
+
+// fold merges an epoch's observations (sorted, distinct) into both
+// failure sets and returns the cells never seen before, in canonical
+// order: a fresh slice, or nil when there are none.
+func (s *Scheduler) fold(observed []memctl.BitAddr) []memctl.BitAddr {
+	var fresh []memctl.BitAddr
+	s.everSeen, fresh = union(s.everSeen, observed)
+	s.sweepSeen, _ = union(s.sweepSeen, observed)
+	if len(fresh) == 0 {
+		return nil
+	}
+	return slices.Clone(fresh)
 }
 
 // retrying runs op, retrying transient errors up to the configured
@@ -493,7 +577,7 @@ func (s *Scheduler) Epochs() int { return s.epochs }
 // Failures returns every failure observed in any epoch.
 func (s *Scheduler) Failures() map[memctl.BitAddr]struct{} {
 	out := make(map[memctl.BitAddr]struct{}, len(s.everSeen))
-	for a := range s.everSeen {
+	for _, a := range s.everSeen {
 		out[a] = struct{}{}
 	}
 	return out

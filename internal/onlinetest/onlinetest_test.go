@@ -1,6 +1,7 @@
 package onlinetest
 
 import (
+	"slices"
 	"testing"
 
 	"parbor/internal/coupling"
@@ -246,4 +247,27 @@ func addrLessTest(a, b memctl.BitAddr) bool {
 		return a.Row < b.Row
 	}
 	return a.Col < b.Col
+}
+
+// TestPatternRowsMatchFills: each pattern's one materialized row,
+// aliased for every row under test, must hold exactly what filling
+// any row with that pattern would.
+func TestPatternRowsMatchFills(t *testing.T) {
+	host := onlineHost(t, 32)
+	s, err := New(host, Config{Distances: vendorADistances})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]uint64, host.Geometry().Words())
+	for i, p := range s.pats {
+		if !p.Uniform {
+			t.Fatalf("pattern %d is not uniform; one row cannot stand for every row", i)
+		}
+		for _, r := range []memctl.Row{{}, {Chip: 0, Bank: 0, Row: 17}, {Chip: 3, Bank: 2, Row: 31}} {
+			p.Fill(r.Chip, r.Bank, r.Row, want)
+			if !slices.Equal(s.patRows[i], want) {
+				t.Fatalf("pattern %d: materialized row differs from its fill of %+v", i, r)
+			}
+		}
+	}
 }

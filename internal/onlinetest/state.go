@@ -1,8 +1,9 @@
 package onlinetest
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"parbor/internal/memctl"
 	"parbor/internal/obs"
@@ -36,8 +37,22 @@ type State struct {
 	Epochs int `json:"epochs,omitempty"`
 }
 
-// State exports the scheduler's progress. The returned value shares
-// nothing with the scheduler; mutating it is safe.
+// State exports the scheduler's progress without copying the failure
+// sets: EverSeen and SweepSeen are views of the scheduler's own
+// canonical slices, capped at their length, so exporting a checkpoint
+// after every epoch costs O(1) however many failures are known. The
+// contract that makes the sharing safe:
+//
+//   - the scheduler never writes an element below any length it has
+//     published — later epochs append past it or merge into a fresh
+//     array — so a returned State stays valid and unchanged while the
+//     scheduler keeps running, and may be read from another goroutine;
+//   - the capacity cap means a caller's append reallocates rather than
+//     writing into the scheduler's spare capacity;
+//   - callers must not write the elements in place; Resume copies, so
+//     schedulers resumed from one State share nothing.
+//
+// Everything else in the State is a copy.
 func (s *Scheduler) State() State {
 	cfg := s.cfg
 	cfg.Distances = append([]int(nil), s.cfg.Distances...)
@@ -46,8 +61,8 @@ func (s *Scheduler) State() State {
 		Cursor:         s.cursor,
 		Rounds:         s.rounds,
 		Tests:          s.tests,
-		EverSeen:       sortedAddrs(s.everSeen),
-		SweepSeen:      sortedAddrs(s.sweepSeen),
+		EverSeen:       s.everSeen[:len(s.everSeen):len(s.everSeen)],
+		SweepSeen:      s.sweepSeen[:len(s.sweepSeen):len(s.sweepSeen)],
 		Quarantined:    s.Quarantined(),
 		Retries:        s.retries,
 		DegradedEpochs: s.degraded,
@@ -76,12 +91,8 @@ func Resume(host *memctl.Host, st State) (*Scheduler, error) {
 	s.retries = st.Retries
 	s.degraded = st.DegradedEpochs
 	s.epochs = st.Epochs
-	for _, a := range st.EverSeen {
-		s.everSeen[a] = struct{}{}
-	}
-	for _, a := range st.SweepSeen {
-		s.sweepSeen[a] = struct{}{}
-	}
+	s.everSeen = canonicalCopy(st.EverSeen)
+	s.sweepSeen = canonicalCopy(st.SweepSeen)
 	for _, c := range st.Quarantined {
 		if c < 0 || c >= host.Chips() {
 			return nil, fmt.Errorf("onlinetest: resume quarantines chip %d outside module's %d chips", c, host.Chips())
@@ -101,24 +112,79 @@ func Resume(host *memctl.Host, st State) (*Scheduler, error) {
 	return s, nil
 }
 
-// sortedAddrs flattens a failure set into canonical order.
-func sortedAddrs(set map[memctl.BitAddr]struct{}) []memctl.BitAddr {
-	out := make([]memctl.BitAddr, 0, len(set))
-	for a := range set {
-		out = append(out, a)
+// compareAddrs orders failures canonically: (chip, bank, row, col).
+func compareAddrs(a, b memctl.BitAddr) int {
+	if c := cmp.Compare(a.Chip, b.Chip); c != 0 {
+		return c
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Chip != b.Chip {
-			return a.Chip < b.Chip
+	if c := cmp.Compare(a.Bank, b.Bank); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Row, b.Row); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Col, b.Col)
+}
+
+// sortedDistinct sorts addrs canonically and drops repeats, in place.
+func sortedDistinct(addrs []memctl.BitAddr) []memctl.BitAddr {
+	slices.SortFunc(addrs, compareAddrs)
+	return slices.Compact(addrs)
+}
+
+// canonicalCopy returns a fresh, non-nil, sorted and distinct copy of
+// a failure set. Sets exported by State are canonical already; the
+// sort only matters for hand-built states.
+func canonicalCopy(addrs []memctl.BitAddr) []memctl.BitAddr {
+	out := append([]memctl.BitAddr{}, addrs...)
+	if !slices.IsSortedFunc(out, compareAddrs) {
+		return sortedDistinct(out)
+	}
+	return slices.Compact(out)
+}
+
+// union returns set ∪ add for two sorted, distinct failure sets, and
+// the cells of add that set lacked (in canonical order; it may alias
+// the result, so callers that hand it out must copy it). Cells already
+// in set cost a binary search each, so the work is O(len(add) log
+// len(set)) plus the cost of placing the new cells.
+//
+// union never writes below len(set) in set's backing array, which is
+// what lets State share the sets: when every new cell sorts after
+// set's last one — the common case, since an epoch tests rows in
+// canonical order — they are appended; otherwise the result is merged
+// into a fresh array.
+func union(set, add []memctl.BitAddr) (merged, added []memctl.BitAddr) {
+	n := len(set)
+	if len(add) == 0 {
+		return set, nil
+	}
+	if n == 0 || compareAddrs(set[n-1], add[0]) < 0 {
+		merged = append(set, add...)
+		return merged, merged[n:]
+	}
+	lo := 0
+	for _, a := range add {
+		i, found := slices.BinarySearchFunc(set[lo:], a, compareAddrs)
+		lo += i
+		if !found {
+			added = append(added, a)
 		}
-		if a.Bank != b.Bank {
-			return a.Bank < b.Bank
-		}
-		if a.Row != b.Row {
-			return a.Row < b.Row
-		}
-		return a.Col < b.Col
-	})
-	return out
+	}
+	if len(added) == 0 {
+		return set, nil
+	}
+	if compareAddrs(set[n-1], added[0]) < 0 {
+		return append(set, added...), added
+	}
+	merged = make([]memctl.BitAddr, 0, n+len(added))
+	i := 0
+	for _, a := range added {
+		j, _ := slices.BinarySearchFunc(set[i:], a, compareAddrs)
+		merged = append(merged, set[i:i+j]...)
+		merged = append(merged, a)
+		i += j
+	}
+	merged = append(merged, set[i:]...)
+	return merged, added
 }
