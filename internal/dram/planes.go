@@ -154,25 +154,50 @@ type rowPlanes struct {
 // row's privately allocated slices. Blocks are append-only — a row's
 // view is capped with a three-index slice and never reallocated, so
 // interned slices stay valid when later rows fill the block.
+//
+// Blocks grow geometrically, from minArenaBlock to maxArenaBlock
+// elements, so a chip with few rows (a fleet chip of 32 rows holds a
+// few hundred elements) reserves about twice what its rows use, not a
+// full-size block of each type.
 type planeArena struct {
-	entries []planeEntry
-	ext     []extPairs
-	pairs   []distMask
-	fcells  []faultMask
+	entries arenaBlocks[planeEntry]
+	ext     arenaBlocks[extPairs]
+	pairs   arenaBlocks[distMask]
+	fcells  arenaBlocks[faultMask]
 }
 
-// intern moves items into the arena block for their type, starting a
-// fresh block when the current one cannot hold them.
-func intern[T any](block *[]T, items []T) []T {
+// arenaBlocks is one element type's chain of arena blocks. Only the
+// newest block is held here; older ones live on through the views
+// interned into them.
+type arenaBlocks[T any] struct {
+	cur []T
+	// reserved counts the elements of every block opened so far, the
+	// arena's footprint for this type.
+	reserved int
+}
+
+// Arena block sizes, in elements: the first block of each type holds
+// minArenaBlock, and each later one twice its predecessor, up to
+// maxArenaBlock (or the row's own item count, if larger).
+const (
+	minArenaBlock = 64
+	maxArenaBlock = 4096
+)
+
+// intern moves items into the newest block, first opening a fresh,
+// larger block when the current one cannot hold them.
+func (a *arenaBlocks[T]) intern(items []T) []T {
 	if len(items) == 0 {
 		return nil
 	}
-	if cap(*block)-len(*block) < len(items) {
-		*block = make([]T, 0, max(4096, len(items)))
+	if cap(a.cur)-len(a.cur) < len(items) {
+		n := max(min(max(2*cap(a.cur), minArenaBlock), maxArenaBlock), len(items))
+		a.cur = make([]T, 0, n)
+		a.reserved += n
 	}
-	base := len(*block)
-	*block = append(*block, items...)
-	return (*block)[base : base+len(items) : base+len(items)]
+	base := len(a.cur)
+	a.cur = append(a.cur, items...)
+	return a.cur[base : base+len(items) : base+len(items)]
 }
 
 // entryBuilder accumulates one tier's entries during buildRowPlanes.
@@ -292,8 +317,8 @@ func (c *Chip) buildRowPlanes(m *rowMeta) rowPlanes {
 	}
 	fast.flush(&p)
 	slow.flush(&p)
-	p.fast = intern(&c.arena.entries, fast.entries)
-	p.slow = intern(&c.arena.entries, slow.entries)
+	p.fast = c.arena.entries.intern(fast.entries)
+	p.slow = c.arena.entries.intern(slow.entries)
 	// Fault cells are per-kind ascending but not globally sorted, so
 	// find-or-insert keeps the (tiny) list in ascending word order.
 	for _, fcell := range m.fcells {
@@ -318,9 +343,9 @@ func (c *Chip) buildRowPlanes(m *rowMeta) rowPlanes {
 			}
 		}
 	}
-	p.ext = intern(&c.arena.ext, p.ext)
-	p.pairs = intern(&c.arena.pairs, p.pairs)
-	p.fcells = intern(&c.arena.fcells, p.fcells)
+	p.ext = c.arena.ext.intern(p.ext)
+	p.pairs = c.arena.pairs.intern(p.pairs)
+	p.fcells = c.arena.fcells.intern(p.fcells)
 	return p
 }
 

@@ -324,3 +324,36 @@ func FuzzVictimPlanes(f *testing.F) {
 		comparePaths(t, chip, "fuzz-wait2")
 	})
 }
+
+// TestPlaneArenaFitsSmallChip bounds the plane arena of a fleet-sized
+// chip (32 rows of 8K columns, fleet coupling density). Blocks grow
+// geometrically, so the arena reserves at most about twice what the
+// rows use, plus one minimum block per type; a fixed 4096-element
+// first block per type used to reserve several times that.
+func TestPlaneArenaFitsSmallChip(t *testing.T) {
+	cc := coupling.DefaultConfig()
+	cc.VulnerableRate = 2e-3
+	geom := Geometry{Banks: 1, Rows: 32, Cols: 8192}
+	for _, v := range []scramble.Vendor{scramble.VendorA, scramble.VendorB, scramble.VendorC} {
+		c, err := NewChip(ChipConfig{Geometry: geom, Vendor: v, Coupling: cc, Faults: faults.DefaultConfig(), Seed: 41})
+		if err != nil {
+			t.Fatal(err)
+		}
+		used := 0
+		for flat := 0; flat < geom.Rows; flat++ {
+			c.rowMetaFor(flat)
+			p := &c.planes[flat]
+			used += len(p.fast) + len(p.slow) + len(p.ext) + len(p.pairs) + len(p.fcells)
+		}
+		a := &c.arena
+		reserved := a.entries.reserved + a.ext.reserved + a.pairs.reserved + a.fcells.reserved
+		t.Logf("vendor %v: %d plane elements used, %d reserved", v, used, reserved)
+		if used == 0 {
+			t.Fatalf("vendor %v: no plane elements; the bound is vacuous", v)
+		}
+		// 64 elements: the smallest block of each of the four types.
+		if limit := 2*used + 4*64; reserved > limit {
+			t.Errorf("vendor %v: arena reserves %d elements for %d used, want at most %d", v, reserved, used, limit)
+		}
+	}
+}

@@ -138,3 +138,19 @@ func TestSpillBufferGrowsOnce(t *testing.T) {
 		t.Fatalf("merge yielded %d distinct keys, want %d", next, distinct)
 	}
 }
+
+// TestSpillSortAllocBudget: sorting and deduplicating a spill buffer
+// allocates nothing. The radix sort permutes the keys in place with
+// its buckets on the stack; a sort that needed a second key-sized
+// buffer would pay it on every spill.
+func TestSpillSortAllocBudget(t *testing.T) {
+	keys := analyticsKeys(1 << 16)
+	s := &spillSet{mem: make([]spillKey, 0, len(keys))}
+	allocs := testing.AllocsPerRun(5, func() {
+		s.mem = append(s.mem[:0], keys...)
+		s.sortedMem()
+	})
+	if allocs != 0 {
+		t.Fatalf("sortedMem allocated %.2f objects per 64k-key sort, want 0", allocs)
+	}
+}

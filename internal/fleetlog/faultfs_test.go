@@ -2,10 +2,13 @@ package fleetlog
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"parbor/internal/faultfs"
+	"parbor/internal/memctl"
 )
 
 // openInjected opens a writer over a fresh injector with the given
@@ -229,5 +232,41 @@ func TestAnalyzeThroughInjectedReadFault(t *testing.T) {
 	}
 	if _, aerr := Analyze(dir, ClassifierConfig{FS: inj}); !errors.Is(aerr, faultfs.ErrIO) {
 		t.Fatalf("Analyze over unreadable log: %v, want ErrIO", aerr)
+	}
+}
+
+// TestSpillWriteErrorRemovesPartialRun: a spill run that fails to write
+// never joins the set's runs, so the classifier's cleanup cannot find
+// it; spill itself must remove it. A caller-named spill dir is empty
+// once the classifier closes, whether the write failed in a buffered
+// Write (a run larger than the write buffer) or in the final Flush.
+func TestSpillWriteErrorRemovesPartialRun(t *testing.T) {
+	for _, maxKeys := range []int{8, 4096} {
+		inj, err := faultfs.NewInjector(faultfs.OS{}, faultfs.InjectorConfig{Seed: 3, WriteErrProb: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.Join(t.TempDir(), "spill")
+		c, err := NewClassifier(ClassifierConfig{MaxKeys: maxKeys, SpillDir: dir, FS: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var oerr error
+		for epoch := 1; oerr == nil && epoch <= 2*maxKeys; epoch++ {
+			oerr = c.Observe(Event{Module: "m", Epoch: epoch, Fails: []memctl.BitAddr{{Row: 1}, {Row: 2}}})
+		}
+		if !errors.Is(oerr, faultfs.ErrNoSpace) {
+			t.Fatalf("MaxKeys %d: Observe: %v, want the injected ENOSPC", maxKeys, oerr)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		left, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(left) != 0 {
+			t.Fatalf("MaxKeys %d: spill dir keeps %d files after Close, first %s", maxKeys, len(left), left[0].Name())
+		}
 	}
 }

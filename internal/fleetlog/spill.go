@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"container/heap"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"path/filepath"
 	"slices"
 
@@ -102,6 +104,21 @@ func (s *spillSet) spill() error {
 	if err != nil {
 		return fmt.Errorf("fleetlog: creating spill run: %w", err)
 	}
+	if err := writeRun(f, keys); err != nil {
+		// A partial run never reaches s.runs, so cleanup would not
+		// find it: remove it here, or a caller-named spill dir keeps it.
+		//parbor:droperr best-effort removal of a scratch run that already failed; the write error is what the caller needs
+		s.fsys.Remove(path)
+		return err
+	}
+	s.runs = append(s.runs, path)
+	s.spilled += len(keys)
+	s.mem = s.mem[:0]
+	return nil
+}
+
+// writeRun writes keys to f and closes it, on every path.
+func writeRun(f faultfs.File, keys []spillKey) error {
 	bw := bufio.NewWriterSize(f, 1<<16)
 	// Slice the keys in place: ranging by value would copy each key
 	// into a variable that escapes through the io.Writer call.
@@ -118,18 +135,103 @@ func (s *spillSet) spill() error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("fleetlog: closing spill run: %w", err)
 	}
-	s.runs = append(s.runs, path)
-	s.spilled += len(keys)
-	s.mem = s.mem[:0]
 	return nil
 }
 
 // sortedMem sorts and deduplicates the in-memory keys in place and
 // returns them.
 func (s *spillSet) sortedMem() []spillKey {
-	slices.SortFunc(s.mem, func(a, b spillKey) int { return bytes.Compare(a[:], b[:]) })
+	radixSort(s.mem, 0)
 	s.mem = slices.Compact(s.mem)
 	return s.mem
+}
+
+// radixCutoff is the bucket size at or below which radixSort hands
+// over to insertion sort: a 256-way counting pass over a few dozen
+// keys costs more than comparing them.
+const radixCutoff = 32
+
+// radixSort sorts keys, which all share their first depth bytes, into
+// bytewise order: an in-place MSD ("American flag") radix sort, one
+// key byte per level. Each level first skips the bytes every key
+// shares (the packed fields' constant high bytes and zero banks cost
+// one pass in all, not one pass each), then counts the keys per value
+// of the first byte that differs, permutes them into their buckets by
+// cycle-chasing swaps, and recurses into every bucket one byte deeper.
+// Nothing is allocated: the buckets live on the stack, and an LSD
+// sort's second key-count-sized buffer is exactly what this avoids.
+func radixSort(keys []spillKey, depth int) {
+	if len(keys) <= radixCutoff {
+		insertionSort(keys, depth)
+		return
+	}
+	depth = sharedPrefix(keys)
+	if depth == keyBytes {
+		return // all keys equal
+	}
+	var next, end [256]int
+	for i := range keys {
+		end[keys[i][depth]]++
+	}
+	off := 0
+	for b := range end {
+		next[b] = off
+		off += end[b]
+		end[b] = off
+	}
+	for b := range next {
+		for next[b] < end[b] {
+			k := keys[next[b]]
+			for d := int(k[depth]); d != b; d = int(k[depth]) {
+				k, keys[next[d]] = keys[next[d]], k
+				next[d]++
+			}
+			keys[next[b]] = k
+			next[b]++
+		}
+	}
+	start := 0
+	for _, stop := range end {
+		if stop-start > 1 {
+			radixSort(keys[start:stop], depth+1)
+		}
+		start = stop
+	}
+}
+
+// sharedPrefix returns how many leading bytes every key shares with
+// keys[0]: the big-endian XOR of each key against the first, ORed
+// together, has its first set bit in the first byte that differs.
+func sharedPrefix(keys []spillKey) int {
+	be := binary.BigEndian
+	f := &keys[0]
+	f0, f1, f2 := be.Uint64(f[0:8]), be.Uint64(f[8:16]), be.Uint32(f[16:20])
+	var d0, d1 uint64
+	var d2 uint32
+	for i := range keys {
+		k := &keys[i]
+		d0 |= be.Uint64(k[0:8]) ^ f0
+		d1 |= be.Uint64(k[8:16]) ^ f1
+		d2 |= be.Uint32(k[16:20]) ^ f2
+	}
+	switch {
+	case d0 != 0:
+		return bits.LeadingZeros64(d0) / 8
+	case d1 != 0:
+		return 8 + bits.LeadingZeros64(d1)/8
+	case d2 != 0:
+		return 16 + bits.LeadingZeros32(d2)/8
+	}
+	return keyBytes
+}
+
+// insertionSort sorts keys that share their first depth bytes.
+func insertionSort(keys []spillKey, depth int) {
+	for i := 1; i < len(keys); i++ {
+		for j := i; j > 0 && bytes.Compare(keys[j][depth:], keys[j-1][depth:]) < 0; j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+		}
+	}
 }
 
 // runCursor is one merge source: a spilled run file or the in-memory
