@@ -8,6 +8,7 @@
 package parbor_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -377,15 +378,18 @@ func BenchmarkObsOverhead(b *testing.B) {
 		}
 		return host
 	}
-	gen := func(r parbor.Row, buf []uint64) {
+	fill := func(_ parbor.Row, buf []uint64) []uint64 {
 		for i := range buf {
 			buf[i] = 0xaaaaaaaaaaaaaaaa
 		}
+		return buf
 	}
 	measure := func(host *parbor.Host, n int) time.Duration {
 		start := time.Now()
 		for i := 0; i < n; i++ {
-			host.FullPass(gen)
+			if _, err := host.FullPass(context.Background(), fill, host.WaitMs()); err != nil {
+				b.Fatal(err)
+			}
 		}
 		return time.Since(start)
 	}
@@ -503,6 +507,7 @@ func BenchmarkAblationPerBankRefresh(b *testing.B) {
 // zero-allocation contract (see TestPassZeroAllocsSteadyState for the
 // hard budget).
 func BenchmarkPassHotLoop(b *testing.B) {
+	ctx := context.Background()
 	for _, bench := range []struct {
 		name        string
 		parallelism int
@@ -542,14 +547,14 @@ func BenchmarkPassHotLoop(b *testing.B) {
 				}
 			}
 			for warm := 0; warm < 3; warm++ {
-				if _, err := host.Pass(rows, data); err != nil {
+				if _, err := host.Pass(ctx, rows, data, host.WaitMs()); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := host.Pass(rows, data); err != nil {
+				if _, err := host.Pass(ctx, rows, data, host.WaitMs()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -572,6 +577,7 @@ func BenchmarkPassHotLoop(b *testing.B) {
 // BENCH_9.json for the measured curve). Compare with
 // `-tags parborscalar` for the scalar cost at this density.
 func BenchmarkFullPassVictimDense(b *testing.B) {
+	ctx := context.Background()
 	cc := parbor.DefaultCouplingConfig()
 	cc.VulnerableRate = 0.05
 	mod, err := parbor.NewModule(parbor.ModuleConfig{
@@ -594,16 +600,16 @@ func BenchmarkFullPassVictimDense(b *testing.B) {
 	for i := range row {
 		row[i] = 0xaaaaaaaaaaaaaaaa
 	}
-	src := func(parbor.Row) []uint64 { return row }
+	src := func(parbor.Row, []uint64) []uint64 { return row }
 	// One warm pass materializes every row's victim population and
 	// mask planes, so the loop measures the steady-state sweep.
-	if _, err := host.FullPassRows(src); err != nil {
+	if _, err := host.FullPass(ctx, src, host.WaitMs()); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := host.FullPassRows(src); err != nil {
+		if _, err := host.FullPass(ctx, src, host.WaitMs()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -614,6 +620,7 @@ func BenchmarkFullPassVictimDense(b *testing.B) {
 // write-wait-read sweep is the hot path of every detection
 // experiment, and it scales with min(GOMAXPROCS, chips) workers.
 func BenchmarkFullPassParallelism(b *testing.B) {
+	ctx := context.Background()
 	for _, bench := range []struct {
 		name        string
 		parallelism int
@@ -647,11 +654,11 @@ func BenchmarkFullPassParallelism(b *testing.B) {
 			for i := range row {
 				row[i] = 0xaaaaaaaaaaaaaaaa
 			}
-			src := func(parbor.Row) []uint64 { return row }
+			src := func(parbor.Row, []uint64) []uint64 { return row }
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := host.FullPassRows(src); err != nil {
+				if _, err := host.FullPass(ctx, src, host.WaitMs()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -475,7 +475,7 @@ func runResume(ctx context.Context, opts options) error {
 // requested.
 func onlineEpochs(ctx context.Context, opts options, mod *parbor.Module, seed uint64, sched *onlinetest.Scheduler) error {
 	for i := 0; i < opts.online; i++ {
-		res, err := sched.RunEpochCtx(ctx)
+		res, err := sched.RunEpoch(ctx)
 		if err != nil {
 			return fmt.Errorf("online epoch %d: %w", i+1, err)
 		}

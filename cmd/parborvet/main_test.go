@@ -69,7 +69,7 @@ func TestKnownBadFailsPlainVet(t *testing.T) {
 	fragments := map[string]string{
 		"simdeterminism":     "breaks seed-determinism",
 		"rngstream":          "rng.Split allocates its child stream",
-		"ctxthread":          "holds a context but calls",
+		"ctxthread":          "without accepting a context.Context",
 		"obsnilsafe":         "nil-receiver guard",
 		"hotalloc":           "fmt.Sprintf in //parbor:hotpath",
 		"hotalloc/planecall": "calls //parbor:planebuild function",

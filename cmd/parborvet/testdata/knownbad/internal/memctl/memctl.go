@@ -1,5 +1,5 @@
-// Package memctl trips ctxthread exactly once: a context-holding
-// entry point that drives rows through the non-Ctx shim.
+// Package memctl trips ctxthread exactly once: an exported loop that
+// drives passes from a stored context instead of accepting one.
 package memctl
 
 import "context"
@@ -7,8 +7,8 @@ import "context"
 // Host drives rows.
 type Host struct{ rows int }
 
-// PassCtx runs one pass, checking for cancellation per row.
-func (h *Host) PassCtx(ctx context.Context) error {
+// Pass runs one pass, checking for cancellation per row.
+func (h *Host) Pass(ctx context.Context) error {
 	for r := 0; r < h.rows; r++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -17,18 +17,17 @@ func (h *Host) PassCtx(ctx context.Context) error {
 	return nil
 }
 
-// Pass is the compat shim.
-func (h *Host) Pass() error {
-	return h.PassCtx(context.Background())
+// Sweeper holds a context captured at construction.
+type Sweeper struct {
+	ctx context.Context
+	h   *Host
 }
 
-// Sweep holds a context but calls the non-Ctx Pass.
-func Sweep(ctx context.Context, h *Host, n int) error {
+// RunAll loops over passes fed from the stored context, so no caller
+// can cancel it.
+func (s *Sweeper) RunAll(n int) error {
 	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := h.Pass(); err != nil {
+		if err := s.h.Pass(s.ctx); err != nil {
 			return err
 		}
 	}

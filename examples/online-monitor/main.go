@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -65,7 +66,7 @@ func main() {
 	}
 	fmt.Println("Online monitoring, 8 rows per epoch:")
 	for epoch := 1; sched.Rounds() == 0; epoch++ {
-		res, err := sched.RunEpoch()
+		res, err := sched.RunEpoch(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -93,7 +94,7 @@ func fillApplicationData(host *parbor.Host) [][]uint64 {
 		}
 		list[r] = parbor.Row{Chip: 0, Bank: 0, Row: r}
 	}
-	if _, err := host.PassWithWait(list, data, 0); err != nil {
+	if _, err := host.Pass(context.Background(), list, data, 0); err != nil {
 		log.Fatal(err)
 	}
 	return data
@@ -102,7 +103,7 @@ func fillApplicationData(host *parbor.Host) [][]uint64 {
 func verifyApplicationData(host *parbor.Host, want [][]uint64) error {
 	got := make([]uint64, host.Geometry().Words())
 	for r := 0; r < rows; r++ {
-		if err := host.ReadRowInto(parbor.Row{Chip: 0, Bank: 0, Row: r}, got); err != nil {
+		if err := host.ReadRowInto(context.Background(), parbor.Row{Chip: 0, Bank: 0, Row: r}, got); err != nil {
 			return err
 		}
 		for w := range got {

@@ -1,6 +1,7 @@
 package parbor_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -134,7 +135,7 @@ func TestFacadeOnlineScheduler(t *testing.T) {
 		t.Fatalf("NewOnlineScheduler: %v", err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := sched.RunEpoch(); err != nil {
+		if _, err := sched.RunEpoch(context.Background()); err != nil {
 			t.Fatalf("RunEpoch: %v", err)
 		}
 	}
@@ -169,13 +170,20 @@ func TestFacadeHostParallelism(t *testing.T) {
 		return host
 	}
 	serial, sharded := build(1), build(8)
-	gen := func(r parbor.Row, buf []uint64) {
+	fill := func(_ parbor.Row, buf []uint64) []uint64 {
 		for i := range buf {
 			buf[i] = 0x5555555555555555
 		}
+		return buf
 	}
-	want := serial.FullPass(gen)
-	got := sharded.FullPass(gen)
+	want, err := serial.FullPass(context.Background(), fill, serial.WaitMs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sharded.FullPass(context.Background(), fill, sharded.WaitMs())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(want) == 0 {
 		t.Fatal("degenerate module: no failures to compare")
 	}

@@ -5,9 +5,9 @@
 //   - context.Background()/context.TODO() may appear in library code
 //     only inside the documented compat-shim idiom — passed directly
 //     to a callee whose name ends in "Ctx" from a function that has
-//     no context parameter of its own (e.g. Pass delegating to
-//     PassWithWaitCtx). Any other use either hides a cancellation
-//     gap or shadows a context the function already has.
+//     no context parameter of its own (e.g. exp.Table1 delegating to
+//     Table1Ctx). Any other use either hides a cancellation gap or
+//     shadows a context the function already has.
 //
 //   - An exported function that takes a context.Context must
 //     actually use it (pass it on, or check Done/Err).
@@ -15,6 +15,8 @@
 //   - An exported function without a context parameter must not loop
 //     over hardware-driving pass methods: long row/chip loops are
 //     exactly the work SIGINT and -timeout need to be able to stop.
+//     The pass methods all take a context first, so this catches the
+//     loop that feeds them one it did not receive (a stored context).
 package ctxthread
 
 import (
@@ -39,26 +41,14 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // passMethods are the hardware-driving entry points whose callers
-// must be cancellable. The non-Ctx name maps to its Ctx sibling so
-// diagnostics can name the fix.
-var passMethods = map[string]string{
-	"Pass":                    "PassCtx",
-	"PassWithWait":            "PassWithWaitCtx",
-	"Verify":                  "VerifyCtx",
-	"FullPass":                "FullPassCtx",
-	"FullPassWithWait":        "FullPassWithWaitCtx",
-	"FullPassRows":            "FullPassRowsCtx",
-	"RunEpoch":                "RunEpochCtx",
-	"ReadRowInto":             "ReadRowIntoCtx",
-	"PassCtx":                 "",
-	"PassWithWaitCtx":         "",
-	"VerifyCtx":               "",
-	"FullPassCtx":             "",
-	"FullPassWithWaitCtx":     "",
-	"FullPassRowsCtx":         "",
-	"FullPassRowsWithWaitCtx": "",
-	"RunEpochCtx":             "",
-	"ReadRowIntoCtx":          "",
+// must be cancellable: the test host's pass/read methods and the
+// online scheduler's epoch, all context-first.
+var passMethods = map[string]bool{
+	"Pass":        true,
+	"Verify":      true,
+	"FullPass":    true,
+	"ReadRowInto": true,
+	"RunEpoch":    true,
 }
 
 func run(pass *analysis.Pass) (any, error) {
@@ -76,7 +66,6 @@ func run(pass *analysis.Pass) (any, error) {
 		if decl.Name.IsExported() {
 			if ctxParam != nil {
 				checkCtxUsed(pass, decl, ctxParam)
-				checkCtxVariantUsed(pass, decl)
 			} else {
 				checkLoopNeedsCtx(pass, decl)
 			}
@@ -178,24 +167,6 @@ func checkCtxUsed(pass *analysis.Pass, decl *ast.FuncDecl, ctxParam *types.Var) 
 	}
 }
 
-// checkCtxVariantUsed flags calls to a non-Ctx pass method from a
-// function that holds a context and could call the Ctx sibling.
-func checkCtxVariantUsed(pass *analysis.Pass, decl *ast.FuncDecl) {
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		name := calleeName(pass, call)
-		ctxSibling, known := passMethods[name]
-		if !known || ctxSibling == "" || !isPassReceiver(pass, call) {
-			return true
-		}
-		pass.Reportf(call.Pos(), "%s holds a context but calls %s; call %s so the loop stays cancellable", decl.Name.Name, name, ctxSibling)
-		return true
-	})
-}
-
 // checkLoopNeedsCtx flags an exported ctx-less function whose loops
 // call hardware-driving pass methods.
 func checkLoopNeedsCtx(pass *analysis.Pass, decl *ast.FuncDecl) {
@@ -219,7 +190,7 @@ func checkLoopNeedsCtx(pass *analysis.Pass, decl *ast.FuncDecl) {
 				return true
 			}
 			name := calleeName(pass, call)
-			if _, known := passMethods[name]; !known || !isPassReceiver(pass, call) {
+			if !passMethods[name] || !isPassReceiver(pass, call) {
 				return true
 			}
 			pass.Reportf(decl.Name.Pos(), "exported %s loops over %s without accepting a context.Context; row/chip loops must be cancellable", decl.Name.Name, name)

@@ -8,8 +8,8 @@ import "context"
 // Host drives rows.
 type Host struct{ rows int }
 
-// PassCtx runs one pass, checking for cancellation per row.
-func (h *Host) PassCtx(ctx context.Context) error {
+// Pass runs one pass, checking for cancellation per row.
+func (h *Host) Pass(ctx context.Context) error {
 	for r := 0; r < h.rows; r++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -18,30 +18,21 @@ func (h *Host) PassCtx(ctx context.Context) error {
 	return nil
 }
 
-// Pass is the compat shim: Background handed directly to the Ctx
+// Table1Ctx is a context-first entry point.
+func Table1Ctx(ctx context.Context, h *Host) error {
+	return h.Pass(ctx)
+}
+
+// Table1 is the compat shim: Background handed directly to the Ctx
 // sibling is the one sanctioned use.
-func (h *Host) Pass() error {
-	return h.PassCtx(context.Background())
+func Table1(h *Host) error {
+	return Table1Ctx(context.Background(), h)
 }
 
-// Verify builds its own context instead of accepting one.
-func (h *Host) Verify() error {
+// Warm builds its own context instead of accepting one.
+func Warm(h *Host) error {
 	ctx := context.Background() // want ctxthread `outside the shim idiom`
-	return h.PassCtx(ctx)
-}
-
-// Sweep holds a context but drives the rows through the non-Ctx shim,
-// so cancellation never reaches the loop.
-func Sweep(ctx context.Context, h *Host, n int) error {
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := h.Pass(); err != nil { // want ctxthread `holds a context but calls Pass`
-			return err
-		}
-	}
-	return nil
+	return h.Pass(ctx)
 }
 
 // Drain accepts a context and ignores it.
@@ -50,10 +41,17 @@ func Drain(ctx context.Context, h *Host) error { // want ctxthread `accepts a co
 	return nil
 }
 
-// RunAll loops over pass methods without accepting a context at all.
-func RunAll(h *Host, n int) error { // want ctxthread `without accepting a context.Context`
+// Sweeper holds a context captured at construction.
+type Sweeper struct {
+	ctx context.Context
+	h   *Host
+}
+
+// RunAll loops over passes fed from the stored context: no caller can
+// cancel this loop, because it never accepts a context at all.
+func (s *Sweeper) RunAll(n int) error { // want ctxthread `without accepting a context.Context`
 	for i := 0; i < n; i++ {
-		if err := h.Pass(); err != nil {
+		if err := s.h.Pass(s.ctx); err != nil {
 			return err
 		}
 	}
@@ -65,14 +63,13 @@ func Restage(ctx context.Context, h *Host) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return h.PassCtx(context.Background()) // want ctxthread `ignores the function's ctx parameter`
+	return h.Pass(context.Background()) // want ctxthread `ignores the function's ctx parameter`
 }
 
-// SweepCtx is the compliant shape: context threaded into the Ctx
-// sibling on every iteration.
-func SweepCtx(ctx context.Context, h *Host, n int) error {
+// Sweep is the compliant shape: context threaded into every pass.
+func Sweep(ctx context.Context, h *Host, n int) error {
 	for i := 0; i < n; i++ {
-		if err := h.PassCtx(ctx); err != nil {
+		if err := h.Pass(ctx); err != nil {
 			return err
 		}
 	}

@@ -63,7 +63,7 @@ func newSched(t *testing.T, mod *dram.Module) *onlinetest.Scheduler {
 func epochs(t *testing.T, s *onlinetest.Scheduler, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := s.RunEpochCtx(context.Background()); err != nil {
+		if _, err := s.RunEpoch(context.Background()); err != nil {
 			t.Fatalf("epoch %d: %v", i, err)
 		}
 	}

@@ -104,7 +104,7 @@ func (t *Tester) LinearNeighborSearch(v Victim) ([]int, int, error) {
 			continue
 		}
 		fillRegionPattern(buf, v.FailData, i, 1, int(v.Col))
-		fails, err := t.host.Pass([]memctl.Row{v.Row}, [][]uint64{buf})
+		fails, err := t.host.Pass(context.Background(), []memctl.Row{v.Row}, [][]uint64{buf}, t.host.WaitMs())
 		passes++
 		if err != nil {
 			return nil, passes, err
@@ -145,7 +145,7 @@ func (t *Tester) ExhaustivePairSearch(v Victim) ([][2]int, int, error) {
 			fillRegionPattern(buf, v.FailData, i, 1, int(v.Col))
 			// Complement the second probe bit as well.
 			setBitTo(buf, j, 1-v.FailData)
-			fails, err := t.host.Pass([]memctl.Row{v.Row}, [][]uint64{buf})
+			fails, err := t.host.Pass(context.Background(), []memctl.Row{v.Row}, [][]uint64{buf}, t.host.WaitMs())
 			passes++
 			if err != nil {
 				return nil, passes, err

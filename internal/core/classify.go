@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -137,7 +138,7 @@ func (t *Tester) ClassifyVictims(victims []Victim, distances []int) ([]Classifie
 				Col:  v.Col,
 			}] = i
 		}
-		fails, err := t.host.Pass(prows, pdata)
+		fails, err := t.host.Pass(context.Background(), prows, pdata, t.host.WaitMs())
 		tests++
 		if err != nil {
 			return nil, err

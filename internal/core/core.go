@@ -128,19 +128,23 @@ func New(host *memctl.Host, cfg Config) (*Tester, error) {
 	}, nil
 }
 
-// fullPassPattern runs one full-module pass with pattern p. Uniform
-// patterns alias an arena-memoized row through the host's RowSource
-// path, skipping per-row pattern generation entirely; row-dependent
-// patterns fall back to per-row fills.
+// fullPassPattern runs one full-module pass with pattern p at the
+// host's configured wait. Uniform patterns alias an arena-memoized
+// row, skipping per-row pattern generation entirely; row-dependent
+// patterns fill the host's per-chip buffer row by row.
 func (t *Tester) fullPassPattern(ctx context.Context, a *patterns.Arena, p patterns.Pattern) ([]memctl.BitAddr, error) {
+	var src memctl.RowSource
 	if p.Uniform {
 		row := a.Materialize(p)
-		return t.host.FullPassRowsCtx(ctx, func(memctl.Row) []uint64 { return row })
+		src = func(memctl.Row, []uint64) []uint64 { return row }
+	} else {
+		fill := p.Fill
+		src = func(r memctl.Row, buf []uint64) []uint64 {
+			fill(r.Chip, r.Bank, r.Row, buf)
+			return buf
+		}
 	}
-	fill := p.Fill
-	return t.host.FullPassCtx(ctx, func(r memctl.Row, buf []uint64) {
-		fill(r.Chip, r.Bank, r.Row, buf)
-	})
+	return t.host.FullPass(ctx, src, t.host.WaitMs())
 }
 
 // FailureSet is a set of failing cell addresses.

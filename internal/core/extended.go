@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -110,7 +111,7 @@ func (t *Tester) DetectExtendedNeighbors(victims []Victim, distances []int) (*Ex
 				}
 				passes++
 				failSet := make(map[int]bool)
-				fails, err := t.host.Pass(prows, pdata)
+				fails, err := t.host.Pass(context.Background(), prows, pdata, t.host.WaitMs())
 				if err != nil {
 					return nil, fmt.Errorf("core: extended pass: %w", err)
 				}

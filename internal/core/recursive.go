@@ -203,7 +203,7 @@ func (t *Tester) runLevel(ctx context.Context, victims []victimInfo, arena *regi
 				regionOf[vi] = rIdx
 			}
 			passes++
-			fails, err := t.host.PassCtx(ctx, prows, pdata)
+			fails, err := t.host.Pass(ctx, prows, pdata, t.host.WaitMs())
 			if err != nil {
 				return nil, fmt.Errorf("core: level pass (size %d, parent %+d, sub %d): %w", size, dp, j, err)
 			}

@@ -189,7 +189,7 @@ func (m *Module) RunQuantum(ctx context.Context) bool {
 	m.status = StatusRunning
 	m.stateMu.Unlock()
 
-	res, err := m.sched.RunEpochCtx(ctx)
+	res, err := m.sched.RunEpoch(ctx)
 	var sinkErr error
 	if err == nil && m.sink != nil {
 		// Log before refreshing the checkpoint: if the append fails the

@@ -11,9 +11,9 @@ import (
 // set of enrolled modules: each dispatch runs exactly one transactional
 // epoch (Module.RunQuantum) and requeues the module if it wants more.
 // One epoch is the quantum because it is the unit that is always
-// checkpointable — RunEpochCtx leaves the module between epochs on
-// every exit path — so a drain only ever waits for in-flight quanta,
-// never for whole sweeps.
+// checkpointable — onlinetest.Scheduler.RunEpoch leaves the module
+// between epochs on every exit path — so a drain only ever waits for
+// in-flight quanta, never for whole sweeps.
 //
 // Queueing discipline: each worker owns a FIFO deque and prefers its
 // own head (modules it recently ran — their chip arrays are warm in

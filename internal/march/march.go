@@ -29,6 +29,7 @@
 package march
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -253,7 +254,7 @@ func (e *Engine) Run(t Test) (*Result, error) {
 					bufs[i] = data
 				}
 				// A pure write: zero retention wait.
-				if _, err := e.host.PassWithWait(order, bufs, 0); err != nil {
+				if _, err := e.host.Pass(context.Background(), order, bufs, 0); err != nil {
 					return nil, fmt.Errorf("march: %s write: %w", t.Name, err)
 				}
 				res.Writes += len(order)
@@ -268,7 +269,9 @@ func (e *Engine) Run(t Test) (*Result, error) {
 				for i := range bufs {
 					bufs[i] = expected
 				}
-				fails, err := e.verify(order, bufs, wait)
+				// A read must not rewrite (recharge) the rows, so it is a
+				// Verify, not a Pass.
+				fails, err := e.host.Verify(context.Background(), order, bufs, wait)
 				if err != nil {
 					return nil, fmt.Errorf("march: %s read: %w", t.Name, err)
 				}
@@ -282,13 +285,6 @@ func (e *Engine) Run(t Test) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// verify reads the rows after the wait and diffs against expected.
-// Reads must not rewrite the rows, so it cannot use Pass (which
-// writes first); it drives the module read path directly.
-func (e *Engine) verify(rows []memctl.Row, expected [][]uint64, waitMs float64) ([]memctl.BitAddr, error) {
-	return e.host.Verify(rows, expected, waitMs)
 }
 
 // NPSFResult aggregates an NPSF run.
@@ -314,9 +310,13 @@ func (e *Engine) NPSF(distances []int, waitMs float64) (*NPSFResult, error) {
 	for _, p := range pats {
 		for _, pp := range []patterns.Pattern{p, p.Inverse()} {
 			fill := pp.Fill
-			fails := e.host.FullPassWithWait(func(r memctl.Row, buf []uint64) {
+			fails, err := e.host.FullPass(context.Background(), func(r memctl.Row, buf []uint64) []uint64 {
 				fill(r.Chip, r.Bank, r.Row, buf)
+				return buf
 			}, waitMs)
+			if err != nil {
+				return nil, fmt.Errorf("march: NPSF %s pass: %w", pp.Name, err)
+			}
 			res.Tests++
 			for _, a := range fails {
 				res.Failures[a] = struct{}{}

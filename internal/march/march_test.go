@@ -1,6 +1,7 @@
 package march
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -177,5 +178,43 @@ func TestDownDirectionCoversAllRows(t *testing.T) {
 		if int(a.Row) >= g.Rows || int(a.Col) >= g.Cols {
 			t.Fatalf("failure address out of range: %+v", a)
 		}
+	}
+}
+
+// rejectWrites is a fault plane that fails every row write.
+type rejectWrites struct{}
+
+func (rejectWrites) BeforeWrite(int, memctl.Row) error { return errors.New("bus down") }
+func (rejectWrites) BeforeRead(int, memctl.Row) error  { return nil }
+
+// TestNPSFReturnsFaultPlaneError: a fault-plane rejection during an
+// NPSF pass surfaces as the host's *PassError through NPSF's error
+// return, never as a panic.
+func TestNPSFReturnsFaultPlaneError(t *testing.T) {
+	mod, err := dram.NewModule(dram.ModuleConfig{
+		Vendor:   scramble.VendorA,
+		Chips:    1,
+		Geometry: dram.Geometry{Banks: 1, Rows: 64, Cols: 1024},
+		Coupling: quiet(),
+		Seed:     17,
+	})
+	if err != nil {
+		t.Fatalf("NewModule: %v", err)
+	}
+	host, err := memctl.NewHostWithConfig(mod, memctl.HostConfig{Faults: rejectWrites{}})
+	if err != nil {
+		t.Fatalf("NewHostWithConfig: %v", err)
+	}
+	engine, err := NewEngine(host)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	res, err := engine.NPSF([]int{-8, 8}, 1000)
+	var pe *memctl.PassError
+	if !errors.As(err, &pe) {
+		t.Fatalf("NPSF with a write-rejecting plane returned (%v, %v), want a *memctl.PassError", res, err)
+	}
+	if host.Passes() != 0 {
+		t.Errorf("aborted NPSF pass counted as a test: Passes() = %d", host.Passes())
 	}
 }

@@ -1,6 +1,7 @@
 package memctl
 
 import (
+	"context"
 	"testing"
 
 	"parbor/internal/coupling"
@@ -53,12 +54,12 @@ func TestPassZeroAllocsSteadyState(t *testing.T) {
 	t.Run("serial", func(t *testing.T) {
 		host, rows, data := allocHost(t, 1)
 		for i := 0; i < 3; i++ { // warm scratch, row metadata, map buckets
-			if _, err := host.Pass(rows, data); err != nil {
+			if _, err := host.Pass(context.Background(), rows, data, host.WaitMs()); err != nil {
 				t.Fatalf("warm pass: %v", err)
 			}
 		}
 		allocs := testing.AllocsPerRun(10, func() {
-			fails, err := host.Pass(rows, data)
+			fails, err := host.Pass(context.Background(), rows, data, host.WaitMs())
 			if err != nil {
 				t.Fatalf("Pass: %v", err)
 			}
@@ -74,12 +75,12 @@ func TestPassZeroAllocsSteadyState(t *testing.T) {
 	t.Run("sharded", func(t *testing.T) {
 		host, rows, data := allocHost(t, 4)
 		for i := 0; i < 3; i++ {
-			if _, err := host.Pass(rows, data); err != nil {
+			if _, err := host.Pass(context.Background(), rows, data, host.WaitMs()); err != nil {
 				t.Fatalf("warm pass: %v", err)
 			}
 		}
 		allocs := testing.AllocsPerRun(10, func() {
-			fails, err := host.Pass(rows, data)
+			fails, err := host.Pass(context.Background(), rows, data, host.WaitMs())
 			if err != nil {
 				t.Fatalf("Pass: %v", err)
 			}
@@ -104,12 +105,12 @@ func TestPassZeroAllocsSteadyState(t *testing.T) {
 func TestVerifyZeroAllocsSteadyState(t *testing.T) {
 	host, rows, data := allocHost(t, 1)
 	for i := 0; i < 3; i++ {
-		if _, err := host.Pass(rows, data); err != nil {
+		if _, err := host.Pass(context.Background(), rows, data, host.WaitMs()); err != nil {
 			t.Fatalf("warm pass: %v", err)
 		}
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		fails, err := host.Verify(rows, data, 64)
+		fails, err := host.Verify(context.Background(), rows, data, 64)
 		if err != nil {
 			t.Fatalf("Verify: %v", err)
 		}

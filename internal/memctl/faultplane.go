@@ -16,7 +16,7 @@ import (
 //
 // Implementations must be safe for concurrent use (the host shards
 // per-chip work across a worker pool) and must be deterministic
-// functions of their own seed and the (pass, row) arguments, never of
+// functions of their own seed and the (attempt, row) arguments, never of
 // scheduling order — the resilience tests rely on a faulted run being
 // exactly reproducible. A plane may also stall inside a hook to model
 // shard latency faults; the host tolerates arbitrary hook latency.
@@ -26,13 +26,16 @@ import (
 // (hooks observe, fail, or stall — they never mutate host or chip
 // state).
 type FaultPlane interface {
-	// BeforeWrite is consulted before the host writes row r in host
-	// pass number pass (the value Passes() held when the pass
-	// started). Returning a non-nil error fails the write.
-	BeforeWrite(pass int, r Row) error
-	// BeforeRead is consulted before the host reads row r back.
-	// Returning a non-nil error fails the read.
-	BeforeRead(pass int, r Row) error
+	// BeforeWrite is consulted before the host writes row r during
+	// the given attempt: the value Attempts() held when the pass
+	// started. The attempt counter also advances for failed passes
+	// and, with a plane attached, for every ReadRowInto, so a retry
+	// sees fresh draws. Returning a non-nil error fails the write.
+	BeforeWrite(attempt int, r Row) error
+	// BeforeRead is consulted before the host reads row r back, with
+	// the same attempt numbering. Returning a non-nil error fails the
+	// read.
+	BeforeRead(attempt int, r Row) error
 }
 
 // transient is the classification interface fault errors implement:

@@ -110,7 +110,7 @@ func TestWriteFaultAbortsBeforeWait(t *testing.T) {
 	}
 	now0, pass0 := mod.Chip(0).Clock()
 	rows, data := allRows(host)
-	_, err = host.PassCtx(context.Background(), rows, data)
+	_, err = host.Pass(context.Background(), rows, data, host.WaitMs())
 	var pe *PassError
 	if !errors.As(err, &pe) {
 		t.Fatalf("write fault produced %v, want *PassError", err)
@@ -143,7 +143,7 @@ func TestReadFaultConsumesWait(t *testing.T) {
 	}
 	now0, _ := mod.Chip(0).Clock()
 	rows, data := allRows(host)
-	_, err = host.PassCtx(context.Background(), rows, data)
+	_, err = host.Pass(context.Background(), rows, data, host.WaitMs())
 	var pe *PassError
 	if !errors.As(err, &pe) || pe.Faults[0].Op != "read" {
 		t.Fatalf("read fault produced %v, want read *PassError", err)
@@ -173,7 +173,7 @@ func TestPassErrorDeterministicAcrossParallelism(t *testing.T) {
 			t.Fatal(err)
 		}
 		rows, data := allRows(host)
-		_, err = host.PassCtx(context.Background(), rows, data)
+		_, err = host.Pass(context.Background(), rows, data, host.WaitMs())
 		var pe *PassError
 		if !errors.As(err, &pe) {
 			t.Fatalf("workers=%d: %v, want *PassError", workers, err)
@@ -201,13 +201,13 @@ func TestPassCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rows, data := allRows(host)
-	if _, err := host.PassCtx(ctx, rows, data); !errors.Is(err, context.Canceled) {
+	if _, err := host.Pass(ctx, rows, data, host.WaitMs()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled pass returned %v, want context.Canceled", err)
 	}
-	if _, err := host.VerifyCtx(ctx, rows, data, 0); !errors.Is(err, context.Canceled) {
+	if _, err := host.Verify(ctx, rows, data, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled verify returned %v, want context.Canceled", err)
 	}
-	if _, err := host.FullPassCtx(ctx, func(r Row, buf []uint64) {}); !errors.Is(err, context.Canceled) {
+	if _, err := host.FullPass(ctx, func(_ Row, buf []uint64) []uint64 { return buf }, host.WaitMs()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled full pass returned %v, want context.Canceled", err)
 	}
 	// Give any leaked worker a moment to show up, then compare.
@@ -235,7 +235,7 @@ func TestNilPlaneBitIdentical(t *testing.T) {
 				data[i][w] = ^uint64(0)
 			}
 		}
-		fails, err := host.PassCtx(context.Background(), rows, data)
+		fails, err := host.Pass(context.Background(), rows, data, host.WaitMs())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,17 +69,19 @@ type BitAddr struct {
 }
 
 // RowSource supplies the pattern data of one row of a full-module
-// pass. The host aliases the returned slice — it is read during the
-// write sweep, never mutated and never retained past the pass — so a
-// source may hand the same immutable backing array to every row (see
-// patterns.Arena). The read sweep diffs each row against the chip's
-// stored copy of that same data (dram.Chip.ReadRowDelta), so the
-// source is consulted once per row per pass. The slice must hold
-// Geometry().Words() words and must stay unchanged for the duration
-// of the pass. Like the gen callback of FullPass, a
-// RowSource may be invoked concurrently from per-chip workers
-// (always with distinct rows), so it must not mutate shared state.
-type RowSource func(r Row) []uint64
+// pass. buf is host scratch of Geometry().Words() words owned by the
+// worker driving r's chip; a source either fills buf and returns it,
+// or ignores buf and returns its own immutable row, which the host
+// aliases — it is read during the write sweep, never mutated and never
+// retained past the pass — so a source may hand the same backing array
+// to every row (see patterns.Arena). The read sweep diffs each row
+// against the chip's stored copy of that same data
+// (dram.Chip.ReadRowDelta), so the source is called once per row per
+// pass. A returned row must hold Words() words and stay unchanged for
+// the duration of the pass. A RowSource may be called concurrently
+// from per-chip workers (always with distinct rows and distinct buf
+// slices), so it must not mutate shared state.
+type RowSource func(r Row, buf []uint64) []uint64
 
 // HostConfig tunes a test host.
 type HostConfig struct {
@@ -143,7 +145,7 @@ type Host struct {
 	// that owns it during a pass, so indexing by chip makes the
 	// buffers race-free without locking.
 	chipScratch [][]uint64 // read-back buffer per chip
-	chipPattern [][]uint64 // generated-pattern buffer per chip
+	chipPattern [][]uint64 // RowSource fill buffer per chip
 	// chipDelta is the per-chip XOR-delta scratch for the full-pass
 	// read sweep (dram.Chip.ReadRowDelta). Invariant: all-zero between
 	// reads — appendDeltaFails re-zeroes every word it consumes, and a
@@ -177,7 +179,6 @@ type Host struct {
 	writeFullFn func(chip int) error
 	readFullFn  func(chip int) error
 	activeFn    func(k int) error // dispatches sweep.fn over active[k]
-	genFn       RowSource         // adapts sweep.gen to a RowSource
 	onShard     func(i int, d time.Duration)
 }
 
@@ -187,11 +188,10 @@ type Host struct {
 type sweepState struct {
 	ctx     context.Context
 	attempt int
-	rows    []Row                     // row-list sweeps
-	data    [][]uint64                // write: data to store; read: expected
-	src     RowSource                 // full-module sweeps
-	gen     func(r Row, buf []uint64) // legacy generator, via genFn
-	fn      func(chip int) error      // shard body dispatched by activeFn
+	rows    []Row                // row-list sweeps
+	data    [][]uint64           // write: data to store; read: expected
+	src     RowSource            // full-module sweeps
+	fn      func(chip int) error // shard body dispatched by activeFn
 }
 
 // DefaultWaitMs is the retention wait used by the paper's detection
@@ -251,7 +251,6 @@ func NewHostWithConfig(mod *dram.Module, cfg HostConfig) (*Host, error) {
 	h.writeFullFn = h.writeFullShard
 	h.readFullFn = h.readFullShard
 	h.activeFn = h.runActiveShard
-	h.genFn = h.genRowSource
 	if rec := cfg.Recorder; rec != nil {
 		h.onShard = func(_ int, d time.Duration) { rec.ObserveNs(SeriesChipShard, int64(d)) }
 	}
@@ -442,12 +441,15 @@ func (h *Host) failPass(err error) error {
 // the host never retains caller slices, sources, or contexts.
 func (h *Host) resetSweep() { h.sweep = sweepState{} }
 
-// Pass writes data[i] to rows[i], waits the retention interval, reads
-// the rows back and returns every mismatched bit address. It counts
-// as one test regardless of how many rows it touches: on real
-// hardware all rows are written back-to-back and share the single
-// retention wait (this is what makes PARBOR's parallel-row testing
-// cheap, Section 4.2).
+// Pass writes data[i] to rows[i], waits waitMs, reads the rows back
+// and returns every mismatched bit address. It counts as one test
+// regardless of how many rows it touches: on real hardware all rows
+// are written back-to-back and share the single retention wait (this
+// is what makes PARBOR's parallel-row testing cheap, Section 4.2).
+// Callers testing at the configured interval pass WaitMs(); retention
+// profiling (package retention) sweeps it instead. Malformed input —
+// including a row outside the module — is an error returned before
+// any host or chip state changes.
 //
 // Aliasing contract: the host only ever reads data — it is written
 // to the chips and later compared against, never mutated and never
@@ -455,47 +457,23 @@ func (h *Host) resetSweep() { h.sweep = sweepState{} }
 // backing slice (data[i] == data[j]), which is how callers avoid
 // refilling identical pattern rows every pass (see patterns.Arena
 // and the region sharing in package core).
-func (h *Host) Pass(rows []Row, data [][]uint64) ([]BitAddr, error) {
-	return h.PassWithWaitCtx(context.Background(), rows, data, h.waitMs)
-}
-
-// PassCtx is Pass with cooperative cancellation: once ctx is done the
-// sharded chip workers stop within ctxCheckStride rows and ctx.Err()
-// is returned. A cancelled pass leaves the rows it already wrote
-// holding test patterns — callers that must preserve live data
-// restore afterwards with an uncancelled context (see package
-// onlinetest).
-func (h *Host) PassCtx(ctx context.Context, rows []Row, data [][]uint64) ([]BitAddr, error) {
-	return h.PassWithWaitCtx(ctx, rows, data, h.waitMs)
-}
-
-// PassWithWait is Pass with an explicit retention wait, used by
-// retention-time profiling (package retention), which sweeps the wait
-// instead of testing at one fixed interval.
-func (h *Host) PassWithWait(rows []Row, data [][]uint64, waitMs float64) ([]BitAddr, error) {
-	return h.PassWithWaitCtx(context.Background(), rows, data, waitMs)
-}
-
-// PassWithWaitCtx is PassWithWait with cooperative cancellation and
-// fault-plane semantics: when an attached FaultPlane rejects an
-// operation, the failing chip's shard aborts, the other chips finish,
-// and the pass fails with a deterministic *PassError naming every
-// faulted chip. A pass that fails during its write sweep aborts
-// before the retention wait and does not count as a test; a pass that
-// fails during the read sweep has already consumed the wait and is
-// counted, exactly as on real hardware.
-func (h *Host) PassWithWaitCtx(ctx context.Context, rows []Row, data [][]uint64, waitMs float64) ([]BitAddr, error) {
-	if len(rows) != len(data) {
-		return nil, fmt.Errorf("memctl: %d rows but %d data buffers", len(rows), len(data))
-	}
-	if waitMs < 0 {
-		return nil, fmt.Errorf("memctl: negative wait %v", waitMs)
-	}
-	words := h.mod.Geometry().Words()
-	for i := range data {
-		if len(data[i]) != words {
-			return nil, fmt.Errorf("memctl: row %d: data has %d words, want %d", i, len(data[i]), words)
-		}
+//
+// Once ctx is done the sharded chip workers stop within
+// ctxCheckStride rows and ctx.Err() is returned. A cancelled pass
+// leaves the rows it already wrote holding test patterns — callers
+// that must preserve live data restore afterwards with an uncancelled
+// context (see package onlinetest).
+//
+// When an attached FaultPlane rejects an operation, the failing
+// chip's shard aborts, the other chips finish, and the pass fails
+// with a deterministic *PassError naming every faulted chip. A pass
+// that fails during its write sweep aborts before the retention wait
+// and does not count as a test; a pass that fails during the read
+// sweep has already consumed the wait and is counted, exactly as on
+// real hardware.
+func (h *Host) Pass(ctx context.Context, rows []Row, data [][]uint64, waitMs float64) ([]BitAddr, error) {
+	if err := h.checkRows(rows, data, waitMs, "data"); err != nil {
+		return nil, err
 	}
 	attempt := h.attempts
 	h.attempts++
@@ -529,6 +507,41 @@ func (h *Host) PassWithWaitCtx(ctx context.Context, rows []Row, data [][]uint64,
 	h.add(CounterPasses, 1)
 	h.add(CounterRowsTested, uint64(len(rows)))
 	return fails, nil
+}
+
+// checkRows validates a row-list pass's inputs before any host or
+// chip state changes: one buffer of Words() words per row, a
+// non-negative wait, and every row inside the module. what names the
+// buffers in errors ("data" or "expected").
+func (h *Host) checkRows(rows []Row, bufs [][]uint64, waitMs float64, what string) error {
+	if len(rows) != len(bufs) {
+		return fmt.Errorf("memctl: %d rows but %d %s buffers", len(rows), len(bufs), what)
+	}
+	if waitMs < 0 {
+		return fmt.Errorf("memctl: negative wait %v", waitMs)
+	}
+	words := h.mod.Geometry().Words()
+	for i, r := range rows {
+		if err := h.checkRow(r); err != nil {
+			return err
+		}
+		if len(bufs[i]) != words {
+			return fmt.Errorf("memctl: row %d: %s has %d words, want %d", i, what, len(bufs[i]), words)
+		}
+	}
+	return nil
+}
+
+// checkRow rejects a row outside the module. Without it the flat row
+// index of an out-of-range row would alias another bank's row or run
+// off the chip's storage.
+func (h *Host) checkRow(r Row) error {
+	g := h.mod.Geometry()
+	if r.Chip < 0 || r.Chip >= h.mod.Chips() || r.Bank < 0 || r.Bank >= g.Banks || r.Row < 0 || r.Row >= g.Rows {
+		return fmt.Errorf("memctl: row (chip %d, bank %d, row %d) outside the %d-chip x %d-bank x %d-row module",
+			r.Chip, r.Bank, r.Row, h.mod.Chips(), g.Banks, g.Rows)
+	}
+	return nil
 }
 
 // writeRowsShard writes one chip's bucketed rows (the write half of a
@@ -640,16 +653,14 @@ func (h *Host) readRowsShard(chip int) error {
 
 // ReadRowInto reads a row's current contents into dst without any
 // retention wait — the plain load path, used e.g. to save live data
-// before an online test epoch (package onlinetest).
-func (h *Host) ReadRowInto(r Row, dst []uint64) error {
-	return h.ReadRowIntoCtx(context.Background(), r, dst)
-}
-
-// ReadRowIntoCtx is ReadRowInto with cancellation and fault-plane
-// semantics: an attached plane may reject the read, in which case the
-// error is a *ChipFault. Each call is a distinct attempt, so a
-// transient fault on a saved row clears on retry.
-func (h *Host) ReadRowIntoCtx(ctx context.Context, r Row, dst []uint64) error {
+// before an online test epoch (package onlinetest). An attached plane
+// may reject the read, in which case the error is a *ChipFault. Each
+// call is a distinct attempt, so a transient fault on a saved row
+// clears on retry.
+func (h *Host) ReadRowInto(ctx context.Context, r Row, dst []uint64) error {
+	if err := h.checkRow(r); err != nil {
+		return err
+	}
 	if len(dst) != h.mod.Geometry().Words() {
 		return fmt.Errorf("memctl: dst has %d words, want %d", len(dst), h.mod.Geometry().Words())
 	}
@@ -672,25 +683,11 @@ func (h *Host) ReadRowIntoCtx(ctx context.Context, r Row, dst []uint64) error {
 // writes from delayed reads (March elements, package march) need
 // this; Pass would re-charge the cells and mask retention failures.
 // It counts as one test. The expected buffers follow the same
-// aliasing contract as Pass data: read-only, sharable.
-func (h *Host) Verify(rows []Row, expected [][]uint64, waitMs float64) ([]BitAddr, error) {
-	return h.VerifyCtx(context.Background(), rows, expected, waitMs)
-}
-
-// VerifyCtx is Verify with cooperative cancellation and fault-plane
-// semantics (see PassWithWaitCtx).
-func (h *Host) VerifyCtx(ctx context.Context, rows []Row, expected [][]uint64, waitMs float64) ([]BitAddr, error) {
-	if len(rows) != len(expected) {
-		return nil, fmt.Errorf("memctl: %d rows but %d expected buffers", len(rows), len(expected))
-	}
-	if waitMs < 0 {
-		return nil, fmt.Errorf("memctl: negative wait %v", waitMs)
-	}
-	words := h.mod.Geometry().Words()
-	for i := range expected {
-		if len(expected[i]) != words {
-			return nil, fmt.Errorf("memctl: row %d: expected has %d words, want %d", i, len(expected[i]), words)
-		}
+// aliasing contract as Pass data (read-only, sharable), and
+// cancellation and fault-plane rejections behave as in Pass.
+func (h *Host) Verify(ctx context.Context, rows []Row, expected [][]uint64, waitMs float64) ([]BitAddr, error) {
+	if err := h.checkRows(rows, expected, waitMs, "expected"); err != nil {
+		return nil, err
 	}
 	attempt := h.attempts
 	h.attempts++
@@ -713,95 +710,17 @@ func (h *Host) VerifyCtx(ctx context.Context, rows []Row, expected [][]uint64, w
 	return fails, nil
 }
 
-// FullPass writes a generated pattern to every row of every chip,
-// waits, reads everything back, and returns the mismatched bit
-// addresses. gen must be deterministic: it is invoked again during
-// the compare phase. It counts as one test.
-//
-// gen may be called concurrently from the per-chip workers (always
-// with distinct buf slices), so it must not mutate shared state; the
-// fills in package patterns satisfy this by construction.
-//
-// Callers whose pattern rows are identical across rows should prefer
-// FullPassRows with a memoized source (patterns.Arena): it skips the
-// per-row regeneration entirely.
-func (h *Host) FullPass(gen func(r Row, buf []uint64)) []BitAddr {
-	return h.FullPassWithWait(gen, h.waitMs)
-}
-
-// FullPassCtx is FullPass with cooperative cancellation and
-// fault-plane semantics (see PassWithWaitCtx).
-func (h *Host) FullPassCtx(ctx context.Context, gen func(r Row, buf []uint64)) ([]BitAddr, error) {
-	return h.FullPassWithWaitCtx(ctx, gen, h.waitMs)
-}
-
-// FullPassWithWait is FullPass with an explicit retention wait.
-//
-// The returned failures are sorted by (chip, bank, row, col)
-// regardless of the host's parallelism: each chip's sweep visits its
-// banks, rows and columns in ascending order, and the per-chip
-// results are concatenated in chip order.
-//
-// It cannot report errors; hosts with a FaultPlane attached must use
-// FullPassWithWaitCtx instead (an injected fault here panics), and a
-// panic in gen resurfaces on the calling goroutine as before.
-func (h *Host) FullPassWithWait(gen func(r Row, buf []uint64), waitMs float64) []BitAddr {
-	fails, err := h.FullPassWithWaitCtx(context.Background(), gen, waitMs)
-	if err != nil {
-		// Background ctx never cancels and no plane should be attached
-		// on this legacy path, so this is a recovered gen panic (or a
-		// plane misuse): restore the panic semantics.
-		panic(err)
-	}
-	return fails
-}
-
-// FullPassWithWaitCtx is FullPassWithWait with cooperative
-// cancellation and fault-plane semantics (see PassWithWaitCtx).
-func (h *Host) FullPassWithWaitCtx(ctx context.Context, gen func(r Row, buf []uint64), waitMs float64) ([]BitAddr, error) {
-	h.sweep.gen = gen
-	return h.fullPassRows(ctx, h.genFn, waitMs)
-}
-
-// genRowSource adapts the legacy gen callback to a RowSource: the
-// pattern is generated into the owning chip's pattern buffer, which
-// is safe because each chip's rows are visited by a single worker.
-//
-//parbor:hotpath
-func (h *Host) genRowSource(r Row) []uint64 {
-	buf := h.chipPattern[r.Chip]
-	h.sweep.gen(r, buf)
-	return buf
-}
-
-// FullPassRows writes src(r) to every row of every chip, waits, reads
-// everything back, and returns the mismatched bit addresses, sorted
-// by (chip, bank, row, col). It counts as one test.
-//
-// Unlike FullPass, the host aliases the slices src returns instead of
-// filling a buffer per row, so a source backed by memoized pattern
-// rows (patterns.Arena) makes the full-module sweep free of per-row
-// pattern generation. See RowSource for the aliasing contract.
-func (h *Host) FullPassRows(src RowSource) ([]BitAddr, error) {
-	return h.FullPassRowsWithWaitCtx(context.Background(), src, h.waitMs)
-}
-
-// FullPassRowsCtx is FullPassRows with cooperative cancellation and
-// fault-plane semantics (see PassWithWaitCtx).
-func (h *Host) FullPassRowsCtx(ctx context.Context, src RowSource) ([]BitAddr, error) {
-	return h.FullPassRowsWithWaitCtx(ctx, src, h.waitMs)
-}
-
-// FullPassRowsWithWaitCtx is FullPassRows with an explicit retention
-// wait, cooperative cancellation and fault-plane semantics.
-func (h *Host) FullPassRowsWithWaitCtx(ctx context.Context, src RowSource, waitMs float64) ([]BitAddr, error) {
-	return h.fullPassRows(ctx, src, waitMs)
-}
-
-// fullPassRows is the shared full-module sweep implementation.
-func (h *Host) fullPassRows(ctx context.Context, src RowSource, waitMs float64) ([]BitAddr, error) {
+// FullPass writes src's pattern to every row of every chip, waits
+// waitMs, reads everything back, and returns the mismatched bit
+// addresses, sorted by (chip, bank, row, col) regardless of the host's
+// parallelism: each chip's sweep visits its banks, rows and columns in
+// ascending order, and the per-chip results are concatenated in chip
+// order. It counts as one test. See RowSource for the source contract;
+// cancellation and fault-plane rejections behave as in Pass, and a
+// panic in src surfaces as the pass's error when it fires on a pool
+// worker (on the serial path it propagates as a panic).
+func (h *Host) FullPass(ctx context.Context, src RowSource, waitMs float64) ([]BitAddr, error) {
 	if waitMs < 0 {
-		h.resetSweep()
 		return nil, fmt.Errorf("memctl: negative wait %v", waitMs)
 	}
 	g := h.mod.Geometry()
@@ -860,6 +779,7 @@ func (h *Host) writeFullShard(chip int) error {
 	g := h.mod.Geometry()
 	words := g.Words()
 	s := &h.sweep
+	buf := h.chipPattern[chip]
 	n := 0
 	for bank := 0; bank < g.Banks; bank++ {
 		for row := 0; row < g.Rows; row++ {
@@ -876,7 +796,7 @@ func (h *Host) writeFullShard(chip int) error {
 					return nil
 				}
 			}
-			data := s.src(r)
+			data := s.src(r, buf)
 			if len(data) != words {
 				return fmt.Errorf("memctl: row source returned %d words for chip %d, want %d", len(data), chip, words)
 			}
@@ -888,7 +808,7 @@ func (h *Host) writeFullShard(chip int) error {
 
 // readFullShard reads every row of one chip back and diffs it against
 // the source pattern. The per-chip failure buffer reuses its capacity
-// from the previous pass; fullPassRows copies it into the merged
+// from the previous pass; FullPass copies it into the merged
 // result before returning.
 //
 // The full pass wrote every row from the same source immediately

@@ -1,6 +1,9 @@
 package memctl
 
 import (
+	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -50,9 +53,9 @@ func TestPassNoFailuresOnCleanModule(t *testing.T) {
 	for i := range data {
 		data[i] = 0xdeadbeefcafef00d
 	}
-	fails, err := host.Pass(
+	fails, err := host.Pass(context.Background(),
 		[]Row{{Chip: 0, Bank: 0, Row: 3}, {Chip: 1, Bank: 0, Row: 5}},
-		[][]uint64{data, data},
+		[][]uint64{data, data}, host.WaitMs(),
 	)
 	if err != nil {
 		t.Fatalf("Pass: %v", err)
@@ -72,11 +75,15 @@ func TestFullPassDetectsWeakCells(t *testing.T) {
 	}
 	// All-ones charges every true-cell row; weak cells in those rows
 	// must flip and be reported with correct addresses.
-	fails := host.FullPass(func(_ Row, buf []uint64) {
+	fails, err := host.FullPass(context.Background(), func(_ Row, buf []uint64) []uint64 {
 		for i := range buf {
 			buf[i] = ^uint64(0)
 		}
-	})
+		return buf
+	}, host.WaitMs())
+	if err != nil {
+		t.Fatalf("FullPass: %v", err)
+	}
 	if len(fails) == 0 {
 		t.Fatal("no failures detected on module with 1% weak cells")
 	}
@@ -93,11 +100,64 @@ func TestPassValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewHost: %v", err)
 	}
-	if _, err := host.Pass([]Row{{}}, nil); err == nil {
+	if _, err := host.Pass(context.Background(), []Row{{}}, nil, 0); err == nil {
 		t.Error("mismatched rows/data accepted")
 	}
-	if _, err := host.Pass([]Row{{}}, [][]uint64{make([]uint64, 3)}); err == nil {
+	if _, err := host.Pass(context.Background(), []Row{{}}, [][]uint64{make([]uint64, 3)}, 0); err == nil {
 		t.Error("short data buffer accepted")
+	}
+}
+
+// TestOutOfRangeRowsRejected: rows arrive from outside the program
+// (the parbor.Row facade), so a chip, bank or row outside the module
+// must be an error naming the row — never a write that aliases another
+// bank's row or a read off the end of the chip — and the rejection
+// must come before any host or chip state moves.
+func TestOutOfRangeRowsRejected(t *testing.T) {
+	ctx := context.Background()
+	// 4 chips x 2 banks x 32 rows; the empty plane makes ReadRowInto
+	// count attempts, so a late rejection would show.
+	mod := failyModule(t, scramble.VendorA, 2)
+	host, err := NewHostWithConfig(mod, HostConfig{WaitMs: 64, Faults: &scriptPlane{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]uint64, host.Geometry().Words())
+	ok := Row{Chip: 1, Bank: 1, Row: 3}
+	ops := map[string]func(r Row) error{
+		"Pass": func(r Row) error {
+			_, err := host.Pass(ctx, []Row{ok, r}, [][]uint64{buf, buf}, 64)
+			return err
+		},
+		"Verify": func(r Row) error {
+			_, err := host.Verify(ctx, []Row{ok, r}, [][]uint64{buf, buf}, 64)
+			return err
+		},
+		"ReadRowInto": func(r Row) error { return host.ReadRowInto(ctx, r, buf) },
+	}
+	bad := []Row{
+		{Chip: 0, Bank: 0, Row: 32}, {Chip: 0, Bank: 0, Row: -1},
+		{Chip: 0, Bank: 2, Row: 0}, {Chip: 0, Bank: -1, Row: 0},
+		{Chip: 4, Bank: 0, Row: 0}, {Chip: -1, Bank: 0, Row: 0},
+	}
+	for name, op := range ops {
+		for _, r := range bad {
+			passes, attempts := host.Passes(), host.Attempts()
+			now0, pass0 := mod.Chip(0).Clock()
+			err := op(r)
+			if err == nil {
+				t.Fatalf("%s accepted out-of-range row %+v", name, r)
+			}
+			if want := fmt.Sprintf("chip %d, bank %d, row %d", r.Chip, r.Bank, r.Row); !strings.Contains(err.Error(), want) {
+				t.Errorf("%s(%+v) error %q does not name the row (%q)", name, r, err, want)
+			}
+			if host.Passes() != passes || host.Attempts() != attempts {
+				t.Errorf("%s(%+v) moved passes %d->%d, attempts %d->%d", name, r, passes, host.Passes(), attempts, host.Attempts())
+			}
+			if now1, pass1 := mod.Chip(0).Clock(); now1 != now0 || pass1 != pass0 {
+				t.Errorf("%s(%+v) advanced the chip clock %v/%d -> %v/%d", name, r, now0, pass0, now1, pass1)
+			}
+		}
 	}
 }
 
@@ -167,7 +227,7 @@ func TestTimeEstimateCountsPasses(t *testing.T) {
 	}
 	data := make([]uint64, host.Geometry().Words())
 	for i := 0; i < 3; i++ {
-		if _, err := host.Pass([]Row{{Chip: 0, Bank: 0, Row: 0}}, [][]uint64{data}); err != nil {
+		if _, err := host.Pass(context.Background(), []Row{{Chip: 0, Bank: 0, Row: 0}}, [][]uint64{data}, host.WaitMs()); err != nil {
 			t.Fatalf("Pass: %v", err)
 		}
 	}

@@ -1,6 +1,7 @@
 package memctl
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestPaddedGeometryMasksPaddingBits(t *testing.T) {
 	}
 	rows := []Row{{Chip: 0, Bank: 0, Row: 1}, {Chip: 1, Bank: 0, Row: 2}}
 	written := []uint64{0xffffffffffffffff, 0xdead0000ffffffff} // garbage in padding
-	fails, err := host.Pass(rows, [][]uint64{written, written})
+	fails, err := host.Pass(context.Background(), rows, [][]uint64{written, written}, host.WaitMs())
 	if err != nil {
 		t.Fatalf("Pass: %v", err)
 	}
@@ -51,7 +52,7 @@ func TestPaddedGeometryMasksPaddingBits(t *testing.T) {
 
 	// Same real cells, different padding bits.
 	expected := []uint64{0xffffffffffffffff, 0x1234c0deffffffff}
-	fails, err = host.Verify(rows, [][]uint64{expected, expected}, 1)
+	fails, err = host.Verify(context.Background(), rows, [][]uint64{expected, expected}, 1)
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
@@ -70,11 +71,11 @@ func TestPaddedGeometryReportsRealLastColumn(t *testing.T) {
 	}
 	rows := []Row{{Chip: 0, Bank: 0, Row: 4}}
 	written := []uint64{^uint64(0), ^uint64(0)}
-	if _, err := host.Pass(rows, [][]uint64{written}); err != nil {
+	if _, err := host.Pass(context.Background(), rows, [][]uint64{written}, host.WaitMs()); err != nil {
 		t.Fatalf("Pass: %v", err)
 	}
 	expected := []uint64{^uint64(0), ^uint64(0) &^ (1 << 31)} // col 95 expected 0, stored 1
-	fails, err := host.Verify(rows, [][]uint64{expected}, 1)
+	fails, err := host.Verify(context.Background(), rows, [][]uint64{expected}, 1)
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}

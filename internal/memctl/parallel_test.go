@@ -1,9 +1,11 @@
 package memctl
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"parbor/internal/coupling"
@@ -33,10 +35,11 @@ func failyModule(t *testing.T, v scramble.Vendor, seed uint64) *dram.Module {
 	return mod
 }
 
-func checker(r Row, buf []uint64) {
+func checker(_ Row, buf []uint64) []uint64 {
 	for i := range buf {
 		buf[i] = 0xaaaaaaaaaaaaaaaa
 	}
+	return buf
 }
 
 // TestFullPassParallelMatchesSerial is the tentpole's determinism
@@ -56,8 +59,14 @@ func TestFullPassParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("parallel host: %v", err)
 			}
 			for pass := 0; pass < 3; pass++ {
-				want := serialHost.FullPassWithWait(checker, 512)
-				got := parHost.FullPassWithWait(checker, 512)
+				want, err := serialHost.FullPass(context.Background(), checker, 512)
+				if err != nil {
+					t.Fatalf("serial full pass: %v", err)
+				}
+				got, err := parHost.FullPass(context.Background(), checker, 512)
+				if err != nil {
+					t.Fatalf("parallel full pass: %v", err)
+				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("vendor %v seed %d pass %d: parallel fullpass diverged (%d vs %d failures)",
 						v, seed, pass, len(got), len(want))
@@ -86,8 +95,8 @@ func bitAddrLess(a, b BitAddr) bool {
 	return a.Col < b.Col
 }
 
-// TestPassParallelMatchesSerial covers the row-list path (Pass /
-// PassWithWait) including rows interleaved across chips in
+// TestPassParallelMatchesSerial covers the row-list path (Pass)
+// including rows interleaved across chips in
 // caller-chosen order, and the Verify path on the same rows.
 func TestPassParallelMatchesSerial(t *testing.T) {
 	for _, v := range scramble.Vendors() {
@@ -117,11 +126,11 @@ func TestPassParallelMatchesSerial(t *testing.T) {
 				rows = append(rows, r)
 				data = append(data, buf)
 			}
-			want, err := serialHost.PassWithWait(rows, data, 512)
+			want, err := serialHost.Pass(context.Background(), rows, data, 512)
 			if err != nil {
 				t.Fatalf("serial pass: %v", err)
 			}
-			got, err := parHost.PassWithWait(rows, data, 512)
+			got, err := parHost.Pass(context.Background(), rows, data, 512)
 			if err != nil {
 				t.Fatalf("parallel pass: %v", err)
 			}
@@ -129,11 +138,11 @@ func TestPassParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("vendor %v seed %d: parallel pass diverged (%d vs %d failures)", v, seed, len(got), len(want))
 			}
 
-			wantV, err := serialHost.Verify(rows, data, 512)
+			wantV, err := serialHost.Verify(context.Background(), rows, data, 512)
 			if err != nil {
 				t.Fatalf("serial verify: %v", err)
 			}
-			gotV, err := parHost.Verify(rows, data, 512)
+			gotV, err := parHost.Verify(context.Background(), rows, data, 512)
 			if err != nil {
 				t.Fatalf("parallel verify: %v", err)
 			}
@@ -170,17 +179,27 @@ func TestHostConfigValidation(t *testing.T) {
 }
 
 // TestFullPassGenPanicPropagates checks that a panic in the caller's
-// pattern generator still reaches the caller when it fires on a
-// worker goroutine instead of wedging or killing the process.
+// RowSource still reaches the caller instead of wedging or killing the
+// process: as the pass's error when it fires on a pool worker, and as
+// a panic on the calling goroutine on the serial path.
 func TestFullPassGenPanicPropagates(t *testing.T) {
+	panicky := func(Row, []uint64) []uint64 { panic("bad source") }
 	h, err := NewHostWithConfig(failyModule(t, scramble.VendorA, 1), HostConfig{WaitMs: 64, Parallelism: 4})
+	if err != nil {
+		t.Fatalf("NewHostWithConfig: %v", err)
+	}
+	if _, err := h.FullPass(context.Background(), panicky, h.WaitMs()); err == nil || !strings.Contains(err.Error(), "bad source") {
+		t.Errorf("sharded source panic returned %v, want an error carrying the panic", err)
+	}
+
+	serial, err := NewHostWithConfig(failyModule(t, scramble.VendorA, 1), HostConfig{WaitMs: 64, Parallelism: 1})
 	if err != nil {
 		t.Fatalf("NewHostWithConfig: %v", err)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("gen panic did not propagate")
+			t.Error("serial source panic did not propagate")
 		}
 	}()
-	h.FullPass(func(r Row, buf []uint64) { panic("bad gen") })
+	_, _ = serial.FullPass(context.Background(), panicky, serial.WaitMs())
 }

@@ -1,6 +1,7 @@
 package memctl
 
 import (
+	"context"
 	"testing"
 
 	"parbor/internal/coupling"
@@ -35,16 +36,16 @@ func TestVerifyDoesNotRechargeCells(t *testing.T) {
 	data := [][]uint64{ones, ones}
 
 	// Write with a short wait: no decay yet.
-	fails, err := host.PassWithWait(rows, data, 10)
+	fails, err := host.Pass(context.Background(), rows, data, 10)
 	if err != nil {
-		t.Fatalf("PassWithWait: %v", err)
+		t.Fatalf("Pass: %v", err)
 	}
 	if len(fails) != 0 {
 		t.Fatalf("failures after 10 ms: %d", len(fails))
 	}
 	// Verify 500 ms later without rewriting: decay accumulates from
 	// the original write, so weak cells must now fail.
-	fails, err = host.Verify(rows, data, 500)
+	fails, err = host.Verify(context.Background(), rows, data, 500)
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
@@ -58,13 +59,13 @@ func TestVerifyValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewHost: %v", err)
 	}
-	if _, err := host.Verify([]Row{{}}, nil, 0); err == nil {
+	if _, err := host.Verify(context.Background(), []Row{{}}, nil, 0); err == nil {
 		t.Error("mismatched lengths accepted")
 	}
-	if _, err := host.Verify([]Row{{}}, [][]uint64{make([]uint64, 2)}, 0); err == nil {
+	if _, err := host.Verify(context.Background(), []Row{{}}, [][]uint64{make([]uint64, 2)}, 0); err == nil {
 		t.Error("short buffer accepted")
 	}
-	if _, err := host.Verify(nil, nil, -1); err == nil {
+	if _, err := host.Verify(context.Background(), nil, nil, -1); err == nil {
 		t.Error("negative wait accepted")
 	}
 }
@@ -74,7 +75,7 @@ func TestPassWithWaitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewHost: %v", err)
 	}
-	if _, err := host.PassWithWait(nil, nil, -1); err == nil {
+	if _, err := host.Pass(context.Background(), nil, nil, -1); err == nil {
 		t.Error("negative wait accepted")
 	}
 }

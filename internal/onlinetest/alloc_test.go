@@ -1,6 +1,7 @@
 package onlinetest
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestEpochAllocBudget(t *testing.T) {
 	sweep := func(s *Scheduler) func() {
 		return func() {
 			for i := 0; i < epochs; i++ {
-				res, err := s.RunEpoch()
+				res, err := s.RunEpoch(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -76,7 +77,7 @@ func TestEpochAllocBudget(t *testing.T) {
 		}
 	}
 	for i := 0; i < epochs; i++ { // the discovery sweep
-		if _, err := s.RunEpoch(); err != nil {
+		if _, err := s.RunEpoch(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -243,7 +243,7 @@ func runDifferential(t *testing.T, sc diffScenario, seed uint64) {
 		}
 		ref.startEpoch()
 		known := sortedRef(ref.ever)
-		res, epochErr := s.RunEpochCtx(ctx)
+		res, epochErr := s.RunEpoch(ctx)
 		cancel()
 		if epochErr != nil {
 			if ctx.Err() == nil {
@@ -325,7 +325,7 @@ func TestStateSharingContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := s.RunEpoch(); err != nil {
+		if _, err := s.RunEpoch(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -369,14 +369,14 @@ func TestStateSharingContract(t *testing.T) {
 	}
 	grewMid := false
 	for i := 0; i < 12; i++ {
-		a, err := r1.RunEpoch()
+		a, err := r1.RunEpoch(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		// r1 runs an extra State export each epoch; r2 does not. The
 		// exports must not perturb anything.
 		_ = r1.State()
-		b, err := r2.RunEpoch()
+		b, err := r2.RunEpoch(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,7 +418,7 @@ func TestStateAppendIsolated(t *testing.T) {
 		st := s.State()
 		ever := append(st.EverSeen, bogus)
 		sweep := append(st.SweepSeen, bogus)
-		if _, err := s.RunEpoch(); err != nil {
+		if _, err := s.RunEpoch(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		after := s.State()

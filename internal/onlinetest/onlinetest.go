@@ -257,16 +257,12 @@ type EpochResult struct {
 // it found. Live data in the tested rows is preserved exactly on the
 // fault-free path, and best-effort (with explicit accounting in the
 // result) under injected faults.
-func (s *Scheduler) RunEpoch() (*EpochResult, error) {
-	return s.RunEpochCtx(context.Background())
-}
-
-// RunEpochCtx is RunEpoch with cooperative cancellation. A done ctx
-// aborts the epoch's remaining passes, but the saved live data is
-// still restored (the restore runs on an uncancelable context) before
-// the error returns; the cursor does not advance, so the epoch can be
-// re-run after a resume.
-func (s *Scheduler) RunEpochCtx(ctx context.Context) (result *EpochResult, err error) {
+//
+// A done ctx aborts the epoch's remaining passes, but the saved live
+// data is still restored (the restore runs on an uncancelable context)
+// before the error returns; the cursor does not advance, so the epoch
+// can be re-run after a resume.
+func (s *Scheduler) RunEpoch(ctx context.Context) (result *EpochResult, err error) {
 	n := s.cfg.RowsPerEpoch
 	if n > len(s.rows) {
 		n = len(s.rows)
@@ -297,7 +293,7 @@ func (s *Scheduler) RunEpochCtx(ctx context.Context) (result *EpochResult, err e
 		}
 		// A row whose save fails leaves its buffer to the next row.
 		buf := s.scratch.saved[len(rows)]
-		rerr := s.retrying(ctx, res, func() error { return s.host.ReadRowIntoCtx(ctx, r, buf) })
+		rerr := s.retrying(ctx, res, func() error { return s.host.ReadRowInto(ctx, r, buf) })
 		if rerr != nil {
 			if ctx.Err() != nil {
 				s.report(res)
@@ -352,7 +348,7 @@ func (s *Scheduler) RunEpochCtx(ctx context.Context) (result *EpochResult, err e
 		var fails []memctl.BitAddr
 		perr := s.retrying(ctx, res, func() error {
 			var e error
-			fails, e = s.host.PassCtx(ctx, testRows, data)
+			fails, e = s.host.Pass(ctx, testRows, data, s.host.WaitMs())
 			return e
 		})
 		if perr != nil {
@@ -504,7 +500,7 @@ func (s *Scheduler) restore(ctx context.Context, res *EpochResult, rows []memctl
 		var mismatch []memctl.BitAddr
 		err := s.retrying(ctx, res, func() error {
 			var e error
-			mismatch, e = s.host.PassWithWaitCtx(ctx, rows, saved, 0)
+			mismatch, e = s.host.Pass(ctx, rows, saved, 0)
 			return e
 		})
 		if err == nil {

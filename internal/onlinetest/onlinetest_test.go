@@ -1,6 +1,7 @@
 package onlinetest
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -55,7 +56,7 @@ func writeAppData(t *testing.T, host *memctl.Host, rows int) [][]uint64 {
 		}
 		rlist[r] = memctl.Row{Chip: 0, Bank: 0, Row: r}
 	}
-	if _, err := host.PassWithWait(rlist, data, 0); err != nil {
+	if _, err := host.Pass(context.Background(), rlist, data, 0); err != nil {
 		t.Fatalf("writing app data: %v", err)
 	}
 	return data
@@ -70,14 +71,14 @@ func TestEpochPreservesLiveData(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if _, err := s.RunEpoch(); err != nil {
+	if _, err := s.RunEpoch(context.Background()); err != nil {
 		t.Fatalf("RunEpoch: %v", err)
 	}
 	// The first 8 rows were tested and restored; their live data must
 	// be intact.
 	got := make([]uint64, host.Geometry().Words())
 	for r := 0; r < 8; r++ {
-		if err := host.ReadRowInto(memctl.Row{Chip: 0, Bank: 0, Row: r}, got); err != nil {
+		if err := host.ReadRowInto(context.Background(), memctl.Row{Chip: 0, Bank: 0, Row: r}, got); err != nil {
 			t.Fatalf("ReadRowInto: %v", err)
 		}
 		for w := range got {
@@ -101,7 +102,7 @@ func TestCoverageAccumulatesToFullSweep(t *testing.T) {
 		if got := s.Coverage(); got != wantCov {
 			t.Errorf("epoch %d: coverage %.2f, want %.2f", epoch, got, wantCov)
 		}
-		res, err := s.RunEpoch()
+		res, err := s.RunEpoch(context.Background())
 		if err != nil {
 			t.Fatalf("RunEpoch: %v", err)
 		}
@@ -129,7 +130,7 @@ func TestOnlineMatchesOfflineCoverage(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	for !(s.Rounds() > 0) {
-		if _, err := s.RunEpoch(); err != nil {
+		if _, err := s.RunEpoch(context.Background()); err != nil {
 			t.Fatalf("RunEpoch: %v", err)
 		}
 	}
@@ -140,7 +141,7 @@ func TestOnlineMatchesOfflineCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if _, err := refS.RunEpoch(); err != nil {
+	if _, err := refS.RunEpoch(context.Background()); err != nil {
 		t.Fatalf("reference epoch: %v", err)
 	}
 
@@ -175,7 +176,7 @@ func TestEpochLargerThanModule(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	res, err := s.RunEpoch()
+	res, err := s.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatalf("RunEpoch: %v", err)
 	}
@@ -199,7 +200,7 @@ func TestObservedCapturesRepeats(t *testing.T) {
 	// Two full sweeps over identical rows: the second sweep's failures
 	// are all repeats, so NewFailures must be empty while Observed
 	// re-reports the deterministic victim set.
-	first, err := s.RunEpoch()
+	first, err := s.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatalf("RunEpoch: %v", err)
 	}
@@ -218,7 +219,7 @@ func TestObservedCapturesRepeats(t *testing.T) {
 			t.Errorf("NewFailures entry %+v missing from Observed", a)
 		}
 	}
-	second, err := s.RunEpoch()
+	second, err := s.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatalf("second RunEpoch: %v", err)
 	}

@@ -48,7 +48,7 @@ func runSweep(t *testing.T, s *Scheduler) []*EpochResult {
 	t.Helper()
 	var out []*EpochResult
 	for s.Rounds() == 0 {
-		res, err := s.RunEpochCtx(context.Background())
+		res, err := s.RunEpoch(context.Background())
 		if err != nil {
 			t.Fatalf("epoch %d: %v", len(out), err)
 		}
@@ -218,7 +218,7 @@ func TestCancelledEpochRestoresLiveData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.RunEpochCtx(ctx)
+	_, err = s.RunEpoch(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled epoch returned %v, want context.Canceled", err)
 	}
@@ -228,7 +228,7 @@ func TestCancelledEpochRestoresLiveData(t *testing.T) {
 
 	got := make([]uint64, host.Geometry().Words())
 	for r := 0; r < rows; r++ {
-		if err := host.ReadRowInto(memctl.Row{Chip: 0, Bank: 0, Row: r}, got); err != nil {
+		if err := host.ReadRowInto(context.Background(), memctl.Row{Chip: 0, Bank: 0, Row: r}, got); err != nil {
 			t.Fatalf("ReadRowInto: %v", err)
 		}
 		for w := range got {
@@ -273,7 +273,7 @@ func TestChaosSoak(t *testing.T) {
 	totalRetries, totalQuarantined := 0, 0
 	sawDegraded := false
 	for epoch := 0; epoch < 24; epoch++ {
-		res, err := s.RunEpochCtx(context.Background())
+		res, err := s.RunEpoch(context.Background())
 		if err != nil {
 			t.Fatalf("soak epoch %d: %v", epoch, err)
 		}
@@ -311,7 +311,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	for epoch := 0; epoch < 24; epoch++ {
-		if _, err := ref.RunEpochCtx(context.Background()); err != nil {
+		if _, err := ref.RunEpoch(context.Background()); err != nil {
 			t.Fatalf("reference epoch %d: %v", epoch, err)
 		}
 	}

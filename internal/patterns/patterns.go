@@ -9,8 +9,9 @@ package patterns
 import "parbor/internal/rng"
 
 // Fill writes one row's worth of pattern data into buf. Fills must be
-// deterministic in (chip, bank, row): the test host regenerates the
-// pattern during its compare phase.
+// deterministic in (chip, bank, row), so a pass is reproducible from
+// its pattern, and must not mutate shared state: a full-module pass
+// calls them concurrently from its per-chip workers.
 type Fill func(chip, bank, row int, buf []uint64)
 
 // Pattern is a named row-fill.
@@ -43,7 +44,7 @@ func (p Pattern) Inverse() Pattern {
 
 // Arena memoizes materialized rows of uniform patterns so that
 // full-module passes can alias one immutable backing slice per
-// pattern (see memctl.Host.FullPassRows) instead of regenerating
+// pattern (see memctl.RowSource) instead of regenerating
 // O(rows × words) of identical data on every pass.
 //
 // Rows are keyed by Pattern.Name, so an arena must only ever see
@@ -67,7 +68,7 @@ func NewArena(words int) *Arena {
 // Materialize returns the memoized row of a uniform pattern, filling
 // it on first use. The returned slice is shared: every later
 // Materialize of the same name aliases it, and the test host reads it
-// during both halves of a pass, so callers must never write to it.
+// throughout a pass's write sweep, so callers must never write to it.
 // It panics on a non-uniform pattern, whose data cannot be
 // represented by a single row.
 func (a *Arena) Materialize(p Pattern) []uint64 {

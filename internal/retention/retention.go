@@ -135,8 +135,9 @@ func (p *Profiler) ProfileModuleCtx(ctx context.Context, pats []patterns.Pattern
 		for _, base := range pats {
 			for _, pat := range []patterns.Pattern{base, base.Inverse()} {
 				fill := pat.Fill
-				fails, err := p.host.FullPassWithWaitCtx(ctx, func(r memctl.Row, buf []uint64) {
+				fails, err := p.host.FullPass(ctx, func(r memctl.Row, buf []uint64) []uint64 {
 					fill(r.Chip, r.Bank, r.Row, buf)
+					return buf
 				}, w)
 				if err != nil {
 					return nil, fmt.Errorf("retention: pass at wait %v ms: %w", w, err)

@@ -137,9 +137,10 @@ type Row = memctl.Row
 type BitAddr = memctl.BitAddr
 
 // RowSource supplies one row's pattern data for a full-module pass
-// (Host.FullPassRows). The host aliases the returned slice — sources
-// backed by memoized pattern rows (see NewPatternArena) make the
-// sweep free of per-row pattern generation.
+// (Host.FullPass): it either fills the host-owned buf it is handed and
+// returns it, or returns its own immutable row, which the host
+// aliases — sources backed by memoized pattern rows (see
+// NewPatternArena) make the sweep free of per-row pattern generation.
 type RowSource = memctl.RowSource
 
 // NewHost wraps a module in a test host. waitMs is the retention
@@ -283,11 +284,14 @@ type Pattern = patterns.Pattern
 
 // PatternArena memoizes materialized rows of uniform patterns so
 // full-module passes can alias one immutable row per pattern through
-// Host.FullPassRows instead of regenerating every row (DESIGN.md §9).
+// a RowSource passed to Host.FullPass instead of regenerating every
+// row (DESIGN.md §9).
 type PatternArena = patterns.Arena
 
 // NewPatternArena builds an arena producing rows of the given word
-// count (Geometry().Words()).
+// count (Geometry().Words()). A materialized row reaches a full pass
+// through a source that ignores its buffer:
+// func(Row, []uint64) []uint64 { return row }.
 func NewPatternArena(words int) *PatternArena { return patterns.NewArena(words) }
 
 // NeighborAwarePatterns builds the worst-case stress patterns for a
