@@ -37,7 +37,7 @@ func (t *Tester) DetectNeighborsCtx(ctx context.Context) (*NeighborResult, error
 	// with the same fail polarity alias one buffer (the host never
 	// mutates pass data), so a pass fills O(distinct regions) rows,
 	// not O(victims).
-	arena := newRegionArena(t.host.Geometry().Words())
+	arena := newRegionArena(t.host.Geometry().Words(), rowBits)
 
 	parentSize := rowBits
 	parentDists := []int{0}
@@ -81,28 +81,28 @@ func levelSizes(rowBits, firstSplit, fanout int) []int {
 	}
 }
 
-// regionKey identifies one shareable region-pattern row within a
-// pass: all victims with the same fail polarity probing the same
-// region write identical data (the victim-bit fix-up below is only
-// needed when the victim lies inside the region).
-type regionKey struct {
-	failData uint64
-	start    int
-}
-
 // regionArena hands out the shared base region-pattern buffers of one
-// recursion pass. Buffers are pooled across passes and levels — reset
-// clears the sharing map but keeps the pool, so the steady state
-// allocates nothing.
+// recursion pass. All victims with the same fail polarity probing the
+// same region write identical data (the victim-bit fix-up in runLevel
+// is only needed when the victim lies inside the region), so the
+// arena keeps one base buffer per (failData, region index) slot.
+// Slots are a flat table indexed by region: a pass touches
+// at most one region per parent region, and reset clears exactly the
+// slots it filled. Buffers are pooled across passes and levels, so the
+// steady state allocates nothing.
 type regionArena struct {
-	words int
-	pool  [][]uint64
-	used  int
-	base  map[regionKey][]uint64
+	words   int
+	pool    [][]uint64
+	used    int
+	regions int
+	base    [][]uint64 // slot failData*regions + region index -> this pass's base row
+	filled  []int      // slots set this pass
 }
 
-func newRegionArena(words int) *regionArena {
-	return &regionArena{words: words, base: make(map[regionKey][]uint64)}
+// newRegionArena sizes the slot table for up to regions regions per
+// row (the finest level has one region per bit).
+func newRegionArena(words, regions int) *regionArena {
+	return &regionArena{words: words, regions: regions, base: make([][]uint64, 2*regions)}
 }
 
 // reset starts a new pass: all pooled buffers become reusable and no
@@ -111,7 +111,10 @@ func newRegionArena(words int) *regionArena {
 //parbor:hotpath
 func (a *regionArena) reset() {
 	a.used = 0
-	clear(a.base)
+	for _, s := range a.filled {
+		a.base[s] = nil
+	}
+	a.filled = a.filled[:0]
 }
 
 // alloc returns a pooled buffer of undefined content.
@@ -129,24 +132,32 @@ func (a *regionArena) alloc() []uint64 {
 	return b
 }
 
-// region returns this pass's shared base buffer for (failData,
-// start), filling it on first use.
+// region returns this pass's shared base buffer for region rIdx (of
+// the given size) under fail polarity failData, filling it on first
+// use.
 //
 //parbor:hotpath
-func (a *regionArena) region(failData uint64, start, size int) []uint64 {
-	k := regionKey{failData: failData, start: start}
-	if b, ok := a.base[k]; ok {
+func (a *regionArena) region(failData uint64, rIdx, size int) []uint64 {
+	s := int(failData)*a.regions + rIdx
+	if b := a.base[s]; b != nil {
 		return b
 	}
 	b := a.alloc()
-	fillRegionBase(b, failData, start, size)
-	a.base[k] = b
+	fillRegionBase(b, failData, rIdx*size, size)
+	a.base[s] = b
+	a.filled = append(a.filled, s)
 	return b
 }
 
 // runLevel performs every region test of one recursion level over all
 // live victims simultaneously, applies marginal-victim filtering, and
 // ranks the observed distances.
+//
+// A pass tests at most one victim per row, and victims are sorted by
+// (chip, bank, row), so each pass's row list is sorted too: a failing
+// address finds its victim by binary search over the list, and counts
+// only when it is the victim's own column. A victim's region distance
+// is recomputed from its column rather than remembered per pass.
 func (t *Tester) runLevel(ctx context.Context, victims []victimInfo, arena *regionArena, rowBits, parentSize, size int, parentDists []int) (*LevelReport, error) {
 	k := parentSize / size
 	nParents := rowBits / parentSize
@@ -154,20 +165,18 @@ func (t *Tester) runLevel(ctx context.Context, victims []victimInfo, arena *regi
 	passes := 0
 	hits := make([][]int, len(victims)) // region distances at which each victim failed
 
-	// Reused per-pass slices.
+	// Reused per-pass slices: the pass's row list, its data, and the
+	// victim index behind each row.
 	prows := make([]memctl.Row, 0, len(victims))
 	pdata := make([][]uint64, 0, len(victims))
-	addrToVictim := make(map[memctl.BitAddr]int, len(victims))
+	pvict := make([]int, 0, len(victims))
 
 	for _, dp := range parentDists {
 		for j := 0; j < k; j++ {
 			prows = prows[:0]
 			pdata = pdata[:0]
-			for key := range addrToVictim {
-				delete(addrToVictim, key)
-			}
+			pvict = pvict[:0]
 			arena.reset()
-			regionOf := make(map[int]int, 8) // victim index -> absolute region index
 
 			for vi := range victims {
 				v := &victims[vi]
@@ -180,7 +189,7 @@ func (t *Tester) runLevel(ctx context.Context, victims []victimInfo, arena *regi
 				}
 				rIdx := parentIdx*k + j
 				start := rIdx * size
-				row := arena.region(v.failData, start, size)
+				row := arena.region(v.failData, rIdx, size)
 				if c := int(v.col); c >= start && c < start+size {
 					// The victim bit lies inside the complemented
 					// region and must keep its fail value (Section
@@ -194,25 +203,27 @@ func (t *Tester) runLevel(ctx context.Context, victims []victimInfo, arena *regi
 				}
 				prows = append(prows, v.row)
 				pdata = append(pdata, row)
-				addrToVictim[memctl.BitAddr{
-					Chip: int16(v.row.Chip),
-					Bank: int16(v.row.Bank),
-					Row:  int32(v.row.Row),
-					Col:  v.col,
-				}] = vi
-				regionOf[vi] = rIdx
+				pvict = append(pvict, vi)
 			}
 			passes++
 			fails, err := t.host.Pass(ctx, prows, pdata, t.host.WaitMs())
 			if err != nil {
 				return nil, fmt.Errorf("core: level pass (size %d, parent %+d, sub %d): %w", size, dp, j, err)
 			}
+			slot := -1 // row-list slot of the previous failure's row
 			for _, a := range fails {
-				vi, ok := addrToVictim[a]
-				if !ok {
-					continue // a flip somewhere other than a sampled victim
+				if slot < 0 || !sameRow(prows[slot], a) {
+					slot = findRow(prows, a)
+					if slot < 0 {
+						continue // a flip on a row outside this pass
+					}
 				}
-				d := regionOf[vi] - int(victims[vi].col)/size
+				vi := pvict[slot]
+				if a.Col != victims[vi].col {
+					continue // a flip somewhere other than the sampled victim
+				}
+				col := int(a.Col)
+				d := (col/parentSize+dp)*k + j - col/size
 				hits[vi] = append(hits[vi], d)
 			}
 		}
@@ -246,6 +257,32 @@ func (t *Tester) runLevel(ctx context.Context, victims []victimInfo, arena *regi
 		Frequencies: freq,
 		Distances:   rankDistances(freq, t.cfg.RankThreshold),
 	}, nil
+}
+
+// sameRow reports whether a lies in row r.
+func sameRow(r memctl.Row, a memctl.BitAddr) bool {
+	return int16(r.Chip) == a.Chip && int16(r.Bank) == a.Bank && int32(r.Row) == a.Row
+}
+
+// findRow returns the index of a's row in rows, which must be sorted
+// by (chip, bank, row) without duplicates, or -1 when a lies outside
+// every listed row.
+func findRow(rows []memctl.Row, a memctl.BitAddr) int {
+	lo, hi := 0, len(rows)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		r := rows[m]
+		c, b, w := int16(r.Chip), int16(r.Bank), int32(r.Row)
+		if c < a.Chip || (c == a.Chip && (b < a.Bank || (b == a.Bank && w < a.Row))) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(rows) && sameRow(rows[lo], a) {
+		return lo
+	}
+	return -1
 }
 
 // rankDistances keeps the distances whose frequency is at least

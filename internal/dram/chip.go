@@ -40,9 +40,11 @@ type ChipConfig struct {
 	// Index distinguishes sibling chips within a module so that they
 	// draw independent process variation from the same seed.
 	Index int
-	// Recorder, when non-nil, receives one DRAM-command event per
-	// row write, row read, and refresh epoch. Recording is passive:
-	// results are bit-identical with or without it.
+	// Recorder, when non-nil, receives the chip's DRAM commands: an
+	// activate plus a write or read per row access, delivered in
+	// batches by FlushCommands, and one refresh per refresh epoch.
+	// Recording is passive: results are bit-identical with or without
+	// it.
 	Recorder obs.Recorder
 }
 
@@ -65,7 +67,7 @@ type Chip struct {
 	index   int
 
 	words   int
-	data    []uint64  // all rows, flattened
+	data    []uint64  // all rows, flattened; nil until a row is first accessed (see rowData)
 	writeAt []float64 // per flat row: sim time (ms) of last write
 	nowMs   float64
 	pass    uint64 // incremented on every Wait; seeds per-pass noise
@@ -130,9 +132,15 @@ type Chip struct {
 	rowSrc      rng.Source // "row"
 
 	// rec, when non-nil, receives command-accounting events. It must
-	// be safe for concurrent use: sibling chips record into the same
+	// be safe for concurrent use: sibling chips flush into the same
 	// Recorder from their per-chip worker goroutines.
 	rec obs.Recorder
+	// Row writes and reads issued since the last FlushCommands. They
+	// are plain fields, not recorder calls, because they are bumped on
+	// every row access; the owner of the chip delivers them in one
+	// batch (see FlushCommands). Every row access activates its row
+	// once, so the activate count is their sum.
+	pendWrites, pendReads uint64
 }
 
 // vcell is a coupling victim with its physical neighborhood resolved
@@ -199,7 +207,6 @@ func NewChip(cfg ChipConfig) (*Chip, error) {
 		root:    root,
 		index:   cfg.Index,
 		words:   cfg.Geometry.Words(),
-		data:    make([]uint64, cfg.Geometry.RowCount()*cfg.Geometry.Words()),
 		writeAt: make([]float64, cfg.Geometry.RowCount()),
 		meta:    make([]*rowMeta, cfg.Geometry.RowCount()),
 		planes:  make([]rowPlanes, cfg.Geometry.RowCount()),
@@ -234,17 +241,53 @@ func (c *Chip) Mapping() *scramble.Mapping { return c.mapping }
 func (c *Chip) antiRow(row int) bool { return (row>>1)&1 == 1 }
 
 // WriteRow stores src (Geometry().Words() words) into the row and
-// restores the row's cells to full charge.
+// restores the row's cells to full charge. Its activate and write
+// commands reach the recorder at the next FlushCommands.
 //
 //parbor:hotpath
 func (c *Chip) WriteRow(bank, row int, src []uint64) {
 	idx := c.geom.rowIndex(bank, row)
-	copy(c.data[idx*c.words:(idx+1)*c.words], src)
+	copy(c.rowData(idx), src)
 	c.writeAt[idx] = c.nowMs
-	if c.rec != nil {
-		c.rec.Command(obs.CmdActivate, 1)
-		c.rec.Command(obs.CmdWrite, 1)
+	c.pendWrites++
+}
+
+// FlushCommands delivers the activate, write and read commands of the
+// row accesses since the previous flush to the attached recorder (and
+// drops them when none is attached). Row accesses only count; the
+// chip's owner flushes once per batch of accesses — the test host
+// does at the end of every per-chip shard, on every exit path — so a
+// sweep costs a few recorder calls instead of several per row, and
+// totals are exact at every pass boundary. Like every Chip method it
+// must be serialized with the chip's other calls.
+func (c *Chip) FlushCommands() {
+	w, r := c.pendWrites, c.pendReads
+	if w|r == 0 {
+		return
 	}
+	c.pendWrites, c.pendReads = 0, 0
+	if c.rec == nil {
+		return
+	}
+	c.rec.Command(obs.CmdActivate, w+r)
+	c.rec.Command(obs.CmdWrite, w)
+	c.rec.Command(obs.CmdRead, r)
+}
+
+// rowData returns the stored words of flat row idx. The cell array
+// (Geometry().Words() words per row, the bulk of a chip's memory) is
+// allocated on the first row access rather than in NewChip, so
+// building a module allocates only its bookkeeping. Without this a
+// module build allocates megabytes in one burst, and in a loop that
+// builds and tests modules back to back that burst is where the heap
+// reaches the collector's goal, so construction pays for a GC cycle
+// with the previous module's garbage (mark assist and sweeping).
+// Rows never written read as zeros either way.
+func (c *Chip) rowData(idx int) []uint64 {
+	if c.data == nil {
+		c.data = make([]uint64, c.geom.RowCount()*c.words)
+	}
+	return c.data[idx*c.words : (idx+1)*c.words]
 }
 
 // Wait advances simulated time by ms milliseconds. Time only moves
@@ -351,12 +394,13 @@ func (c *Chip) surroundCells(col, s int) []int32 {
 // ReadRow reads the row into dst, applying every failure mode whose
 // conditions have been met since the row was last written. The stored
 // data is not modified (the host rewrites rows between passes, as a
-// real test host does).
+// real test host does). Its activate and read commands reach the
+// recorder at the next FlushCommands.
 //
 //parbor:hotpath
 func (c *Chip) ReadRow(bank, row int, dst []uint64) {
 	idx := c.geom.rowIndex(bank, row)
-	stored := c.data[idx*c.words : (idx+1)*c.words]
+	stored := c.rowData(idx)
 	copy(dst, stored)
 	c.readRowFaults(row, idx, stored, dst)
 }
@@ -377,21 +421,17 @@ func (c *Chip) ReadRow(bank, row int, dst []uint64) {
 //parbor:hotpath
 func (c *Chip) ReadRowDelta(bank, row int, delta []uint64) int {
 	idx := c.geom.rowIndex(bank, row)
-	stored := c.data[idx*c.words : (idx+1)*c.words]
-	return c.readRowFaults(row, idx, stored, delta)
+	return c.readRowFaults(row, idx, c.rowData(idx), delta)
 }
 
-// readRowFaults is the shared read core: it records the access,
-// evaluates every failure mode of the row against stored, toggles the
-// failing bits into dst, and returns the toggle count. dst may be a
-// copy of stored (ReadRow) or a zeroed delta buffer (ReadRowDelta) —
-// every predicate reads charge state from stored only, so the two
-// produce the same toggle set.
+// readRowFaults is the shared read core: it counts the access (see
+// FlushCommands), evaluates every failure mode of the row against
+// stored, toggles the failing bits into dst, and returns the toggle
+// count. dst may be a copy of stored (ReadRow) or a zeroed delta
+// buffer (ReadRowDelta) — every predicate reads charge state from
+// stored only, so the two produce the same toggle set.
 func (c *Chip) readRowFaults(row, idx int, stored, dst []uint64) int {
-	if c.rec != nil {
-		c.rec.Command(obs.CmdActivate, 1)
-		c.rec.Command(obs.CmdRead, 1)
-	}
+	c.pendReads++
 	elapsed := c.nowMs - c.chargeTime(idx)
 	if elapsed <= 0 {
 		return 0
@@ -586,9 +626,14 @@ func (c *Chip) AutoRefresh(except []int) {
 }
 
 // SetRecorder attaches (or, with nil, detaches) a command recorder
-// after construction. Recording is passive; swapping recorders never
-// changes simulation results.
-func (c *Chip) SetRecorder(r obs.Recorder) { c.rec = r }
+// after construction. Commands still pending go to the old recorder
+// first, so each recorder sees exactly the accesses made while it was
+// attached. Recording is passive; swapping recorders never changes
+// simulation results.
+func (c *Chip) SetRecorder(r obs.Recorder) {
+	c.FlushCommands()
+	c.rec = r
+}
 
 // Clock returns the chip's simulation clock: the current virtual time
 // in milliseconds and the pass counter that seeds the per-pass noise

@@ -471,3 +471,28 @@ func TestGeometryHelpers(t *testing.T) {
 		t.Errorf("LastWordMask() = %x for Cols=1024, want all ones", got)
 	}
 }
+
+// TestUnwrittenRowsReadZero: the cell array is allocated on first
+// access, and a row never written reads back as all zeros, whether the
+// first access is that read or a write to another row.
+func TestUnwrittenRowsReadZero(t *testing.T) {
+	c := testChip(t, quietCoupling(), faults.Config{})
+	buf := make([]uint64, c.Geometry().Words())
+	for i := range buf {
+		buf[i] = ^uint64(0)
+	}
+	c.ReadRow(0, 3, buf)
+	for w, v := range buf {
+		if v != 0 {
+			t.Fatalf("fresh chip, row 3 word %d = %#x, want 0", w, v)
+		}
+	}
+	fillOnes(buf)
+	c.WriteRow(0, 4, buf)
+	c.ReadRow(0, 5, buf)
+	for w, v := range buf {
+		if v != 0 {
+			t.Fatalf("row 5 word %d = %#x after a write to row 4, want 0", w, v)
+		}
+	}
+}

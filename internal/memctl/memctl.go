@@ -146,11 +146,16 @@ type Host struct {
 	// buffers race-free without locking.
 	chipScratch [][]uint64 // read-back buffer per chip
 	chipPattern [][]uint64 // RowSource fill buffer per chip
-	// chipDelta is the per-chip XOR-delta scratch for the full-pass
-	// read sweep (dram.Chip.ReadRowDelta). Invariant: all-zero between
-	// reads — appendDeltaFails re-zeroes every word it consumes, and a
-	// zero toggle count from the chip means the buffer was not touched.
+	// chipDelta is the per-chip XOR-delta scratch for the read sweeps
+	// of Pass and FullPass (dram.Chip.ReadRowDelta). Invariant:
+	// all-zero between reads — appendDeltaFails re-zeroes every word it
+	// consumes, and a zero toggle count from the chip means the buffer
+	// was not touched.
 	chipDelta [][]uint64
+	// rowSeen is a per-chip bitset over flat row indices that
+	// bucketRows uses to spot a row listed twice in one pass. All-zero
+	// between passes: bucketRows clears every word it set.
+	rowSeen [][]uint64
 
 	// Reusable per-pass scratch (see the Host comment).
 	byChip   [][]int      // row-list indices bucketed per chip, caller order
@@ -159,7 +164,8 @@ type Host struct {
 	perIndex [][]BitAddr  // readAndDiff: failures per row-list index
 	perChip  [][]BitAddr  // full pass: failures per chip
 
-	// Per-chip paused-row lists for autoRefreshExcept, reused across
+	// Per-chip paused-row lists (flat row indices) for
+	// autoRefreshPaused, rebuilt by bucketRows and reused across
 	// passes via [:0]. dram.Chip.AutoRefresh copies what it retains
 	// (the packed paused bitset lives chip-side), so one generation of
 	// host scratch suffices — the double-buffered map sets the earlier
@@ -176,6 +182,7 @@ type Host struct {
 
 	writeRowsFn func(chip int) error
 	readRowsFn  func(chip int) error
+	deltaRowsFn func(chip int) error
 	writeFullFn func(chip int) error
 	readFullFn  func(chip int) error
 	activeFn    func(k int) error // dispatches sweep.fn over active[k]
@@ -234,6 +241,7 @@ func NewHostWithConfig(mod *dram.Module, cfg HostConfig) (*Host, error) {
 		chipScratch: make([][]uint64, chips),
 		chipPattern: make([][]uint64, chips),
 		chipDelta:   make([][]uint64, chips),
+		rowSeen:     make([][]uint64, chips),
 		byChip:      make([][]int, chips),
 		perChip:     make([][]BitAddr, chips),
 	}
@@ -241,6 +249,7 @@ func NewHostWithConfig(mod *dram.Module, cfg HostConfig) (*Host, error) {
 		h.chipScratch[i] = make([]uint64, words)
 		h.chipPattern[i] = make([]uint64, words)
 		h.chipDelta[i] = make([]uint64, words)
+		h.rowSeen[i] = make([]uint64, (mod.Geometry().RowCount()+63)/64)
 	}
 	if cfg.Faults != nil {
 		h.slots = make([]*ChipFault, chips)
@@ -248,6 +257,7 @@ func NewHostWithConfig(mod *dram.Module, cfg HostConfig) (*Host, error) {
 	h.pausedRows = make([][]int, chips)
 	h.writeRowsFn = h.writeRowsShard
 	h.readRowsFn = h.readRowsShard
+	h.deltaRowsFn = h.readRowsDeltaShard
 	h.writeFullFn = h.writeFullShard
 	h.readFullFn = h.readFullShard
 	h.activeFn = h.runActiveShard
@@ -359,14 +369,31 @@ func (h *Host) forEachChip(ctx context.Context, fn func(chip int) error) error {
 // bucketRows rebuilds the per-chip row-index buckets and the active
 // chip list for a row-list pass, preserving the caller's relative
 // order within each chip so the merged results are bit-identical to
-// a serial sweep over the original list. The buckets live in host
+// a serial sweep over the original list. It also rebuilds the
+// per-chip paused-row lists (see autoRefreshPaused) and reports
+// whether any row is listed more than once. The buckets live in host
 // scratch: capacity is retained across passes.
-func (h *Host) bucketRows(rows []Row) {
+func (h *Host) bucketRows(rows []Row) (dup bool) {
 	for chip := range h.byChip {
 		h.byChip[chip] = h.byChip[chip][:0]
+		h.pausedRows[chip] = h.pausedRows[chip][:0]
 	}
 	for i, r := range rows {
+		flat := h.mod.Chip(r.Chip).FlatRowIndex(r.Bank, r.Row)
+		w, bit := flat>>6, uint64(1)<<(uint(flat)&63)
+		seen := h.rowSeen[r.Chip]
+		if seen[w]&bit != 0 {
+			dup = true
+		}
+		seen[w] |= bit
 		h.byChip[r.Chip] = append(h.byChip[r.Chip], i)
+		h.pausedRows[r.Chip] = append(h.pausedRows[r.Chip], flat)
+	}
+	for chip, flats := range h.pausedRows {
+		seen := h.rowSeen[chip]
+		for _, flat := range flats {
+			seen[flat>>6] = 0 // every set bit came from this list
+		}
 	}
 	h.active = h.active[:0]
 	for chip, idxs := range h.byChip {
@@ -374,6 +401,7 @@ func (h *Host) bucketRows(rows []Row) {
 			h.active = append(h.active, chip)
 		}
 	}
+	return dup
 }
 
 // forEachActiveChip runs fn for every chip that owns at least one
@@ -452,11 +480,17 @@ func (h *Host) resetSweep() { h.sweep = sweepState{} }
 // any host or chip state changes.
 //
 // Aliasing contract: the host only ever reads data — it is written
-// to the chips and later compared against, never mutated and never
-// retained past the pass. Several rows may therefore share one
-// backing slice (data[i] == data[j]), which is how callers avoid
-// refilling identical pattern rows every pass (see patterns.Arena
-// and the region sharing in package core).
+// to the chips, never mutated and never retained past the pass.
+// Several rows may therefore share one backing slice (data[i] ==
+// data[j]), which is how callers avoid refilling identical pattern
+// rows every pass (see patterns.Arena and the region sharing in
+// package core).
+//
+// The read sweep diffs each row against the data the chip stores for
+// it (dram.Chip.ReadRowDelta), which is data[i] because the pass just
+// wrote it. When the list names a row twice the chip stores only the
+// later write, so such a pass falls back to reading every row back
+// and comparing it against its own data[i], exactly as Verify does.
 //
 // Once ctx is done the sharded chip workers stop within
 // ctxCheckStride rows and ctx.Err() is returned. A cancelled pass
@@ -478,7 +512,7 @@ func (h *Host) Pass(ctx context.Context, rows []Row, data [][]uint64, waitMs flo
 	attempt := h.attempts
 	h.attempts++
 	passStart := h.startClock()
-	h.bucketRows(rows)
+	dup := h.bucketRows(rows)
 	h.clearFaultSlots()
 	h.sweep.ctx = ctx
 	h.sweep.attempt = attempt
@@ -494,10 +528,10 @@ func (h *Host) Pass(ctx context.Context, rows []Row, data [][]uint64, waitMs flo
 	}
 	h.observeSince(SeriesWriteSweep, passStart)
 	h.mod.Wait(waitMs)
-	h.autoRefreshExcept(rows)
+	h.autoRefreshPaused()
 	h.passes++
 	readStart := h.startClock()
-	fails, err := h.readAndDiff(ctx, attempt, rows, data)
+	fails, err := h.readAndDiff(ctx, attempt, rows, data, !dup)
 	h.resetSweep()
 	if err != nil {
 		return nil, h.failPass(err)
@@ -550,6 +584,7 @@ func (h *Host) checkRow(r Row) error {
 //parbor:hotpath
 func (h *Host) writeRowsShard(chip int) error {
 	c := h.mod.Chip(chip)
+	defer c.FlushCommands()
 	s := &h.sweep
 	for k, i := range h.byChip[chip] {
 		if k%ctxCheckStride == 0 {
@@ -568,30 +603,27 @@ func (h *Host) writeRowsShard(chip int) error {
 	return nil
 }
 
-// autoRefreshExcept models the auto-refresh that keeps running for
+// autoRefreshPaused models the auto-refresh that keeps running for
 // every row not paused for the current test: those rows never
-// accumulate retention time across passes. The rows under test are
-// excluded — their decay is the point of the wait. The per-chip
-// excluded-row lists are host scratch (see Host.pausedRows), safe to
-// rebuild in place because AutoRefresh does not retain its argument.
-func (h *Host) autoRefreshExcept(rows []Row) {
-	for chip := range h.pausedRows {
-		h.pausedRows[chip] = h.pausedRows[chip][:0]
-	}
-	for _, r := range rows {
-		h.pausedRows[r.Chip] = append(h.pausedRows[r.Chip],
-			h.mod.Chip(r.Chip).FlatRowIndex(r.Bank, r.Row))
-	}
+// accumulate retention time across passes. The rows under test —
+// the per-chip lists bucketRows built in Host.pausedRows — are
+// excluded, since their decay is the point of the wait. The lists are
+// host scratch, safe to rebuild in place because AutoRefresh does not
+// retain its argument.
+func (h *Host) autoRefreshPaused() {
 	for chip := 0; chip < h.mod.Chips(); chip++ {
 		h.mod.Chip(chip).AutoRefresh(h.pausedRows[chip])
 	}
 }
 
 // readAndDiff reads every listed row back and diffs it against
-// want[i], sharding per chip. Results are merged in ascending
-// row-list index, exactly the order a serial sweep produces; the
-// merged slice is sized once from the per-index counts.
-func (h *Host) readAndDiff(ctx context.Context, attempt int, rows []Row, want [][]uint64) ([]BitAddr, error) {
+// want[i], sharding per chip. With delta set, want[i] must be what
+// the chip stores for rows[i] (the row was just written from it and
+// no other entry names the row), and each read hands over its failure
+// delta directly instead of being compared. Results are merged in
+// ascending row-list index, exactly the order a serial sweep produces;
+// the merged slice is sized once from the per-index counts.
+func (h *Host) readAndDiff(ctx context.Context, attempt int, rows []Row, want [][]uint64, delta bool) ([]BitAddr, error) {
 	if cap(h.perIndex) < len(rows) {
 		h.perIndex = make([][]BitAddr, len(rows))
 	}
@@ -601,7 +633,11 @@ func (h *Host) readAndDiff(ctx context.Context, attempt int, rows []Row, want []
 	h.sweep.attempt = attempt
 	h.sweep.rows = rows
 	h.sweep.data = want
-	err := h.forEachActiveChip(ctx, h.readRowsFn)
+	shard := h.readRowsFn
+	if delta {
+		shard = h.deltaRowsFn
+	}
+	err := h.forEachActiveChip(ctx, shard)
 	if err == nil {
 		err = chipFaultsError(h.slots)
 	}
@@ -631,6 +667,7 @@ func (h *Host) readAndDiff(ctx context.Context, attempt int, rows []Row, want []
 //parbor:hotpath
 func (h *Host) readRowsShard(chip int) error {
 	c := h.mod.Chip(chip)
+	defer c.FlushCommands()
 	s := &h.sweep
 	scratch := h.chipScratch[chip]
 	for k, i := range h.byChip[chip] {
@@ -647,6 +684,40 @@ func (h *Host) readRowsShard(chip int) error {
 		}
 		c.ReadRow(s.rows[i].Bank, s.rows[i].Row, scratch)
 		h.perIndex[i] = appendMismatches(h.perIndex[i][:0], s.rows[i], s.data[i], scratch, h.lastMask)
+	}
+	return nil
+}
+
+// readRowsDeltaShard is readRowsShard for a pass that just wrote each
+// listed row from its own data entry: the chip's stored row is the
+// expected data, so the failure delta of the read (ReadRowDelta) is
+// exactly the mismatch set, with no row copy and no compare — the
+// same shortcut readFullShard takes.
+//
+//parbor:hotpath
+func (h *Host) readRowsDeltaShard(chip int) error {
+	c := h.mod.Chip(chip)
+	defer c.FlushCommands()
+	s := &h.sweep
+	delta := h.chipDelta[chip]
+	for k, i := range h.byChip[chip] {
+		if k%ctxCheckStride == 0 {
+			if cerr := s.ctx.Err(); cerr != nil {
+				return cerr
+			}
+		}
+		r := s.rows[i]
+		if h.plane != nil {
+			if ferr := h.plane.BeforeRead(s.attempt, r); ferr != nil {
+				h.slots[chip] = &ChipFault{Chip: chip, Op: "read", Row: r, Err: ferr}
+				return nil
+			}
+		}
+		fails := h.perIndex[i][:0]
+		if c.ReadRowDelta(r.Bank, r.Row, delta) != 0 {
+			fails = appendDeltaFails(fails, r, delta)
+		}
+		h.perIndex[i] = fails
 	}
 	return nil
 }
@@ -674,7 +745,9 @@ func (h *Host) ReadRowInto(ctx context.Context, r Row, dst []uint64) error {
 			return &ChipFault{Chip: r.Chip, Op: "read", Row: r, Err: ferr}
 		}
 	}
-	h.mod.Chip(r.Chip).ReadRow(r.Bank, r.Row, dst)
+	c := h.mod.Chip(r.Chip)
+	c.ReadRow(r.Bank, r.Row, dst)
+	c.FlushCommands()
 	return nil
 }
 
@@ -691,14 +764,14 @@ func (h *Host) Verify(ctx context.Context, rows []Row, expected [][]uint64, wait
 	}
 	attempt := h.attempts
 	h.attempts++
+	h.bucketRows(rows)
 	if waitMs > 0 {
 		h.mod.Wait(waitMs)
-		h.autoRefreshExcept(rows)
+		h.autoRefreshPaused()
 	}
 	h.passes++
 	readStart := h.startClock()
-	h.bucketRows(rows)
-	fails, err := h.readAndDiff(ctx, attempt, rows, expected)
+	fails, err := h.readAndDiff(ctx, attempt, rows, expected, false)
 	h.resetSweep()
 	if err != nil {
 		return nil, h.failPass(err)
@@ -776,6 +849,7 @@ func (h *Host) FullPass(ctx context.Context, src RowSource, waitMs float64) ([]B
 //parbor:hotpath
 func (h *Host) writeFullShard(chip int) error {
 	c := h.mod.Chip(chip)
+	defer c.FlushCommands()
 	g := h.mod.Geometry()
 	words := g.Words()
 	s := &h.sweep
@@ -822,6 +896,7 @@ func (h *Host) writeFullShard(chip int) error {
 //parbor:hotpath
 func (h *Host) readFullShard(chip int) error {
 	c := h.mod.Chip(chip)
+	defer c.FlushCommands()
 	g := h.mod.Geometry()
 	s := &h.sweep
 	delta := h.chipDelta[chip]
