@@ -15,6 +15,8 @@
 // -mem-budget bounds the classifier's in-memory key set; past it,
 // sorted runs spill to -spill (default: a temp dir) and are k-way
 // merged, so a log of any size classifies in bounded memory. The
+// segments are scanned on up to GOMAXPROCS workers, which share the
+// budget rather than each taking a copy of it. The
 // rollup is a pure function of the event set: order, duplicated
 // replays, segment boundaries, and the memory budget cannot change a
 // byte of the output.
@@ -37,7 +39,7 @@ func main() {
 		dir       = flag.String("dir", "", "fleetlog directory to analyze (required)")
 		dump      = flag.Bool("dump", false, "print raw events as JSON lines instead of the rollup")
 		compact   = flag.String("compact", "", "rewrite the log into this directory (drops torn tails) instead of analyzing")
-		memBudget = flag.Int("mem-budget", 0, "classifier in-memory key budget before spilling (0 = default)")
+		memBudget = flag.Int("mem-budget", 0, "classifier in-memory key budget before spilling, shared by the scan workers (0 = default)")
 		spill     = flag.String("spill", "", "directory for spill runs (empty = temp dir)")
 		segBytes  = flag.Int64("segment-bytes", 0, "segment size for -compact output (0 = default)")
 		gc        = flag.Int("gc", -1, "garbage-collect the log to this many newest segments (the active tail always survives); -1 = off")

@@ -124,7 +124,7 @@ func TestSpillBufferGrowsOnce(t *testing.T) {
 		t.Fatalf("%d runs spilled; the reuse check is vacuous", len(s.runs))
 	}
 	next := uint32(0)
-	err := s.merge(func(k spillKey) error {
+	err := mergeSets([]*spillSet{s}, func(k spillKey) error {
 		if v := binary.BigEndian.Uint32(k[keyBytes-4:]); v != next {
 			t.Fatalf("merge yielded %d, want %d", v, next)
 		}

@@ -3,10 +3,13 @@ package fleetlog
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"os"
+	"path/filepath"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"parbor/internal/faultfs"
 	"parbor/internal/memctl"
@@ -63,8 +66,10 @@ type Rollup struct {
 type ClassifierConfig struct {
 	// MaxKeys is the in-memory key budget per spill set before a
 	// sorted run is flushed to disk; <= 0 selects 1<<20 (about 20 MiB
-	// of keys per set). The differential suite runs it down to a few
-	// keys; results are identical, only spill traffic changes.
+	// of keys per set). Analyze's scan workers share it: each holds a
+	// 1/W share of both sets, so the bound is the same at every worker
+	// count. The differential suite runs it down to a few keys;
+	// results are identical, only spill traffic changes.
 	MaxKeys int
 	// SpillDir holds the temporary sorted runs. Empty selects a fresh
 	// os.MkdirTemp directory that is removed on Finish/Close.
@@ -74,6 +79,9 @@ type ClassifierConfig struct {
 	FS faultfs.FS
 }
 
+// defaultMaxKeys is the key budget MaxKeys <= 0 selects.
+const defaultMaxKeys = 1 << 20
+
 // Classifier folds a stream of events into a Rollup with O(modules)
 // heap state: per-event keys go into two deduplicating spill sets
 // ((module, cell, epoch) observations and (module, epoch) pairs), and
@@ -81,24 +89,75 @@ type ClassifierConfig struct {
 // fold. The result is a pure function of the event set — order,
 // duplication, segmentation, and memory budget cannot change a byte
 // of it.
+//
+// Analyze folds into one shard per scan worker; a Classifier built by
+// NewClassifier has a single shard, and Finish merges every shard's
+// sets the same way whatever their number.
 type Classifier struct {
-	cfg      ClassifierConfig
 	spillDir string
 	ownDir   bool
-	modIDs   map[string]uint32
-	names    []string
-	events   int
-	obs      *spillSet
-	epochs   *spillSet
+	mods     *modTable
+	shards   []*shard
 	done     bool
+}
+
+// modTable interns module names into the IDs that lead every key. All
+// of a classifier's shards share one table, so a module has the same
+// ID, and its keys sort alike, whichever worker saw it. Which module
+// gets which ID depends on scheduling, but IDs never reach the rollup:
+// PerModule is sorted by name, and every count is per module or a sum.
+type modTable struct {
+	mu    sync.Mutex
+	ids   map[string]uint32 //parbor:guardedby mu
+	names []string          //parbor:guardedby mu
+}
+
+// intern returns name's ID, assigning the next one on first sight.
+func (t *modTable) intern(name string) (uint32, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if id, ok := t.ids[name]; ok {
+		return id, nil
+	}
+	if len(t.names) >= math.MaxUint32 {
+		return 0, fmt.Errorf("fleetlog: module population overflow")
+	}
+	id := uint32(len(t.names))
+	t.ids[name] = id
+	t.names = append(t.names, name)
+	return id, nil
+}
+
+// list returns the names indexed by ID.
+func (t *modTable) list() []string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.names
+}
+
+// shard is one scan worker's classifier state: its own two spill sets,
+// a private cache of the shared module table (a warm event takes no
+// lock), and the number of events it folded.
+type shard struct {
+	mods   *modTable
+	ids    map[string]uint32
+	events int
+	obs    *spillSet
+	epochs *spillSet
 }
 
 // NewClassifier builds a classifier; call Close if Finish is never
 // reached, or spill files leak.
 func NewClassifier(cfg ClassifierConfig) (*Classifier, error) {
 	if cfg.MaxKeys <= 0 {
-		cfg.MaxKeys = 1 << 20
+		cfg.MaxKeys = defaultMaxKeys
 	}
+	return newClassifier(cfg, 1)
+}
+
+// newClassifier builds a classifier of n shards, each with a 1/n share
+// of cfg.MaxKeys (which must be at least n) per spill set.
+func newClassifier(cfg ClassifierConfig, n int) (*Classifier, error) {
 	dir, own := cfg.SpillDir, false
 	if dir == "" {
 		d, err := os.MkdirTemp("", "fleetlog-spill-")
@@ -107,27 +166,33 @@ func NewClassifier(cfg ClassifierConfig) (*Classifier, error) {
 		}
 		dir, own = d, true
 	}
-	return &Classifier{
-		cfg:      cfg,
+	c := &Classifier{
 		spillDir: dir,
 		ownDir:   own,
-		modIDs:   make(map[string]uint32),
-		obs:      newSpillSet(cfg.FS, cfg.MaxKeys, dir, "obs"),
-		epochs:   newSpillSet(cfg.FS, cfg.MaxKeys, dir, "epoch"),
-	}, nil
+		mods:     &modTable{ids: make(map[string]uint32)},
+	}
+	limit := cfg.MaxKeys / n
+	for i := range n {
+		c.shards = append(c.shards, &shard{
+			mods:   c.mods,
+			ids:    make(map[string]uint32),
+			obs:    newSpillSet(cfg.FS, limit, dir, fmt.Sprintf("w%d-obs", i)),
+			epochs: newSpillSet(cfg.FS, limit, dir, fmt.Sprintf("w%d-epoch", i)),
+		})
+	}
+	return c, nil
 }
 
-// modID interns a module name.
-func (c *Classifier) modID(name string) (uint32, error) {
-	if id, ok := c.modIDs[name]; ok {
+// modID interns a module name through the shard's cache.
+func (s *shard) modID(name string) (uint32, error) {
+	if id, ok := s.ids[name]; ok {
 		return id, nil
 	}
-	if len(c.names) >= math.MaxUint32 {
-		return 0, fmt.Errorf("fleetlog: module population overflow")
+	id, err := s.mods.intern(name)
+	if err != nil {
+		return 0, err
 	}
-	id := uint32(len(c.names))
-	c.modIDs[name] = id
-	c.names = append(c.names, name)
+	s.ids[name] = id
 	return id, nil
 }
 
@@ -158,29 +223,35 @@ func (c *Classifier) Observe(ev Event) error {
 	if c.done {
 		return fmt.Errorf("fleetlog: classifier already finished")
 	}
+	return c.shards[0].observe(&ev)
+}
+
+// observe folds one event into the shard; the shard keeps nothing of
+// ev but the module name, and strings are immutable.
+func (s *shard) observe(ev *Event) error {
 	if ev.Module == "" {
 		return fmt.Errorf("fleetlog: event with empty module id")
 	}
 	if ev.Epoch < 0 || ev.Epoch > math.MaxUint32 {
 		return fmt.Errorf("fleetlog: module %s: epoch %d out of range", ev.Module, ev.Epoch)
 	}
-	mod, err := c.modID(ev.Module)
+	mod, err := s.modID(ev.Module)
 	if err != nil {
 		return err
 	}
 	epoch := uint32(ev.Epoch)
-	if err := c.epochs.add(packEpoch(mod, epoch)); err != nil {
+	if err := s.epochs.add(packEpoch(mod, epoch)); err != nil {
 		return err
 	}
 	for _, a := range ev.Fails {
 		if a.Chip < 0 || a.Bank < 0 || a.Row < 0 || a.Col < 0 {
 			return fmt.Errorf("fleetlog: module %s: negative failure coordinate %+v", ev.Module, a)
 		}
-		if err := c.obs.add(packObs(mod, a, epoch)); err != nil {
+		if err := s.obs.add(packObs(mod, a, epoch)); err != nil {
 			return err
 		}
 	}
-	c.events++
+	s.events++
 	return nil
 }
 
@@ -226,8 +297,8 @@ func (g *bankAgg) mode() string {
 	}
 }
 
-// Finish merges the spill sets and folds the sorted streams into the
-// rollup. The classifier is consumed.
+// Finish merges every shard's spill sets and folds the sorted streams
+// into the rollup. The classifier is consumed.
 func (c *Classifier) Finish() (*Rollup, error) {
 	if c.done {
 		return nil, fmt.Errorf("fleetlog: classifier already finished")
@@ -236,9 +307,18 @@ func (c *Classifier) Finish() (*Rollup, error) {
 	//parbor:droperr classifier close releases scratch spill state re-derived on the next run; the rollup is already merged
 	defer c.Close()
 
+	names := c.mods.list()
+	events := 0
+	var obs, epochs []*spillSet
+	for _, s := range c.shards {
+		events += s.events
+		obs = append(obs, s.obs)
+		epochs = append(epochs, s.epochs)
+	}
+
 	// Distinct completed epochs per module.
-	epochCount := make(map[uint32]int, len(c.names))
-	if err := c.epochs.merge(func(k spillKey) error {
+	epochCount := make(map[uint32]int, len(names))
+	if err := mergeSets(epochs, func(k spillKey) error {
 		epochCount[binary.BigEndian.Uint32(k[0:4])]++
 		return nil
 	}); err != nil {
@@ -248,11 +328,11 @@ func (c *Classifier) Finish() (*Rollup, error) {
 	// Group fold over (module, chip, bank, row, col, epoch)-sorted
 	// observations: constant state — the current cell run and the
 	// current bank group.
-	perMod := make(map[uint32]*ModuleRollup, len(c.names))
+	perMod := make(map[uint32]*ModuleRollup, len(names))
 	get := func(mod uint32) *ModuleRollup {
 		mr := perMod[mod]
 		if mr == nil {
-			mr = &ModuleRollup{Module: c.names[mod]}
+			mr = &ModuleRollup{Module: names[mod]}
 			perMod[mod] = mr
 		}
 		return mr
@@ -285,7 +365,7 @@ func (c *Classifier) Finish() (*Rollup, error) {
 		bank.reset()
 	}
 	bank.reset()
-	if err := c.obs.merge(func(k spillKey) error {
+	if err := mergeSets(obs, func(k spillKey) error {
 		if have && !sameAddr(prev, k) {
 			endAddr(prev)
 			if !sameBank(prev, k) {
@@ -305,13 +385,13 @@ func (c *Classifier) Finish() (*Rollup, error) {
 	}
 
 	// Assemble: every module that appeared in any event is listed,
-	// failing or not, in canonical (ID) order.
-	r := &Rollup{Schema: RollupSchema, Events: c.events, Modules: len(c.names)}
-	r.PerModule = make([]ModuleRollup, 0, len(c.names))
-	for id := range c.names {
+	// failing or not, sorted by name below.
+	r := &Rollup{Schema: RollupSchema, Events: events, Modules: len(names)}
+	r.PerModule = make([]ModuleRollup, 0, len(names))
+	for id := range names {
 		mr := perMod[uint32(id)]
 		if mr == nil {
-			mr = &ModuleRollup{Module: c.names[id]}
+			mr = &ModuleRollup{Module: names[id]}
 		}
 		mr.Epochs = epochCount[uint32(id)]
 		r.Epochs += mr.Epochs
@@ -339,8 +419,10 @@ func (c *Classifier) Finish() (*Rollup, error) {
 
 // Close releases spill state. Idempotent; Finish calls it.
 func (c *Classifier) Close() error {
-	c.obs.cleanup()
-	c.epochs.cleanup()
+	for _, s := range c.shards {
+		s.obs.cleanup()
+		s.epochs.cleanup()
+	}
 	if c.ownDir && c.spillDir != "" {
 		os.RemoveAll(c.spillDir)
 		c.spillDir = ""
@@ -348,34 +430,43 @@ func (c *Classifier) Close() error {
 	return nil
 }
 
-// Analyze streams a whole log directory through a classifier: the
-// offline half of the analytics pipeline (parborlog, and the
-// daemon's /v1/analytics endpoint).
+// Analyze classifies a whole log directory: the offline half of the
+// analytics pipeline (parborlog, and the daemon's /v1/analytics
+// endpoint). It scans the segments on min(GOMAXPROCS, segments,
+// MaxKeys) workers, each folding whole segments into its own shard,
+// and Finish merges the shards. The rollup is the one a single
+// Classifier fed the log in order would give; so is the error, the
+// lowest-numbered failing segment's.
 func Analyze(dir string, cfg ClassifierConfig) (*Rollup, error) {
-	it, err := OpenIterFS(cfg.FS, dir)
-	if err != nil {
-		return nil, err
+	if cfg.FS == nil {
+		cfg.FS = faultfs.OS{}
 	}
-	//parbor:droperr read-side iterator close; every event already streamed or the stream errored
-	defer it.Close()
-	c, err := NewClassifier(cfg)
+	if cfg.MaxKeys <= 0 {
+		cfg.MaxKeys = defaultMaxKeys
+	}
+	segs, err := listSegments(cfg.FS, dir)
+	if err != nil {
+		return nil, fmt.Errorf("fleetlog: listing log dir: %w", err)
+	}
+	c, err := newClassifier(cfg, max(1, min(runtime.GOMAXPROCS(0), len(segs), cfg.MaxKeys)))
 	if err != nil {
 		return nil, err
 	}
 	//parbor:droperr classifier close releases scratch spill state; Finish already returned the rollup or an error
 	defer c.Close()
-	// One event is decoded into over and over: Observe keeps nothing
-	// of it but the module name, and strings are immutable.
-	var ev Event
-	for {
-		err := it.nextInto(&ev)
-		if err == io.EOF {
-			break
-		}
+	sc := &scan{fsys: cfg.FS, dir: dir, segs: segs, torn: make([]bool, len(segs)), errs: make([]error, len(segs))}
+	sc.stop.Store(int64(len(segs)))
+	var wg sync.WaitGroup
+	for _, sh := range c.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc.work(sh)
+		}()
+	}
+	wg.Wait()
+	for _, err := range sc.errs {
 		if err != nil {
-			return nil, err
-		}
-		if err := c.Observe(ev); err != nil {
 			return nil, err
 		}
 	}
@@ -383,6 +474,74 @@ func Analyze(dir string, cfg ClassifierConfig) (*Rollup, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.Truncations = len(it.Truncations())
+	for _, torn := range sc.torn {
+		if torn {
+			r.Truncations++
+		}
+	}
 	return r, nil
+}
+
+// scan is one Analyze pass over a log's segments. Workers claim whole
+// segments in segment order from next. A failing segment lowers stop
+// to its index, and no worker claims a segment at or past stop; the
+// segments below it were all claimed already and run to the end,
+// since one of them may fail too. The lowest error is thus the one a
+// serial scan would meet first, at every worker count.
+type scan struct {
+	fsys faultfs.FS
+	dir  string
+	segs []string
+	next atomic.Int64
+	stop atomic.Int64
+	// torn and errs are indexed by segment; each slot is written by the
+	// one worker that claimed the segment and read after all are done.
+	torn []bool
+	errs []error
+}
+
+// work claims and folds segments until none is left below stop, then
+// seals the shard's residues so the merge finds them sorted.
+func (sc *scan) work(sh *shard) {
+	var ev Event
+	for {
+		i := sc.next.Add(1) - 1
+		if i >= sc.stop.Load() {
+			break
+		}
+		sc.segment(int(i), sh, &ev)
+	}
+	sh.obs.seal()
+	sh.epochs.seal()
+}
+
+// segment folds segment i into sh, decoding into the worker's reused
+// ev. A torn tail is recorded and ends the segment; any other failure
+// is recorded against the segment and stops the scan.
+func (sc *scan) segment(i int, sh *shard, ev *Event) {
+	sr, err := openSegment(sc.fsys, filepath.Join(sc.dir, sc.segs[i]))
+	if err != nil {
+		sc.fail(i, err)
+		return
+	}
+	for err == nil {
+		if err = sr.event(ev); err == nil {
+			err = sh.observe(ev)
+		}
+	}
+	if _, torn := err.(errTorn); torn {
+		sc.torn[i] = true
+	} else if err != errSegEnd {
+		// Stop the other workers before releasing the segment.
+		sc.fail(i, err)
+	}
+	//parbor:droperr read-side close of a segment whose records are folded or whose error is recorded
+	sr.close()
+}
+
+// fail records segment i's error and lowers stop to i.
+func (sc *scan) fail(i int, err error) {
+	sc.errs[i] = err
+	for cur := sc.stop.Load(); int64(i) < cur && !sc.stop.CompareAndSwap(cur, int64(i)); cur = sc.stop.Load() {
+	}
 }

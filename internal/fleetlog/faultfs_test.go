@@ -211,10 +211,11 @@ func TestGCKeepsNewestAndNeverTheTail(t *testing.T) {
 }
 
 // TestAnalyzeThroughInjectedReadFault: an unreadable sector must be a
-// hard error, not silently folded as a shorter log.
+// hard error, not silently folded as a shorter log, whether one worker
+// scans the segments or several do.
 func TestAnalyzeThroughInjectedReadFault(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWriter(dir, WriterOptions{})
+	w, err := OpenWriter(dir, WriterOptions{SegmentBytes: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,13 +227,15 @@ func TestAnalyzeThroughInjectedReadFault(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	inj, err := faultfs.NewInjector(faultfs.OS{}, faultfs.InjectorConfig{Seed: 3, ReadErrProb: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, aerr := Analyze(dir, ClassifierConfig{FS: inj}); !errors.Is(aerr, faultfs.ErrIO) {
-		t.Fatalf("Analyze over unreadable log: %v, want ErrIO", aerr)
-	}
+	withGOMAXPROCS(t, []int{1, 4}, func(t *testing.T, procs int) {
+		inj, err := faultfs.NewInjector(faultfs.OS{}, faultfs.InjectorConfig{Seed: 3, ReadErrProb: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, aerr := Analyze(dir, ClassifierConfig{FS: inj}); !errors.Is(aerr, faultfs.ErrIO) {
+			t.Fatalf("Analyze over unreadable log: %v, want ErrIO", aerr)
+		}
+	})
 }
 
 // TestSpillWriteErrorRemovesPartialRun: a spill run that fails to write

@@ -39,6 +39,7 @@ type Truncation struct {
 // segReader streams one segment's record payloads without ever
 // holding more than one record in memory.
 type segReader struct {
+	name string // the segment's filename, for error messages
 	f    faultfs.File
 	br   *bufio.Reader
 	size int64 // file size at open
@@ -61,7 +62,7 @@ func openSegment(fsys faultfs.FS, path string) (*segReader, error) {
 		f.Close()
 		return nil, err
 	}
-	sr := &segReader{f: f, br: bufio.NewReader(f), size: st.Size()}
+	sr := &segReader{name: filepath.Base(path), f: f, br: bufio.NewReader(f), size: st.Size()}
 	hdr := make([]byte, segHeaderLen)
 	if _, err := io.ReadFull(sr.br, hdr); err != nil {
 		if isInjectedFault(err) {
@@ -170,6 +171,24 @@ func (sr *segReader) next() ([]byte, error) {
 	return payload, nil
 }
 
+// event decodes the next record into ev. It returns errSegEnd at a
+// clean end of segment, an errTorn for a torn tail, and any other
+// failure (corruption, an undecodable payload, a failed read) wrapped
+// with the segment's name.
+func (sr *segReader) event(ev *Event) error {
+	payload, err := sr.next()
+	if _, torn := err.(errTorn); torn || err == errSegEnd {
+		return err
+	}
+	if err == nil {
+		err = decodeEventInto(payload, ev)
+	}
+	if err != nil {
+		return fmt.Errorf("fleetlog: %s: %w", sr.name, err)
+	}
+	return nil
+}
+
 func (sr *segReader) close() error { return sr.f.Close() }
 
 // isInjectedFault distinguishes an injected device fault (read EIO, a
@@ -191,7 +210,6 @@ type Iter struct {
 	dir     string
 	pending []string
 	cur     *segReader
-	curName string
 	truncs  []Truncation
 	events  int
 }
@@ -227,7 +245,7 @@ func (it *Iter) Next() (Event, error) {
 
 // nextInto is Next decoding into a caller-owned event whose storage it
 // reuses (see decodeEventInto): the allocation-free path for consumers
-// that do not retain events, such as Analyze.
+// that do not retain events.
 func (it *Iter) nextInto(ev *Event) error {
 	for {
 		if it.cur == nil {
@@ -240,27 +258,20 @@ func (it *Iter) nextInto(ev *Event) error {
 			if err != nil {
 				return err
 			}
-			it.cur, it.curName = sr, name
+			it.cur = sr
 		}
-		payload, err := it.cur.next()
-		switch e := err.(type) {
-		case nil:
-			if derr := decodeEventInto(payload, ev); derr != nil {
-				return fmt.Errorf("fleetlog: %s: %w", it.curName, derr)
-			}
+		err := it.cur.event(ev)
+		if err == nil {
 			it.events++
 			return nil
-		case errTorn:
-			it.truncs = append(it.truncs, Truncation{Segment: it.curName, CleanBytes: e.cleanLen})
-			it.closeCur()
-		default:
-			if err == errSegEnd {
-				it.closeCur()
-				continue
-			}
-			it.closeCur()
-			return fmt.Errorf("fleetlog: %s: %w", it.curName, err)
 		}
+		if e, torn := err.(errTorn); torn {
+			it.truncs = append(it.truncs, Truncation{Segment: it.cur.name, CleanBytes: e.cleanLen})
+		} else if err != errSegEnd {
+			it.closeCur()
+			return err
+		}
+		it.closeCur()
 	}
 }
 

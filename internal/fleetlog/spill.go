@@ -33,9 +33,10 @@ type spillKey [keyBytes]byte
 
 // spillSet is a deduplicating set of spillKeys with bounded memory:
 // at most limit keys are held in memory; beyond that they are sorted,
-// deduplicated and flushed to a run file, and merge() streams the
-// union of all runs plus the residue in sorted order. Disk usage is
-// O(total distinct-ish keys); memory stays O(limit + runs).
+// deduplicated and flushed to a run file, and mergeSets streams the
+// union of all runs plus the residue of any number of sets in sorted
+// order. Disk usage is O(total distinct-ish keys); memory stays
+// O(limit + runs).
 type spillSet struct {
 	fsys   faultfs.FS
 	limit  int
@@ -49,6 +50,9 @@ type spillSet struct {
 	// doubled buffers behind as garbage.
 	mem  []spillKey
 	runs []string
+	// sealed marks mem as sorted and compacted for the final merge;
+	// nothing is added after that.
+	sealed bool
 	// spilled counts keys written to runs (with cross-run duplicates),
 	// for diagnostics.
 	spilled int
@@ -144,6 +148,17 @@ func (s *spillSet) sortedMem() []spillKey {
 	radixSort(s.mem, 0)
 	s.mem = slices.Compact(s.mem)
 	return s.mem
+}
+
+// seal sorts and compacts the in-memory residue for the final merge.
+// A scan worker seals its sets before it returns, so the sorts run on
+// every worker rather than serially inside the merge; mergeSets seals
+// whatever is still unsealed.
+func (s *spillSet) seal() {
+	if !s.sealed {
+		s.sortedMem()
+		s.sealed = true
+	}
 }
 
 // radixCutoff is the bucket size at or below which radixSort hands
@@ -277,12 +292,14 @@ func (h cursorHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *cursorHeap) Push(x any)   { *h = append(*h, x.(*runCursor)) }
 func (h *cursorHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
-// merge streams the set's distinct keys in sorted order through
-// yield: a k-way heap merge of every run file plus the in-memory
-// residue, with equal keys across sources collapsed. The set is
-// consumed; run files are removed as they drain.
-func (s *spillSet) merge(yield func(spillKey) error) error {
-	h := make(cursorHeap, 0, len(s.runs)+1)
+// mergeSets streams the distinct keys of the union of sets in sorted
+// order through yield: one k-way heap merge over every set's run files
+// and sealed residue, with equal keys across sources collapsed. One
+// set is the serial classifier's case; a parallel scan passes every
+// worker's. The sets are consumed, and their run files are removed
+// however the merge ends.
+func mergeSets(sets []*spillSet, yield func(spillKey) error) error {
+	var h cursorHeap
 	defer func() {
 		for _, c := range h {
 			if c.f != nil {
@@ -290,30 +307,35 @@ func (s *spillSet) merge(yield func(spillKey) error) error {
 				c.f.Close()
 			}
 		}
-		s.cleanup()
+		for _, s := range sets {
+			s.cleanup()
+		}
 	}()
-	for _, path := range s.runs {
-		f, err := s.fsys.Open(path)
-		if err != nil {
-			return fmt.Errorf("fleetlog: opening spill run: %w", err)
-		}
-		c := &runCursor{br: bufio.NewReaderSize(f, 1<<16), f: f, ok: true}
-		if err := c.advance(); err != nil {
-			return err
-		}
-		if c.ok {
+	for _, s := range sets {
+		for _, path := range s.runs {
+			f, err := s.fsys.Open(path)
+			if err != nil {
+				return fmt.Errorf("fleetlog: opening spill run: %w", err)
+			}
+			c := &runCursor{br: bufio.NewReaderSize(f, 1<<16), f: f, ok: true}
 			h = append(h, c)
-		} else {
-			//parbor:droperr read-side close of an empty scratch spill run; nothing was or will be read from it
-			f.Close()
+			if err := c.advance(); err != nil {
+				return err
+			}
+			if !c.ok {
+				//parbor:droperr read-side close of an empty scratch spill run; nothing was or will be read from it
+				f.Close()
+				h = h[:len(h)-1]
+			}
 		}
+		s.seal()
+		if len(s.mem) > 0 {
+			c := &runCursor{mem: s.mem, ok: true}
+			c.advance()
+			h = append(h, c)
+		}
+		s.mem = nil
 	}
-	if len(s.mem) > 0 {
-		c := &runCursor{mem: s.sortedMem(), ok: true}
-		c.advance()
-		h = append(h, c)
-	}
-	s.mem = nil
 	heap.Init(&h)
 	var last spillKey
 	haveLast := false
