@@ -28,7 +28,7 @@ func benchOpts() exp.Options {
 func BenchmarkTable1TestCounts(b *testing.B) {
 	want := map[string]int{"A": 90, "B": 66, "C": 90}
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Table1(benchOpts())
+		rows, err := exp.Table1(context.Background(), benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func BenchmarkTable1TestCounts(b *testing.B) {
 // distance sets, ending in each vendor's true neighbor distances.
 func BenchmarkFig11Distances(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig11(benchOpts())
+		rows, err := exp.Fig11(context.Background(), benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func BenchmarkFig11Distances(b *testing.B) {
 func BenchmarkFig12ExtraFailures(b *testing.B) {
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig12(benchOpts())
+		rows, err := exp.Fig12(context.Background(), benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func BenchmarkFig12ExtraFailures(b *testing.B) {
 func BenchmarkFig13Coverage(b *testing.B) {
 	var worstOnlyRandom float64
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig13(benchOpts())
+		rows, err := exp.Fig13(context.Background(), benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func BenchmarkFig13Coverage(b *testing.B) {
 // ranking with the true distances clearly frequent.
 func BenchmarkFig14Ranking(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig14(benchOpts())
+		rows, err := exp.Fig14(context.Background(), benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func BenchmarkFig14Ranking(b *testing.B) {
 // across victim sample sizes.
 func BenchmarkFig15SampleSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig15(benchOpts(), []int{100, 400})
+		rows, err := exp.Fig15(context.Background(), benchOpts(), []int{100, 400})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func BenchmarkFig15SampleSize(b *testing.B) {
 func BenchmarkFig16DCREF(b *testing.B) {
 	var s exp.Fig16Summary
 	for i := 0; i < b.N; i++ {
-		_, summaries, err := exp.Fig16(exp.Fig16Options{
+		_, summaries, err := exp.Fig16(context.Background(), exp.Fig16Options{
 			Workloads: 4,
 			Cores:     8,
 			SimNs:     1e6,
@@ -199,7 +199,7 @@ func BenchmarkAblationFanout(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := tester.DetectNeighbors()
+		res, err := tester.DetectNeighborsCtx(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func BenchmarkAblationRankThreshold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := tester.DetectNeighbors()
+		res, err := tester.DetectNeighborsCtx(context.Background())
 		if err != nil {
 			return -1
 		}
@@ -262,7 +262,7 @@ func BenchmarkAblationParallelRows(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := tester.DetectNeighbors()
+		res, err := tester.DetectNeighborsCtx(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func BenchmarkAblationParallelRows(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err = tester.DetectNeighbors()
+		res, err = tester.DetectNeighborsCtx(context.Background())
 		if err != nil {
 			// A lone victim can dead-end entirely; that is the point.
 			serial = 0

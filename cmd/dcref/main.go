@@ -102,7 +102,7 @@ func main() {
 	}
 
 	stopStudy := col.StartStage("fig16")
-	rows, summaries, err := exp.Fig16Ctx(ctx, exp.Fig16Options{
+	rows, summaries, err := exp.Fig16(ctx, exp.Fig16Options{
 		Workloads: *workloads,
 		Cores:     *cores,
 		SimNs:     *simNs,

@@ -106,7 +106,7 @@ func run(ctx context.Context, which string, o exp.Options, fo exp.Fig16Options, 
 	if all || which == "table1" {
 		ran = true
 		if err := stage("table1", func() error {
-			rows, err := exp.Table1Ctx(ctx, o)
+			rows, err := exp.Table1(ctx, o)
 			if err != nil {
 				return err
 			}
@@ -122,7 +122,7 @@ func run(ctx context.Context, which string, o exp.Options, fo exp.Fig16Options, 
 	if all || which == "fig11" {
 		ran = true
 		if err := stage("fig11", func() error {
-			rows, err := exp.Fig11Ctx(ctx, o)
+			rows, err := exp.Fig11(ctx, o)
 			if err != nil {
 				return err
 			}
@@ -135,7 +135,7 @@ func run(ctx context.Context, which string, o exp.Options, fo exp.Fig16Options, 
 	if all || which == "fig12" {
 		ran = true
 		if err := stage("fig12", func() error {
-			rows, err := exp.Fig12Ctx(ctx, o)
+			rows, err := exp.Fig12(ctx, o)
 			if err != nil {
 				return err
 			}
@@ -149,7 +149,7 @@ func run(ctx context.Context, which string, o exp.Options, fo exp.Fig16Options, 
 	if all || which == "fig13" {
 		ran = true
 		if err := stage("fig13", func() error {
-			rows, err := exp.Fig13Ctx(ctx, o)
+			rows, err := exp.Fig13(ctx, o)
 			if err != nil {
 				return err
 			}
@@ -162,7 +162,7 @@ func run(ctx context.Context, which string, o exp.Options, fo exp.Fig16Options, 
 	if all || which == "fig14" {
 		ran = true
 		if err := stage("fig14", func() error {
-			rows, err := exp.Fig14Ctx(ctx, o)
+			rows, err := exp.Fig14(ctx, o)
 			if err != nil {
 				return err
 			}
@@ -175,7 +175,7 @@ func run(ctx context.Context, which string, o exp.Options, fo exp.Fig16Options, 
 	if all || which == "fig15" {
 		ran = true
 		if err := stage("fig15", func() error {
-			rows, err := exp.Fig15Ctx(ctx, o, nil)
+			rows, err := exp.Fig15(ctx, o, nil)
 			if err != nil {
 				return err
 			}
@@ -192,7 +192,7 @@ func run(ctx context.Context, which string, o exp.Options, fo exp.Fig16Options, 
 	if all || which == "fig16" {
 		ran = true
 		if err := stage("fig16", func() error {
-			rows, summaries, err := exp.Fig16Ctx(ctx, fo)
+			rows, summaries, err := exp.Fig16(ctx, fo)
 			if err != nil {
 				return err
 			}
@@ -219,7 +219,7 @@ func run(ctx context.Context, which string, o exp.Options, fo exp.Fig16Options, 
 			if ro.RowsPerChip > 128 {
 				ro.RowsPerChip = 128
 			}
-			rows, err := exp.RetentionCtx(ctx, ro)
+			rows, err := exp.Retention(ctx, ro)
 			if err != nil {
 				return err
 			}

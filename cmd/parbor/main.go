@@ -219,7 +219,7 @@ func run(ctx context.Context, opts options) error {
 	}
 
 	stopDetect := col.StartStage("detect")
-	report, err := tester.RunCtx(ctx)
+	report, err := tester.Run(ctx)
 	stopDetect()
 	if err != nil {
 		return err
@@ -245,12 +245,12 @@ func run(ctx context.Context, opts options) error {
 
 	if opts.classify {
 		stopClassify := col.StartStage("classify")
-		victims, _, _, err := tester.DiscoverVictimsCtx(ctx)
+		victims, _, _, err := tester.DiscoverVictims(ctx)
 		if err != nil {
 			stopClassify()
 			return err
 		}
-		classified, tests, err := tester.ClassifyVictims(victims, nr.Distances)
+		classified, tests, err := tester.ClassifyVictims(ctx, victims, nr.Distances)
 		stopClassify()
 		if err != nil {
 			return err
@@ -269,7 +269,7 @@ func run(ctx context.Context, opts options) error {
 				fmt.Println("\nNo tail-gated victims: no second-order detection possible.")
 			} else {
 				stopExt := col.StartStage("extended")
-				ext, err := tester.DetectExtendedNeighbors(tail, nr.Distances)
+				ext, err := tester.DetectExtendedNeighbors(ctx, tail, nr.Distances)
 				stopExt()
 				if err != nil {
 					return err
@@ -299,7 +299,7 @@ func run(ctx context.Context, opts options) error {
 			return err
 		}
 		stopRet := col.StartStage("retention-profile")
-		profile, err := profiler.ProfileModuleCtx(ctx, pats)
+		profile, err := profiler.ProfileModule(ctx, pats)
 		stopRet()
 		if err != nil {
 			return err
@@ -338,7 +338,7 @@ func run(ctx context.Context, opts options) error {
 			return err
 		}
 		stopRnd := col.StartStage("random-baseline")
-		random, err := tester2.RandomPatternTestCtx(ctx, report.TotalTests())
+		random, err := tester2.RandomPatternTest(ctx, report.TotalTests())
 		stopRnd()
 		if err != nil {
 			return err

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,7 +41,7 @@ func main() {
 	}
 
 	fmt.Println("Step 1: detect neighbor locations and failures")
-	report, err := tester.Run()
+	report, err := tester.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,8 +49,11 @@ func main() {
 		report.Neighbor.Distances, len(report.AllFailures), report.TotalTests())
 
 	fmt.Println("Step 2: classify the victim sample by coupling class")
-	victims, _, _ := tester.DiscoverVictims()
-	classified, probes, err := tester.ClassifyVictims(victims, report.Neighbor.Distances)
+	victims, _, _, err := tester.DiscoverVictims(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	classified, probes, err := tester.ClassifyVictims(context.Background(), victims, report.Neighbor.Distances)
 	if err != nil {
 		log.Fatal(err)
 	}

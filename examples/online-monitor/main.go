@@ -46,7 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	nr, err := tester.DetectNeighbors()
+	nr, err := tester.DetectNeighborsCtx(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,7 +44,7 @@ func main() {
 
 	// Run discovery, recursive neighbor detection, and the full-chip
 	// neighbor-aware test.
-	report, err := tester.Run()
+	report, err := tester.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

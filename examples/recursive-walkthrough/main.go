@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -56,7 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := tester.DetectNeighbors()
+	res, err := tester.DetectNeighborsCtx(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"reflect"
@@ -42,7 +43,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := tester.DetectNeighbors()
+		res, err := tester.DetectNeighborsCtx(context.Background())
 		if err != nil {
 			log.Fatalf("module %s: %v", mod.Name(), err)
 		}
@@ -85,7 +86,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := tester.DetectNeighbors()
+	res, err := tester.DetectNeighborsCtx(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

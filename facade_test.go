@@ -42,18 +42,21 @@ func TestFacadeDetectionToMitigation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewTester: %v", err)
 	}
-	report, err := tester.Run()
+	report, err := tester.Run(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 
-	victims, _, _ := tester.DiscoverVictims()
-	classified, _, err := tester.ClassifyVictims(victims, report.Neighbor.Distances)
+	victims, _, _, err := tester.DiscoverVictims(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	classified, _, err := tester.ClassifyVictims(context.Background(), victims, report.Neighbor.Distances)
 	if err != nil {
 		t.Fatalf("ClassifyVictims: %v", err)
 	}
 	if tail := parbor.TailGated(classified); len(tail) > 0 {
-		ext, err := tester.DetectExtendedNeighbors(tail, report.Neighbor.Distances)
+		ext, err := tester.DetectExtendedNeighbors(context.Background(), tail, report.Neighbor.Distances)
 		if err != nil {
 			t.Fatalf("DetectExtendedNeighbors: %v", err)
 		}
@@ -102,7 +105,7 @@ func TestFacadeRetentionAndMarch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NeighborAwarePatterns: %v", err)
 	}
-	profile, err := profiler.ProfileModule(pats)
+	profile, err := profiler.ProfileModule(context.Background(), pats)
 	if err != nil {
 		t.Fatalf("ProfileModule: %v", err)
 	}
@@ -115,7 +118,7 @@ func TestFacadeRetentionAndMarch(t *testing.T) {
 		t.Fatalf("NewMarchEngine: %v", err)
 	}
 	for _, test := range []parbor.MarchTest{parbor.MATSPlus(), parbor.MarchCMinus(), parbor.MarchSS()} {
-		res, err := engine.Run(parbor.WithRetentionDelays(test, 500))
+		res, err := engine.Run(context.Background(), parbor.WithRetentionDelays(test, 500))
 		if err != nil {
 			t.Fatalf("Run(%s): %v", test.Name, err)
 		}

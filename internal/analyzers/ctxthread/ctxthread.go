@@ -1,13 +1,11 @@
 // Package ctxthread defines an analyzer enforcing the repository's
 // context-threading contract in the library packages that drive
-// row/chip loops (scope.CtxThreaded: memctl, exp, onlinetest):
+// row/chip loops (scope.CtxThreaded):
 //
-//   - context.Background()/context.TODO() may appear in library code
-//     only inside the documented compat-shim idiom — passed directly
-//     to a callee whose name ends in "Ctx" from a function that has
-//     no context parameter of its own (e.g. exp.Table1 delegating to
-//     Table1Ctx). Any other use either hides a cancellation gap or
-//     shadows a context the function already has.
+//   - context.Background()/context.TODO() may not appear in library
+//     code at all. Every test operation takes a context first, so a
+//     root context built inside the library either hides a
+//     cancellation gap or shadows a context the function already has.
 //
 //   - An exported function that takes a context.Context must
 //     actually use it (pass it on, or check Done/Err).
@@ -22,7 +20,6 @@ package ctxthread
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/passes/inspect"
@@ -102,24 +99,8 @@ func isContext(t types.Type) bool {
 	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
 }
 
-// checkBackground flags context.Background()/TODO() everywhere except
-// the compat-shim idiom.
+// checkBackground flags every context.Background()/TODO() call.
 func checkBackground(pass *analysis.Pass, decl *ast.FuncDecl, ctxParam *types.Var) {
-	// A Background call is shim-shaped only when it is a *direct*
-	// argument of a call to a ...Ctx sibling.
-	shim := make(map[*ast.CallExpr]bool)
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || !strings.HasSuffix(calleeName(pass, call), "Ctx") {
-			return true
-		}
-		for _, arg := range call.Args {
-			if inner, ok := arg.(*ast.CallExpr); ok {
-				shim[inner] = true
-			}
-		}
-		return true
-	})
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -129,11 +110,10 @@ func checkBackground(pass *analysis.Pass, decl *ast.FuncDecl, ctxParam *types.Va
 		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "context" || (fn.Name() != "Background" && fn.Name() != "TODO") {
 			return true
 		}
-		switch {
-		case ctxParam != nil:
+		if ctxParam != nil {
 			pass.Reportf(call.Pos(), "context.%s ignores the function's %s parameter; thread it instead", fn.Name(), ctxParam.Name())
-		case !shim[call]:
-			pass.Reportf(call.Pos(), "context.%s in library code outside the shim idiom (passing it directly to a ...Ctx sibling); accept a context.Context instead", fn.Name())
+		} else {
+			pass.Reportf(call.Pos(), "context.%s in library code; accept a context.Context instead", fn.Name())
 		}
 		return true
 	})

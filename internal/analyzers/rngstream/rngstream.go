@@ -47,8 +47,7 @@ var drawMethods = map[string]bool{
 // argument on other goroutines (the worker pools of internal/par and
 // the host's fan-outs), in addition to the go statement itself.
 var poolCallees = map[string]bool{
-	"Map": true, "MapCtx": true, "MapTimed": true, "MapTimedCtx": true,
-	"Go": true, "forEachChip": true, "forEachActiveChip": true,
+	"Map": true, "Go": true, "forEachChip": true, "forEachActiveChip": true,
 }
 
 func run(pass *analysis.Pass) (any, error) {

@@ -80,9 +80,11 @@ func Durable(path string) bool {
 }
 
 // CtxThreaded is the set of packages whose exported entry points
-// drive row/chip loops and must thread context.Context (ctxthread).
+// drive row/chip loops, or the worker pool under them, and must
+// thread context.Context (ctxthread).
 var CtxThreaded = map[string]bool{
-	"exp": true, "memctl": true, "onlinetest": true,
+	"core": true, "exp": true, "march": true, "memctl": true,
+	"onlinetest": true, "par": true, "retention": true,
 }
 
 // Obs is the observability package whose Recorder implementations

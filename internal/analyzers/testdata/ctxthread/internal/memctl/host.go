@@ -1,5 +1,5 @@
 // Package memctl is the ctxthread fixture: its path tail places it in
-// the context-threaded scope, so the shim idiom, unused contexts, and
+// the context-threaded scope, so root contexts, unused contexts, and
 // ctx-less pass loops are all in play.
 package memctl
 
@@ -23,15 +23,15 @@ func Table1Ctx(ctx context.Context, h *Host) error {
 	return h.Pass(ctx)
 }
 
-// Table1 is the compat shim: Background handed directly to the Ctx
-// sibling is the one sanctioned use.
+// Table1 is a ctx-less twin: even handed straight to the
+// context-first sibling, a root context hides a cancellation gap.
 func Table1(h *Host) error {
-	return Table1Ctx(context.Background(), h)
+	return Table1Ctx(context.Background(), h) // want ctxthread `context.Background in library code; accept a context.Context instead`
 }
 
 // Warm builds its own context instead of accepting one.
 func Warm(h *Host) error {
-	ctx := context.Background() // want ctxthread `outside the shim idiom`
+	ctx := context.Background() // want ctxthread `context.Background in library code`
 	return h.Pass(ctx)
 }
 

@@ -11,18 +11,9 @@ import (
 // RandomPatternTest is the baseline the paper compares against
 // (Figure 12): per-bit random data patterns, unaware of neighbor
 // locations, run for the given number of passes. It returns every
-// failure observed.
-func (t *Tester) RandomPatternTest(passes int) FailureSet {
-	fs, err := t.RandomPatternTestCtx(context.Background(), passes)
-	if err != nil {
-		panic(err)
-	}
-	return fs
-}
-
-// RandomPatternTestCtx is RandomPatternTest with cooperative
-// cancellation and fault-plane error reporting.
-func (t *Tester) RandomPatternTestCtx(ctx context.Context, passes int) (FailureSet, error) {
+// failure observed, or the first pass error (a fault-plane
+// *memctl.PassError, or ctx's error once ctx is done).
+func (t *Tester) RandomPatternTest(ctx context.Context, passes int) (FailureSet, error) {
 	fails := make(FailureSet)
 	for i := 0; i < passes; i++ {
 		// Random patterns are row-dependent (not Uniform), so this
@@ -38,18 +29,19 @@ func (t *Tester) RandomPatternTestCtx(ctx context.Context, passes int) (FailureS
 
 // SimplePatternTest is the all-0s/all-1s test that several prior
 // works assume suffices for detecting data-dependent failures
-// (Section 3, Challenge 2). It performs two passes.
-func (t *Tester) SimplePatternTest() FailureSet {
+// (Section 3, Challenge 2). It performs two passes and returns the
+// failures observed, or the first pass error.
+func (t *Tester) SimplePatternTest(ctx context.Context) (FailureSet, error) {
 	fails := make(FailureSet)
 	solid := patterns.Solid()
-	for _, p := range []patterns.Pattern{solid, solid.Inverse()} {
-		got, err := t.fullPassPattern(context.Background(), t.arena, p)
+	for i, p := range []patterns.Pattern{solid, solid.Inverse()} {
+		got, err := t.fullPassPattern(ctx, t.arena, p)
 		if err != nil {
-			panic(err)
+			return nil, fmt.Errorf("core: simple pass %d: %w", i, err)
 		}
 		fails.Add(got)
 	}
-	return fails
+	return fails, nil
 }
 
 // Victim identifies one known data-dependent victim cell for the
@@ -64,20 +56,9 @@ type Victim struct {
 
 // DiscoverVictims exposes the discovery phase on its own: it returns
 // the victim sample (one per row, capped at the configured sample
-// size), the number of passes used, and all observed failures. Like
-// FullPass it cannot report errors; hosts with a fault plane attached
-// must use DiscoverVictimsCtx.
-func (t *Tester) DiscoverVictims() ([]Victim, int, FailureSet) {
-	out, tests, fails, err := t.DiscoverVictimsCtx(context.Background())
-	if err != nil {
-		panic(err)
-	}
-	return out, tests, fails
-}
-
-// DiscoverVictimsCtx is DiscoverVictims with cooperative cancellation
-// and fault-plane error reporting.
-func (t *Tester) DiscoverVictimsCtx(ctx context.Context) ([]Victim, int, FailureSet, error) {
+// size), the number of passes used, and all observed failures, or
+// the first pass error.
+func (t *Tester) DiscoverVictims(ctx context.Context) ([]Victim, int, FailureSet, error) {
 	vs, tests, fails, err := t.discoverVictims(ctx)
 	if err != nil {
 		return nil, 0, nil, err
@@ -93,7 +74,7 @@ func (t *Tester) DiscoverVictimsCtx(ctx context.Context) ([]Victim, int, Failure
 // every other bit address of the victim's row one at a time and
 // returns the bit distances at which the victim failed (the strongly
 // coupled neighbor locations), plus the number of passes used.
-func (t *Tester) LinearNeighborSearch(v Victim) ([]int, int, error) {
+func (t *Tester) LinearNeighborSearch(ctx context.Context, v Victim) ([]int, int, error) {
 	rowBits := t.host.Geometry().Cols
 	buf := make([]uint64, t.host.Geometry().Words())
 	addr := memctl.BitAddr{Chip: int16(v.Row.Chip), Bank: int16(v.Row.Bank), Row: int32(v.Row.Row), Col: v.Col}
@@ -104,10 +85,10 @@ func (t *Tester) LinearNeighborSearch(v Victim) ([]int, int, error) {
 			continue
 		}
 		fillRegionPattern(buf, v.FailData, i, 1, int(v.Col))
-		fails, err := t.host.Pass(context.Background(), []memctl.Row{v.Row}, [][]uint64{buf}, t.host.WaitMs())
+		fails, err := t.host.Pass(ctx, []memctl.Row{v.Row}, [][]uint64{buf}, t.host.WaitMs())
 		passes++
 		if err != nil {
-			return nil, passes, err
+			return nil, 0, err
 		}
 		for _, a := range fails {
 			if a == addr {
@@ -125,7 +106,7 @@ func (t *Tester) LinearNeighborSearch(v Victim) ([]int, int, error) {
 // fails exactly when the pair is its two physical neighbors, which is
 // what makes this test complete — and hopeless at 49 days per 8K row
 // on real hardware (Appendix).
-func (t *Tester) ExhaustivePairSearch(v Victim) ([][2]int, int, error) {
+func (t *Tester) ExhaustivePairSearch(ctx context.Context, v Victim) ([][2]int, int, error) {
 	rowBits := t.host.Geometry().Cols
 	if rowBits > 4096 {
 		return nil, 0, fmt.Errorf("core: exhaustive pair search on %d-bit rows would take %d passes; use a smaller geometry", rowBits, rowBits*(rowBits-1)/2)
@@ -145,10 +126,10 @@ func (t *Tester) ExhaustivePairSearch(v Victim) ([][2]int, int, error) {
 			fillRegionPattern(buf, v.FailData, i, 1, int(v.Col))
 			// Complement the second probe bit as well.
 			setBitTo(buf, j, 1-v.FailData)
-			fails, err := t.host.Pass(context.Background(), []memctl.Row{v.Row}, [][]uint64{buf}, t.host.WaitMs())
+			fails, err := t.host.Pass(ctx, []memctl.Row{v.Row}, [][]uint64{buf}, t.host.WaitMs())
 			passes++
 			if err != nil {
-				return nil, passes, err
+				return nil, 0, err
 			}
 			for _, a := range fails {
 				if a == addr {

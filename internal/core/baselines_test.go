@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"parbor/internal/coupling"
@@ -65,7 +66,7 @@ func smallRowTester(t *testing.T) (*Tester, *dram.Chip, Victim, coupling.Victim)
 
 func TestLinearNeighborSearchFindsStrongSide(t *testing.T) {
 	tester, chip, v, gt := smallRowTester(t)
-	found, passes, err := tester.LinearNeighborSearch(v)
+	found, passes, err := tester.LinearNeighborSearch(context.Background(), v)
 	if err != nil {
 		t.Fatalf("LinearNeighborSearch: %v", err)
 	}
@@ -88,7 +89,7 @@ func TestExhaustivePairSearchFindsPairs(t *testing.T) {
 		t.Skip("O(n^2) pass count")
 	}
 	tester, chip, v, gt := smallRowTester(t)
-	found, passes, err := tester.ExhaustivePairSearch(v)
+	found, passes, err := tester.ExhaustivePairSearch(context.Background(), v)
 	if err != nil {
 		t.Fatalf("ExhaustivePairSearch: %v", err)
 	}
@@ -117,7 +118,7 @@ func TestExhaustivePairSearchFindsPairs(t *testing.T) {
 func TestExhaustivePairSearchRejectsBigRows(t *testing.T) {
 	host := testHost(t, scramble.VendorA, 8, 1) // 8192-bit rows
 	tester := newTester(t, host)
-	if _, _, err := tester.ExhaustivePairSearch(Victim{}); err == nil {
+	if _, _, err := tester.ExhaustivePairSearch(context.Background(), Victim{}); err == nil {
 		t.Error("8192-bit exhaustive search accepted")
 	}
 }
@@ -127,12 +128,15 @@ func TestExhaustivePairSearchRejectsBigRows(t *testing.T) {
 // Challenge 2) — every cell's neighbors always hold the same value.
 func TestSimplePatternTestMissesCoupling(t *testing.T) {
 	tester, _, _, _ := smallRowTester(t)
-	fails := tester.SimplePatternTest()
+	fails, err := tester.SimplePatternTest(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(fails) != 0 {
 		t.Errorf("solid patterns found %d failures on a coupling-only chip, want 0", len(fails))
 	}
 	// PARBOR's pipeline on the same module finds plenty.
-	rep, err := tester.Run()
+	rep, err := tester.Run(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -147,13 +151,13 @@ func TestSimplePatternTestMissesCoupling(t *testing.T) {
 // the whole module in ~90.
 func TestLinearVsParborBudget(t *testing.T) {
 	tester, _, v, _ := smallRowTester(t)
-	_, linearPasses, err := tester.LinearNeighborSearch(v)
+	_, linearPasses, err := tester.LinearNeighborSearch(context.Background(), v)
 	if err != nil {
 		t.Fatalf("LinearNeighborSearch: %v", err)
 	}
-	res, err := tester.DetectNeighbors()
+	res, err := tester.DetectNeighborsCtx(context.Background())
 	if err != nil {
-		t.Fatalf("DetectNeighbors: %v", err)
+		t.Fatalf("DetectNeighborsCtx: %v", err)
 	}
 	if res.RecursionTests >= linearPasses {
 		t.Errorf("recursion used %d tests vs linear %d; expected a large reduction",

@@ -58,7 +58,7 @@ type ClassifiedVictim struct {
 }
 
 // ClassifyVictims determines each victim's coupling class by directed
-// probing, given the neighbor distances a prior DetectNeighbors run
+// probing, given the neighbor distances a prior DetectNeighborsCtx run
 // produced. It is the bridge from detection to mitigation: DC-REF
 // needs to know, per vulnerable cell, which data arrangement is
 // dangerous (Section 8), and repair/ECC policies treat
@@ -77,7 +77,7 @@ type ClassifiedVictim struct {
 //
 // The returned test count is 1 + |D| + C(|D|, 2) regardless of the
 // victim count.
-func (t *Tester) ClassifyVictims(victims []Victim, distances []int) ([]ClassifiedVictim, int, error) {
+func (t *Tester) ClassifyVictims(ctx context.Context, victims []Victim, distances []int) ([]ClassifiedVictim, int, error) {
 	if len(victims) == 0 {
 		return nil, 0, fmt.Errorf("core: no victims to classify")
 	}
@@ -138,7 +138,7 @@ func (t *Tester) ClassifyVictims(victims []Victim, distances []int) ([]Classifie
 				Col:  v.Col,
 			}] = i
 		}
-		fails, err := t.host.Pass(context.Background(), prows, pdata, t.host.WaitMs())
+		fails, err := t.host.Pass(ctx, prows, pdata, t.host.WaitMs())
 		tests++
 		if err != nil {
 			return nil, err
@@ -155,7 +155,7 @@ func (t *Tester) ClassifyVictims(victims []Victim, distances []int) ([]Classifie
 	// Step 1: quiet pass.
 	quietHits, err := probe(nil)
 	if err != nil {
-		return nil, tests, err
+		return nil, 0, err
 	}
 	for _, i := range quietHits {
 		out[i].Kind = KindContentIndependent
@@ -165,7 +165,7 @@ func (t *Tester) ClassifyVictims(victims []Victim, distances []int) ([]Classifie
 	for _, d := range distances {
 		hits, err := probe([]int{d})
 		if err != nil {
-			return nil, tests, err
+			return nil, 0, err
 		}
 		for _, i := range hits {
 			if out[i].Kind == KindContentIndependent {
@@ -183,7 +183,7 @@ func (t *Tester) ClassifyVictims(victims []Victim, distances []int) ([]Classifie
 		for b := a + 1; b < len(distances); b++ {
 			hits, err := probe([]int{distances[a], distances[b]})
 			if err != nil {
-				return nil, tests, err
+				return nil, 0, err
 			}
 			for _, i := range hits {
 				if out[i].Kind != KindUnknown {

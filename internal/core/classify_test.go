@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"parbor/internal/coupling"
@@ -44,12 +45,15 @@ func classifyModule(t *testing.T, fc faults.Config) (*dram.Module, *Tester) {
 
 func TestClassifyVictimsAgainstGroundTruth(t *testing.T) {
 	mod, tester := classifyModule(t, faults.Config{})
-	res, err := tester.DetectNeighbors()
+	res, err := tester.DetectNeighborsCtx(context.Background())
 	if err != nil {
-		t.Fatalf("DetectNeighbors: %v", err)
+		t.Fatalf("DetectNeighborsCtx: %v", err)
 	}
-	victims, _, _ := tester.DiscoverVictims()
-	classified, tests, err := tester.ClassifyVictims(victims, res.Distances)
+	victims, _, _, err := tester.DiscoverVictims(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	classified, tests, err := tester.ClassifyVictims(context.Background(), victims, res.Distances)
 	if err != nil {
 		t.Fatalf("ClassifyVictims: %v", err)
 	}
@@ -123,12 +127,15 @@ func TestClassifyFlagsContentIndependentCells(t *testing.T) {
 	// regardless of content: the quiet pass must catch every sampled
 	// one.
 	_, tester := classifyModule(t, faults.Config{WeakCellRate: 2e-4})
-	res, err := tester.DetectNeighbors()
+	res, err := tester.DetectNeighborsCtx(context.Background())
 	if err != nil {
-		t.Fatalf("DetectNeighbors: %v", err)
+		t.Fatalf("DetectNeighborsCtx: %v", err)
 	}
-	victims, _, _ := tester.DiscoverVictims()
-	classified, _, err := tester.ClassifyVictims(victims, res.Distances)
+	victims, _, _, err := tester.DiscoverVictims(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	classified, _, err := tester.ClassifyVictims(context.Background(), victims, res.Distances)
 	if err != nil {
 		t.Fatalf("ClassifyVictims: %v", err)
 	}
@@ -143,10 +150,10 @@ func TestClassifyFlagsContentIndependentCells(t *testing.T) {
 
 func TestClassifyVictimsValidation(t *testing.T) {
 	_, tester := classifyModule(t, faults.Config{})
-	if _, _, err := tester.ClassifyVictims(nil, []int{1}); err == nil {
+	if _, _, err := tester.ClassifyVictims(context.Background(), nil, []int{1}); err == nil {
 		t.Error("empty victims accepted")
 	}
-	if _, _, err := tester.ClassifyVictims([]Victim{{}}, nil); err == nil {
+	if _, _, err := tester.ClassifyVictims(context.Background(), []Victim{{}}, nil); err == nil {
 		t.Error("empty distances accepted")
 	}
 }

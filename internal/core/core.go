@@ -235,16 +235,12 @@ func (r *Report) TotalTests() int {
 
 // Run executes the complete PARBOR pipeline: victim discovery,
 // recursive neighbor detection, and the full-chip neighbor-aware
-// test.
-func (t *Tester) Run() (*Report, error) {
-	return t.RunCtx(context.Background())
-}
-
-// RunCtx is Run with cooperative cancellation: once ctx is done the
-// pipeline stops between (and, via the host, inside) passes and
-// returns ctx's error. A cancelled run returns no partial report —
-// resumable long sweeps are the checkpoint layer's job.
-func (t *Tester) RunCtx(ctx context.Context) (*Report, error) {
+// test. Once ctx is done the pipeline stops between (and, via the
+// host, inside) passes and returns ctx's error. A cancelled run
+// returns no partial report — resumable long sweeps are the
+// checkpoint layer's job. Every other test operation of the Tester
+// takes ctx first with the same contract.
+func (t *Tester) Run(ctx context.Context) (*Report, error) {
 	nr, err := t.DetectNeighborsCtx(ctx)
 	if err != nil {
 		return nil, err

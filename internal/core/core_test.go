@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -102,9 +103,9 @@ func TestDetectNeighborsMatchesPaper(t *testing.T) {
 		t.Run(tt.vendor.String(), func(t *testing.T) {
 			host := testHost(t, tt.vendor, 384, 42)
 			tester := newTester(t, host)
-			res, err := tester.DetectNeighbors()
+			res, err := tester.DetectNeighborsCtx(context.Background())
 			if err != nil {
-				t.Fatalf("DetectNeighbors: %v", err)
+				t.Fatalf("DetectNeighborsCtx: %v", err)
 			}
 			if res.DiscoveryTests != 10 {
 				t.Errorf("discovery tests = %d, want 10", res.DiscoveryTests)
@@ -141,7 +142,7 @@ func TestDetectNeighborsMatchesPaper(t *testing.T) {
 func TestFullChipFindsMoreThanRandom(t *testing.T) {
 	host := testHost(t, scramble.VendorA, 256, 7)
 	tester := newTester(t, host)
-	rep, err := tester.Run()
+	rep, err := tester.Run(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -151,7 +152,10 @@ func TestFullChipFindsMoreThanRandom(t *testing.T) {
 	}
 	randomHost := testHost(t, scramble.VendorA, 256, 7) // identical chip
 	randomTester := newTester(t, randomHost)
-	randomFails := randomTester.RandomPatternTest(budget)
+	randomFails, err := randomTester.RandomPatternTest(context.Background(), budget)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if len(rep.AllFailures) <= len(randomFails) {
 		t.Errorf("PARBOR found %d failures, random found %d; want PARBOR > random",
@@ -171,7 +175,7 @@ func TestFullChipFindsMoreThanRandom(t *testing.T) {
 func TestFullChipCoversKnownVictims(t *testing.T) {
 	host := testHost(t, scramble.VendorB, 192, 9)
 	tester := newTester(t, host)
-	rep, err := tester.Run()
+	rep, err := tester.Run(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -377,7 +381,7 @@ func TestChunkForDistances(t *testing.T) {
 func TestFullChipTestEmptyDistances(t *testing.T) {
 	host := testHost(t, scramble.VendorA, 8, 1)
 	tester := newTester(t, host)
-	if _, _, err := tester.FullChipTest(nil); err == nil {
-		t.Error("FullChipTest(nil) succeeded")
+	if _, _, err := tester.FullChipTestCtx(context.Background(), nil); err == nil {
+		t.Error("FullChipTestCtx(nil) succeeded")
 	}
 }

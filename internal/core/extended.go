@@ -46,7 +46,7 @@ type ExtendedResult struct {
 // down to the exact dependency locations in O(n) passes, exactly like
 // the first-order recursion. The immediate neighbors surface too (the
 // victim depends on them as well) and are filtered from the result.
-func (t *Tester) DetectExtendedNeighbors(victims []Victim, distances []int) (*ExtendedResult, error) {
+func (t *Tester) DetectExtendedNeighbors(ctx context.Context, victims []Victim, distances []int) (*ExtendedResult, error) {
 	if len(victims) == 0 {
 		return nil, fmt.Errorf("core: no tail-gated victims to test")
 	}
@@ -111,7 +111,7 @@ func (t *Tester) DetectExtendedNeighbors(victims []Victim, distances []int) (*Ex
 				}
 				passes++
 				failSet := make(map[int]bool)
-				fails, err := t.host.Pass(context.Background(), prows, pdata, t.host.WaitMs())
+				fails, err := t.host.Pass(ctx, prows, pdata, t.host.WaitMs())
 				if err != nil {
 					return nil, fmt.Errorf("core: extended pass: %w", err)
 				}

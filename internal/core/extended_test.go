@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"parbor/internal/coupling"
@@ -74,12 +75,15 @@ func tailOffsets(m *scramble.Mapping, maxSteps int) map[int]bool {
 
 func TestDetectExtendedNeighbors(t *testing.T) {
 	mod, tester := tailModule(t)
-	res, err := tester.DetectNeighbors()
+	res, err := tester.DetectNeighborsCtx(context.Background())
 	if err != nil {
-		t.Fatalf("DetectNeighbors: %v", err)
+		t.Fatalf("DetectNeighborsCtx: %v", err)
 	}
-	victims, _, _ := tester.DiscoverVictims()
-	classified, _, err := tester.ClassifyVictims(victims, res.Distances)
+	victims, _, _, err := tester.DiscoverVictims(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	classified, _, err := tester.ClassifyVictims(context.Background(), victims, res.Distances)
 	if err != nil {
 		t.Fatalf("ClassifyVictims: %v", err)
 	}
@@ -87,7 +91,7 @@ func TestDetectExtendedNeighbors(t *testing.T) {
 	if len(tail) < 20 {
 		t.Fatalf("only %d tail-gated victims; module should have many", len(tail))
 	}
-	ext, err := tester.DetectExtendedNeighbors(tail, res.Distances)
+	ext, err := tester.DetectExtendedNeighbors(context.Background(), tail, res.Distances)
 	if err != nil {
 		t.Fatalf("DetectExtendedNeighbors: %v", err)
 	}
@@ -118,10 +122,10 @@ func TestDetectExtendedNeighbors(t *testing.T) {
 
 func TestDetectExtendedNeighborsValidation(t *testing.T) {
 	_, tester := tailModule(t)
-	if _, err := tester.DetectExtendedNeighbors(nil, []int{8}); err == nil {
+	if _, err := tester.DetectExtendedNeighbors(context.Background(), nil, []int{8}); err == nil {
 		t.Error("empty victims accepted")
 	}
-	if _, err := tester.DetectExtendedNeighbors([]Victim{{}}, nil); err == nil {
+	if _, err := tester.DetectExtendedNeighbors(context.Background(), []Victim{{}}, nil); err == nil {
 		t.Error("empty distances accepted")
 	}
 }

@@ -7,18 +7,12 @@ import (
 	"parbor/internal/patterns"
 )
 
-// FullChipTest tests every cell of the module for data-dependent
+// FullChipTestCtx tests every cell of the module for data-dependent
 // failures using neighbor-aware patterns built from the detected
 // distance set (step 5 of Section 5.1). Each pattern is also tested
 // inverted to cover both cell polarities, so the number of tests is
 // twice the pattern-round count. It returns the uncovered failures
 // and the number of passes performed.
-func (t *Tester) FullChipTest(distances []int) (FailureSet, int, error) {
-	return t.FullChipTestCtx(context.Background(), distances)
-}
-
-// FullChipTestCtx is FullChipTest with cooperative cancellation (see
-// RunCtx).
 func (t *Tester) FullChipTestCtx(ctx context.Context, distances []int) (FailureSet, int, error) {
 	if len(distances) == 0 {
 		return nil, 0, fmt.Errorf("core: empty distance set")

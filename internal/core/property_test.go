@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -85,7 +86,7 @@ func TestDetectRecoversRandomMappings(t *testing.T) {
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
-			res, err := tester.DetectNeighbors()
+			res, err := tester.DetectNeighborsCtx(context.Background())
 			if err != nil {
 				t.Fatalf("DetectNeighbors (mapping distances %v): %v", mapping.Distances(), err)
 			}
@@ -127,9 +128,9 @@ func TestFullChipSoundOnRandomMapping(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	fails, _, err := tester.FullChipTest(mapping.Distances())
+	fails, _, err := tester.FullChipTestCtx(context.Background(), mapping.Distances())
 	if err != nil {
-		t.Fatalf("FullChipTest: %v", err)
+		t.Fatalf("FullChipTestCtx: %v", err)
 	}
 	if len(fails) == 0 {
 		t.Fatal("no failures found")

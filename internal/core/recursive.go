@@ -8,14 +8,9 @@ import (
 	"parbor/internal/memctl"
 )
 
-// DetectNeighbors runs discovery plus the parallel recursive test and
-// returns the neighbor-location result (steps 1-4 of Section 5.1).
-func (t *Tester) DetectNeighbors() (*NeighborResult, error) {
-	return t.DetectNeighborsCtx(context.Background())
-}
-
-// DetectNeighborsCtx is DetectNeighbors with cooperative cancellation
-// (see RunCtx).
+// DetectNeighborsCtx runs discovery plus the parallel recursive test
+// and returns the neighbor-location result (steps 1-4 of Section
+// 5.1).
 func (t *Tester) DetectNeighborsCtx(ctx context.Context) (*NeighborResult, error) {
 	victims, discTests, discovered, err := t.discoverVictims(ctx)
 	if err != nil {

@@ -109,7 +109,7 @@ func referenceLevel(t *testing.T, tester *Tester, victims []victimInfo, rowBits,
 
 // TestRunLevelMatchesMapReference is the differential guard on the
 // recursion bookkeeping: for every vendor over several seeds, on
-// twin noisy modules, DetectNeighbors must report per level exactly
+// twin noisy modules, DetectNeighborsCtx must report per level exactly
 // the test counts, distance frequencies and ranked distances of the
 // map-based reference, and the reference must actually have discarded
 // flips at non-victim columns (the case the victim lookup must
@@ -117,9 +117,9 @@ func referenceLevel(t *testing.T, tester *Tester, victims []victimInfo, rowBits,
 func TestRunLevelMatchesMapReference(t *testing.T) {
 	for _, v := range scramble.Vendors() {
 		for _, seed := range []uint64{3, 17, 42} {
-			got, err := newTester(t, noisyHost(t, v, seed)).DetectNeighbors()
+			got, err := newTester(t, noisyHost(t, v, seed)).DetectNeighborsCtx(context.Background())
 			if err != nil {
-				t.Fatalf("vendor %v seed %d: DetectNeighbors: %v", v, seed, err)
+				t.Fatalf("vendor %v seed %d: DetectNeighborsCtx: %v", v, seed, err)
 			}
 
 			ref := newTester(t, noisyHost(t, v, seed))
@@ -198,7 +198,7 @@ func BenchmarkDetectNeighbors(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		res, err := tester.DetectNeighbors()
+		res, err := tester.DetectNeighborsCtx(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

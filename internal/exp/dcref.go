@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"parbor/internal/metrics"
+	"parbor/internal/par"
 	"parbor/internal/refresh"
 	"parbor/internal/sim"
 	"parbor/internal/trace"
@@ -80,14 +81,10 @@ type Fig16Summary struct {
 }
 
 // Fig16 reproduces Figure 16: DC-REF vs RAIDR vs the uniform 64 ms
-// baseline across multi-programmed workloads and chip densities.
-func Fig16(o Fig16Options) ([]Fig16Row, []Fig16Summary, error) {
-	return Fig16Ctx(context.Background(), o)
-}
-
-// Fig16Ctx is Fig16 with cooperative cancellation: a done ctx stops
-// dispatching workload cells (in-flight simulator runs finish).
-func Fig16Ctx(ctx context.Context, o Fig16Options) ([]Fig16Row, []Fig16Summary, error) {
+// baseline across multi-programmed workloads and chip densities. A
+// done ctx stops the run between simulator runs (in-flight workload
+// cells finish).
+func Fig16(ctx context.Context, o Fig16Options) ([]Fig16Row, []Fig16Summary, error) {
 	o = o.withDefaults()
 	mixes := trace.Workloads(o.Workloads, o.Cores, o.Seed)
 
@@ -102,6 +99,9 @@ func Fig16Ctx(ctx context.Context, o Fig16Options) ([]Fig16Row, []Fig16Summary, 
 		key := aloneKey{app: app.Name, density: d}
 		if ipc, ok := alone[key]; ok {
 			return ipc, nil
+		}
+		if err := ctx.Err(); err != nil {
+			return 0, err
 		}
 		res, err := sim.Run(sim.Config{
 			Workload: []trace.App{app},
@@ -139,7 +139,7 @@ func Fig16Ctx(ctx context.Context, o Fig16Options) ([]Fig16Row, []Fig16Summary, 
 		}
 	}
 	rows := make([]Fig16Row, len(grid))
-	err := parallelMapCtx(ctx, len(grid), func(i int) error {
+	err := par.Map(ctx, len(grid), 0, func(i int) error {
 		d, w := grid[i].density, grid[i].mix
 		mix := mixes[w]
 		aloneIPCs := make([]float64, len(mix))
@@ -176,7 +176,7 @@ func Fig16Ctx(ctx context.Context, o Fig16Options) ([]Fig16Row, []Fig16Summary, 
 		}
 		rows[i] = row
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -8,6 +8,7 @@ import (
 
 	"parbor/internal/core"
 	"parbor/internal/memctl"
+	"parbor/internal/par"
 	"parbor/internal/scramble"
 )
 
@@ -20,15 +21,7 @@ type Table1Row struct {
 
 // Table1 reproduces Table 1: the number of recursive tests PARBOR
 // performs per level for each vendor.
-func Table1(o Options) ([]Table1Row, error) {
-	return Table1Ctx(context.Background(), o)
-}
-
-// Table1Ctx is Table1 with cooperative cancellation. Every experiment
-// runner has a Ctx form with the same contract: a done ctx stops the
-// run inside the current pass and the runner returns ctx's error with
-// no partial result.
-func Table1Ctx(ctx context.Context, o Options) ([]Table1Row, error) {
+func Table1(ctx context.Context, o Options) ([]Table1Row, error) {
 	o = o.withDefaults()
 	var rows []Table1Row
 	for _, v := range scramble.Vendors() {
@@ -76,12 +69,7 @@ type Fig11Row struct {
 
 // Fig11 reproduces Figure 11: the union of neighbor-region distances
 // found at each level of the recursion.
-func Fig11(o Options) ([]Fig11Row, error) {
-	return Fig11Ctx(context.Background(), o)
-}
-
-// Fig11Ctx is Fig11 with cooperative cancellation.
-func Fig11Ctx(ctx context.Context, o Options) ([]Fig11Row, error) {
+func Fig11(ctx context.Context, o Options) ([]Fig11Row, error) {
 	o = o.withDefaults()
 	var rows []Fig11Row
 	for _, v := range scramble.Vendors() {
@@ -138,12 +126,7 @@ type Fig12Row struct {
 // an equal-budget random-pattern test, across all modules. Modules
 // are measured in parallel (each is an independent deterministic
 // unit).
-func Fig12(o Options) ([]Fig12Row, error) {
-	return Fig12Ctx(context.Background(), o)
-}
-
-// Fig12Ctx is Fig12 with cooperative cancellation.
-func Fig12Ctx(ctx context.Context, o Options) ([]Fig12Row, error) {
+func Fig12(ctx context.Context, o Options) ([]Fig12Row, error) {
 	o = o.withDefaults()
 	type unit struct {
 		name   string
@@ -161,14 +144,14 @@ func Fig12Ctx(ctx context.Context, o Options) ([]Fig12Row, error) {
 		}
 	}
 	rows := make([]Fig12Row, len(units))
-	err := parallelMapCtx(ctx, len(units), func(i int) error {
+	err := par.Map(ctx, len(units), 0, func(i int) error {
 		row, err := fig12Module(ctx, units[i].name, units[i].vendor, o, units[i].seed)
 		if err != nil {
 			return fmt.Errorf("exp: figure 12, module %s: %w", units[i].name, err)
 		}
 		rows[i] = *row
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +163,7 @@ func fig12Module(ctx context.Context, name string, v scramble.Vendor, o Options,
 	if err != nil {
 		return nil, err
 	}
-	rep, err := tester.RunCtx(ctx)
+	rep, err := tester.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +172,7 @@ func fig12Module(ctx context.Context, name string, v scramble.Vendor, o Options,
 	if err != nil {
 		return nil, err
 	}
-	random, err := rndTester.RandomPatternTestCtx(ctx, rep.TotalTests())
+	random, err := rndTester.RandomPatternTest(ctx, rep.TotalTests())
 	if err != nil {
 		return nil, err
 	}
@@ -246,12 +229,7 @@ type Fig13Row struct {
 // Fig13 reproduces Figure 13: the fraction of all observed failures
 // detected only by PARBOR, only by random testing, and by both, for
 // the first module of each vendor.
-func Fig13(o Options) ([]Fig13Row, error) {
-	return Fig13Ctx(context.Background(), o)
-}
-
-// Fig13Ctx is Fig13 with cooperative cancellation.
-func Fig13Ctx(ctx context.Context, o Options) ([]Fig13Row, error) {
+func Fig13(ctx context.Context, o Options) ([]Fig13Row, error) {
 	o = o.withDefaults()
 	var rows []Fig13Row
 	for _, v := range scramble.Vendors() {
@@ -261,7 +239,7 @@ func Fig13Ctx(ctx context.Context, o Options) ([]Fig13Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := tester.RunCtx(ctx)
+		rep, err := tester.Run(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("exp: figure 13, module %s: %w", name, err)
 		}
@@ -269,7 +247,7 @@ func Fig13Ctx(ctx context.Context, o Options) ([]Fig13Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		random, err := rndTester.RandomPatternTestCtx(ctx, rep.TotalTests())
+		random, err := rndTester.RandomPatternTest(ctx, rep.TotalTests())
 		if err != nil {
 			return nil, fmt.Errorf("exp: figure 13, module %s: %w", name, err)
 		}
@@ -316,12 +294,7 @@ type Fig14Row struct {
 // Fig14 reproduces Figure 14: the ranking of neighbor-region
 // distances at recursion level 4, normalized to the most frequent
 // distance, for the first module of each vendor.
-func Fig14(o Options) ([]Fig14Row, error) {
-	return Fig14Ctx(context.Background(), o)
-}
-
-// Fig14Ctx is Fig14 with cooperative cancellation.
-func Fig14Ctx(ctx context.Context, o Options) ([]Fig14Row, error) {
+func Fig14(ctx context.Context, o Options) ([]Fig14Row, error) {
 	o = o.withDefaults()
 	var rows []Fig14Row
 	for _, v := range scramble.Vendors() {
@@ -390,12 +363,7 @@ type Fig15Row struct {
 // paper sweeps 1K/5K/10K/15K victims; since the recursion uses one
 // victim per row, the experiment quadruples the per-chip row count so
 // the module actually offers 15K+ candidate rows.
-func Fig15(o Options, sampleSizes []int) ([]Fig15Row, error) {
-	return Fig15Ctx(context.Background(), o, sampleSizes)
-}
-
-// Fig15Ctx is Fig15 with cooperative cancellation.
-func Fig15Ctx(ctx context.Context, o Options, sampleSizes []int) ([]Fig15Row, error) {
+func Fig15(ctx context.Context, o Options, sampleSizes []int) ([]Fig15Row, error) {
 	o = o.withDefaults()
 	o.RowsPerChip *= 4
 	if len(sampleSizes) == 0 {

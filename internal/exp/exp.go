@@ -2,6 +2,10 @@
 // function per table or figure of the evaluation (Sections 7 and 8),
 // returning structured results that cmd/paperrepro prints and the
 // repository benchmarks assert against.
+//
+// Every runner takes a ctx first: a done ctx stops the run inside the
+// current pass and the runner returns ctx's error with no partial
+// result.
 package exp
 
 import (

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,7 +15,7 @@ func fastOpts() Options {
 }
 
 func TestTable1MatchesPaper(t *testing.T) {
-	rows, err := Table1(fastOpts())
+	rows, err := Table1(context.Background(), fastOpts())
 	if err != nil {
 		t.Fatalf("Table1: %v", err)
 	}
@@ -35,7 +36,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestFig11FinalDistances(t *testing.T) {
-	rows, err := Fig11(fastOpts())
+	rows, err := Fig11(context.Background(), fastOpts())
 	if err != nil {
 		t.Fatalf("Fig11: %v", err)
 	}
@@ -58,7 +59,7 @@ func TestFig11FinalDistances(t *testing.T) {
 }
 
 func TestFig12ParborWins(t *testing.T) {
-	rows, err := Fig12(fastOpts())
+	rows, err := Fig12(context.Background(), fastOpts())
 	if err != nil {
 		t.Fatalf("Fig12: %v", err)
 	}
@@ -85,7 +86,7 @@ func TestFig12ParborWins(t *testing.T) {
 }
 
 func TestFig13Split(t *testing.T) {
-	rows, err := Fig13(fastOpts())
+	rows, err := Fig13(context.Background(), fastOpts())
 	if err != nil {
 		t.Fatalf("Fig13: %v", err)
 	}
@@ -104,7 +105,7 @@ func TestFig13Split(t *testing.T) {
 }
 
 func TestFig14RankingSeparation(t *testing.T) {
-	rows, err := Fig14(fastOpts())
+	rows, err := Fig14(context.Background(), fastOpts())
 	if err != nil {
 		t.Fatalf("Fig14: %v", err)
 	}
@@ -131,7 +132,7 @@ func TestFig14RankingSeparation(t *testing.T) {
 }
 
 func TestFig15SampleSizes(t *testing.T) {
-	rows, err := Fig15(fastOpts(), []int{50, 200})
+	rows, err := Fig15(context.Background(), fastOpts(), []int{50, 200})
 	if err != nil {
 		t.Fatalf("Fig15: %v", err)
 	}
@@ -155,7 +156,7 @@ func TestFig15SampleSizes(t *testing.T) {
 }
 
 func TestFig16SmallRun(t *testing.T) {
-	rows, summaries, err := Fig16(Fig16Options{
+	rows, summaries, err := Fig16(context.Background(), Fig16Options{
 		Workloads: 2,
 		Cores:     4,
 		SimNs:     1e6,
@@ -202,7 +203,7 @@ func TestAppendixProjections(t *testing.T) {
 func TestRetentionExperiment(t *testing.T) {
 	o := fastOpts()
 	o.RowsPerChip = 96
-	rows, err := Retention(o)
+	rows, err := Retention(context.Background(), o)
 	if err != nil {
 		t.Fatalf("Retention: %v", err)
 	}

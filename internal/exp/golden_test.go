@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -87,7 +88,7 @@ func runGoldenVendor(t *testing.T, v scramble.Vendor, o Options) goldenVendor {
 	if err != nil {
 		t.Fatalf("vendor %v: newTester: %v", v, err)
 	}
-	rep, err := tester.Run()
+	rep, err := tester.Run(context.Background())
 	if err != nil {
 		t.Fatalf("vendor %v: Run: %v", v, err)
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestObsInstrumentationInert(t *testing.T) {
 				if err != nil {
 					t.Fatalf("vendor %v seed %d: newTester: %v", v, seed, err)
 				}
-				rep, err := tester.Run()
+				rep, err := tester.Run(context.Background())
 				if err != nil {
 					t.Fatalf("vendor %v seed %d: Run: %v", v, seed, err)
 				}
@@ -56,13 +57,13 @@ func TestObsInstrumentationInert(t *testing.T) {
 func TestObsInertUnderParallelism(t *testing.T) {
 	o := Options{RowsPerChip: 128, Chips: 2, ModulesPerVendor: 2, Seed: 42}
 
-	plain, err := Fig12(o)
+	plain, err := Fig12(context.Background(), o)
 	if err != nil {
 		t.Fatalf("Fig12 (plain): %v", err)
 	}
 	col := obs.NewCollector()
 	o.Recorder = col
-	instrumented, err := Fig12(o)
+	instrumented, err := Fig12(context.Background(), o)
 	if err != nil {
 		t.Fatalf("Fig12 (instrumented): %v", err)
 	}

@@ -33,12 +33,7 @@ var RetentionThresholds = []float64{256, 512, 1024, 4096}
 // every coupling failure and reports rows healthier than they are —
 // exactly the silent-corruption risk the paper warns about for
 // mechanisms like RAIDR when they profile without neighbor knowledge.
-func Retention(o Options) ([]RetentionRow, error) {
-	return RetentionCtx(context.Background(), o)
-}
-
-// RetentionCtx is Retention with cooperative cancellation.
-func RetentionCtx(ctx context.Context, o Options) ([]RetentionRow, error) {
+func Retention(ctx context.Context, o Options) ([]RetentionRow, error) {
 	o = o.withDefaults()
 	var rows []RetentionRow
 	for _, v := range scramble.Vendors() {
@@ -79,7 +74,7 @@ func RetentionCtx(ctx context.Context, o Options) ([]RetentionRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			profile, err := profiler.ProfileModuleCtx(ctx, set.pats)
+			profile, err := profiler.ProfileModule(ctx, set.pats)
 			if err != nil {
 				return nil, fmt.Errorf("exp: retention, module %s (%s): %w", name, set.label, err)
 			}

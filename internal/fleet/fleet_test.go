@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"parbor/internal/chaos"
 	"parbor/internal/checkpoint"
@@ -384,6 +385,53 @@ func TestPoolDrainKeepsQueueAndRestarts(t *testing.T) {
 			t.Fatalf("module %s not done after restart: %s", m.ID(), m.Status())
 		}
 	}
+}
+
+// TestPoolDrainMidQuantumRequeues drains the pool while workers are
+// mid-sweep, then restarts it: every module a worker held when the
+// drain landed must be queued again and run to its budget, not left
+// idle and off the schedule.
+func TestPoolDrainMidQuantumRequeues(t *testing.T) {
+	const budget = 400
+	d := newDaemon(t, Config{Workers: 2})
+	for i := 0; i < 8; i++ {
+		sp := testSpec(200 + i)
+		sp.MaxEpochs = budget
+		if _, err := d.Enroll(sp, nil); err != nil {
+			t.Fatalf("enroll: %v", err)
+		}
+	}
+	d.Start(context.Background())
+	// Drain once a worker has completed an epoch, so the drain lands
+	// while both workers hold modules with budget left.
+	deadline := time.Now().Add(10 * time.Second)
+	for !anyEpochRan(d) {
+		if time.Now().After(deadline) {
+			t.Fatal("no epoch completed within 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	d.Pool().Drain()
+	d.Start(context.Background())
+	d.Quiesce()
+	d.Pool().Drain()
+	for _, m := range d.Registry().List() {
+		if m.Status() != StatusDone {
+			t.Errorf("module %s is %s after drain and restart, want done", m.ID(), m.Status())
+		}
+		if got := m.Snapshot().Scheduler.Epochs; got != budget {
+			t.Errorf("module %s ran %d epochs, want %d", m.ID(), got, budget)
+		}
+	}
+}
+
+func anyEpochRan(d *Daemon) bool {
+	for _, m := range d.Registry().List() {
+		if m.Snapshot().Scheduler.Epochs > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func TestClassifyModes(t *testing.T) {

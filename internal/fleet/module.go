@@ -36,8 +36,8 @@ const (
 // the bookkeeping the daemon and API read while quanta execute.
 //
 // Locking: execMu serializes epoch execution — memctl.Host has a
-// single-caller contract, and the work-stealing pool can hand the same
-// module to a different worker each quantum. stateMu guards the
+// single-caller contract, and the pool can hand the same module to a
+// different worker after a drain. stateMu guards the
 // observable fields (status, snapshot, error); API handlers take only
 // stateMu, so a status or checkpoint read never waits on a running
 // epoch. The snapshot pointer is swapped whole and each Snapshot value

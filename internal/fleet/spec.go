@@ -16,7 +16,7 @@
 //     snapshot, so the fleet is checkpointed at all times by
 //     construction, and drain needs no extra save pass.
 //   - Registry: enroll/retire bookkeeping.
-//   - Pool: the bounded work-stealing scheduler.
+//   - Pool: the bounded epoch scheduler.
 //   - Daemon: registry + pool + fleet-level counters + state-dir
 //     persistence + the HTTP/JSON API.
 //

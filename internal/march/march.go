@@ -215,8 +215,9 @@ func (e *Engine) rows() []memctl.Row {
 // are batched into one pass per op (all rows written back-to-back),
 // and read ops verify after the element's delay. This preserves March
 // semantics at row granularity while keeping pass accounting
-// comparable with the rest of the repository.
-func (e *Engine) Run(t Test) (*Result, error) {
+// comparable with the rest of the repository. A done ctx stops the
+// test inside the current pass and Run returns ctx's error.
+func (e *Engine) Run(ctx context.Context, t Test) (*Result, error) {
 	if len(t.Elements) == 0 {
 		return nil, fmt.Errorf("march: test %q has no elements", t.Name)
 	}
@@ -254,7 +255,7 @@ func (e *Engine) Run(t Test) (*Result, error) {
 					bufs[i] = data
 				}
 				// A pure write: zero retention wait.
-				if _, err := e.host.Pass(context.Background(), order, bufs, 0); err != nil {
+				if _, err := e.host.Pass(ctx, order, bufs, 0); err != nil {
 					return nil, fmt.Errorf("march: %s write: %w", t.Name, err)
 				}
 				res.Writes += len(order)
@@ -271,7 +272,7 @@ func (e *Engine) Run(t Test) (*Result, error) {
 				}
 				// A read must not rewrite (recharge) the rows, so it is a
 				// Verify, not a Pass.
-				fails, err := e.host.Verify(context.Background(), order, bufs, wait)
+				fails, err := e.host.Verify(ctx, order, bufs, wait)
 				if err != nil {
 					return nil, fmt.Errorf("march: %s read: %w", t.Name, err)
 				}
@@ -300,7 +301,7 @@ type NPSFResult struct {
 // with its deviated neighborhood (all candidate neighbors opposite),
 // in both polarities — the Type-1 active NPSF condition restricted to
 // the physically meaningful neighborhoods PARBOR identified.
-func (e *Engine) NPSF(distances []int, waitMs float64) (*NPSFResult, error) {
+func (e *Engine) NPSF(ctx context.Context, distances []int, waitMs float64) (*NPSFResult, error) {
 	chunk := chunkFor(distances)
 	pats, err := patterns.NeighborAware(distances, chunk)
 	if err != nil {
@@ -310,7 +311,7 @@ func (e *Engine) NPSF(distances []int, waitMs float64) (*NPSFResult, error) {
 	for _, p := range pats {
 		for _, pp := range []patterns.Pattern{p, p.Inverse()} {
 			fill := pp.Fill
-			fails, err := e.host.FullPass(context.Background(), func(r memctl.Row, buf []uint64) []uint64 {
+			fails, err := e.host.FullPass(ctx, func(r memctl.Row, buf []uint64) []uint64 {
 				fill(r.Chip, r.Bank, r.Row, buf)
 				return buf
 			}, waitMs)

@@ -1,6 +1,7 @@
 package march
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -43,7 +44,7 @@ func TestMarchCleanModulePasses(t *testing.T) {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	for _, test := range []Test{MATSPlus(), MarchCMinus(), MarchSS()} {
-		res, err := engine.Run(test)
+		res, err := engine.Run(context.Background(), test)
 		if err != nil {
 			t.Fatalf("Run(%s): %v", test.Name, err)
 		}
@@ -66,7 +67,7 @@ func TestMarchWithoutDelayMissesRetentionFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	surface, err := engine.Run(MarchCMinus())
+	surface, err := engine.Run(context.Background(), MarchCMinus())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -74,7 +75,7 @@ func TestMarchWithoutDelayMissesRetentionFaults(t *testing.T) {
 		t.Errorf("surface March C- found %d failures; weak cells need a delay", len(surface.Failures))
 	}
 
-	delayed, err := engine.Run(WithRetentionDelays(MarchCMinus(), 1000))
+	delayed, err := engine.Run(context.Background(), WithRetentionDelays(MarchCMinus(), 1000))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -101,7 +102,7 @@ func TestMarchMissesCouplingNPSFFindsThem(t *testing.T) {
 		t.Fatalf("NewEngine: %v", err)
 	}
 
-	delayed, err := engine.Run(WithRetentionDelays(MarchCMinus(), 1000))
+	delayed, err := engine.Run(context.Background(), WithRetentionDelays(MarchCMinus(), 1000))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -109,7 +110,7 @@ func TestMarchMissesCouplingNPSFFindsThem(t *testing.T) {
 		t.Errorf("solid-data March found %d coupling failures; should find none", len(delayed.Failures))
 	}
 
-	npsf, err := engine.NPSF([]int{-48, -16, -8, 8, 16, 48}, 1000)
+	npsf, err := engine.NPSF(context.Background(), []int{-48, -16, -8, 8, 16, 48}, 1000)
 	if err != nil {
 		t.Fatalf("NPSF: %v", err)
 	}
@@ -146,10 +147,10 @@ func TestEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	if _, err := engine.Run(Test{Name: "empty"}); err == nil {
+	if _, err := engine.Run(context.Background(), Test{Name: "empty"}); err == nil {
 		t.Error("empty test accepted")
 	}
-	if _, err := engine.Run(Test{Name: "bad", Elements: []Element{{Dir: Up, Ops: []OpKind{OpKind(99)}}}}); err == nil {
+	if _, err := engine.Run(context.Background(), Test{Name: "bad", Elements: []Element{{Dir: Up, Ops: []OpKind{OpKind(99)}}}}); err == nil {
 		t.Error("unknown op accepted")
 	}
 }
@@ -164,7 +165,7 @@ func TestDownDirectionCoversAllRows(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	res, err := engine.Run(WithRetentionDelays(MATSPlus(), 1000))
+	res, err := engine.Run(context.Background(), WithRetentionDelays(MATSPlus(), 1000))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -209,7 +210,7 @@ func TestNPSFReturnsFaultPlaneError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	res, err := engine.NPSF([]int{-8, 8}, 1000)
+	res, err := engine.NPSF(context.Background(), []int{-8, 8}, 1000)
 	var pe *memctl.PassError
 	if !errors.As(err, &pe) {
 		t.Fatalf("NPSF with a write-rejecting plane returned (%v, %v), want a *memctl.PassError", res, err)

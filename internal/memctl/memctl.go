@@ -363,7 +363,7 @@ func (h *Host) forEachChip(ctx context.Context, fn func(chip int) error) error {
 		}
 		return nil
 	}
-	return par.MapTimedCtx(ctx, chips, workers, fn, h.onShard)
+	return par.Map(ctx, chips, workers, fn, h.onShard)
 }
 
 // bucketRows rebuilds the per-chip row-index buckets and the active
@@ -420,7 +420,7 @@ func (h *Host) forEachActiveChip(ctx context.Context, fn func(chip int) error) e
 	}
 	h.sweep.fn = fn
 	defer func() { h.sweep.fn = nil }()
-	return par.MapTimedCtx(ctx, len(h.active), workers, h.activeFn, h.onShard)
+	return par.Map(ctx, len(h.active), workers, h.activeFn, h.onShard)
 }
 
 // runActiveShard is the pre-bound pool body for active-chip sweeps.

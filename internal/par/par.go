@@ -26,33 +26,21 @@ import (
 // After the first failure no new indices are dispatched (tasks
 // already running complete), and the first error — in dispatch order
 // of occurrence, not index order — is returned.
-func Map(n, workers int, fn func(i int) error) error {
-	return MapTimedCtx(context.Background(), n, workers, fn, nil)
-}
-
-// MapCtx is Map with cooperative cancellation: once ctx is done, no
-// new indices are dispatched (tasks already running complete) and
-// ctx.Err() is returned unless a task error landed first. Tasks that
-// want prompt cancellation must additionally observe ctx themselves.
-func MapCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
-	return MapTimedCtx(ctx, n, workers, fn, nil)
-}
-
-// MapTimed is Map with per-task observability: when onTask is
-// non-nil it is invoked after each task with the task index and its
-// wall-clock duration, including failed and panicking tasks. onTask
-// runs on the worker goroutine that executed the task and so must be
-// safe for concurrent use; the pool's scheduling, error semantics
-// and results are unchanged by it. The test host uses this to
-// histogram per-chip shard times and expose load imbalance.
-func MapTimed(n, workers int, fn func(i int) error, onTask func(i int, d time.Duration)) error {
-	return MapTimedCtx(context.Background(), n, workers, fn, onTask)
-}
-
-// MapTimedCtx combines MapTimed and MapCtx. Every worker goroutine
-// it starts is joined before it returns, on every path — cancelled,
-// errored, or clean — so callers never leak pool goroutines.
-func MapTimedCtx(ctx context.Context, n, workers int, fn func(i int) error, onTask func(i int, d time.Duration)) error {
+//
+// Once ctx is done, no new indices are dispatched either and ctx.Err()
+// is returned unless a task error landed first. Tasks that want
+// prompt cancellation must additionally observe ctx themselves. Every
+// worker goroutine Map starts is joined before it returns, on every
+// path — cancelled, errored, or clean — so callers never leak pool
+// goroutines.
+//
+// When onTask is non-nil it is invoked after each task with the task
+// index and its wall-clock duration, including failed and panicking
+// tasks. onTask runs on the worker goroutine that executed the task
+// and so must be safe for concurrent use; the pool's scheduling,
+// error semantics and results are unchanged by it. The test host uses
+// this to histogram per-chip shard times and expose load imbalance.
+func Map(ctx context.Context, n, workers int, fn func(i int) error, onTask func(i int, d time.Duration)) error {
 	if n <= 0 {
 		return nil
 	}

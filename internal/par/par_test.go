@@ -16,10 +16,10 @@ func TestMapRunsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64} {
 		const n = 100
 		var counts [n]int32
-		if err := Map(n, workers, func(i int) error {
+		if err := Map(context.Background(), n, workers, func(i int) error {
 			atomic.AddInt32(&counts[i], 1)
 			return nil
-		}); err != nil {
+		}, nil); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i, c := range counts {
@@ -32,10 +32,10 @@ func TestMapRunsEveryIndexOnce(t *testing.T) {
 
 func TestMapZeroAndNegativeN(t *testing.T) {
 	ran := false
-	if err := Map(0, 4, func(int) error { ran = true; return nil }); err != nil || ran {
+	if err := Map(context.Background(), 0, 4, func(int) error { ran = true; return nil }, nil); err != nil || ran {
 		t.Fatalf("n=0: err=%v ran=%v", err, ran)
 	}
-	if err := Map(-3, 4, func(int) error { ran = true; return nil }); err != nil || ran {
+	if err := Map(context.Background(), -3, 4, func(int) error { ran = true; return nil }, nil); err != nil || ran {
 		t.Fatalf("n<0: err=%v ran=%v", err, ran)
 	}
 }
@@ -43,12 +43,12 @@ func TestMapZeroAndNegativeN(t *testing.T) {
 func TestMapReturnsFirstError(t *testing.T) {
 	want := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		err := Map(10, workers, func(i int) error {
+		err := Map(context.Background(), 10, workers, func(i int) error {
 			if i == 3 {
 				return want
 			}
 			return nil
-		})
+		}, nil)
 		if !errors.Is(err, want) {
 			t.Fatalf("workers=%d: err = %v, want %v", workers, err, want)
 		}
@@ -63,12 +63,12 @@ func TestMapRecoversPanics(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		done := make(chan error, 1)
 		go func() {
-			done <- Map(50, workers, func(i int) error {
+			done <- Map(context.Background(), 50, workers, func(i int) error {
 				if i == 7 {
 					panic(fmt.Sprintf("task %d exploded", i))
 				}
 				return nil
-			})
+			}, nil)
 		}()
 		select {
 		case err := <-done:
@@ -92,7 +92,7 @@ func TestMapCancelsAfterFirstError(t *testing.T) {
 	var started int32
 	var mu sync.Mutex
 	failed := false
-	err := Map(n, 2, func(i int) error {
+	err := Map(context.Background(), n, 2, func(i int) error {
 		atomic.AddInt32(&started, 1)
 		mu.Lock()
 		defer mu.Unlock()
@@ -101,7 +101,7 @@ func TestMapCancelsAfterFirstError(t *testing.T) {
 			return errors.New("first failure")
 		}
 		return nil
-	})
+	}, nil)
 	if err == nil {
 		t.Fatal("error lost")
 	}
@@ -114,13 +114,13 @@ func TestMapCancelsAfterFirstError(t *testing.T) {
 
 func TestMapSerialPathStopsOnError(t *testing.T) {
 	var ran int
-	err := Map(100, 1, func(i int) error {
+	err := Map(context.Background(), 100, 1, func(i int) error {
 		ran++
 		if i == 4 {
 			return errors.New("stop")
 		}
 		return nil
-	})
+	}, nil)
 	if err == nil || ran != 5 {
 		t.Fatalf("ran=%d err=%v, want 5 tasks then error", ran, err)
 	}
@@ -133,12 +133,12 @@ func TestMapCtxCancelStopsDispatch(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var started atomic.Int32
 		const n = 10_000
-		err := MapCtx(ctx, n, workers, func(i int) error {
+		err := Map(ctx, n, workers, func(i int) error {
 			if started.Add(1) == 5 {
 				cancel()
 			}
 			return nil
-		})
+		}, nil)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
@@ -157,10 +157,10 @@ func TestMapCtxPreCancelled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		ran := false
-		err := MapCtx(ctx, 100, workers, func(i int) error {
+		err := Map(ctx, 100, workers, func(i int) error {
 			ran = true
 			return nil
-		})
+		}, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -175,12 +175,12 @@ func TestMapCtxNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for round := 0; round < 20; round++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		_ = MapCtx(ctx, 1000, 8, func(i int) error {
+		_ = Map(ctx, 1000, 8, func(i int) error {
 			if i == 3 {
 				cancel()
 			}
 			return nil
-		})
+		}, nil)
 		cancel()
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -188,7 +188,7 @@ func TestMapCtxNoGoroutineLeak(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("20 cancelled MapCtx rounds leaked goroutines: %d -> %d", before, after)
+		t.Errorf("20 cancelled Map rounds leaked goroutines: %d -> %d", before, after)
 	}
 }
 
@@ -198,12 +198,12 @@ func TestMapCtxTaskErrorBeatsCtxError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	boom := errors.New("boom")
-	err := MapCtx(ctx, 100, 2, func(i int) error {
+	err := Map(ctx, 100, 2, func(i int) error {
 		if i == 0 {
 			return boom
 		}
 		return nil
-	})
+	}, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the task's own error", err)
 	}

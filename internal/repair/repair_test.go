@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"context"
 	"testing"
 
 	"parbor/internal/core"
@@ -182,12 +183,15 @@ func TestEndToEndWithDetection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("core.New: %v", err)
 	}
-	rep, err := tester.Run()
+	rep, err := tester.Run(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	victims, _, _ := tester.DiscoverVictims()
-	classified, _, err := tester.ClassifyVictims(victims, rep.Neighbor.Distances)
+	victims, _, _, err := tester.DiscoverVictims(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	classified, _, err := tester.ClassifyVictims(context.Background(), victims, rep.Neighbor.Distances)
 	if err != nil {
 		t.Fatalf("ClassifyVictims: %v", err)
 	}

@@ -112,15 +112,10 @@ func (p *Profiler) Schedule() []float64 {
 // patterns (each is also run inverted, covering both cell
 // polarities). Use neighbor-aware patterns from a prior PARBOR run
 // for a worst-case-honest profile, or solid patterns to see how badly
-// a naive profile overestimates retention.
-func (p *Profiler) ProfileModule(pats []patterns.Pattern) (*Profile, error) {
-	return p.ProfileModuleCtx(context.Background(), pats)
-}
-
-// ProfileModuleCtx is ProfileModule with cooperative cancellation: a
-// done ctx stops the sweep inside the current pass and returns ctx's
-// error instead of a partial profile.
-func (p *Profiler) ProfileModuleCtx(ctx context.Context, pats []patterns.Pattern) (*Profile, error) {
+// a naive profile overestimates retention. A done ctx stops the
+// sweep inside the current pass and returns ctx's error instead of a
+// partial profile.
+func (p *Profiler) ProfileModule(ctx context.Context, pats []patterns.Pattern) (*Profile, error) {
 	if len(pats) == 0 {
 		return nil, fmt.Errorf("retention: no stress patterns")
 	}

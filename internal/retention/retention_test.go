@@ -1,6 +1,7 @@
 package retention
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestProfileFindsRetentionThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	profile, err := p.ProfileModule(neighborAware(t))
+	profile, err := p.ProfileModule(context.Background(), neighborAware(t))
 	if err != nil {
 		t.Fatalf("ProfileModule: %v", err)
 	}
@@ -95,7 +96,7 @@ func TestNaiveProfileOverestimates(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	solid := []patterns.Pattern{patterns.Solid()}
-	naive, err := p.ProfileModule(solid)
+	naive, err := p.ProfileModule(context.Background(), solid)
 	if err != nil {
 		t.Fatalf("ProfileModule: %v", err)
 	}
@@ -107,7 +108,7 @@ func TestNaiveProfileOverestimates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	honest, err := aware.ProfileModule(neighborAware(t))
+	honest, err := aware.ProfileModule(context.Background(), neighborAware(t))
 	if err != nil {
 		t.Fatalf("ProfileModule: %v", err)
 	}
@@ -147,7 +148,7 @@ func TestProfileCountsTests(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	profile, err := p.ProfileModule(patterns.DiscoveryPatterns()[:2])
+	profile, err := p.ProfileModule(context.Background(), patterns.DiscoveryPatterns()[:2])
 	if err != nil {
 		t.Fatalf("ProfileModule: %v", err)
 	}
@@ -166,7 +167,7 @@ func TestHistogram(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	profile, err := p.ProfileModule(neighborAware(t))
+	profile, err := p.ProfileModule(context.Background(), neighborAware(t))
 	if err != nil {
 		t.Fatalf("ProfileModule: %v", err)
 	}
@@ -198,7 +199,7 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if _, err := p.ProfileModule(nil); err == nil {
+	if _, err := p.ProfileModule(context.Background(), nil); err == nil {
 		t.Error("empty pattern set accepted")
 	}
 }

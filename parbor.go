@@ -24,7 +24,7 @@
 //	})
 //	host, _ := parbor.NewHost(mod, 0)
 //	tester, _ := parbor.NewTester(host, parbor.DetectConfig{})
-//	report, _ := tester.Run()
+//	report, _ := tester.Run(context.Background())
 //	fmt.Println(report.Neighbor.Distances) // [-48 -16 -8 8 16 48]
 //
 // The subsystems are implemented in internal packages; this package

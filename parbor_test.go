@@ -1,6 +1,7 @@
 package parbor_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"reflect"
@@ -34,7 +35,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewTester: %v", err)
 	}
-	report, err := tester.Run()
+	report, err := tester.Run(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
