@@ -45,6 +45,7 @@ import (
 	"parbor"
 	"parbor/internal/checkpoint"
 	"parbor/internal/core"
+	"parbor/internal/faultfs"
 	"parbor/internal/memctl"
 	"parbor/internal/obs"
 	"parbor/internal/onlinetest"
@@ -428,7 +429,7 @@ func runResume(ctx context.Context, opts options) error {
 	if opts.online <= 0 {
 		return fmt.Errorf("-resume requires -online N (how many more epochs to run)")
 	}
-	snap, err := checkpoint.ReadFile(opts.resume)
+	snap, err := checkpoint.ReadFile(faultfs.OS{}, opts.resume)
 	if err != nil {
 		return err
 	}
@@ -499,7 +500,7 @@ func onlineEpochs(ctx context.Context, opts options, mod *parbor.Module, seed ui
 	}
 	if opts.checkpoint != "" {
 		snap := checkpoint.Capture(mod, seed, sched.State())
-		if err := snap.WriteFile(opts.checkpoint); err != nil {
+		if err := snap.WriteFile(faultfs.OS{}, opts.checkpoint); err != nil {
 			return err
 		}
 		fmt.Printf("Checkpoint written to %s\n", opts.checkpoint)

@@ -31,6 +31,7 @@ import (
 	"io"
 	"os"
 
+	"parbor/internal/faultfs"
 	"parbor/internal/fleetlog"
 )
 
@@ -110,7 +111,7 @@ func runGC(opts options, stdout io.Writer) error {
 	if keep < 1 {
 		keep = 1 // GC never removes the active tail
 	}
-	removed, err := fleetlog.GC(opts.dir, keep)
+	removed, err := fleetlog.GC(faultfs.OS{}, opts.dir, keep)
 	if err != nil {
 		return err
 	}
@@ -136,7 +137,7 @@ func runRollup(opts options, stdout io.Writer) error {
 // runDump prints every intact event as one JSON object per line, plus
 // a trailing truncation report on stderr when the log has torn tails.
 func runDump(opts options, stdout io.Writer) error {
-	it, err := fleetlog.OpenIter(opts.dir)
+	it, err := fleetlog.OpenIter(faultfs.OS{}, opts.dir)
 	if err != nil {
 		return err
 	}

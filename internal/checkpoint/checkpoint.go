@@ -29,7 +29,6 @@ package checkpoint
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 
 	"parbor/internal/dram"
 	"parbor/internal/faultfs"
@@ -172,16 +171,9 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 // WriteFile serializes the snapshot as indented JSON to path,
 // atomically: a crash at any point leaves either the previous
 // snapshot or the complete new one, never a torn hybrid — a resumer
-// must never be handed half a checkpoint.
-func (s *Snapshot) WriteFile(path string) error {
-	return s.WriteFileFS(faultfs.OS{}, path)
-}
-
-// WriteFileFS is WriteFile through an explicit filesystem seam.
-func (s *Snapshot) WriteFileFS(fsys faultfs.FS, path string) error {
-	if fsys == nil {
-		fsys = faultfs.OS{}
-	}
+// must never be handed half a checkpoint. Pass faultfs.OS{} for the
+// real filesystem.
+func (s *Snapshot) WriteFile(fsys faultfs.FS, path string) error {
 	data, err := s.Marshal()
 	if err != nil {
 		return err
@@ -192,9 +184,9 @@ func (s *Snapshot) WriteFileFS(fsys faultfs.FS, path string) error {
 	return nil
 }
 
-// ReadFile loads a snapshot written by WriteFile.
-func ReadFile(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
+// ReadFile loads a snapshot written by WriteFile from fsys.
+func ReadFile(fsys faultfs.FS, path string) (*Snapshot, error) {
+	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: reading snapshot: %w", err)
 	}

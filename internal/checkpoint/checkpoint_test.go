@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"parbor/internal/chaos"
 	"parbor/internal/coupling"
 	"parbor/internal/dram"
+	"parbor/internal/faultfs"
 	"parbor/internal/faults"
 	"parbor/internal/memctl"
 	"parbor/internal/onlinetest"
@@ -86,13 +88,13 @@ func TestInterruptResumeBitIdentical(t *testing.T) {
 	first := newSched(t, firstMod)
 	epochs(t, first, total/2)
 	path := filepath.Join(t.TempDir(), "sweep.json")
-	if err := Capture(firstMod, seed, first.State()).WriteFile(path); err != nil {
+	if err := Capture(firstMod, seed, first.State()).WriteFile(faultfs.OS{}, path); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
 
 	// Resuming process: fresh module from config+seed, clocks applied,
 	// scheduler rebuilt from state.
-	snap, err := ReadFile(path)
+	snap, err := ReadFile(faultfs.OS{}, path)
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
@@ -321,22 +323,41 @@ func TestSnapshotValidation(t *testing.T) {
 
 func TestReadFileRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := ReadFile(filepath.Join(dir, "missing.json")); err == nil {
+	if _, err := ReadFile(faultfs.OS{}, filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing file accepted")
 	}
 	bad := filepath.Join(dir, "bad.json")
 	if err := writeString(bad, "not json"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFile(bad); err == nil {
+	if _, err := ReadFile(faultfs.OS{}, bad); err == nil {
 		t.Error("unparsable file accepted")
 	}
 	wrong := filepath.Join(dir, "wrong.json")
 	if err := writeString(wrong, `{"schema":"parbor/other/v9"}`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFile(wrong); err == nil {
+	if _, err := ReadFile(faultfs.OS{}, wrong); err == nil {
 		t.Error("wrong schema accepted")
+	}
+}
+
+// TestReadFileUsesSeam: ReadFile reads through the filesystem it is
+// given, so storage fault injection reaches checkpoint loads.
+func TestReadFileUsesSeam(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.json")
+	if err := writeString(path, `{"schema":"`+Schema+`"}`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(faultfs.OS{}, path); err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	inj, err := faultfs.NewInjector(faultfs.OS{}, faultfs.InjectorConfig{ReadErrProb: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(inj, path); !errors.Is(err, faultfs.ErrIO) {
+		t.Errorf("ReadFile through a failing filesystem: err = %v, want faultfs.ErrIO", err)
 	}
 }
 

@@ -4,45 +4,26 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 
 	"parbor/internal/memctl"
 )
 
-// SortedAddrs returns the set's addresses sorted by
-// (chip, bank, row, col), the canonical order used everywhere a
-// failure population must be compared or serialized.
-func (s FailureSet) SortedAddrs() []memctl.BitAddr {
+// Checksum hashes the failure set order-independently: FNV-64a over
+// the addresses in canonical order (memctl.CompareAddrs) in a
+// fixed-width encoding, rendered as 16 hex digits. Two sets are equal
+// iff their checksums match (up to hash collision), which is how the
+// golden regression pins failure populations and how checkpoint/resume
+// equivalence is asserted without shipping full address lists around.
+func (s FailureSet) Checksum() string {
 	addrs := make([]memctl.BitAddr, 0, len(s))
 	for a := range s {
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool {
-		a, b := addrs[i], addrs[j]
-		if a.Chip != b.Chip {
-			return a.Chip < b.Chip
-		}
-		if a.Bank != b.Bank {
-			return a.Bank < b.Bank
-		}
-		if a.Row != b.Row {
-			return a.Row < b.Row
-		}
-		return a.Col < b.Col
-	})
-	return addrs
-}
-
-// Checksum hashes the failure set order-independently: FNV-64a over
-// the sorted addresses in a fixed-width encoding, rendered as 16 hex
-// digits. Two sets are equal iff their checksums match (up to hash
-// collision), which is how the golden regression pins failure
-// populations and how checkpoint/resume equivalence is asserted
-// without shipping full address lists around.
-func (s FailureSet) Checksum() string {
+	slices.SortFunc(addrs, memctl.CompareAddrs)
 	h := fnv.New64a()
 	var buf [12]byte
-	for _, a := range s.SortedAddrs() {
+	for _, a := range addrs {
 		binary.LittleEndian.PutUint16(buf[0:2], uint16(a.Chip))
 		binary.LittleEndian.PutUint16(buf[2:4], uint16(a.Bank))
 		binary.LittleEndian.PutUint32(buf[4:8], uint32(a.Row))

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"parbor/internal/memctl"
 	"parbor/internal/patterns"
@@ -30,6 +30,12 @@ type victimInfo struct {
 //
 // One victim per row is kept, because the parallel recursive test
 // dedicates each row's data pattern to a single victim.
+//
+// The bookkeeping is map-free: FullPass reports each pass's failures
+// in canonical order, so one merge walk per pass folds them into a
+// canonical list of candidates with the set of passes each failed in.
+// A row's first non-stuck candidate in that list is its lowest-column
+// victim, so the victims come out sorted.
 func (t *Tester) discoverVictims(ctx context.Context) ([]victimInfo, int, FailureSet, error) {
 	base := patterns.DiscoveryPatterns()
 	all := make([]patterns.Pattern, 0, 2*len(base))
@@ -37,71 +43,81 @@ func (t *Tester) discoverVictims(ctx context.Context) ([]victimInfo, int, Failur
 		all = append(all, p, p.Inverse())
 	}
 
-	type obs struct {
-		failMask  uint32 // bit i set: failed in pass i
-		firstPass int8
-	}
-	seen := make(map[memctl.BitAddr]*obs)
-	discovered := make(FailureSet)
-
+	var cands, scratch []candidate
 	for i, p := range all {
 		fails, err := t.fullPassPattern(ctx, t.arena, p)
 		if err != nil {
 			return nil, 0, nil, fmt.Errorf("core: discovery pass %d: %w", i, err)
 		}
-		discovered.Add(fails)
-		for _, a := range fails {
-			o := seen[a]
-			if o == nil {
-				o = &obs{firstPass: int8(i)}
-				seen[a] = o
-			}
-			o.failMask |= 1 << uint(i)
-		}
+		cands, scratch = mergeCandidates(scratch[:0], cands, fails, 1<<uint(i)), cands
 	}
 
-	// Keep data-dependent candidates: failed somewhere, passed
-	// somewhere.
+	victims, discovered := t.selectVictims(cands, all)
+	return victims, len(all), discovered, nil
+}
+
+// selectVictims picks the victim sample from the canonical candidate
+// list of the discovery passes all, and returns it with the set of
+// every candidate.
+func (t *Tester) selectVictims(cands []candidate, all []patterns.Pattern) ([]victimInfo, FailureSet) {
+	discovered := make(FailureSet, len(cands))
+	var victims []victimInfo
 	allMask := uint32(1)<<uint(len(all)) - 1
-	perRow := make(map[memctl.Row]victimInfo)
-	for a, o := range seen {
-		if o.failMask == allMask {
+	for _, c := range cands {
+		discovered[c.addr] = struct{}{}
+		if c.failMask == allMask {
 			continue // stuck or weak cell: fails regardless of content
 		}
-		r := memctl.Row{Chip: int(a.Chip), Bank: int(a.Bank), Row: int(a.Row)}
-		if prev, ok := perRow[r]; ok && prev.col <= a.Col {
-			continue // keep the lowest-column victim per row (deterministic)
+		r := memctl.Row{Chip: int(c.addr.Chip), Bank: int(c.addr.Bank), Row: int(c.addr.Row)}
+		if n := len(victims); n > 0 && victims[n-1].row == r {
+			continue // the row already has its lowest-column victim
 		}
-		// Discovery patterns are uniform, so the failing pass's data
-		// for this row is just its memoized arena row.
-		perRow[r] = victimInfo{
+		// Discovery patterns are uniform, so the first failing pass's
+		// data for this row is just its memoized arena row.
+		first := all[bits.TrailingZeros32(c.failMask)]
+		victims = append(victims, victimInfo{
 			row:      r,
-			col:      a.Col,
-			failData: bitAt(t.arena.Materialize(all[o.firstPass]), int(a.Col)),
-		}
+			col:      c.addr.Col,
+			failData: bitAt(t.arena.Materialize(first), int(c.addr.Col)),
+		})
 	}
-
-	victims := make([]victimInfo, 0, len(perRow))
-	for _, v := range perRow {
-		victims = append(victims, v)
-	}
-	sort.Slice(victims, func(i, j int) bool {
-		a, b := victims[i], victims[j]
-		if a.row.Chip != b.row.Chip {
-			return a.row.Chip < b.row.Chip
-		}
-		if a.row.Bank != b.row.Bank {
-			return a.row.Bank < b.row.Bank
-		}
-		if a.row.Row != b.row.Row {
-			return a.row.Row < b.row.Row
-		}
-		return a.col < b.col
-	})
 	if len(victims) > t.cfg.SampleSize {
 		victims = victims[:t.cfg.SampleSize]
 	}
-	return victims, len(all), discovered, nil
+	return victims, discovered
+}
+
+// candidate is one cell that failed some discovery pass; bit i of
+// failMask is set when it failed pass i.
+type candidate struct {
+	addr     memctl.BitAddr
+	failMask uint32
+}
+
+// mergeCandidates appends to dst the merge of the canonical candidate
+// list cands with one pass's canonical failure list, marking every
+// failure with passBit, and returns the extended dst.
+func mergeCandidates(dst, cands []candidate, fails []memctl.BitAddr, passBit uint32) []candidate {
+	i, j := 0, 0
+	for i < len(cands) && j < len(fails) {
+		switch c := memctl.CompareAddrs(cands[i].addr, fails[j]); {
+		case c < 0:
+			dst = append(dst, cands[i])
+			i++
+		case c > 0:
+			dst = append(dst, candidate{fails[j], passBit})
+			j++
+		default:
+			dst = append(dst, candidate{fails[j], cands[i].failMask | passBit})
+			i++
+			j++
+		}
+	}
+	dst = append(dst, cands[i:]...)
+	for _, a := range fails[j:] {
+		dst = append(dst, candidate{a, passBit})
+	}
+	return dst
 }
 
 // bitAt returns bit i of a row bitmap.

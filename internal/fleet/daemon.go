@@ -180,7 +180,7 @@ func (d *Daemon) Drain() error {
 	if d.log != nil && d.cfg.LogRetain > 0 {
 		// Retention GC only after the state landed: the newest
 		// checkpoints supersede the collected segments' events.
-		if _, err := fleetlog.GCFS(d.fsys, d.cfg.LogDir, d.cfg.LogRetain); err != nil {
+		if _, err := fleetlog.GC(d.fsys, d.cfg.LogDir, d.cfg.LogRetain); err != nil {
 			return fmt.Errorf("fleet: log retention: %w", err)
 		}
 	}

@@ -53,7 +53,7 @@ func runFleetScenario(fsys faultfs.FS, stateDir, logDir string) error {
 // readLogEvents reads every intact event with a clean filesystem.
 func readLogEvents(t *testing.T, dir string) []fleetlog.Event {
 	t.Helper()
-	it, err := fleetlog.OpenIter(dir)
+	it, err := fleetlog.OpenIter(faultfs.OS{}, dir)
 	if err != nil {
 		t.Fatalf("OpenIter: %v", err)
 	}
@@ -534,7 +534,7 @@ func TestDiskChaosSoakOracle(t *testing.T) {
 	// Collect the survivors with a clean filesystem, then compare the
 	// out-of-core classifier (budget forced into spill-and-merge)
 	// against the naive oracle.
-	it, err := fleetlog.OpenIter(logDir)
+	it, err := fleetlog.OpenIter(faultfs.OS{}, logDir)
 	if err != nil {
 		t.Fatalf("OpenIter: %v", err)
 	}

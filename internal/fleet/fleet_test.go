@@ -434,6 +434,8 @@ func anyEpochRan(d *Daemon) bool {
 	return false
 }
 
+// TestClassifyModes pins fleetlog.CountModes, the fault-mode fold
+// BuildRollup runs over each module's canonical ever-seen set.
 func TestClassifyModes(t *testing.T) {
 	addr := func(chip, bank, row, col int) memctl.BitAddr {
 		return memctl.BitAddr{Chip: int16(chip), Bank: int16(bank), Row: int32(row), Col: int32(col)}
@@ -459,7 +461,7 @@ func TestClassifyModes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		got := make(map[string]int)
-		classifyModes(tc.fails, got)
+		fleetlog.CountModes(tc.fails, got)
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
 		}

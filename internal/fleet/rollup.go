@@ -1,9 +1,6 @@
 package fleet
 
-import (
-	"parbor/internal/fleetlog"
-	"parbor/internal/memctl"
-)
+import "parbor/internal/fleetlog"
 
 // RollupSchema identifies the fleet rollup JSON layout.
 const RollupSchema = "parbor/fleet-rollup/v1"
@@ -11,8 +8,8 @@ const RollupSchema = "parbor/fleet-rollup/v1"
 // Fault-mode labels, following the taxonomy of the DDR4 field studies
 // (single-bit / single-row / single-column / whole-bank populations).
 // Classification is per (chip, bank) failure group within a module.
-// The labels are aliased from fleetlog so the live rollup and the
-// out-of-core log analytics cannot drift apart.
+// The live rollup classifies with fleetlog.CountModes, the fold the
+// out-of-core log analytics runs, so the two cannot drift apart.
 const (
 	ModeSingleBit    = fleetlog.ModeSingleBit
 	ModeSingleRow    = fleetlog.ModeSingleRow
@@ -49,55 +46,6 @@ type Rollup struct {
 	// Breakdown by vendor profile and by fault mode.
 	ByVendor map[string]*VendorRollup `json:"by_vendor,omitempty"`
 	ByMode   map[string]int           `json:"by_mode,omitempty"`
-}
-
-// classifyModes buckets a module's ever-seen failures into fault
-// modes. Grouping is per (chip, bank): a group with one bit is a
-// single-bit fault; a multi-bit group confined to one row (column) is
-// a single-row (single-column) fault; anything else is a scattered
-// multi-cell population. Each group contributes one count to its
-// mode.
-func classifyModes(fails []memctl.BitAddr, into map[string]int) {
-	type bankKey struct{ chip, bank int16 }
-	type bankAgg struct {
-		n         int
-		row, col  int32
-		oneRow    bool
-		oneCol    bool
-		haveFirst bool
-	}
-	groups := make(map[bankKey]*bankAgg)
-	for _, f := range fails {
-		k := bankKey{f.Chip, f.Bank}
-		g := groups[k]
-		if g == nil {
-			g = &bankAgg{oneRow: true, oneCol: true}
-			groups[k] = g
-		}
-		if !g.haveFirst {
-			g.row, g.col, g.haveFirst = f.Row, f.Col, true
-		} else {
-			if f.Row != g.row {
-				g.oneRow = false
-			}
-			if f.Col != g.col {
-				g.oneCol = false
-			}
-		}
-		g.n++
-	}
-	for _, g := range groups {
-		switch {
-		case g.n == 1:
-			into[ModeSingleBit]++
-		case g.oneRow:
-			into[ModeSingleRow]++
-		case g.oneCol:
-			into[ModeSingleColumn]++
-		default:
-			into[ModeMultiCell]++
-		}
-	}
 }
 
 // BuildRollup summarizes a set of modules. Exposed as a function (not
@@ -137,8 +85,8 @@ func BuildRollup(mods []*Module) *Rollup {
 			vr.FailingModules++
 			r.Failures += n
 			vr.Failures += n
-			classifyModes(st.EverSeen, r.ByMode)
-			classifyModes(st.EverSeen, vr.ByMode)
+			fleetlog.CountModes(st.EverSeen, r.ByMode)
+			fleetlog.CountModes(st.EverSeen, vr.ByMode)
 		}
 	}
 	return r

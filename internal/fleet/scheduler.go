@@ -23,16 +23,15 @@ import (
 // module waits for a worker to free up (ROADMAP item 1). The queue and
 // the counters hang off one mutex: quanta are thousands of simulated
 // passes long, so queue contention is noise, and a single lock keeps
-// the idle/quiesce accounting exact (pending+running is
+// the idle/quiesce accounting exact (len(queue)+running is
 // transactional).
 type Pool struct {
 	workers int
 
 	mu       sync.Mutex
 	cond     *sync.Cond // queue: signaled when work arrives or drain starts
-	idle     *sync.Cond // quiesce: signaled when pending+running hits zero
+	idle     *sync.Cond // quiesce: signaled when len(queue)+running hits zero
 	queue    []*Module  //parbor:guardedby mu
-	pending  int        //parbor:guardedby mu — queued modules
 	running  int        //parbor:guardedby mu — modules a worker holds right now
 	draining bool       //parbor:guardedby mu
 	started  bool       //parbor:guardedby mu
@@ -105,7 +104,7 @@ func (p *Pool) Drain() {
 // been retired). It does not stop the workers.
 func (p *Pool) Quiesce() {
 	p.mu.Lock()
-	for p.pending+p.running > 0 {
+	for len(p.queue)+p.running > 0 {
 		p.idle.Wait()
 	}
 	p.mu.Unlock()
@@ -137,7 +136,7 @@ func (p *Pool) runQuantum(ctx context.Context, m *Module) bool {
 	if again {
 		p.queueLocked(m)
 	}
-	if p.pending+p.running == 0 {
+	if len(p.queue)+p.running == 0 {
 		p.idle.Broadcast()
 	}
 	return false
@@ -147,7 +146,6 @@ func (p *Pool) runQuantum(ctx context.Context, m *Module) bool {
 // p.mu.
 func (p *Pool) queueLocked(m *Module) {
 	p.queue = append(p.queue, m)
-	p.pending++
 	p.cond.Signal()
 }
 
@@ -163,7 +161,6 @@ func (p *Pool) next() *Module {
 		if len(p.queue) > 0 {
 			m := p.queue[0]
 			p.queue = p.queue[1:]
-			p.pending--
 			p.running++
 			return m
 		}

@@ -60,7 +60,7 @@ func TestNextIntoReusesEvent(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	it, err := OpenIter(dir)
+	it, err := OpenIter(faultfs.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -255,7 +255,10 @@ func (s *shard) observe(ev *Event) error {
 	return nil
 }
 
-// bankAgg mirrors the live fleet's per-(chip,bank) grouping state.
+// bankAgg is the fault-mode fold over one (chip, bank) group of
+// failures, fed in canonical order. Finish runs it over the merged
+// log; CountModes runs it over the live fleet's failure sets, so the
+// two rollups classify identically.
 type bankAgg struct {
 	n        int
 	row, col int32
@@ -280,10 +283,10 @@ func (g *bankAgg) addAddr(row, col int32) {
 	g.n++
 }
 
-// mode classifies a finished bank group, identically to the live
-// fleet rollup: one cell is a single-bit fault; a multi-cell group
-// confined to one row (column) is a single-row (single-column) fault;
-// anything else is a scattered multi-cell population.
+// mode classifies a finished bank group: one cell is a single-bit
+// fault; a multi-cell group confined to one row (column) is a
+// single-row (single-column) fault; anything else is a scattered
+// multi-cell population.
 func (g *bankAgg) mode() string {
 	switch {
 	case g.n == 1:
@@ -294,6 +297,25 @@ func (g *bankAgg) mode() string {
 		return ModeSingleColumn
 	default:
 		return ModeMultiCell
+	}
+}
+
+// CountModes buckets a failure list into fault modes, adding one count
+// per (chip, bank) group to into under the group's mode (see
+// bankAgg.mode). fails must be in canonical order
+// (memctl.CompareAddrs), so each group is one contiguous run.
+func CountModes(fails []memctl.BitAddr, into map[string]int) {
+	var g bankAgg
+	g.reset()
+	for i, a := range fails {
+		if i > 0 && (a.Chip != fails[i-1].Chip || a.Bank != fails[i-1].Bank) {
+			into[g.mode()]++
+			g.reset()
+		}
+		g.addAddr(a.Row, a.Col)
+	}
+	if len(fails) > 0 {
+		into[g.mode()]++
 	}
 }
 

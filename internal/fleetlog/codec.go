@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"parbor/internal/memctl"
 )
@@ -34,20 +34,6 @@ func zigzag(u uint64) int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-// addrLess orders failures canonically (chip, bank, row, col).
-func addrLess(a, b memctl.BitAddr) bool {
-	if a.Chip != b.Chip {
-		return a.Chip < b.Chip
-	}
-	if a.Bank != b.Bank {
-		return a.Bank < b.Bank
-	}
-	if a.Row != b.Row {
-		return a.Row < b.Row
-	}
-	return a.Col < b.Col
-}
-
 // AppendEvent appends ev's canonical payload encoding to dst and
 // returns the extended slice. The failure list is written in canonical
 // ascending order — sorting a copy if the caller's slice is not
@@ -61,9 +47,9 @@ func AppendEvent(dst []byte, ev Event) ([]byte, error) {
 		return dst, fmt.Errorf("fleetlog: negative epoch %d", ev.Epoch)
 	}
 	fails := ev.Fails
-	if !sort.SliceIsSorted(fails, func(i, j int) bool { return addrLess(fails[i], fails[j]) }) {
-		fails = append([]memctl.BitAddr(nil), fails...)
-		sort.Slice(fails, func(i, j int) bool { return addrLess(fails[i], fails[j]) })
+	if !slices.IsSortedFunc(fails, memctl.CompareAddrs) {
+		fails = slices.Clone(fails)
+		slices.SortFunc(fails, memctl.CompareAddrs)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(ev.Module)))
 	dst = append(dst, ev.Module...)
@@ -194,7 +180,7 @@ func decodeEventInto(p []byte, ev *Event) error {
 		// Canonical order is part of the format: every accepted
 		// payload re-encodes to the identical bytes, so compaction
 		// and replication can compare records without decoding.
-		if i > 0 && addrLess(a, prev) {
+		if i > 0 && memctl.CompareAddrs(a, prev) < 0 {
 			return fmt.Errorf("fleetlog: failure %d out of canonical order", i)
 		}
 		ev.Fails = append(ev.Fails, a)

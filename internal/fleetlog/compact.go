@@ -39,7 +39,7 @@ func Compact(srcDir, dstDir string, opts WriterOptions) (CompactStats, error) {
 	}
 	st.SegmentsIn = len(srcSegs)
 
-	it, err := OpenIterFS(fsys, srcDir)
+	it, err := OpenIter(fsys, srcDir)
 	if err != nil {
 		return st, err
 	}
@@ -83,16 +83,9 @@ func Compact(srcDir, dstDir string, opts WriterOptions) (CompactStats, error) {
 // to) is never removed even when keep <= 0. GC is the retention
 // policy for logs that have been compacted or rolled up elsewhere:
 // it deletes data, so callers run it only after the rollup pipeline
-// has consumed the old segments.
-func GC(dir string, keep int) ([]string, error) {
-	return GCFS(faultfs.OS{}, dir, keep)
-}
-
-// GCFS is GC through an explicit filesystem seam.
-func GCFS(fsys faultfs.FS, dir string, keep int) ([]string, error) {
-	if fsys == nil {
-		fsys = faultfs.OS{}
-	}
+// has consumed the old segments. Pass faultfs.OS{} for the real
+// filesystem.
+func GC(fsys faultfs.FS, dir string, keep int) ([]string, error) {
 	if keep < 1 {
 		keep = 1 // the active tail is never collectable
 	}

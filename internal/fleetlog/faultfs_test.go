@@ -164,7 +164,7 @@ func TestGCKeepsNewestAndNeverTheTail(t *testing.T) {
 	}
 	tail := segs[len(segs)-1]
 
-	removed, err := GC(dir, 2)
+	removed, err := GC(faultfs.OS{}, dir, 2)
 	if err != nil {
 		t.Fatalf("GC: %v", err)
 	}
@@ -183,7 +183,7 @@ func TestGCKeepsNewestAndNeverTheTail(t *testing.T) {
 	}
 
 	// keep<=0 clamps to 1: the tail survives.
-	if _, err := GC(dir, 0); err != nil {
+	if _, err := GC(faultfs.OS{}, dir, 0); err != nil {
 		t.Fatal(err)
 	}
 	left, _ = listSegments(faultfs.OS{}, dir)
@@ -191,7 +191,7 @@ func TestGCKeepsNewestAndNeverTheTail(t *testing.T) {
 		t.Fatalf("GC(0) left %v, want only the tail %s", left, tail)
 	}
 	// Idempotent on a single-segment log.
-	if removed, err := GC(dir, 0); err != nil || len(removed) != 0 {
+	if removed, err := GC(faultfs.OS{}, dir, 0); err != nil || len(removed) != 0 {
 		t.Fatalf("GC on tail-only log: removed %v, err %v", removed, err)
 	}
 

@@ -35,7 +35,7 @@ func testEvents() []Event {
 // readAll drains a log directory.
 func readAll(t *testing.T, dir string) ([]Event, []Truncation) {
 	t.Helper()
-	it, err := OpenIter(dir)
+	it, err := OpenIter(faultfs.OS{}, dir)
 	if err != nil {
 		t.Fatalf("OpenIter: %v", err)
 	}
@@ -176,7 +176,7 @@ func TestIterEmptyAndMissingDir(t *testing.T) {
 	if len(evs) != 0 || len(truncs) != 0 {
 		t.Fatalf("empty dir yielded %d events, %d truncations", len(evs), len(truncs))
 	}
-	if _, err := OpenIter(filepath.Join(dir, "nope")); err == nil {
+	if _, err := OpenIter(faultfs.OS{}, filepath.Join(dir, "nope")); err == nil {
 		t.Fatalf("OpenIter accepted a missing directory")
 	}
 }
@@ -191,7 +191,7 @@ func TestOpenSegmentRejectsForeignFile(t *testing.T) {
 	if _, err := OpenWriter(dir, WriterOptions{}); err == nil {
 		t.Fatalf("OpenWriter accepted a foreign file as its last segment")
 	}
-	it, err := OpenIter(dir)
+	it, err := OpenIter(faultfs.OS{}, dir)
 	if err != nil {
 		t.Fatalf("OpenIter: %v", err)
 	}

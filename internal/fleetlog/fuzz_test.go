@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"parbor/internal/faultfs"
 )
 
 // fuzzSeedPayloads returns canonical encodings of the test corpus, so
@@ -94,7 +96,7 @@ func FuzzFleetlogReader(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, segName(1)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		it, err := OpenIter(dir)
+		it, err := OpenIter(faultfs.OS{}, dir)
 		if err != nil {
 			t.Fatalf("OpenIter on a present directory: %v", err)
 		}

@@ -159,7 +159,7 @@ func corruptCRC(t *testing.T, path string, k int) {
 // serialError is the error a serial scan of the log meets first.
 func serialError(t *testing.T, dir string) error {
 	t.Helper()
-	it, err := OpenIter(dir)
+	it, err := OpenIter(faultfs.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,17 +214,10 @@ type Iter struct {
 	events  int
 }
 
-// OpenIter opens a log directory on the real filesystem for
-// streaming. A directory with no segments yields io.EOF immediately.
-func OpenIter(dir string) (*Iter, error) {
-	return OpenIterFS(faultfs.OS{}, dir)
-}
-
-// OpenIterFS is OpenIter through an explicit filesystem seam.
-func OpenIterFS(fsys faultfs.FS, dir string) (*Iter, error) {
-	if fsys == nil {
-		fsys = faultfs.OS{}
-	}
+// OpenIter opens a log directory on fsys (faultfs.OS{} for the real
+// filesystem) for streaming. A directory with no segments yields
+// io.EOF immediately.
+func OpenIter(fsys faultfs.FS, dir string) (*Iter, error) {
 	segs, err := listSegments(fsys, dir)
 	if err != nil {
 		return nil, fmt.Errorf("fleetlog: listing log dir: %w", err)

@@ -11,6 +11,7 @@
 package memctl
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -66,6 +67,23 @@ type BitAddr struct {
 	Bank int16
 	Row  int32
 	Col  int32
+}
+
+// CompareAddrs orders cells canonically by (chip, bank, row, col): the
+// order FullPass reports failures in, and the one every failure list
+// that is compared, merged or serialized is kept in. It returns -1, 0
+// or +1 in the manner of cmp.Compare.
+func CompareAddrs(a, b BitAddr) int {
+	if c := cmp.Compare(a.Chip, b.Chip); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Bank, b.Bank); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Row, b.Row); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Col, b.Col)
 }
 
 // RowSource supplies the pattern data of one row of a full-module

@@ -236,3 +236,32 @@ func TestTimeEstimateCountsPasses(t *testing.T) {
 		t.Errorf("TimeEstimate = %v, want %v", got, want)
 	}
 }
+
+// TestCompareAddrs pins the canonical order's field precedence: chip
+// outranks bank, bank outranks row, row outranks column, and only equal
+// addresses compare equal. Each case is checked in both directions.
+func TestCompareAddrs(t *testing.T) {
+	a := BitAddr{Chip: 1, Bank: 1, Row: 1, Col: 1}
+	cases := []struct {
+		name string
+		a, b BitAddr
+		want int
+	}{
+		{"equal", a, a, 0},
+		{"zero", BitAddr{}, BitAddr{}, 0},
+		{"col", a, BitAddr{Chip: 1, Bank: 1, Row: 1, Col: 2}, -1},
+		{"row before col", a, BitAddr{Chip: 1, Bank: 1, Row: 2, Col: 0}, -1},
+		{"bank before row", a, BitAddr{Chip: 1, Bank: 2, Row: 0, Col: 0}, -1},
+		{"chip before bank", a, BitAddr{Chip: 2, Bank: 0, Row: 0, Col: 0}, -1},
+		{"chip before all", BitAddr{Chip: 0, Bank: 9, Row: 9, Col: 9}, a, -1},
+		{"negative row", BitAddr{Chip: 1, Bank: 1, Row: -1, Col: 5}, a, -1},
+	}
+	for _, tc := range cases {
+		if got := CompareAddrs(tc.a, tc.b); got != tc.want {
+			t.Errorf("%s: CompareAddrs(%+v, %+v) = %d, want %d", tc.name, tc.a, tc.b, got, tc.want)
+		}
+		if got := CompareAddrs(tc.b, tc.a); got != -tc.want {
+			t.Errorf("%s: CompareAddrs(%+v, %+v) = %d, want %d", tc.name, tc.b, tc.a, got, -tc.want)
+		}
+	}
+}

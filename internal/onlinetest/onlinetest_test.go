@@ -210,7 +210,7 @@ func TestObservedCapturesRepeats(t *testing.T) {
 	seen := make(map[memctl.BitAddr]struct{}, len(first.Observed))
 	for i, a := range first.Observed {
 		seen[a] = struct{}{}
-		if i > 0 && !addrLessTest(first.Observed[i-1], a) {
+		if i > 0 && memctl.CompareAddrs(first.Observed[i-1], a) >= 0 {
 			t.Fatalf("Observed out of canonical order at %d: %+v !< %+v", i, first.Observed[i-1], a)
 		}
 	}
@@ -235,19 +235,6 @@ func TestObservedCapturesRepeats(t *testing.T) {
 			t.Fatalf("observation %d drifted across sweeps: %+v vs %+v", i, second.Observed[i], first.Observed[i])
 		}
 	}
-}
-
-func addrLessTest(a, b memctl.BitAddr) bool {
-	if a.Chip != b.Chip {
-		return a.Chip < b.Chip
-	}
-	if a.Bank != b.Bank {
-		return a.Bank < b.Bank
-	}
-	if a.Row != b.Row {
-		return a.Row < b.Row
-	}
-	return a.Col < b.Col
 }
 
 // TestPatternRowsMatchFills: each pattern's one materialized row,

@@ -1,7 +1,6 @@
 package onlinetest
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -112,23 +111,9 @@ func Resume(host *memctl.Host, st State) (*Scheduler, error) {
 	return s, nil
 }
 
-// compareAddrs orders failures canonically: (chip, bank, row, col).
-func compareAddrs(a, b memctl.BitAddr) int {
-	if c := cmp.Compare(a.Chip, b.Chip); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Bank, b.Bank); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Row, b.Row); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Col, b.Col)
-}
-
 // sortedDistinct sorts addrs canonically and drops repeats, in place.
 func sortedDistinct(addrs []memctl.BitAddr) []memctl.BitAddr {
-	slices.SortFunc(addrs, compareAddrs)
+	slices.SortFunc(addrs, memctl.CompareAddrs)
 	return slices.Compact(addrs)
 }
 
@@ -137,7 +122,7 @@ func sortedDistinct(addrs []memctl.BitAddr) []memctl.BitAddr {
 // sort only matters for hand-built states.
 func canonicalCopy(addrs []memctl.BitAddr) []memctl.BitAddr {
 	out := append([]memctl.BitAddr{}, addrs...)
-	if !slices.IsSortedFunc(out, compareAddrs) {
+	if !slices.IsSortedFunc(out, memctl.CompareAddrs) {
 		return sortedDistinct(out)
 	}
 	return slices.Compact(out)
@@ -159,13 +144,13 @@ func union(set, add []memctl.BitAddr) (merged, added []memctl.BitAddr) {
 	if len(add) == 0 {
 		return set, nil
 	}
-	if n == 0 || compareAddrs(set[n-1], add[0]) < 0 {
+	if n == 0 || memctl.CompareAddrs(set[n-1], add[0]) < 0 {
 		merged = append(set, add...)
 		return merged, merged[n:]
 	}
 	lo := 0
 	for _, a := range add {
-		i, found := slices.BinarySearchFunc(set[lo:], a, compareAddrs)
+		i, found := slices.BinarySearchFunc(set[lo:], a, memctl.CompareAddrs)
 		lo += i
 		if !found {
 			added = append(added, a)
@@ -174,13 +159,13 @@ func union(set, add []memctl.BitAddr) (merged, added []memctl.BitAddr) {
 	if len(added) == 0 {
 		return set, nil
 	}
-	if compareAddrs(set[n-1], added[0]) < 0 {
+	if memctl.CompareAddrs(set[n-1], added[0]) < 0 {
 		return append(set, added...), added
 	}
 	merged = make([]memctl.BitAddr, 0, n+len(added))
 	i := 0
 	for _, a := range added {
-		j, _ := slices.BinarySearchFunc(set[i:], a, compareAddrs)
+		j, _ := slices.BinarySearchFunc(set[i:], a, memctl.CompareAddrs)
 		merged = append(merged, set[i:i+j]...)
 		merged = append(merged, a)
 		i += j

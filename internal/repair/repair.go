@@ -25,6 +25,7 @@ package repair
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"parbor/internal/core"
@@ -155,7 +156,7 @@ func MakePlan(failures []memctl.BitAddr, budget Budget, opts Options) (*Plan, er
 		}
 		hard = append(hard, a)
 	}
-	sortAddrs(plan.RefreshManaged)
+	slices.SortFunc(plan.RefreshManaged, memctl.CompareAddrs)
 
 	// Group by row.
 	byRow := make(map[RowRef][]memctl.BitAddr)
@@ -217,7 +218,7 @@ func MakePlan(failures []memctl.BitAddr, budget Budget, opts Options) (*Plan, er
 	sort.Slice(rows, func(i, j int) bool { return lessRow(rows[i], rows[j]) })
 	for _, row := range rows {
 		addrs := byRow[row]
-		sortAddrs(addrs)
+		slices.SortFunc(addrs, memctl.CompareAddrs)
 		perWord := make(map[int32]int)
 		for _, a := range addrs {
 			word := a.Col / int32(budget.WordBits)
@@ -262,20 +263,4 @@ func lessRow(a, b RowRef) bool {
 		return a.Bank < b.Bank
 	}
 	return a.Row < b.Row
-}
-
-func sortAddrs(addrs []memctl.BitAddr) {
-	sort.Slice(addrs, func(i, j int) bool {
-		a, b := addrs[i], addrs[j]
-		if a.Chip != b.Chip {
-			return a.Chip < b.Chip
-		}
-		if a.Bank != b.Bank {
-			return a.Bank < b.Bank
-		}
-		if a.Row != b.Row {
-			return a.Row < b.Row
-		}
-		return a.Col < b.Col
-	})
 }

@@ -37,6 +37,7 @@ import (
 	"parbor/internal/core"
 	"parbor/internal/coupling"
 	"parbor/internal/dram"
+	"parbor/internal/faultfs"
 	"parbor/internal/faults"
 	"parbor/internal/march"
 	"parbor/internal/memctl"
@@ -437,7 +438,7 @@ func CaptureCheckpoint(mod *Module, seed uint64, st OnlineState) *Checkpoint {
 }
 
 // ReadCheckpoint loads a snapshot written by Checkpoint.WriteFile.
-func ReadCheckpoint(path string) (*Checkpoint, error) { return checkpoint.ReadFile(path) }
+func ReadCheckpoint(path string) (*Checkpoint, error) { return checkpoint.ReadFile(faultfs.OS{}, path) }
 
 // ExtendedResult is the outcome of second-order neighbor detection
 // (Tester.DetectExtendedNeighbors) — the generalization the paper's
