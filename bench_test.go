@@ -562,6 +562,67 @@ func BenchmarkPassHotLoop(b *testing.B) {
 	}
 }
 
+// BenchmarkProbeHotLoop measures the steady-state probe pass: one
+// probed cell in each of a fixed set of victim rows, the pass shape of
+// the recursion, the victim classifier and the naive searches. It
+// mirrors BenchmarkPassHotLoop's module, rows and data, probing a
+// different column of each row, so the two compare directly; its
+// allocs/op is gated at zero like the Pass loop's.
+func BenchmarkProbeHotLoop(b *testing.B) {
+	ctx := context.Background()
+	for _, bench := range []struct {
+		name        string
+		parallelism int
+	}{
+		{"serial", 1},
+		{"sharded", 0}, // 0 = GOMAXPROCS
+	} {
+		b.Run(bench.name, func(b *testing.B) {
+			cc := parbor.DefaultCouplingConfig()
+			cc.VulnerableRate = 2e-3
+			mod, err := parbor.NewModule(parbor.ModuleConfig{
+				Name:     "bench-probe",
+				Vendor:   parbor.VendorA,
+				Chips:    8,
+				Geometry: parbor.Geometry{Banks: 1, Rows: 256, Cols: 8192},
+				Coupling: cc,
+				Faults:   parbor.DefaultFaultsConfig(),
+				Seed:     42,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			host, err := parbor.NewHostWithConfig(mod, parbor.HostConfig{WaitMs: 64, Parallelism: bench.parallelism})
+			if err != nil {
+				b.Fatal(err)
+			}
+			// The same quiet steady state as BenchmarkPassHotLoop: 16
+			// non-inverted rows per chip written all-zeros.
+			words := host.Geometry().Words()
+			var cells []parbor.BitAddr
+			data := make([][]uint64, 0, 8*16)
+			for chip := 0; chip < host.Chips(); chip++ {
+				for r := 0; r < 16; r++ {
+					cells = append(cells, parbor.BitAddr{Chip: int16(chip), Bank: 0, Row: int32(r * 4), Col: int32(r * 509)})
+					data = append(data, make([]uint64, words))
+				}
+			}
+			for warm := 0; warm < 3; warm++ {
+				if _, err := host.Probe(ctx, cells, data, host.WaitMs()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := host.Probe(ctx, cells, data, host.WaitMs()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFullPassVictimDense measures the full-module sweep on a
 // victim-dense chip — VulnerableRate 0.05 puts ~400 victims in every
 // row, the regime of end-of-life parts and accelerated-stress tests.

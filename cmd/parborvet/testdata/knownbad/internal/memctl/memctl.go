@@ -1,5 +1,5 @@
 // Package memctl trips ctxthread exactly once: an exported loop that
-// drives passes from a stored context instead of accepting one.
+// drives probe passes from a stored context instead of accepting one.
 package memctl
 
 import "context"
@@ -17,17 +17,20 @@ func (h *Host) Pass(ctx context.Context) error {
 	return nil
 }
 
+// Probe runs one single-cell-per-row pass.
+func (h *Host) Probe(ctx context.Context) error { return h.Pass(ctx) }
+
 // Sweeper holds a context captured at construction.
 type Sweeper struct {
 	ctx context.Context
 	h   *Host
 }
 
-// RunAll loops over passes fed from the stored context, so no caller
-// can cancel it.
+// RunAll loops over probe passes fed from the stored context, so no
+// caller can cancel it.
 func (s *Sweeper) RunAll(n int) error {
 	for i := 0; i < n; i++ {
-		if err := s.h.Pass(s.ctx); err != nil {
+		if err := s.h.Probe(s.ctx); err != nil {
 			return err
 		}
 	}

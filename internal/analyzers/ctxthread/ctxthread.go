@@ -42,6 +42,7 @@ var Analyzer = &analysis.Analyzer{
 // online scheduler's epoch, all context-first.
 var passMethods = map[string]bool{
 	"Pass":        true,
+	"Probe":       true,
 	"Verify":      true,
 	"FullPass":    true,
 	"ReadRowInto": true,

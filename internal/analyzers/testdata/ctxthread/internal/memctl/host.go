@@ -18,6 +18,10 @@ func (h *Host) Pass(ctx context.Context) error {
 	return nil
 }
 
+// Probe runs one single-cell-per-row pass, checking for cancellation
+// per row.
+func (h *Host) Probe(ctx context.Context) error { return h.Pass(ctx) }
+
 // Table1Ctx is a context-first entry point.
 func Table1Ctx(ctx context.Context, h *Host) error {
 	return h.Pass(ctx)
@@ -52,6 +56,17 @@ type Sweeper struct {
 func (s *Sweeper) RunAll(n int) error { // want ctxthread `without accepting a context.Context`
 	for i := 0; i < n; i++ {
 		if err := s.h.Pass(s.ctx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ProbeAll loops over probe passes fed from the stored context: a
+// probe pass drives the hardware like any other pass.
+func (s *Sweeper) ProbeAll(n int) error { // want ctxthread `exported ProbeAll loops over Probe without accepting a context.Context`
+	for i := 0; i < n; i++ {
+		if err := s.h.Probe(s.ctx); err != nil {
 			return err
 		}
 	}

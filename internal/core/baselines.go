@@ -77,7 +77,7 @@ func (t *Tester) DiscoverVictims(ctx context.Context) ([]Victim, int, FailureSet
 func (t *Tester) LinearNeighborSearch(ctx context.Context, v Victim) ([]int, int, error) {
 	rowBits := t.host.Geometry().Cols
 	buf := make([]uint64, t.host.Geometry().Words())
-	addr := memctl.BitAddr{Chip: int16(v.Row.Chip), Bank: int16(v.Row.Bank), Row: int32(v.Row.Row), Col: v.Col}
+	cell, data := []memctl.BitAddr{cellAddr(v.Row, v.Col)}, [][]uint64{buf}
 	var found []int
 	passes := 0
 	for i := 0; i < rowBits; i++ {
@@ -85,15 +85,13 @@ func (t *Tester) LinearNeighborSearch(ctx context.Context, v Victim) ([]int, int
 			continue
 		}
 		fillRegionPattern(buf, v.FailData, i, 1, int(v.Col))
-		fails, err := t.host.Pass(ctx, []memctl.Row{v.Row}, [][]uint64{buf}, t.host.WaitMs())
+		failed, err := t.host.Probe(ctx, cell, data, t.host.WaitMs())
 		passes++
 		if err != nil {
 			return nil, 0, err
 		}
-		for _, a := range fails {
-			if a == addr {
-				found = append(found, i-int(v.Col))
-			}
+		if failed != nil {
+			found = append(found, i-int(v.Col))
 		}
 	}
 	return found, passes, nil
@@ -112,7 +110,7 @@ func (t *Tester) ExhaustivePairSearch(ctx context.Context, v Victim) ([][2]int, 
 		return nil, 0, fmt.Errorf("core: exhaustive pair search on %d-bit rows would take %d passes; use a smaller geometry", rowBits, rowBits*(rowBits-1)/2)
 	}
 	buf := make([]uint64, t.host.Geometry().Words())
-	addr := memctl.BitAddr{Chip: int16(v.Row.Chip), Bank: int16(v.Row.Bank), Row: int32(v.Row.Row), Col: v.Col}
+	cell, data := []memctl.BitAddr{cellAddr(v.Row, v.Col)}, [][]uint64{buf}
 	var found [][2]int
 	passes := 0
 	for i := 0; i < rowBits; i++ {
@@ -126,15 +124,13 @@ func (t *Tester) ExhaustivePairSearch(ctx context.Context, v Victim) ([][2]int, 
 			fillRegionPattern(buf, v.FailData, i, 1, int(v.Col))
 			// Complement the second probe bit as well.
 			setBitTo(buf, j, 1-v.FailData)
-			fails, err := t.host.Pass(ctx, []memctl.Row{v.Row}, [][]uint64{buf}, t.host.WaitMs())
+			failed, err := t.host.Probe(ctx, cell, data, t.host.WaitMs())
 			passes++
 			if err != nil {
 				return nil, 0, err
 			}
-			for _, a := range fails {
-				if a == addr {
-					found = append(found, [2]int{i - int(v.Col), j - int(v.Col)})
-				}
+			if failed != nil {
+				found = append(found, [2]int{i - int(v.Col), j - int(v.Col)})
 			}
 		}
 	}

@@ -98,13 +98,15 @@ func (t *Tester) ClassifyVictims(ctx context.Context, victims []Victim, distance
 	}
 
 	tests := 0
+	pcells := make([]memctl.BitAddr, 0, len(victims))
+	pdata := make([][]uint64, 0, len(victims))
+	pvict := make([]int, 0, len(victims))
 	// probe runs one parallel pass; offsets lists the bit distances
-	// set opposite relative to each victim. It returns the victim
-	// indices that failed.
+	// set opposite relative to each victim. It returns the indices of
+	// the victims that failed, ascending: every entry of the probe is
+	// judged on its own, so a victim listed twice is classified twice.
 	probe := func(offsets []int) ([]int, error) {
-		prows := make([]memctl.Row, 0, len(victims))
-		pdata := make([][]uint64, 0, len(victims))
-		addrTo := make(map[memctl.BitAddr]int, len(victims))
+		pcells, pdata, pvict = pcells[:0], pdata[:0], pvict[:0]
 		for i, v := range victims {
 			ok := true
 			for _, d := range offsets {
@@ -129,27 +131,19 @@ func (t *Tester) ClassifyVictims(ctx context.Context, victims []Victim, distance
 			for _, d := range offsets {
 				setBitTo(bufs[i], int(v.Col)+d, 1-v.FailData)
 			}
-			prows = append(prows, v.Row)
+			pcells = append(pcells, cellAddr(v.Row, v.Col))
 			pdata = append(pdata, bufs[i])
-			addrTo[memctl.BitAddr{
-				Chip: int16(v.Row.Chip),
-				Bank: int16(v.Row.Bank),
-				Row:  int32(v.Row.Row),
-				Col:  v.Col,
-			}] = i
+			pvict = append(pvict, i)
 		}
-		fails, err := t.host.Pass(ctx, prows, pdata, t.host.WaitMs())
+		failed, err := t.host.Probe(ctx, pcells, pdata, t.host.WaitMs())
 		tests++
 		if err != nil {
 			return nil, err
 		}
-		var hit []int
-		for _, a := range fails {
-			if i, ok := addrTo[a]; ok {
-				hit = append(hit, i)
-			}
+		for k, e := range failed {
+			failed[k] = pvict[e]
 		}
-		return hit, nil
+		return failed, nil
 	}
 
 	// Step 1: quiet pass.

@@ -71,6 +71,10 @@ func (t *Tester) DetectExtendedNeighbors(ctx context.Context, victims []Victim, 
 	const maxTailCells = 16
 	hitLimit := len(distances) + maxTailCells
 
+	pcells := make([]memctl.BitAddr, 0, len(victims))
+	pdata := make([][]uint64, 0, len(victims))
+	pvict := make([]int, 0, len(victims))
+
 	res := &ExtendedResult{Victims: len(victims)}
 	parentSize := rowBits
 	parentDists := []int{0}
@@ -83,12 +87,7 @@ func (t *Tester) DetectExtendedNeighbors(ctx context.Context, victims []Victim, 
 
 		for _, dp := range parentDists {
 			for j := 0; j < k; j++ {
-				var (
-					prows  []memctl.Row
-					pdata  [][]uint64
-					addrTo = make(map[memctl.BitAddr]int)
-					region = make(map[int]int)
-				)
+				pcells, pdata, pvict = pcells[:0], pdata[:0], pvict[:0]
 				for vi, v := range victims {
 					if dead[vi] {
 						continue
@@ -99,32 +98,25 @@ func (t *Tester) DetectExtendedNeighbors(ctx context.Context, victims []Victim, 
 					}
 					rIdx := parentIdx*k + j
 					fillNeutralizedPattern(bufs[vi], v.FailData, rIdx*size, size, int(v.Col))
-					prows = append(prows, v.Row)
+					pcells = append(pcells, cellAddr(v.Row, v.Col))
 					pdata = append(pdata, bufs[vi])
-					addrTo[memctl.BitAddr{
-						Chip: int16(v.Row.Chip),
-						Bank: int16(v.Row.Bank),
-						Row:  int32(v.Row.Row),
-						Col:  v.Col,
-					}] = vi
-					region[vi] = rIdx
+					pvict = append(pvict, vi)
 				}
 				passes++
-				failSet := make(map[int]bool)
-				fails, err := t.host.Pass(ctx, prows, pdata, t.host.WaitMs())
+				failed, err := t.host.Probe(ctx, pcells, pdata, t.host.WaitMs())
 				if err != nil {
 					return nil, fmt.Errorf("core: extended pass: %w", err)
 				}
-				for _, a := range fails {
-					if vi, ok := addrTo[a]; ok {
-						failSet[vi] = true
+				// Survival, not failure, is the signal. failed is
+				// ascending, so one walk pairs it with the entries.
+				for e, vi := range pvict {
+					if len(failed) > 0 && failed[0] == e {
+						failed = failed[1:]
+						continue
 					}
-				}
-				// Survival, not failure, is the signal.
-				for vi := range region {
-					if !failSet[vi] {
-						hits[vi] = append(hits[vi], region[vi]-int(victims[vi].Col)/size)
-					}
+					col := int(victims[vi].Col)
+					rIdx := (col/parentSize+dp)*k + j
+					hits[vi] = append(hits[vi], rIdx-col/size)
 				}
 			}
 		}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"maps"
+	"slices"
 	"testing"
 
 	"parbor/internal/coupling"
@@ -153,6 +155,83 @@ func TestFillNeutralizedPattern(t *testing.T) {
 		}
 		if got := bitAt(buf, i); got != want {
 			t.Fatalf("bit %d = %d, want %d", i, got, want)
+		}
+	}
+}
+
+// TestDuplicateVictimsJudgedPerEntry: a victim listed twice is probed
+// twice, and each entry must be judged on its own. With every victim
+// listed twice, ClassifyVictims gives both copies the class the victim
+// gets when listed once, and DetectExtendedNeighbors reports the same
+// tests and distances with every level's frequencies doubled. Each
+// run gets a fresh twin module.
+func TestDuplicateVictimsJudgedPerEntry(t *testing.T) {
+	ctx := context.Background()
+	_, tester := tailModule(t)
+	res, err := tester.DetectNeighborsCtx(ctx)
+	if err != nil {
+		t.Fatalf("DetectNeighborsCtx: %v", err)
+	}
+	victims, _, _, err := tester.DiscoverVictims(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice := func(vs []Victim) []Victim {
+		out := make([]Victim, 0, 2*len(vs))
+		for _, v := range vs {
+			out = append(out, v, v)
+		}
+		return out
+	}
+
+	_, once := tailModule(t)
+	_, doubled := tailModule(t)
+	base, _, err := once.ClassifyVictims(ctx, victims, res.Distances)
+	if err != nil {
+		t.Fatalf("ClassifyVictims: %v", err)
+	}
+	dup, _, err := doubled.ClassifyVictims(ctx, twice(victims), res.Distances)
+	if err != nil {
+		t.Fatalf("ClassifyVictims (each victim twice): %v", err)
+	}
+	coupled := 0
+	for i, c := range base {
+		if c.Kind == KindSingle || c.Kind == KindPair {
+			coupled++
+		}
+		for k, d := range dup[2*i : 2*i+2] {
+			if d.Kind != c.Kind || !slices.Equal(d.Distances, c.Distances) {
+				t.Errorf("victim %d copy %d: %v %v, listed once %v %v", i, k, d.Kind, d.Distances, c.Kind, c.Distances)
+			}
+		}
+	}
+	if coupled == 0 {
+		t.Fatal("no victim classified as coupled; the duplicate check is vacuous")
+	}
+
+	tail := TailGated(base)
+	_, once = tailModule(t)
+	_, doubled = tailModule(t)
+	ext, err := once.DetectExtendedNeighbors(ctx, tail, res.Distances)
+	if err != nil {
+		t.Fatalf("DetectExtendedNeighbors: %v", err)
+	}
+	extDup, err := doubled.DetectExtendedNeighbors(ctx, twice(tail), res.Distances)
+	if err != nil {
+		t.Fatalf("DetectExtendedNeighbors (each victim twice): %v", err)
+	}
+	if extDup.Tests != ext.Tests || !slices.Equal(extDup.Distances, ext.Distances) || len(extDup.Levels) != len(ext.Levels) {
+		t.Fatalf("each victim twice: %d tests, distances %v, %d levels; listed once: %d, %v, %d",
+			extDup.Tests, extDup.Distances, len(extDup.Levels), ext.Tests, ext.Distances, len(ext.Levels))
+	}
+	for i, l := range ext.Levels {
+		d := extDup.Levels[i]
+		want := make(map[int]int, len(l.Frequencies))
+		for dist, n := range l.Frequencies {
+			want[dist] = 2 * n
+		}
+		if !maps.Equal(d.Frequencies, want) || !slices.Equal(d.Distances, l.Distances) {
+			t.Errorf("level %d: each victim twice gives frequencies %v, distances %v; want %v, %v", i+1, d.Frequencies, d.Distances, want, l.Distances)
 		}
 	}
 }

@@ -148,11 +148,11 @@ func (a *regionArena) region(failData uint64, rIdx, size int) []uint64 {
 // live victims simultaneously, applies marginal-victim filtering, and
 // ranks the observed distances.
 //
-// A pass tests at most one victim per row, and victims are sorted by
-// (chip, bank, row), so each pass's row list is sorted too: a failing
-// address finds its victim by binary search over the list, and counts
-// only when it is the victim's own column. A victim's region distance
-// is recomputed from its column rather than remembered per pass.
+// A pass probes each live victim's own cell (memctl.Host.Probe), so
+// every failure it reports names its victim by list index; flips
+// elsewhere in the row are never evaluated. A victim's region
+// distance is recomputed from its column rather than remembered per
+// pass.
 func (t *Tester) runLevel(ctx context.Context, victims []victimInfo, arena *regionArena, rowBits, parentSize, size int, parentDists []int) (*LevelReport, error) {
 	k := parentSize / size
 	nParents := rowBits / parentSize
@@ -160,15 +160,15 @@ func (t *Tester) runLevel(ctx context.Context, victims []victimInfo, arena *regi
 	passes := 0
 	hits := make([][]int, len(victims)) // region distances at which each victim failed
 
-	// Reused per-pass slices: the pass's row list, its data, and the
-	// victim index behind each row.
-	prows := make([]memctl.Row, 0, len(victims))
+	// Reused per-pass slices: the pass's probed cells, their rows'
+	// data, and the victim index behind each cell.
+	pcells := make([]memctl.BitAddr, 0, len(victims))
 	pdata := make([][]uint64, 0, len(victims))
 	pvict := make([]int, 0, len(victims))
 
 	for _, dp := range parentDists {
 		for j := 0; j < k; j++ {
-			prows = prows[:0]
+			pcells = pcells[:0]
 			pdata = pdata[:0]
 			pvict = pvict[:0]
 			arena.reset()
@@ -196,28 +196,18 @@ func (t *Tester) runLevel(ctx context.Context, victims []victimInfo, arena *regi
 					setBitTo(fixed, c, v.failData)
 					row = fixed
 				}
-				prows = append(prows, v.row)
+				pcells = append(pcells, cellAddr(v.row, v.col))
 				pdata = append(pdata, row)
 				pvict = append(pvict, vi)
 			}
 			passes++
-			fails, err := t.host.Pass(ctx, prows, pdata, t.host.WaitMs())
+			failed, err := t.host.Probe(ctx, pcells, pdata, t.host.WaitMs())
 			if err != nil {
 				return nil, fmt.Errorf("core: level pass (size %d, parent %+d, sub %d): %w", size, dp, j, err)
 			}
-			slot := -1 // row-list slot of the previous failure's row
-			for _, a := range fails {
-				if slot < 0 || !sameRow(prows[slot], a) {
-					slot = findRow(prows, a)
-					if slot < 0 {
-						continue // a flip on a row outside this pass
-					}
-				}
-				vi := pvict[slot]
-				if a.Col != victims[vi].col {
-					continue // a flip somewhere other than the sampled victim
-				}
-				col := int(a.Col)
+			for _, e := range failed {
+				vi := pvict[e]
+				col := int(victims[vi].col)
 				d := (col/parentSize+dp)*k + j - col/size
 				hits[vi] = append(hits[vi], d)
 			}
@@ -252,32 +242,6 @@ func (t *Tester) runLevel(ctx context.Context, victims []victimInfo, arena *regi
 		Frequencies: freq,
 		Distances:   rankDistances(freq, t.cfg.RankThreshold),
 	}, nil
-}
-
-// sameRow reports whether a lies in row r.
-func sameRow(r memctl.Row, a memctl.BitAddr) bool {
-	return int16(r.Chip) == a.Chip && int16(r.Bank) == a.Bank && int32(r.Row) == a.Row
-}
-
-// findRow returns the index of a's row in rows, which must be sorted
-// by (chip, bank, row) without duplicates, or -1 when a lies outside
-// every listed row.
-func findRow(rows []memctl.Row, a memctl.BitAddr) int {
-	lo, hi := 0, len(rows)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		r := rows[m]
-		c, b, w := int16(r.Chip), int16(r.Bank), int32(r.Row)
-		if c < a.Chip || (c == a.Chip && (b < a.Bank || (b == a.Bank && w < a.Row))) {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	if lo < len(rows) && sameRow(rows[lo], a) {
-		return lo
-	}
-	return -1
 }
 
 // rankDistances keeps the distances whose frequency is at least

@@ -112,8 +112,7 @@ func referenceLevel(t *testing.T, tester *Tester, victims []victimInfo, rowBits,
 // twin noisy modules, DetectNeighborsCtx must report per level exactly
 // the test counts, distance frequencies and ranked distances of the
 // map-based reference, and the reference must actually have discarded
-// flips at non-victim columns (the case the victim lookup must
-// ignore).
+// flips at non-victim columns (the ones a probe pass never reads).
 func TestRunLevelMatchesMapReference(t *testing.T) {
 	for _, v := range scramble.Vendors() {
 		for _, seed := range []uint64{3, 17, 42} {
@@ -145,49 +144,16 @@ func TestRunLevelMatchesMapReference(t *testing.T) {
 				parentSize, parentDists = size, want.Distances
 			}
 			if ignored == 0 {
-				t.Errorf("vendor %v seed %d: no flip outside a victim column; the lookup's filter went unexercised", v, seed)
+				t.Errorf("vendor %v seed %d: no flip outside a victim column; the probe's single-cell read went unexercised", v, seed)
 			}
 		}
 	}
 }
 
-// TestFindRow pins the victim lookup's row search: addresses before,
-// between and after the listed rows, and ones matching a listed row
-// number on another chip or bank, are not found.
-func TestFindRow(t *testing.T) {
-	rows := []memctl.Row{
-		{Chip: 0, Bank: 0, Row: 3}, {Chip: 0, Bank: 0, Row: 9},
-		{Chip: 0, Bank: 1, Row: 2}, {Chip: 1, Bank: 0, Row: 0},
-		{Chip: 1, Bank: 1, Row: 7},
-	}
-	for i, r := range rows {
-		a := memctl.BitAddr{Chip: int16(r.Chip), Bank: int16(r.Bank), Row: int32(r.Row), Col: 11}
-		if got := findRow(rows, a); got != i {
-			t.Errorf("findRow(%v) = %d, want %d", a, got, i)
-		}
-	}
-	for _, a := range []memctl.BitAddr{
-		{Chip: 0, Bank: 0, Row: 0},  // before the first row
-		{Chip: 0, Bank: 0, Row: 5},  // between rows of one bank
-		{Chip: 0, Bank: 1, Row: 9},  // row number of bank 0 in bank 1
-		{Chip: 1, Bank: 0, Row: 3},  // row number of chip 0 on chip 1
-		{Chip: 1, Bank: 0, Row: 7},  // row number of bank 1 in bank 0
-		{Chip: 1, Bank: 1, Row: 8},  // after the last row
-		{Chip: 2, Bank: 0, Row: 0},  // a chip with no rows
-		{Chip: 0, Bank: 0, Row: -1}, // never a valid row
-	} {
-		if got := findRow(rows, a); got != -1 {
-			t.Errorf("findRow(%v) = %d, want -1", a, got)
-		}
-	}
-	if got := findRow(nil, memctl.BitAddr{}); got != -1 {
-		t.Errorf("findRow on an empty list = %d, want -1", got)
-	}
-}
-
 // BenchmarkDetectNeighbors measures the core recursion layer:
 // discovery plus every recursion level on a two-chip noisy module,
-// including the per-pass bookkeeping that maps failures to victims.
+// including the per-pass bookkeeping that maps probe results to
+// victims.
 func BenchmarkDetectNeighbors(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

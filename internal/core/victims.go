@@ -120,6 +120,11 @@ func mergeCandidates(dst, cands []candidate, fails []memctl.BitAddr, passBit uin
 	return dst
 }
 
+// cellAddr returns the system address of the cell at col in row r.
+func cellAddr(r memctl.Row, col int32) memctl.BitAddr {
+	return memctl.BitAddr{Chip: int16(r.Chip), Bank: int16(r.Bank), Row: int32(r.Row), Col: col}
+}
+
 // bitAt returns bit i of a row bitmap.
 func bitAt(words []uint64, i int) uint64 {
 	return (words[i>>6] >> (uint(i) & 63)) & 1

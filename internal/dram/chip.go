@@ -424,6 +424,41 @@ func (c *Chip) ReadRowDelta(bank, row int, delta []uint64) int {
 	return c.readRowFaults(row, idx, c.rowData(idx), delta)
 }
 
+// ReadCell performs the same read as ReadRow — same keyed draws, same
+// activate and read command — but evaluates only the failure modes
+// that can toggle the cell at col, and returns the bit read back
+// there: the stored bit XOR the parity of every toggle at col. Two
+// failure modes firing on one cell cancel, exactly as they do in the
+// row read. Every draw is keyed per (pass, row, column), so skipping
+// the row's other cells changes no draw; the differential suite
+// (TestReadCellMatchesReadRow) holds it to ReadRow bit for bit. It is
+// the read half of a probe pass (memctl.Host.Probe), which asks one
+// question per row: did that one cell flip?
+//
+//parbor:hotpath
+func (c *Chip) ReadCell(bank, row, col int) uint64 {
+	idx := c.geom.rowIndex(bank, row)
+	stored := c.rowData(idx)
+	bit := getBit(stored, col)
+	elapsed := c.beginRead(idx)
+	if elapsed <= 0 {
+		return bit
+	}
+	m := c.rowMetaFor(idx)
+	if scalarReadPath {
+		return bit ^ c.readCellScalar(row, idx, col, elapsed, stored, m)
+	}
+	return bit ^ c.readCellPlanes(row, idx, col, elapsed, stored, m)
+}
+
+// beginRead counts one row read (see FlushCommands) and returns the
+// retention time the row has accumulated; nothing can fail unless it
+// is positive.
+func (c *Chip) beginRead(idx int) float64 {
+	c.pendReads++
+	return c.nowMs - c.chargeTime(idx)
+}
+
 // readRowFaults is the shared read core: it counts the access (see
 // FlushCommands), evaluates every failure mode of the row against
 // stored, toggles the failing bits into dst, and returns the toggle
@@ -431,8 +466,7 @@ func (c *Chip) ReadRowDelta(bank, row int, delta []uint64) int {
 // buffer (ReadRowDelta) — every predicate reads charge state from
 // stored only, so the two produce the same toggle set.
 func (c *Chip) readRowFaults(row, idx int, stored, dst []uint64) int {
-	c.pendReads++
-	elapsed := c.nowMs - c.chargeTime(idx)
+	elapsed := c.beginRead(idx)
 	if elapsed <= 0 {
 		return 0
 	}
@@ -471,6 +505,30 @@ func (c *Chip) readRowScalar(row, flat int, elapsed float64, stored, dst []uint6
 	return n + c.applyRandomFaults(flat, row, elapsed, stored, dst, m)
 }
 
+// readCellScalar is readRowScalar narrowed to the cell at col: the same
+// walk over every victim and fault cell of the row, toggling only for
+// entries at col. It returns the parity of the toggles, and is the
+// oracle readCellPlanes is held to under the parborscalar build tag.
+func (c *Chip) readCellScalar(row, flat, col int, elapsed float64, stored []uint64, m *rowMeta) uint64 {
+	anti := c.antiRow(row)
+	var t uint64
+	for i := range m.victims {
+		v := &m.victims[i]
+		if int(v.col) == col && elapsed >= float64(v.retentionMs) && c.victimFails(stored, anti, flat, v) {
+			t ^= 1
+		}
+	}
+	for _, fcell := range m.fcells {
+		if int(fcell.Col) == col && c.faultCellFails(fcell, flat, elapsed, stored, anti) {
+			t ^= 1
+		}
+	}
+	if c.softErrorCol(flat) == col {
+		t ^= 1
+	}
+	return t
+}
+
 // charged reports whether the cell at col holds charge, accounting
 // for the row's polarity.
 func charged(words []uint64, col int, anti bool) bool {
@@ -493,8 +551,7 @@ func (c *Chip) victimFails(stored []uint64, anti bool, flat int, v *vcell) bool 
 		// The redundant cell's physical neighbors are spare columns
 		// outside the system address space: the failure fires
 		// sporadically, independent of written data.
-		src := c.remapSrc.At(c.pass).At(uint64(flat)).At(uint64(v.col))
-		return src.Bool(c.fc.RemappedFailProb)
+		return c.cellDraw(c.remapSrc, flat, int(v.col), c.fc.RemappedFailProb)
 	}
 	leftOpposite := v.left >= 0 && !charged(stored, int(v.left), anti)
 	rightOpposite := v.right >= 0 && !charged(stored, int(v.right), anti)
@@ -530,45 +587,61 @@ func (c *Chip) victimFails(stored []uint64, anti bool, flat int, v *vcell) bool 
 func (c *Chip) applyRandomFaults(flat, row int, elapsed float64, stored, dst []uint64, m *rowMeta) int {
 	anti := c.antiRow(row)
 	n := 0
-	vrtPass := c.vrtSrc.At(c.pass).At(uint64(flat))
-	marginalPass := c.marginalSrc.At(c.pass).At(uint64(flat))
 	for _, fcell := range m.fcells {
-		col := int(fcell.Col)
-		switch fcell.Kind {
-		case faults.KindVRT:
-			if elapsed >= vrtRetentionMs && charged(stored, col, anti) {
-				// The leaky state is a fresh per-pass Bernoulli draw per
-				// VRT cell, exactly as when it was drawn eagerly in Wait
-				// — but keyed, so unmaterialized rows need no state.
-				src := vrtPass.At(uint64(fcell.Col))
-				if src.Bool(c.fc.VRTToggleProb) {
-					flipBit(dst, col)
-					n++
-				}
-			}
-		case faults.KindMarginal:
-			if elapsed >= marginalRetentionMs && charged(stored, col, anti) {
-				src := marginalPass.At(uint64(fcell.Col))
-				if src.Bool(c.fc.MarginalFailProb) {
-					flipBit(dst, col)
-					n++
-				}
-			}
-		case faults.KindWeak:
-			if elapsed >= weakRetentionMs && charged(stored, col, anti) {
-				flipBit(dst, col)
-				n++
-			}
-		}
-	}
-	if c.fc.SoftErrorPerRowRead > 0 {
-		src := c.softSrc.At(c.pass).At(uint64(flat))
-		if src.Bool(c.fc.SoftErrorPerRowRead) {
-			flipBit(dst, src.Intn(c.geom.Cols))
+		if c.faultCellFails(fcell, flat, elapsed, stored, anti) {
+			flipBit(dst, int(fcell.Col))
 			n++
 		}
 	}
+	if col := c.softErrorCol(flat); col >= 0 {
+		flipBit(dst, col)
+		n++
+	}
 	return n
+}
+
+// faultCellFails evaluates one random-fault cell for this read: it
+// must hold charge and be past its kind's retention threshold, and VRT
+// and marginal cells then fail on their keyed per-pass draw.
+//
+//parbor:hotpath
+func (c *Chip) faultCellFails(fcell faults.Cell, flat int, elapsed float64, stored []uint64, anti bool) bool {
+	col := int(fcell.Col)
+	switch fcell.Kind {
+	case faults.KindVRT:
+		// The leaky state is a fresh per-pass Bernoulli draw per VRT
+		// cell, exactly as when it was drawn eagerly in Wait — but
+		// keyed, so unmaterialized rows need no state.
+		return elapsed >= vrtRetentionMs && charged(stored, col, anti) && c.cellDraw(c.vrtSrc, flat, col, c.fc.VRTToggleProb)
+	case faults.KindMarginal:
+		return elapsed >= marginalRetentionMs && charged(stored, col, anti) && c.cellDraw(c.marginalSrc, flat, col, c.fc.MarginalFailProb)
+	case faults.KindWeak:
+		return elapsed >= weakRetentionMs && charged(stored, col, anti)
+	}
+	return false
+}
+
+// cellDraw is the Bernoulli draw with probability p that stream s
+// keys on (this pass, flat row, column).
+//
+//parbor:hotpath
+func (c *Chip) cellDraw(s rng.Source, flat, col int, p float64) bool {
+	src := s.At(c.pass).At(uint64(flat)).At(uint64(col))
+	return src.Bool(p)
+}
+
+// softErrorCol returns the column this read's soft error strikes, or
+// -1 when the row's keyed per-pass draw spares it.
+//
+//parbor:hotpath
+func (c *Chip) softErrorCol(flat int) int {
+	if c.fc.SoftErrorPerRowRead > 0 {
+		src := c.softSrc.At(c.pass).At(uint64(flat))
+		if src.Bool(c.fc.SoftErrorPerRowRead) {
+			return src.Intn(c.geom.Cols)
+		}
+	}
+	return -1
 }
 
 // chargeTime returns the sim time (ms) the row's cells were last

@@ -11,7 +11,8 @@ import (
 // TestCommandsFlushToAttachedRecorder: row accesses only count until
 // FlushCommands delivers them, and SetRecorder flushes first, so each
 // recorder sees exactly the accesses made while it was attached and
-// activates always equal writes plus reads.
+// activates always equal writes plus reads. A single-cell read counts
+// as one row read.
 func TestCommandsFlushToAttachedRecorder(t *testing.T) {
 	c := testChip(t, coupling.Config{VulnerableRate: 0, RetentionMinMs: 1, RetentionMaxMs: 1}, faults.Config{})
 	first, second := obs.NewCollector(), obs.NewCollector()
@@ -26,6 +27,7 @@ func TestCommandsFlushToAttachedRecorder(t *testing.T) {
 	}
 	c.SetRecorder(second)
 	c.ReadRowDelta(0, 2, make([]uint64, c.Geometry().Words()))
+	c.ReadCell(0, 3, 5)
 	c.FlushCommands()
 	c.FlushCommands() // nothing pending: a no-op
 
@@ -35,7 +37,7 @@ func TestCommandsFlushToAttachedRecorder(t *testing.T) {
 		writes, reads, activate uint64
 	}{
 		{"first", first, 1, 1, 2},
-		{"second", second, 0, 1, 1},
+		{"second", second, 0, 2, 2},
 	} {
 		w, r, a := tc.col.CommandCount(obs.CmdWrite), tc.col.CommandCount(obs.CmdRead), tc.col.CommandCount(obs.CmdActivate)
 		if w != tc.writes || r != tc.reads || a != tc.activate {

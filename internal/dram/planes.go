@@ -558,14 +558,66 @@ func (c *Chip) readRowPlanes(row, flat int, elapsed float64, stored, dst []uint6
 			}
 		}
 	}
-	if c.fc.SoftErrorPerRowRead > 0 {
-		src := c.softSrc.At(c.pass).At(uint64(flat))
-		if src.Bool(c.fc.SoftErrorPerRowRead) {
-			flipBit(dst, src.Intn(c.geom.Cols))
-			n++
-		}
+	if col := c.softErrorCol(flat); col >= 0 {
+		flipBit(dst, col)
+		n++
 	}
 	return n
+}
+
+// readCellPlanes is readRowPlanes narrowed to the cell at col: the
+// row's gates and word masks decide which failure modes can toggle
+// the cell, and each that can takes the same exact predicate and the
+// same keyed draw as the row read. It returns the parity of the
+// toggles (a cell can carry a victim and fault kinds at once, and two
+// firing modes cancel, as their flips do in readRowPlanes).
+//
+//parbor:hotpath
+func (c *Chip) readCellPlanes(row, flat, col int, elapsed float64, stored []uint64, m *rowMeta) uint64 {
+	p := &c.planes[flat]
+	anti := c.antiRow(row)
+	w, bit := int32(col>>6), uint64(1)<<(uint(col)&63)
+	var t uint64
+	// Every mode but the soft error needs the cell charged.
+	if charged(stored, col, anti) {
+		if elapsed >= min(p.tierMin[0], p.tierMin[1], p.remapMin) {
+			if v := m.findVictim(int32(col)); v != nil && elapsed >= float64(v.retentionMs) && c.victimFails(stored, anti, flat, v) {
+				t = 1
+			}
+		}
+		if e := p.fcellsAt(w); e != nil && elapsed >= p.fcellMin {
+			if elapsed >= vrtRetentionMs && e.vrt&bit != 0 && c.cellDraw(c.vrtSrc, flat, col, c.fc.VRTToggleProb) {
+				t ^= 1
+			}
+			if elapsed >= marginalRetentionMs && e.marginal&bit != 0 && c.cellDraw(c.marginalSrc, flat, col, c.fc.MarginalFailProb) {
+				t ^= 1
+			}
+			if elapsed >= weakRetentionMs && e.weak&bit != 0 {
+				t ^= 1
+			}
+		}
+	}
+	if c.softErrorCol(flat) == col {
+		t ^= 1
+	}
+	return t
+}
+
+// fcellsAt returns the fault masks of storage word w, or nil when the
+// word holds no fault cell. The list is tiny and in ascending word
+// order.
+//
+//parbor:hotpath
+func (p *rowPlanes) fcellsAt(w int32) *faultMask {
+	for i := range p.fcells {
+		if e := &p.fcells[i]; e.word >= w {
+			if e.word == w {
+				return e
+			}
+			break
+		}
+	}
+	return nil
 }
 
 // surroundOpposite reports whether every surround cell of v holds the
@@ -588,7 +640,23 @@ func surroundOpposite(stored []uint64, antiX uint64, v *vcell) bool {
 // always lands.
 //
 //parbor:hotpath
-func (m *rowMeta) victimAt(col int32) *vcell {
+func (m *rowMeta) victimAt(col int32) *vcell { return &m.victims[m.victimIndex(col)] }
+
+// findVictim returns the victim with the given column, or nil when the
+// column holds none.
+//
+//parbor:hotpath
+func (m *rowMeta) findVictim(col int32) *vcell {
+	if i := m.victimIndex(col); i < len(m.victims) && m.victims[i].col == col {
+		return &m.victims[i]
+	}
+	return nil
+}
+
+// victimIndex returns the index of the first victim at or above col.
+//
+//parbor:hotpath
+func (m *rowMeta) victimIndex(col int32) int {
 	lo, hi := 0, len(m.victims)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -598,5 +666,5 @@ func (m *rowMeta) victimAt(col int32) *vcell {
 			hi = mid
 		}
 	}
-	return &m.victims[lo]
+	return lo
 }

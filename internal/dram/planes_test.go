@@ -78,6 +78,35 @@ func comparePaths(t *testing.T, c *Chip, label string) (flips int) {
 	return flips
 }
 
+// compareCellPaths evaluates both single-cell read paths at col for
+// every row of the chip at its current clock and reports any row where
+// either disagrees with the scalar row read's toggle at col.
+func compareCellPaths(t *testing.T, c *Chip, col int, label string) {
+	t.Helper()
+	g := c.Geometry()
+	delta := make([]uint64, c.words)
+	for bank := 0; bank < g.Banks; bank++ {
+		for row := 0; row < g.Rows; row++ {
+			idx := c.geom.rowIndex(bank, row)
+			stored := c.data[idx*c.words : (idx+1)*c.words]
+			elapsed := c.nowMs - c.chargeTime(idx)
+			if elapsed <= 0 {
+				continue
+			}
+			m := c.rowMetaFor(idx)
+			clear(delta)
+			c.readRowScalar(row, idx, elapsed, stored, delta, m)
+			want := getBit(delta, col)
+			if got := c.readCellScalar(row, idx, col, elapsed, stored, m); got != want {
+				t.Errorf("%s: bank %d row %d col %d: scalar cell toggle %d, row toggle %d", label, bank, row, col, got, want)
+			}
+			if got := c.readCellPlanes(row, idx, col, elapsed, stored, m); got != want {
+				t.Errorf("%s: bank %d row %d col %d: planes cell toggle %d, row toggle %d", label, bank, row, col, got, want)
+			}
+		}
+	}
+}
+
 // diffCase is one chip configuration of the differential matrix.
 type diffCase struct {
 	name   string
@@ -102,6 +131,12 @@ func diffCases() []diffCase {
 	vrtHot.WeakCellRate = 5e-3
 	remapHot := faults.DefaultConfig()
 	remapHot.RemappedColumnRate, remapHot.RemappedFailProb = 0.01, 0.5
+	// Fault kinds so dense that many cells carry two or three kinds, or
+	// a kind and a victim: their toggles must cancel pairwise.
+	overlap := faults.DefaultConfig()
+	overlap.VRTRate, overlap.VRTToggleProb = 0.2, 0.5
+	overlap.MarginalRate, overlap.MarginalFailProb = 0.2, 0.5
+	overlap.WeakCellRate = 0.2
 
 	return []diffCase{
 		{
@@ -138,6 +173,13 @@ func diffCases() []diffCase {
 			vendor: scramble.VendorToy,
 			cc:     shortRet,
 			fc:     vrtHot,
+		},
+		{
+			name:   "toy-fault-overlap",
+			geom:   Geometry{Banks: 1, Rows: 32, Cols: 512},
+			vendor: scramble.VendorToy,
+			cc:     shortRet,
+			fc:     overlap,
 		},
 		{
 			name:   "vendorA-remapped",
@@ -269,16 +311,69 @@ func TestReadRowDeltaMatchesReadRow(t *testing.T) {
 	}
 }
 
+// TestReadCellMatchesReadRow checks the public contract of the
+// single-cell read: at every column of every row, ReadCell returns the
+// bit ReadRow reads back, across the differential matrix (every
+// vendor, padded last words, dense victims, every fault kind) with
+// soft errors frequent enough to fire. It runs on whichever read path
+// the build selects, so CI's parborscalar step holds the scalar cell
+// read to the scalar row read too.
+func TestReadCellMatchesReadRow(t *testing.T) {
+	for _, tc := range diffCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.fc.SoftErrorPerRowRead = 0.5
+			chip, err := NewChip(ChipConfig{Geometry: tc.geom, Vendor: tc.vendor, Coupling: tc.cc, Faults: tc.fc, Seed: 917})
+			if err != nil {
+				t.Fatalf("NewChip: %v", err)
+			}
+			g := chip.Geometry()
+			words := make([]uint64, g.Words())
+			for bank := 0; bank < g.Banks; bank++ {
+				for row := 0; row < g.Rows; row++ {
+					diffPattern(words, "rand", uint64(bank*g.Rows+row))
+					chip.WriteRow(bank, row, words)
+				}
+			}
+			got := make([]uint64, g.Words())
+			flips := 0
+			for _, wait := range []float64{32, 64, 144, 90, 370, 2500} {
+				chip.Wait(wait)
+				for bank := 0; bank < g.Banks; bank++ {
+					for row := 0; row < g.Rows; row++ {
+						chip.ReadRow(bank, row, got)
+						idx := chip.FlatRowIndex(bank, row)
+						stored := chip.data[idx*chip.words : (idx+1)*chip.words]
+						for col := 0; col < g.Cols; col++ {
+							want := getBit(got, col)
+							if cell := chip.ReadCell(bank, row, col); cell != want {
+								t.Fatalf("wait %v bank %d row %d col %d: ReadCell %d, ReadRow %d", wait, bank, row, col, cell, want)
+							}
+							if want != getBit(stored, col) {
+								flips++
+							}
+						}
+					}
+				}
+			}
+			if flips == 0 {
+				t.Error("no cell flipped; the contract was not exercised")
+			}
+		})
+	}
+}
+
 // FuzzVictimPlanes drives the differential comparison from fuzzed
-// geometry, content, and wait schedules. Any divergence between the
-// scalar oracle and the plane path — a missed flip, an extra flip, a
-// count mismatch — fails the fuzz target.
+// geometry, content, wait schedules and a probed column. Any
+// divergence between the scalar oracle and the plane path — a missed
+// flip, an extra flip, a count mismatch, or a single-cell read that
+// disagrees with the row read at the probed column — fails the fuzz
+// target.
 func FuzzVictimPlanes(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(0), uint64(0xaaaaaaaaaaaaaaaa), uint16(700))
-	f.Add(uint64(2), uint8(1), uint8(3), uint64(0), uint16(96))
-	f.Add(uint64(3), uint8(2), uint8(1), uint64(0x0123456789abcdef), uint16(3200))
-	f.Add(uint64(4), uint8(3), uint8(2), ^uint64(0), uint16(250))
-	f.Fuzz(func(t *testing.T, seed uint64, geomSel, vendorSel uint8, fill uint64, waitMs uint16) {
+	f.Add(uint64(1), uint8(0), uint8(0), uint64(0xaaaaaaaaaaaaaaaa), uint16(700), uint16(5))
+	f.Add(uint64(2), uint8(1), uint8(3), uint64(0), uint16(96), uint16(200))
+	f.Add(uint64(3), uint8(2), uint8(1), uint64(0x0123456789abcdef), uint16(3200), uint16(1000))
+	f.Add(uint64(4), uint8(3), uint8(2), ^uint64(0), uint16(250), uint16(63))
+	f.Fuzz(func(t *testing.T, seed uint64, geomSel, vendorSel uint8, fill uint64, waitMs, probe uint16) {
 		vendors := []scramble.Vendor{scramble.VendorToy, scramble.VendorA, scramble.VendorB, scramble.VendorC}
 		vendor := vendors[int(vendorSel)%len(vendors)]
 		// Chunk-compatible column counts per vendor; the Toy profile
@@ -318,10 +413,13 @@ func FuzzVictimPlanes(f *testing.F) {
 		// Two reads at different elapsed times: the fuzzed wait and a
 		// follow-up that crosses whatever gate the first stopped short
 		// of. Both must match the oracle exactly.
+		col := int(probe) % cols
 		chip.Wait(float64(waitMs))
 		comparePaths(t, chip, "fuzz-wait1")
+		compareCellPaths(t, chip, col, "fuzz-wait1")
 		chip.Wait(float64(waitMs)/2 + 97)
 		comparePaths(t, chip, "fuzz-wait2")
+		compareCellPaths(t, chip, col, "fuzz-wait2")
 	})
 }
 

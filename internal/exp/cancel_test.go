@@ -193,13 +193,15 @@ func TestEntryPointCancellation(t *testing.T) {
 	}
 }
 
-// TestEntryPointWriteFaults runs the full-module baselines on a host
-// whose fault plane rejects every write: each must return the
-// *memctl.PassError, not panic.
+// TestEntryPointWriteFaults runs the full-module baselines and the
+// probe-pass callers (victim classification, extended detection and
+// the naive searches) on a host whose fault plane rejects every write:
+// each must return the *memctl.PassError, not panic.
 func TestEntryPointWriteFaults(t *testing.T) {
 	for _, ep := range hostEntryPoints {
 		switch ep.name {
-		case "core.SimplePatternTest", "core.RandomPatternTest", "core.DiscoverVictims":
+		case "core.SimplePatternTest", "core.RandomPatternTest", "core.DiscoverVictims",
+			"core.ClassifyVictims", "core.DetectExtendedNeighbors", "core.LinearNeighborSearch", "core.ExhaustivePairSearch":
 		default:
 			continue
 		}

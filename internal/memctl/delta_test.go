@@ -20,6 +20,17 @@ import (
 // reads through failure deltas instead, and must agree with this on
 // every input, including lists that name a row twice.
 func comparePassOracle(mod *dram.Module, rows []Row, data [][]uint64, waitMs float64) []BitAddr {
+	var fails []BitAddr
+	for _, f := range compareEntriesOracle(mod, rows, data, waitMs) {
+		fails = append(fails, f...)
+	}
+	return fails
+}
+
+// compareEntriesOracle is comparePassOracle with each list entry's
+// mismatches kept apart: entry i of the result holds the failures of
+// rows[i] against data[i].
+func compareEntriesOracle(mod *dram.Module, rows []Row, data [][]uint64, waitMs float64) [][]BitAddr {
 	for i, r := range rows {
 		mod.Chip(r.Chip).WriteRow(r.Bank, r.Row, data[i])
 	}
@@ -33,10 +44,10 @@ func comparePassOracle(mod *dram.Module, rows []Row, data [][]uint64, waitMs flo
 	}
 	g := mod.Geometry()
 	got := make([]uint64, g.Words())
-	var fails []BitAddr
+	fails := make([][]BitAddr, len(rows))
 	for i, r := range rows {
 		mod.Chip(r.Chip).ReadRow(r.Bank, r.Row, got)
-		fails = appendMismatches(fails, r, data[i], got, g.LastWordMask())
+		fails[i] = appendMismatches(nil, r, data[i], got, g.LastWordMask())
 	}
 	return fails
 }

@@ -181,6 +181,12 @@ type Host struct {
 	slots    []*ChipFault // per-chip fault slots; nil when no plane attached
 	perIndex [][]BitAddr  // readAndDiff: failures per row-list index
 	perChip  [][]BitAddr  // full pass: failures per chip
+	// Probe's row list (the rows of its cells) and its per-entry
+	// verdicts. probeHit entries are written by the worker owning the
+	// entry's chip, one distinct element each, and cleared before every
+	// read sweep.
+	probeRows []Row
+	probeHit  []bool
 
 	// Per-chip paused-row lists (flat row indices) for
 	// autoRefreshPaused, rebuilt by bucketRows and reused across
@@ -201,6 +207,7 @@ type Host struct {
 	writeRowsFn func(chip int) error
 	readRowsFn  func(chip int) error
 	deltaRowsFn func(chip int) error
+	probeRowsFn func(chip int) error
 	writeFullFn func(chip int) error
 	readFullFn  func(chip int) error
 	activeFn    func(k int) error // dispatches sweep.fn over active[k]
@@ -214,6 +221,7 @@ type sweepState struct {
 	ctx     context.Context
 	attempt int
 	rows    []Row                // row-list sweeps
+	cells   []BitAddr            // probe sweeps: the cell read in each row
 	data    [][]uint64           // write: data to store; read: expected
 	src     RowSource            // full-module sweeps
 	fn      func(chip int) error // shard body dispatched by activeFn
@@ -276,6 +284,7 @@ func NewHostWithConfig(mod *dram.Module, cfg HostConfig) (*Host, error) {
 	h.writeRowsFn = h.writeRowsShard
 	h.readRowsFn = h.readRowsShard
 	h.deltaRowsFn = h.readRowsDeltaShard
+	h.probeRowsFn = h.probeRowsShard
 	h.writeFullFn = h.writeFullShard
 	h.readFullFn = h.readFullShard
 	h.activeFn = h.runActiveShard
@@ -527,38 +536,121 @@ func (h *Host) Pass(ctx context.Context, rows []Row, data [][]uint64, waitMs flo
 	if err := h.checkRows(rows, data, waitMs, "data"); err != nil {
 		return nil, err
 	}
+	passStart := h.startClock()
+	dup, err := h.writeWait(ctx, rows, data, waitMs, passStart)
+	if err != nil {
+		return nil, err
+	}
+	readStart := h.startClock()
+	fails, err := h.readAndDiff(ctx, h.sweep.attempt, rows, data, !dup)
+	h.resetSweep()
+	if err != nil {
+		return nil, h.failPass(err)
+	}
+	h.passDone(passStart, readStart, len(rows))
+	return fails, nil
+}
+
+// Probe is the pass a one-victim-per-row test needs: it writes data[i]
+// to the row of cells[i], waits waitMs, reads the rows back and
+// returns, in ascending order, the indices i whose cell reads back
+// different from its bit in data[i] (nil when none fail). The chips
+// evaluate only the failure modes that can toggle each probed cell
+// (dram.Chip.ReadCell), not the whole row, and no failure address is
+// built.
+//
+// Everything else is Pass: the same input validation, plus
+// 0 <= Col < Cols for every cell; the same write sweep, shared wait,
+// auto-refresh, fault-plane consultations, cancellation and errors;
+// one test that counts len(cells) rows tested; and the same timing
+// series and DRAM commands, one activate and one read per entry. A
+// probe therefore reports exactly what the Pass it replaces reports
+// for those cells, and the obs report is the same. When the list
+// names a row twice the chip stores only the later write; each entry
+// still reads its cell back and compares it against its own data, as
+// Pass's compare fallback does, so duplicates need no other path.
+// The data aliasing contract is Pass's.
+func (h *Host) Probe(ctx context.Context, cells []BitAddr, data [][]uint64, waitMs float64) ([]int, error) {
+	cols := h.mod.Geometry().Cols
+	rows := h.probeRows[:0]
+	for i, a := range cells {
+		if a.Col < 0 || int(a.Col) >= cols {
+			return nil, fmt.Errorf("memctl: cell %d: column %d outside the %d-column row", i, a.Col, cols)
+		}
+		rows = append(rows, Row{Chip: int(a.Chip), Bank: int(a.Bank), Row: int(a.Row)})
+	}
+	h.probeRows = rows
+	if err := h.checkRows(rows, data, waitMs, "data"); err != nil {
+		return nil, err
+	}
+	passStart := h.startClock()
+	if _, err := h.writeWait(ctx, rows, data, waitMs, passStart); err != nil {
+		return nil, err
+	}
+	readStart := h.startClock()
+	if cap(h.probeHit) < len(cells) {
+		h.probeHit = make([]bool, len(cells))
+	}
+	hit := h.probeHit[:len(cells)]
+	clear(hit)
+	h.clearFaultSlots()
+	h.sweep.cells = cells
+	err := h.forEachActiveChip(ctx, h.probeRowsFn)
+	if err == nil {
+		err = chipFaultsError(h.slots)
+	}
+	h.resetSweep()
+	if err != nil {
+		return nil, h.failPass(err)
+	}
+	var failed []int
+	for i, f := range hit {
+		if f {
+			failed = append(failed, i)
+		}
+	}
+	h.passDone(passStart, readStart, len(cells))
+	return failed, nil
+}
+
+// writeWait is the first half of a row-list pass, shared by Pass and
+// Probe: it takes the pass's attempt number, writes data[i] to rows[i]
+// on the per-chip workers, waits waitMs, auto-refreshes every row not
+// under test, and counts the test. It leaves the sweep state set up
+// for the read half and reports whether a row is listed twice. A
+// failed write sweep is accounted (failPass) and returned with the
+// sweep state reset, before the wait.
+func (h *Host) writeWait(ctx context.Context, rows []Row, data [][]uint64, waitMs float64, passStart time.Time) (dup bool, err error) {
 	attempt := h.attempts
 	h.attempts++
-	passStart := h.startClock()
-	dup := h.bucketRows(rows)
+	dup = h.bucketRows(rows)
 	h.clearFaultSlots()
 	h.sweep.ctx = ctx
 	h.sweep.attempt = attempt
 	h.sweep.rows = rows
 	h.sweep.data = data
-	err := h.forEachActiveChip(ctx, h.writeRowsFn)
+	err = h.forEachActiveChip(ctx, h.writeRowsFn)
 	if err == nil {
 		err = chipFaultsError(h.slots)
 	}
 	if err != nil {
 		h.resetSweep()
-		return nil, h.failPass(err)
+		return false, h.failPass(err)
 	}
 	h.observeSince(SeriesWriteSweep, passStart)
 	h.mod.Wait(waitMs)
 	h.autoRefreshPaused()
 	h.passes++
-	readStart := h.startClock()
-	fails, err := h.readAndDiff(ctx, attempt, rows, data, !dup)
-	h.resetSweep()
-	if err != nil {
-		return nil, h.failPass(err)
-	}
+	return dup, nil
+}
+
+// passDone records a completed test of n rows: its read-sweep and
+// whole-pass timings and the pass and row counters.
+func (h *Host) passDone(passStart, readStart time.Time, n int) {
 	h.observeSince(SeriesReadSweep, readStart)
 	h.observeSince(SeriesPass, passStart)
 	h.add(CounterPasses, 1)
-	h.add(CounterRowsTested, uint64(len(rows)))
-	return fails, nil
+	h.add(CounterRowsTested, uint64(n))
 }
 
 // checkRows validates a row-list pass's inputs before any host or
@@ -740,6 +832,35 @@ func (h *Host) readRowsDeltaShard(chip int) error {
 	return nil
 }
 
+// probeRowsShard reads back the probed cell of each of one chip's
+// bucketed rows (the read half of a probe pass) and records whether it
+// differs from the entry's own data.
+//
+//parbor:hotpath
+func (h *Host) probeRowsShard(chip int) error {
+	c := h.mod.Chip(chip)
+	defer c.FlushCommands()
+	s := &h.sweep
+	for k, i := range h.byChip[chip] {
+		if k%ctxCheckStride == 0 {
+			if cerr := s.ctx.Err(); cerr != nil {
+				return cerr
+			}
+		}
+		r := s.rows[i]
+		if h.plane != nil {
+			if ferr := h.plane.BeforeRead(s.attempt, r); ferr != nil {
+				h.slots[chip] = &ChipFault{Chip: chip, Op: "read", Row: r, Err: ferr}
+				return nil
+			}
+		}
+		col := int(s.cells[i].Col)
+		want := s.data[i][col>>6] >> (uint(col) & 63) & 1
+		h.probeHit[i] = c.ReadCell(r.Bank, r.Row, col) != want
+	}
+	return nil
+}
+
 // ReadRowInto reads a row's current contents into dst without any
 // retention wait — the plain load path, used e.g. to save live data
 // before an online test epoch (package onlinetest). An attached plane
@@ -794,10 +915,7 @@ func (h *Host) Verify(ctx context.Context, rows []Row, expected [][]uint64, wait
 	if err != nil {
 		return nil, h.failPass(err)
 	}
-	h.observeSince(SeriesReadSweep, readStart)
-	h.observeSince(SeriesPass, readStart)
-	h.add(CounterPasses, 1)
-	h.add(CounterRowsTested, uint64(len(rows)))
+	h.passDone(readStart, readStart, len(rows))
 	return fails, nil
 }
 
@@ -855,10 +973,7 @@ func (h *Host) FullPass(ctx context.Context, src RowSource, waitMs float64) ([]B
 			fails = append(fails, f...)
 		}
 	}
-	h.observeSince(SeriesReadSweep, readStart)
-	h.observeSince(SeriesPass, passStart)
-	h.add(CounterPasses, 1)
-	h.add(CounterRowsTested, uint64(h.mod.Chips()*g.RowCount()))
+	h.passDone(passStart, readStart, h.mod.Chips()*g.RowCount())
 	return fails, nil
 }
 

@@ -106,6 +106,12 @@ func TestPassValidation(t *testing.T) {
 	if _, err := host.Pass(context.Background(), []Row{{}}, [][]uint64{make([]uint64, 3)}, 0); err == nil {
 		t.Error("short data buffer accepted")
 	}
+	if _, err := host.Probe(context.Background(), []BitAddr{{}}, nil, 0); err == nil {
+		t.Error("Probe: mismatched cells/data accepted")
+	}
+	if _, err := host.Probe(context.Background(), []BitAddr{{}}, [][]uint64{make([]uint64, 3)}, 0); err == nil {
+		t.Error("Probe: short data buffer accepted")
+	}
 }
 
 // TestOutOfRangeRowsRejected: rows arrive from outside the program
@@ -134,6 +140,11 @@ func TestOutOfRangeRowsRejected(t *testing.T) {
 			return err
 		},
 		"ReadRowInto": func(r Row) error { return host.ReadRowInto(ctx, r, buf) },
+		"Probe": func(r Row) error {
+			cells := []BitAddr{{Chip: int16(ok.Chip), Bank: int16(ok.Bank), Row: int32(ok.Row)}, {Chip: int16(r.Chip), Bank: int16(r.Bank), Row: int32(r.Row)}}
+			_, err := host.Probe(ctx, cells, [][]uint64{buf, buf}, 64)
+			return err
+		},
 	}
 	bad := []Row{
 		{Chip: 0, Bank: 0, Row: 32}, {Chip: 0, Bank: 0, Row: -1},
@@ -157,6 +168,17 @@ func TestOutOfRangeRowsRejected(t *testing.T) {
 			if now1, pass1 := mod.Chip(0).Clock(); now1 != now0 || pass1 != pass0 {
 				t.Errorf("%s(%+v) advanced the chip clock %v/%d -> %v/%d", name, r, now0, pass0, now1, pass1)
 			}
+		}
+	}
+	// A probed column outside the row is rejected the same way.
+	for _, col := range []int32{-1, int32(host.Geometry().Cols)} {
+		passes, attempts := host.Passes(), host.Attempts()
+		_, err := host.Probe(ctx, []BitAddr{{Chip: 1, Bank: 1, Row: 3, Col: col}}, [][]uint64{buf}, 64)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("column %d", col)) {
+			t.Errorf("Probe at column %d: error %v, want one naming the column", col, err)
+		}
+		if host.Passes() != passes || host.Attempts() != attempts {
+			t.Errorf("Probe at column %d moved passes %d->%d, attempts %d->%d", col, passes, host.Passes(), attempts, host.Attempts())
 		}
 	}
 }

@@ -128,7 +128,13 @@ func NewModule(cfg ModuleConfig) (*Module, error) { return dram.NewModule(cfg) }
 func ExperimentGeometry() Geometry { return dram.ExperimentGeometry() }
 
 // Host is the system-level test host: the only interface through
-// which the detection algorithm touches a module.
+// which the detection algorithm touches a module. Its five ctx-first
+// pass/read methods are Pass (write rows, wait, report every
+// mismatched cell), Probe (the same pass watching one cell per entry,
+// reporting which entries' cells flipped: the shape of the recursion
+// and the victim probes), Verify (wait and compare without writing),
+// FullPass (every row of the module from a RowSource) and ReadRowInto
+// (a plain row load).
 type Host = memctl.Host
 
 // Row identifies one row of one chip in a module.
