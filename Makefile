@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet atest lint
+.PHONY: build test vet atest lint size
 
 build:
 	$(GO) build ./...
@@ -15,7 +15,7 @@ test:
 # it over the whole tree — internal/..., cmd/..., and examples/... —
 # through the go vet vettool protocol. DESIGN.md sections 10 and 15
 # document the analyzers and the //parbor: annotation contract
-# (hotpath, wallclock, rawfs, guardedby, unsync, droperr).
+# (hotpath, planebuild, wallclock, guardedby, unsync, droperr).
 vet:
 	$(GO) build -o parborvet ./cmd/parborvet
 	$(GO) vet -vettool=$(CURDIR)/parborvet ./...
@@ -25,6 +25,14 @@ vet:
 # accounting) under the race detector, matching CI's lint job.
 atest:
 	$(GO) test -race -count=1 ./internal/analyzers/... ./cmd/parborvet
+
+# size prints the design metrics: non-test LOC, then exported
+# funcs/methods, over the non-test .go files outside vendor/, bench/
+# and testdata/.
+SIZE_FILES = find . -name '*.go' ! -name '*_test.go' -not -path './vendor/*' -not -path './bench/*' -not -path '*/testdata/*'
+size:
+	@printf 'non-test LOC:            '; $(SIZE_FILES) | xargs cat | wc -l
+	@printf 'exported funcs/methods:  '; $(SIZE_FILES) | xargs grep -hE '^func (\([^)]*\) )?[A-Z]' | wc -l
 
 # lint adds the pinned external checkers on top of vet. These download
 # on first use, so unlike vet they need network access.

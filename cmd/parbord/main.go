@@ -230,17 +230,9 @@ func enrollFile(d *fleet.Daemon, path string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var entries []fleet.StateEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return 0, fmt.Errorf("parsing %s: %w", path, err)
+	n, err := d.EnrollState(data)
+	if err != nil {
+		return n, fmt.Errorf("%s: %w", path, err)
 	}
-	for i, e := range entries {
-		if e.Schema != fleet.StateSchema {
-			return i, fmt.Errorf("%s entry %d: unknown schema %q", path, i, e.Schema)
-		}
-		if _, err := d.Enroll(e.Spec, e.Snapshot); err != nil {
-			return i, err
-		}
-	}
-	return len(entries), nil
+	return n, nil
 }

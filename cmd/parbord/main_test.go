@@ -72,6 +72,27 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestEnrollFileIsStrict: a misspelled spec field in an -enroll file
+// is an error, as it is for POST /v1/modules, rather than a module
+// enrolled with a zero noise model.
+func TestEnrollFileIsStrict(t *testing.T) {
+	data, err := os.ReadFile(writeEnrollFile(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	typo := strings.Replace(string(data), `"WeakCellRate"`, `"WeakCelRate"`, 1)
+	if typo == string(data) {
+		t.Fatal("enroll file has no WeakCellRate field to misspell")
+	}
+	path := filepath.Join(t.TempDir(), "typo.json")
+	if err := os.WriteFile(path, []byte(typo), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(context.Background(), options{enroll: path, runToIdle: true}); err == nil || !strings.Contains(err.Error(), "WeakCelRate") {
+		t.Errorf("enroll file with a misspelled field: err = %v, want an unknown-field error", err)
+	}
+}
+
 // TestRunToIdleAndResume is the daemon's end-to-end smoke: enroll a
 // small fleet from a file, run it to idle with state and log
 // directories, then resume from the persisted state and verify the

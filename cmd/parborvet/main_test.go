@@ -21,7 +21,6 @@ var analyzers = map[string]int{
 	"hotalloc":       3,
 	"faultfs":        1,
 	"lockguard":      1,
-	"atomicmix":      1,
 	"syncdrop":       1,
 }
 
@@ -76,7 +75,6 @@ func TestKnownBadFailsPlainVet(t *testing.T) {
 		"hotalloc/conflict":  "conflicting //parbor:hotpath and //parbor:planebuild",
 		"faultfs":            "bypasses the fault plane",
 		"lockguard":          "accessed without holding",
-		"atomicmix":          "plain access races",
 		"syncdrop":           "discarded on a durable path",
 	}
 	for name, fragment := range fragments {

@@ -10,12 +10,7 @@
 // same state dirs and log dirs — is a write the injector never sees:
 // it cannot be torn, crashed, or broken by a test, so its failure
 // handling is unproven. The analyzer flags those calls in non-test
-// files.
-//
-// The //parbor:rawfs <justification> directive (see package parbordir)
-// opts a line or function out when a direct call is genuinely safe
-// (scratch data that is re-derived on loss, ...); a directive without
-// a justification is itself reported.
+// files; there is no opt-out.
 package faultfs
 
 import (
@@ -26,7 +21,6 @@ import (
 	"golang.org/x/tools/go/ast/inspector"
 	"golang.org/x/tools/go/types/typeutil"
 
-	"parbor/internal/analyzers/parbordir"
 	"parbor/internal/analyzers/scope"
 )
 
@@ -50,16 +44,6 @@ func run(pass *analysis.Pass) (any, error) {
 	if !scope.Durable(pass.Pkg.Path()) {
 		return nil, nil
 	}
-	var libFiles []*ast.File
-	for _, f := range pass.Files {
-		if !scope.InTestFile(pass, f.Pos()) {
-			libFiles = append(libFiles, f)
-		}
-	}
-	dir := parbordir.NewIndex(pass.Fset, libFiles)
-	for _, pos := range dir.BarePositions(parbordir.Rawfs) {
-		pass.Reportf(pos, "//parbor:rawfs needs a justification: state why this write cannot corrupt durable state")
-	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	ins.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
 		if scope.InTestFile(pass, n.Pos()) {
@@ -70,10 +54,7 @@ func run(pass *analysis.Pass) (any, error) {
 		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "os" || !bannedCalls[fn.Name()] {
 			return
 		}
-		if dir.SuppressedAt(parbordir.Rawfs, call.Pos()) {
-			return
-		}
-		pass.Reportf(call.Pos(), "os.%s on a durable path bypasses the fault plane; route through parbor/internal/faultfs or annotate the site //parbor:rawfs <why>", fn.Name())
+		pass.Reportf(call.Pos(), "os.%s on a durable path bypasses the fault plane; route through parbor/internal/faultfs", fn.Name())
 	})
 	return nil, nil
 }

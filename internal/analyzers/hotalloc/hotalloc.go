@@ -15,10 +15,10 @@
 // It also polices the mask-plane construction boundary introduced
 // with the word-wide read path: //parbor:planebuild marks
 // once-per-materialization plane construction, and a //parbor:hotpath
-// function calling one (re-building planes per read) is a diagnostic
-// unless the caller is the //parbor:planecache seam, which caches the
-// result so the build amortizes to once per row. A function annotated
-// both hotpath and planebuild is contradictory and flagged outright.
+// function calling one (re-building planes per read) is a diagnostic:
+// planes are reached through a cold memoizing accessor, so the build
+// amortizes to once per row. A function annotated both hotpath and
+// planebuild is contradictory and flagged outright.
 //
 // The benchmark gate still catches what escapes analysis; the
 // analyzer catches it at review time and names the construct.
@@ -74,9 +74,7 @@ func run(pass *analysis.Pass) (any, error) {
 			return // the directives contradict; further checks would guess which one governs
 		}
 		checkHotFunc(pass, decl)
-		if !parbordir.FuncHas(decl, parbordir.Planecache) {
-			checkBuilderCalls(pass, decl, builders)
-		}
+		checkBuilderCalls(pass, decl, builders)
 	})
 	return nil, nil
 }
@@ -98,7 +96,7 @@ func checkBuilderCalls(pass *analysis.Pass, decl *ast.FuncDecl, builders map[typ
 		if fn == nil || !builders[types.Object(fn)] {
 			return true
 		}
-		pass.Reportf(call.Pos(), "//parbor:hotpath function %s calls //parbor:planebuild function %s: planes are built once at row materialization; only a //parbor:planecache seam may reach plane construction from the read path", decl.Name.Name, fn.Name())
+		pass.Reportf(call.Pos(), "//parbor:hotpath function %s calls //parbor:planebuild function %s: planes are built once at row materialization, behind a cold memoizing accessor", decl.Name.Name, fn.Name())
 		return true
 	})
 }

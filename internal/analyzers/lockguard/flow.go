@@ -1,10 +1,9 @@
-// Package flow holds the shared machinery of parborvet's
-// flow-sensitive analyzers (lockguard, syncdrop): canonical paths for
+// This file holds lockguard's flow machinery: canonical paths for
 // lock and field-base expressions, fresh-value detection for the
 // constructor exemption, and a forward must-analysis worklist over
 // golang.org/x/tools/go/cfg basic blocks.
 //
-// The analyzers were specified against go/ssa, but the only offline
+// The analysis was specified against go/ssa, but the only offline
 // source of x/tools in this build environment — the Go toolchain's own
 // cmd/vendor tree, the route PR 5 vendored the analysis framework
 // from — ships go/cfg and not go/ssa. The analyses here are therefore
@@ -17,7 +16,8 @@
 // (short-circuit operators evaluating a lock call conditionally) do
 // not arise for lock manipulation in practice and would only make the
 // analysis conservative, never silent.
-package flow
+
+package lockguard
 
 import (
 	"fmt"
@@ -27,28 +27,28 @@ import (
 	"golang.org/x/tools/go/cfg"
 )
 
-// PathOf renders an expression as a canonical dotted path keyed by
+// pathOf renders an expression as a canonical dotted path keyed by
 // resolved types.Objects, so `m.stateMu` means the same thing at a
 // Lock site and at a field access even under shadowing, and two
 // different locals named `w` can never alias. Only chains of
 // identifiers and field selections (through any number of pointer
 // dereferences) are trackable; anything else — an index expression, a
 // call result — reports ok=false and the caller skips the site.
-func PathOf(info *types.Info, e ast.Expr) (string, bool) {
+func pathOf(info *types.Info, e ast.Expr) (string, bool) {
 	switch e := e.(type) {
 	case *ast.Ident:
 		obj := info.ObjectOf(e)
 		if obj == nil {
 			return "", false
 		}
-		return ObjKey(obj), true
+		return objKey(obj), true
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[e]; ok {
-			base, ok := PathOf(info, e.X)
+			base, ok := pathOf(info, e.X)
 			if !ok {
 				return "", false
 			}
-			return base + "." + ObjKey(sel.Obj()), true
+			return base + "." + objKey(sel.Obj()), true
 		}
 		// Qualified identifier (pkg.Var): the selection map has no
 		// entry; the Sel identifier resolves directly.
@@ -56,31 +56,31 @@ func PathOf(info *types.Info, e ast.Expr) (string, bool) {
 		if obj == nil {
 			return "", false
 		}
-		return ObjKey(obj), true
+		return objKey(obj), true
 	case *ast.ParenExpr:
-		return PathOf(info, e.X)
+		return pathOf(info, e.X)
 	case *ast.StarExpr:
 		// (*p).mu and p.mu guard the same mutex.
-		return PathOf(info, e.X)
+		return pathOf(info, e.X)
 	}
 	return "", false
 }
 
-// ObjKey is the canonical rendering of one object. The position pins
+// objKey is the canonical rendering of one object. The position pins
 // the defining occurrence, so identically named objects in different
 // scopes stay distinct.
-func ObjKey(obj types.Object) string {
+func objKey(obj types.Object) string {
 	return fmt.Sprintf("%s@%d", obj.Name(), obj.Pos())
 }
 
-// FreshObjects returns the local variables of body that only ever
+// freshObjects returns the local variables of body that only ever
 // hold values this function created itself — composite literals,
 // new(T) — and so cannot yet be shared with another goroutine. Guard
 // and atomic-access discipline does not apply to them: this is the
 // constructor exemption. A variable that is even once assigned from
 // anywhere else (a parameter, a call result, another variable) is not
 // fresh.
-func FreshObjects(info *types.Info, body ast.Node) map[types.Object]bool {
+func freshObjects(info *types.Info, body ast.Node) map[types.Object]bool {
 	freshDefs := make(map[types.Object]int)
 	otherDefs := make(map[types.Object]int)
 	record := func(lhs ast.Expr, rhs ast.Expr) {
@@ -160,10 +160,10 @@ func isFreshExpr(e ast.Expr) bool {
 	return false
 }
 
-// FreshBase reports whether the base of a field access is a fresh
+// freshBase reports whether the base of a field access is a fresh
 // local: the expression reduces (through selections, derefs and
 // parens) to an identifier in fresh.
-func FreshBase(info *types.Info, fresh map[types.Object]bool, e ast.Expr) bool {
+func freshBase(info *types.Info, fresh map[types.Object]bool, e ast.Expr) bool {
 	for {
 		switch x := e.(type) {
 		case *ast.Ident:
@@ -181,13 +181,13 @@ func FreshBase(info *types.Info, fresh map[types.Object]bool, e ast.Expr) bool {
 	}
 }
 
-// State is a must-hold set (of lock paths, for lockguard) flowing
+// heldSet is a must-hold set (of lock paths, for lockguard) flowing
 // through the CFG. States are persistent snapshots: Transfer works on
 // a scratch copy and Snapshot interns it.
-type State map[string]bool
+type heldSet map[string]bool
 
-// Equal reports set equality.
-func (s State) Equal(t State) bool {
+// equal reports set equality.
+func (s heldSet) equal(t heldSet) bool {
 	if len(s) != len(t) {
 		return false
 	}
@@ -199,18 +199,18 @@ func (s State) Equal(t State) bool {
 	return true
 }
 
-// Clone copies the state.
-func (s State) Clone() State {
-	out := make(State, len(s))
+// clone copies the state.
+func (s heldSet) clone() heldSet {
+	out := make(heldSet, len(s))
 	for k := range s {
 		out[k] = true
 	}
 	return out
 }
 
-// Intersect returns the meet of two must-hold states.
-func (s State) Intersect(t State) State {
-	out := make(State)
+// intersect returns the meet of two must-hold states.
+func (s heldSet) intersect(t heldSet) heldSet {
+	out := make(heldSet)
 	for k := range s {
 		if t[k] {
 			out[k] = true
@@ -219,30 +219,30 @@ func (s State) Intersect(t State) State {
 	return out
 }
 
-// Forward runs a forward must-analysis over g to fixpoint and returns
+// forward runs a forward must-analysis over g to fixpoint and returns
 // the state at entry of every reachable block. entry seeds Blocks[0];
 // transfer must return the block's exit state without mutating its
-// argument beyond Clone semantics (it receives a private copy).
+// argument beyond clone semantics (it receives a private copy).
 //
 // The meet is set intersection and transfer functions only add or
 // remove finitely many facts, so the chain height is bounded and the
 // worklist terminates.
-func Forward(g *cfg.CFG, entry State, transfer func(b *cfg.Block, in State) State) []State {
-	in := make([]State, len(g.Blocks))
+func forward(g *cfg.CFG, entry heldSet, transfer func(b *cfg.Block, in heldSet) heldSet) []heldSet {
+	in := make([]heldSet, len(g.Blocks))
 	in[0] = entry
 	work := []int32{0}
 	for len(work) > 0 {
 		idx := work[len(work)-1]
 		work = work[:len(work)-1]
 		b := g.Blocks[idx]
-		out := transfer(b, in[idx].Clone())
+		out := transfer(b, in[idx].clone())
 		for _, succ := range b.Succs {
-			var next State
+			var next heldSet
 			if in[succ.Index] == nil {
-				next = out.Clone()
+				next = out.clone()
 			} else {
-				next = in[succ.Index].Intersect(out)
-				if next.Equal(in[succ.Index]) {
+				next = in[succ.Index].intersect(out)
+				if next.equal(in[succ.Index]) {
 					continue
 				}
 			}

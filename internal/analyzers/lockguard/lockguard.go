@@ -5,7 +5,7 @@
 // The fleet scheduler's bit-identical drain/resume soak and the log
 // sink's degradation state machine are mutex protocols; before this
 // pass they held only by convention and -race luck. The analyzer
-// walks each function's control-flow graph (see package flow for why
+// walks each function's control-flow graph (see flow.go for why
 // CFG rather than SSA) tracking a must-hold set of lock paths:
 // X.mu.Lock()/RLock() adds X.mu, Unlock()/RUnlock() removes it, defer
 // X.mu.Unlock() keeps it held to function exit, and branch joins
@@ -40,7 +40,6 @@ import (
 	"golang.org/x/tools/go/cfg"
 	"golang.org/x/tools/go/types/typeutil"
 
-	"parbor/internal/analyzers/flow"
 	"parbor/internal/analyzers/parbordir"
 	"parbor/internal/analyzers/scope"
 )
@@ -88,9 +87,7 @@ func run(pass *analysis.Pass) (any, error) {
 		guards:   make(map[*types.Var]guardInfo),
 		requires: make(map[*types.Func]map[*types.Var]bool),
 	}
-	// lockguard owns reporting bare //parbor:unsync directives (the
-	// directive is shared with atomicmix; reporting it once keeps the
-	// knownbad accounting exact).
+	// A bare //parbor:unsync directive is itself a diagnostic.
 	for _, pos := range c.dir.BarePositions(parbordir.Unsync) {
 		pass.Reportf(pos, "//parbor:unsync needs a justification: state why this unsynchronized access cannot race")
 	}
@@ -122,7 +119,7 @@ func run(pass *analysis.Pass) (any, error) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
 				if g := c.cfgs.FuncLit(lit); g != nil {
-					c.analyze(g, lit.Body, flow.State{}, "", nil)
+					c.analyze(g, lit.Body, heldSet{}, "", nil)
 				}
 			}
 			return true
@@ -249,7 +246,7 @@ func (c *checker) fixpointRequires() {
 			}
 			needs := c.requires[fn]
 			before := len(needs)
-			c.analyze(g, fd.Body, flow.State{}, c.recvPath(fd), needs)
+			c.analyze(g, fd.Body, heldSet{}, c.recvPath(fd), needs)
 			if len(needs) != before {
 				changed = true
 			}
@@ -263,7 +260,7 @@ func (c *checker) recvPath(fd *ast.FuncDecl) string {
 	if id == nil {
 		return ""
 	}
-	p, _ := flow.PathOf(c.pass.TypesInfo, id)
+	p, _ := pathOf(c.pass.TypesInfo, id)
 	return p
 }
 
@@ -273,7 +270,7 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 	if g == nil {
 		return
 	}
-	entry := flow.State{}
+	entry := heldSet{}
 	if c.isLockedMethod(fd) {
 		// The caller holds what the body needs; the call sites carry
 		// the obligation.
@@ -286,9 +283,9 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 }
 
 // pathKey renders a guard field for path composition, matching
-// flow.PathOf's rendering of a selection of that field.
+// pathOf's rendering of a selection of that field.
 func pathKey(v *types.Var) string {
-	return flow.ObjKey(v)
+	return objKey(v)
 }
 
 // analyze runs the dataflow over one CFG. When collect is non-nil the
@@ -297,15 +294,15 @@ func pathKey(v *types.Var) string {
 // of reported (anything else still reports in the later checkFunc
 // pass, which runs with the collected entry state). recvPath is only
 // meaningful in collection mode.
-func (c *checker) analyze(g *cfg.CFG, body ast.Node, entry flow.State, recvPath string, collect map[*types.Var]bool) {
-	fresh := flow.FreshObjects(c.pass.TypesInfo, body)
-	transfer := func(b *cfg.Block, in flow.State) flow.State {
+func (c *checker) analyze(g *cfg.CFG, body ast.Node, entry heldSet, recvPath string, collect map[*types.Var]bool) {
+	fresh := freshObjects(c.pass.TypesInfo, body)
+	transfer := func(b *cfg.Block, in heldSet) heldSet {
 		for _, n := range b.Nodes {
 			c.walkNode(n, in, fresh, recvPath, collect, false)
 		}
 		return in
 	}
-	in := flow.Forward(g, entry, transfer)
+	in := forward(g, entry, transfer)
 	if collect != nil {
 		return
 	}
@@ -313,7 +310,7 @@ func (c *checker) analyze(g *cfg.CFG, body ast.Node, entry flow.State, recvPath 
 		if in[i] == nil || !b.Live {
 			continue
 		}
-		st := in[i].Clone()
+		st := in[i].clone()
 		for _, n := range b.Nodes {
 			c.walkNode(n, st, fresh, recvPath, nil, true)
 		}
@@ -326,7 +323,7 @@ func (c *checker) analyze(g *cfg.CFG, body ast.Node, entry flow.State, recvPath 
 // effects (a deferred unlock keeps the lock held to exit) and nested
 // function literals are skipped outright — they are analyzed under
 // their own CFG.
-func (c *checker) walkNode(n ast.Node, st flow.State, fresh map[types.Object]bool, recvPath string, collect map[*types.Var]bool, report bool) {
+func (c *checker) walkNode(n ast.Node, st heldSet, fresh map[types.Object]bool, recvPath string, collect map[*types.Var]bool, report bool) {
 	var walk func(n ast.Node, inDefer bool)
 	walk = func(n ast.Node, inDefer bool) {
 		switch n := n.(type) {
@@ -363,14 +360,14 @@ func (c *checker) walkNode(n ast.Node, st flow.State, fresh map[types.Object]boo
 
 // applyCall handles one call expression: mutex Lock/Unlock effects and
 // the call-site obligation of *Locked methods.
-func (c *checker) applyCall(call *ast.CallExpr, st flow.State, fresh map[types.Object]bool, recvPath string, collect map[*types.Var]bool, report, inDefer bool) {
+func (c *checker) applyCall(call *ast.CallExpr, st heldSet, fresh map[types.Object]bool, recvPath string, collect map[*types.Var]bool, report, inDefer bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
 	// Lock-state effects: only for methods of sync.Mutex/RWMutex.
 	if recvType, ok := c.pass.TypesInfo.Types[sel.X]; ok && isMutex(recvType.Type) {
-		path, ok := flow.PathOf(c.pass.TypesInfo, sel.X)
+		path, ok := pathOf(c.pass.TypesInfo, sel.X)
 		if !ok {
 			return
 		}
@@ -396,10 +393,10 @@ func (c *checker) applyCall(call *ast.CallExpr, st flow.State, fresh map[types.O
 	if !tracked || len(needs) == 0 {
 		return
 	}
-	if flow.FreshBase(c.pass.TypesInfo, fresh, sel.X) {
+	if freshBase(c.pass.TypesInfo, fresh, sel.X) {
 		return
 	}
-	base, ok := flow.PathOf(c.pass.TypesInfo, sel.X)
+	base, ok := pathOf(c.pass.TypesInfo, sel.X)
 	if !ok {
 		return
 	}
@@ -421,7 +418,7 @@ func (c *checker) applyCall(call *ast.CallExpr, st flow.State, fresh map[types.O
 }
 
 // checkAccess checks one field selection against the annotation set.
-func (c *checker) checkAccess(sel *ast.SelectorExpr, st flow.State, fresh map[types.Object]bool, recvPath string, collect map[*types.Var]bool, report bool) {
+func (c *checker) checkAccess(sel *ast.SelectorExpr, st heldSet, fresh map[types.Object]bool, recvPath string, collect map[*types.Var]bool, report bool) {
 	selection, ok := c.pass.TypesInfo.Selections[sel]
 	if !ok || selection.Kind() != types.FieldVal {
 		return
@@ -434,10 +431,10 @@ func (c *checker) checkAccess(sel *ast.SelectorExpr, st flow.State, fresh map[ty
 	if !guarded {
 		return
 	}
-	if flow.FreshBase(c.pass.TypesInfo, fresh, sel.X) {
+	if freshBase(c.pass.TypesInfo, fresh, sel.X) {
 		return
 	}
-	base, ok := flow.PathOf(c.pass.TypesInfo, sel.X)
+	base, ok := pathOf(c.pass.TypesInfo, sel.X)
 	if !ok {
 		return
 	}

@@ -1,13 +1,13 @@
 // Package parbordir parses the repository's //parbor:* source
 // directives, shared by every analyzer in internal/analyzers.
 //
-// Three directives exist:
+// The directives:
 //
 //	//parbor:hotpath
 //	    On a function's doc comment. Declares the function part of the
 //	    zero-allocation pass hot loop: hotalloc outlaws allocating
 //	    constructs inside it and rngstream outlaws the allocating
-//	    Split/SplitN stream derivations (use Child/ChildN/At).
+//	    Split/SplitN stream derivations (use Child/At).
 //
 //	//parbor:wallclock <justification>
 //	    On a function's doc comment, on the offending line, or on the
@@ -18,14 +18,6 @@
 //	    simulation results (observational-only timing, stall
 //	    detection, ...).
 //
-//	//parbor:rawfs <justification>
-//	    Same placement rules. Opts a site in a storage package out of
-//	    the faultfs analyzer's requirement that durable I/O go through
-//	    the parbor/internal/faultfs seam. Justification mandatory, for
-//	    the same reason: every bypass of the fault plane records why
-//	    the write cannot corrupt durable state (scratch files, spill
-//	    runs that are re-derived on loss, ...).
-//
 //	//parbor:planebuild
 //	    On a function's doc comment. Declares the function part of
 //	    mask-plane construction: allocation-heavy work that runs once
@@ -33,13 +25,6 @@
 //	    //parbor:hotpath functions from calling it — a hot-path call
 //	    would rebuild planes on every read — and rejects a function
 //	    annotated both hotpath and planebuild outright.
-//
-//	//parbor:planecache
-//	    On a function's doc comment. Marks the designated lazy
-//	    materialization seam: the one place a read-path function may
-//	    reach plane construction, because it caches the result and the
-//	    build amortizes to once per row. hotalloc exempts it from the
-//	    planebuild call check.
 //
 //	//parbor:guardedby <mu>
 //	    On a struct field's doc or line comment. Declares that every
@@ -51,10 +36,10 @@
 //
 //	//parbor:unsync <justification>
 //	    On the offending line, the line above it, or a function's doc
-//	    comment. Opts an access out of lockguard's guardedby check and
-//	    atomicmix's mixed-access check. Justification mandatory: every
-//	    sanctioned unsynchronized access records why it cannot race
-//	    (value not yet published, reader tolerates staleness, ...).
+//	    comment. Opts an access out of lockguard's guardedby check.
+//	    Justification mandatory: every sanctioned unsynchronized access
+//	    records why it cannot race (value not yet published, reader
+//	    tolerates staleness, ...).
 //
 //	//parbor:droperr <justification>
 //	    Same placement rules. Opts a site on a durable path out of
@@ -79,23 +64,16 @@ const (
 	Hotpath = "parbor:hotpath"
 	// Wallclock is the //parbor:wallclock directive name.
 	Wallclock = "parbor:wallclock"
-	// Rawfs is the //parbor:rawfs directive name: it opts a site in a
-	// storage package out of the faultfs seam requirement.
-	Rawfs = "parbor:rawfs"
 	// Planebuild is the //parbor:planebuild directive name: it marks
 	// once-per-materialization plane construction, off-limits to
 	// //parbor:hotpath callers.
 	Planebuild = "parbor:planebuild"
-	// Planecache is the //parbor:planecache directive name: it marks
-	// the caching seam through which read paths may reach plane
-	// construction.
-	Planecache = "parbor:planecache"
 	// Guardedby is the //parbor:guardedby directive name: on a struct
 	// field, it names the sibling mutex field that must be held across
 	// every access (lockguard).
 	Guardedby = "parbor:guardedby"
 	// Unsync is the //parbor:unsync directive name: it opts a site out
-	// of lockguard's and atomicmix's synchronized-access requirements.
+	// of lockguard's synchronized-access requirement.
 	Unsync = "parbor:unsync"
 	// Droperr is the //parbor:droperr directive name: it opts a site on
 	// a durable path out of syncdrop's error-flow requirement.
@@ -106,7 +84,6 @@ const (
 // trailing explanation) is itself a diagnostic.
 var needsJustification = map[string]bool{
 	Wallclock: true,
-	Rawfs:     true,
 	Unsync:    true,
 	Droperr:   true,
 }
@@ -182,7 +159,7 @@ type Index struct {
 	// functions annotated via their doc comment.
 	funcs map[string][][2]token.Pos
 	// bare lists directives that require a justification but have
-	// none (wallclock and rawfs).
+	// none (wallclock, unsync and droperr).
 	bare []site
 }
 

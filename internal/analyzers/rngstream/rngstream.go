@@ -2,7 +2,7 @@
 // rng stream-derivation discipline (see parbor/internal/rng):
 //
 //   - In //parbor:hotpath functions, the allocating Split/SplitN
-//     derivations are forbidden; the value-based Child/ChildN/At
+//     derivations are forbidden; the value-based Child/At
 //     streams are bit-identical and never escape to the heap.
 //
 //   - A shard body (a function literal launched in a goroutine or
@@ -10,7 +10,7 @@
 //     rng stream captured from the enclosing scope: rng.Source is not
 //     safe for concurrent use, and even a data-race-free sharing
 //     makes the draw order depend on scheduling. Each shard must
-//     derive its own child stream (Child/ChildN/At). Deriving a
+//     derive its own child stream (Child/At). Deriving a
 //     child from a captured parent inside the shard is fine — the
 //     derivations read the parent without perturbing it.
 package rngstream
@@ -40,7 +40,7 @@ var Analyzer = &analysis.Analyzer{
 // shared across shards is a race and a scheduling-order dependence.
 var drawMethods = map[string]bool{
 	"Uint64": true, "Intn": true, "Float64": true, "Bool": true,
-	"NormFloat64": true, "ExpFloat64": true, "Perm": true, "Shuffle": true,
+	"ExpFloat64": true,
 }
 
 // poolCallees are callee names that run their function-literal
@@ -75,7 +75,7 @@ func run(pass *analysis.Pass) (any, error) {
 			if !ok || sig.Recv() == nil || !isRNGSource(sig.Recv().Type()) {
 				return true
 			}
-			pass.Reportf(call.Pos(), "rng.%s allocates its child stream; this is a //parbor:hotpath function — derive the stream with Child/ChildN/At", fn.Name())
+			pass.Reportf(call.Pos(), "rng.%s allocates its child stream; this is a //parbor:hotpath function — derive the stream with Child/At", fn.Name())
 			return true
 		})
 	})
@@ -158,7 +158,7 @@ func checkShardBody(pass *analysis.Pass, lit *ast.FuncLit) {
 		if obj.Pos() >= lit.Pos() && obj.Pos() < lit.End() {
 			return true // the shard's own stream
 		}
-		pass.Reportf(call.Pos(), "shard body draws from rng stream %q captured from the enclosing scope; streams are not concurrency-safe and the draw order would depend on scheduling — derive a per-shard child (Child/ChildN/At)", base.Name)
+		pass.Reportf(call.Pos(), "shard body draws from rng stream %q captured from the enclosing scope; streams are not concurrency-safe and the draw order would depend on scheduling — derive a per-shard child (Child/At)", base.Name)
 		return true
 	})
 }

@@ -33,10 +33,10 @@ func InternalPkg(path string) string {
 // newly created simulation package to the enforced set, add its name
 // here (see DESIGN.md section 10).
 var Simulation = map[string]bool{
-	"bloom": true, "core": true, "coupling": true, "dram": true,
-	"faults": true, "march": true, "memctl": true, "onlinetest": true,
-	"patterns": true, "refresh": true, "repair": true, "retention": true,
-	"rng": true, "scramble": true, "sim": true, "testtime": true,
+	"core": true, "coupling": true, "dram": true, "faults": true,
+	"march": true, "memctl": true, "onlinetest": true, "patterns": true,
+	"refresh": true, "repair": true, "retention": true, "rng": true,
+	"scramble": true, "sim": true, "testtime": true,
 }
 
 // Storage is the set of packages that own durable on-disk state.
@@ -47,11 +47,11 @@ var Storage = map[string]bool{
 	"checkpoint": true, "fleet": true, "fleetlog": true,
 }
 
-// CmdPkg returns the first path element after the last "cmd/" segment
+// cmdPkg returns the first path element after the last "cmd/" segment
 // of an import path ("parbor/cmd/parbord" -> "parbord"), or "" when
 // the path has no cmd segment. The tail match mirrors InternalPkg so
 // the fixture modules scope identically to the real tree.
-func CmdPkg(path string) string {
+func cmdPkg(path string) string {
 	i := strings.LastIndex(path, "cmd/")
 	if i < 0 {
 		return ""
@@ -76,7 +76,7 @@ var DurableCmd = map[string]bool{
 // on-disk state: the storage packages plus the durable commands.
 // syncdrop enforces error-flow discipline over this set.
 func Durable(path string) bool {
-	return Storage[InternalPkg(path)] || DurableCmd[CmdPkg(path)]
+	return Storage[InternalPkg(path)] || DurableCmd[cmdPkg(path)]
 }
 
 // CtxThreaded is the set of packages whose exported entry points

@@ -20,10 +20,3 @@ func Persist(path string, data []byte) error {
 	}
 	return g.Close()
 }
-
-// Scratch carries a rawfs opt-out with no justification, which is
-// itself a diagnostic.
-func Scratch(path string) error {
-	/* want faultfs `needs a justification` */ //parbor:rawfs
-	return os.WriteFile(path, nil, 0o600)
-}

@@ -2,26 +2,6 @@ package fleetlog
 
 import "os"
 
-// SpillRun is opted out via its doc comment, covering the whole body:
-// spill runs are re-derived from the log on loss, so they are not
-// durable state.
-//
-//parbor:rawfs spill runs are scratch data, re-derived from the log on loss
-func SpillRun(path string, data []byte) error {
-	return os.WriteFile(path, data, 0o600)
-}
-
-// Probe is opted out at the offending line.
-func Probe(path string) error {
-	//parbor:rawfs probe file is deleted immediately; its loss is the signal
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	f.Close()
-	return os.Remove(path)
-}
-
 // ReadBack only reads; the seam requirement covers mutations.
 func ReadBack(path string) ([]byte, error) {
 	return os.ReadFile(path)

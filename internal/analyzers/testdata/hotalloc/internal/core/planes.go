@@ -1,6 +1,5 @@
 // The mask-plane construction boundary: //parbor:planebuild work is
-// once-per-materialization and off-limits to //parbor:hotpath callers,
-// except through the //parbor:planecache seam.
+// once-per-materialization and off-limits to //parbor:hotpath callers.
 package core
 
 // buildPlanes is plane construction: allocation-heavy, once per row.
@@ -29,20 +28,6 @@ func hotRebuild(rows []int) int {
 //parbor:planebuild
 func hotAndBuild(rows []int) int { // want hotalloc `conflicting //parbor:hotpath and //parbor:planebuild`
 	return rows[0]
-}
-
-// cachedPlanes is the sanctioned seam: it caches the built planes, so
-// the construction call amortizes to once per row and is allowed.
-//
-//parbor:hotpath
-//parbor:planecache
-func cachedPlanes(cache map[int][]int, row int, rows []int) []int {
-	if p, ok := cache[row]; ok {
-		return p
-	}
-	p := buildPlanes(rows)
-	cache[row] = p
-	return p
 }
 
 // coldRebuild is not a hot path: calling plane construction from

@@ -1,6 +1,6 @@
 // Package rng mirrors just enough of parbor/internal/rng for the
 // analyzer's type checks: draw methods mutate through a pointer
-// receiver, Split/SplitN allocate, Child/ChildN/At derive by value.
+// receiver, Split/SplitN allocate, Child/At derive by value.
 package rng
 
 // Source is a deterministic stream.

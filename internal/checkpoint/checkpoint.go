@@ -33,6 +33,7 @@ import (
 	"parbor/internal/dram"
 	"parbor/internal/faultfs"
 	"parbor/internal/onlinetest"
+	"parbor/internal/strictjson"
 )
 
 // Schema identifies the snapshot layout. Bump on incompatible
@@ -156,10 +157,12 @@ func (s *Snapshot) Marshal() ([]byte, error) {
 }
 
 // Unmarshal parses a snapshot serialized by Marshal, rejecting
-// unknown schemas.
+// unknown schemas, unknown fields and trailing data. A typoed field
+// must not resume silently at its zero value: a host attempt count
+// that restarts at 0 draws a different chaos-plane fault schedule.
 func Unmarshal(data []byte) (*Snapshot, error) {
 	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
+	if err := strictjson.Decode(data, &s); err != nil {
 		return nil, fmt.Errorf("checkpoint: parsing snapshot: %w", err)
 	}
 	if s.Schema != Schema {

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -339,6 +340,26 @@ func TestReadFileRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadFile(faultfs.OS{}, wrong); err == nil {
 		t.Error("wrong schema accepted")
+	}
+}
+
+// TestUnmarshalIsStrict: a snapshot with a misspelled field or data
+// after the object is rejected rather than resumed with a zero value.
+func TestUnmarshalIsStrict(t *testing.T) {
+	mod := newModule(t, 5)
+	data, err := Capture(mod, 5, newSched(t, mod).State()).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Unmarshal(data); err != nil {
+		t.Fatalf("Unmarshal of a marshaled snapshot: %v", err)
+	}
+	typo := bytes.Replace(data, []byte("{"), []byte(`{"host_attemps": 3,`), 1)
+	if _, err := Unmarshal(typo); err == nil {
+		t.Error("snapshot with unknown field host_attemps accepted")
+	}
+	if _, err := Unmarshal(append(data, []byte("{}")...)); err == nil {
+		t.Error("snapshot followed by a second object accepted")
 	}
 }
 

@@ -21,7 +21,14 @@ import (
 func randomLaneMapping(t *testing.T, seed uint64) *scramble.Mapping {
 	t.Helper()
 	src := rng.New(seed).Split("lane-order")
-	order := src.Perm(16)
+	order := make([]int, 16)
+	for i := range order {
+		order[i] = i
+	}
+	for i := len(order) - 1; i > 0; i-- { // Fisher-Yates
+		j := src.Intn(i + 1)
+		order[i], order[j] = order[j], order[i]
+	}
 	segs := make([][]int, 0, 8)
 	for lane := 0; lane < 8; lane++ {
 		seg := make([]int, len(order))

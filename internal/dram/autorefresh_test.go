@@ -15,7 +15,7 @@ import (
 // for refresh bookkeeping.
 func weakChip(t *testing.T) *Chip {
 	t.Helper()
-	c, err := NewChip(ChipConfig{
+	c, err := newChip(ChipConfig{
 		Geometry: Geometry{Banks: 1, Rows: 16, Cols: 2048},
 		Vendor:   scramble.VendorA,
 		Coupling: coupling.Config{VulnerableRate: 0, RetentionMinMs: 1, RetentionMaxMs: 1},
@@ -40,7 +40,7 @@ func chargedWord(row int) uint64 {
 
 // writeOnes stores the fully-charged pattern into the row.
 func writeOnes(c *Chip, bank, row int) {
-	buf := make([]uint64, c.Geometry().Words())
+	buf := make([]uint64, c.geom.Words())
 	for i := range buf {
 		buf[i] = chargedWord(row)
 	}
@@ -50,7 +50,7 @@ func writeOnes(c *Chip, bank, row int) {
 // failCount reads the row back and counts bits that flipped from the
 // fully-charged pattern.
 func failCount(c *Chip, bank, row int) int {
-	buf := make([]uint64, c.Geometry().Words())
+	buf := make([]uint64, c.geom.Words())
 	c.ReadRow(bank, row, buf)
 	n := 0
 	for _, w := range buf {
@@ -69,9 +69,9 @@ func TestAutoRefreshLazyBookkeeping(t *testing.T) {
 	writeOnes(c, 0, 1)
 
 	paused := []int{c.FlatRowIndex(0, 0)}
-	c.Wait(200)
+	c.wait(200)
 	c.AutoRefresh(paused)
-	c.Wait(200)
+	c.wait(200)
 	c.AutoRefresh([]int{c.FlatRowIndex(0, 0)})
 
 	// Row 0 has now sat unrefreshed for 400 ms > the 300 ms weak-cell
@@ -90,11 +90,11 @@ func TestAutoRefreshResumesPausedRow(t *testing.T) {
 	c := weakChip(t)
 	writeOnes(c, 0, 0)
 
-	c.Wait(200)
+	c.wait(200)
 	c.AutoRefresh([]int{c.FlatRowIndex(0, 0)})
-	c.Wait(200)
+	c.wait(200)
 	c.AutoRefresh(nil) // refresh everything, including row 0
-	c.Wait(100)
+	c.wait(100)
 
 	// Only 100 ms since the last refresh: under the 300 ms threshold.
 	if n := failCount(c, 0, 0); n != 0 {
@@ -102,7 +102,7 @@ func TestAutoRefreshResumesPausedRow(t *testing.T) {
 	}
 	// But pause it again and let it decay past the threshold.
 	c.AutoRefresh([]int{c.FlatRowIndex(0, 0)})
-	c.Wait(300)
+	c.wait(300)
 	if n := failCount(c, 0, 0); n == 0 {
 		t.Error("re-paused row accumulated no failures after 300 ms")
 	}
@@ -113,7 +113,7 @@ func TestAutoRefreshResumesPausedRow(t *testing.T) {
 // model of per-row charge times.
 func TestAutoRefreshMatchesEagerSemantics(t *testing.T) {
 	c := weakChip(t)
-	g := c.Geometry()
+	g := c.geom
 	eager := make([]float64, g.RowCount()) // model: last full-charge time per row
 	now := 0.0
 	for row := 0; row < g.Rows; row++ {
@@ -130,7 +130,7 @@ func TestAutoRefreshMatchesEagerSemantics(t *testing.T) {
 		{100, []int{3, 0}},
 	}
 	for _, step := range schedule {
-		c.Wait(step.waitMs)
+		c.wait(step.waitMs)
 		now += step.waitMs
 		except := make([]int, 0, len(step.except))
 		skip := make(map[int]bool)
@@ -146,7 +146,7 @@ func TestAutoRefreshMatchesEagerSemantics(t *testing.T) {
 			}
 		}
 	}
-	c.Wait(10)
+	c.wait(10)
 	now += 10
 	for row := 0; row < g.Rows; row++ {
 		elapsed := now - eager[c.FlatRowIndex(0, row)]
@@ -162,7 +162,7 @@ func TestAutoRefreshMatchesEagerSemantics(t *testing.T) {
 // row-meta cache, returns stable results, and hands out a copy the
 // caller may mutate.
 func TestTrueVictimsCached(t *testing.T) {
-	c, err := NewChip(ChipConfig{
+	c, err := newChip(ChipConfig{
 		Geometry: Geometry{Banks: 1, Rows: 8, Cols: 2048},
 		Vendor:   scramble.VendorB,
 		Coupling: coupling.DefaultConfig(),

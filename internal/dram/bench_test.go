@@ -12,7 +12,7 @@ func benchChip(b *testing.B) *Chip {
 	b.Helper()
 	cc := coupling.DefaultConfig()
 	cc.VulnerableRate = 1e-3
-	chip, err := NewChip(ChipConfig{
+	chip, err := newChip(ChipConfig{
 		Geometry: Geometry{Banks: 1, Rows: 512, Cols: 8192},
 		Vendor:   scramble.VendorA,
 		Coupling: cc,
@@ -27,7 +27,7 @@ func benchChip(b *testing.B) *Chip {
 
 func BenchmarkWriteRow(b *testing.B) {
 	chip := benchChip(b)
-	buf := make([]uint64, chip.Geometry().Words())
+	buf := make([]uint64, chip.geom.Words())
 	b.SetBytes(int64(len(buf) * 8))
 	for i := 0; i < b.N; i++ {
 		chip.WriteRow(0, i&511, buf)
@@ -36,11 +36,11 @@ func BenchmarkWriteRow(b *testing.B) {
 
 func BenchmarkReadRowWithFailureEvaluation(b *testing.B) {
 	chip := benchChip(b)
-	buf := make([]uint64, chip.Geometry().Words())
+	buf := make([]uint64, chip.geom.Words())
 	for r := 0; r < 512; r++ {
 		chip.WriteRow(0, r, buf)
 	}
-	chip.Wait(4000)
+	chip.wait(4000)
 	dst := make([]uint64, len(buf))
 	b.SetBytes(int64(len(buf) * 8))
 	b.ResetTimer()

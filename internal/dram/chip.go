@@ -170,10 +170,10 @@ const (
 	weakRetentionMs     = 300
 )
 
-// NewChip builds a chip. The chip's process variation (victim
+// newChip builds a chip. The chip's process variation (victim
 // placement, classes, retention thresholds, random-fault cells,
 // remapped columns) is fully determined by cfg.Seed and cfg.Index.
-func NewChip(cfg ChipConfig) (*Chip, error) {
+func newChip(cfg ChipConfig) (*Chip, error) {
 	if cfg.Geometry == (Geometry{}) {
 		cfg.Geometry = ExperimentGeometry()
 	}
@@ -223,12 +223,6 @@ func NewChip(cfg ChipConfig) (*Chip, error) {
 	return c, nil
 }
 
-// Geometry returns the chip's addressable layout.
-func (c *Chip) Geometry() Geometry { return c.geom }
-
-// Vendor returns the chip's scrambling profile.
-func (c *Chip) Vendor() scramble.Vendor { return c.mapping.Vendor() }
-
 // Mapping exposes the ground-truth address mapping. It exists for
 // experiment validation only; the detection algorithm must never
 // consult it.
@@ -276,7 +270,7 @@ func (c *Chip) FlushCommands() {
 
 // rowData returns the stored words of flat row idx. The cell array
 // (Geometry().Words() words per row, the bulk of a chip's memory) is
-// allocated on the first row access rather than in NewChip, so
+// allocated on the first row access rather than in newChip, so
 // building a module allocates only its bookkeeping. Without this a
 // module build allocates megabytes in one burst, and in a loop that
 // builds and tests modules back to back that burst is where the heap
@@ -290,9 +284,9 @@ func (c *Chip) rowData(idx int) []uint64 {
 	return c.data[idx*c.words : (idx+1)*c.words]
 }
 
-// Wait advances simulated time by ms milliseconds. Time only moves
-// through Wait, so a write-wait-read sequence has a well-defined
-// retention interval. Each Wait also begins a new "pass" for the
+// wait advances simulated time by ms milliseconds. Time only moves
+// through wait, so a write-wait-read sequence has a well-defined
+// retention interval. Each wait also begins a new "pass" for the
 // random-failure injectors; the per-pass VRT leaky states are not
 // drawn here but keyed per (pass, row, cell) at read time, so the
 // draw a cell sees is independent of which rows happen to be
@@ -301,7 +295,7 @@ func (c *Chip) rowData(idx int) []uint64 {
 // empty meta cache changed the draw order).
 //
 //parbor:hotpath
-func (c *Chip) Wait(ms float64) {
+func (c *Chip) wait(ms float64) {
 	if ms < 0 {
 		panic("dram: negative wait")
 	}
@@ -315,8 +309,6 @@ func (c *Chip) Wait(ms float64) {
 // between the allocating one-time construction (buildRowPlanes) and
 // the zero-allocation read path: ReadRow may call it per read, but the
 // construction below runs once per row for the life of the chip.
-//
-//parbor:planecache
 func (c *Chip) rowMetaFor(flat int) *rowMeta {
 	if m := c.meta[flat]; m != nil {
 		return m
@@ -698,16 +690,6 @@ func (c *Chip) AutoRefresh(except []int) {
 	}
 }
 
-// SetRecorder attaches (or, with nil, detaches) a command recorder
-// after construction. Commands still pending go to the old recorder
-// first, so each recorder sees exactly the accesses made while it was
-// attached. Recording is passive; swapping recorders never changes
-// simulation results.
-func (c *Chip) SetRecorder(r obs.Recorder) {
-	c.FlushCommands()
-	c.rec = r
-}
-
 // Clock returns the chip's simulation clock: the current virtual time
 // in milliseconds and the pass counter that seeds the per-pass noise
 // and VRT draws. Together with the experiment seed these determine
@@ -738,9 +720,6 @@ func (c *Chip) SetClock(nowMs float64, pass uint64) {
 // FlatRowIndex converts a (bank, row) pair to the flat index used by
 // AutoRefresh.
 func (c *Chip) FlatRowIndex(bank, row int) int { return c.geom.rowIndex(bank, row) }
-
-// Now returns the chip's simulated clock in milliseconds.
-func (c *Chip) Now() float64 { return c.nowMs }
 
 // TrueVictims exposes the ground-truth victim population of a row for
 // experiment validation and tests. It reuses the row's cached

@@ -23,7 +23,7 @@ func quietCoupling() coupling.Config {
 
 func testChip(t *testing.T, cc coupling.Config, fc faults.Config) *Chip {
 	t.Helper()
-	chip, err := NewChip(ChipConfig{
+	chip, err := newChip(ChipConfig{
 		Geometry: Geometry{Banks: 1, Rows: 64, Cols: 1024},
 		Vendor:   scramble.VendorToy,
 		Coupling: cc,
@@ -40,7 +40,7 @@ func testChip(t *testing.T, cc coupling.Config, fc faults.Config) *Chip {
 // neighbors present, searching true-cell rows.
 func findVictim(t *testing.T, c *Chip, class coupling.Class) (int, coupling.Victim) {
 	t.Helper()
-	for row := 0; row < c.Geometry().Rows; row += 4 { // rows 0,4,8..: anti == false
+	for row := 0; row < c.geom.Rows; row += 4 { // rows 0,4,8..: anti == false
 		for _, v := range c.TrueVictims(0, row) {
 			if v.Class != class {
 				continue
@@ -63,12 +63,12 @@ func fillOnes(words []uint64) {
 
 func TestNoFailureWithUniformContent(t *testing.T) {
 	chip := testChip(t, quietCoupling(), faults.Config{})
-	words := make([]uint64, chip.Geometry().Words())
+	words := make([]uint64, chip.geom.Words())
 	fillOnes(words)
 	for row := 0; row < 8; row++ {
 		chip.WriteRow(0, row, words)
 	}
-	chip.Wait(4000)
+	chip.wait(4000)
 	got := make([]uint64, len(words))
 	for row := 0; row < 8; row++ {
 		chip.ReadRow(0, row, got)
@@ -83,7 +83,7 @@ func TestNoFailureWithUniformContent(t *testing.T) {
 func TestNoFailureWithoutWait(t *testing.T) {
 	chip := testChip(t, quietCoupling(), faults.Config{})
 	row, v := findVictim(t, chip, coupling.StrongLeft)
-	words := make([]uint64, chip.Geometry().Words())
+	words := make([]uint64, chip.geom.Words())
 	fillOnes(words)
 	left, _, _, _ := chip.Mapping().Neighbors(int(v.Col))
 	setBit(words, left, 0)
@@ -100,14 +100,14 @@ func TestStrongLeftVictimFails(t *testing.T) {
 	row, v := findVictim(t, chip, coupling.StrongLeft)
 	left, right, _, _ := chip.Mapping().Neighbors(int(v.Col))
 
-	words := make([]uint64, chip.Geometry().Words())
+	words := make([]uint64, chip.geom.Words())
 	got := make([]uint64, len(words))
 
 	// Left neighbor opposite: must fail.
 	fillOnes(words)
 	setBit(words, left, 0)
 	chip.WriteRow(0, row, words)
-	chip.Wait(500)
+	chip.wait(500)
 	chip.ReadRow(0, row, got)
 	if getBit(got, int(v.Col)) != 0 {
 		t.Error("strong-left victim did not flip with opposite left neighbor")
@@ -117,7 +117,7 @@ func TestStrongLeftVictimFails(t *testing.T) {
 	fillOnes(words)
 	setBit(words, right, 0)
 	chip.WriteRow(0, row, words)
-	chip.Wait(500)
+	chip.wait(500)
 	chip.ReadRow(0, row, got)
 	if getBit(got, int(v.Col)) != 1 {
 		t.Error("strong-left victim flipped with only right neighbor opposite")
@@ -129,17 +129,17 @@ func TestStrongVictimRespectsRetentionThreshold(t *testing.T) {
 	row, v := findVictim(t, chip, coupling.StrongLeft)
 	left, _, _, _ := chip.Mapping().Neighbors(int(v.Col))
 
-	words := make([]uint64, chip.Geometry().Words())
+	words := make([]uint64, chip.geom.Words())
 	fillOnes(words)
 	setBit(words, left, 0)
 	chip.WriteRow(0, row, words)
-	chip.Wait(50) // below the 100 ms retention threshold
+	chip.wait(50) // below the 100 ms retention threshold
 	got := make([]uint64, len(words))
 	chip.ReadRow(0, row, got)
 	if getBit(got, int(v.Col)) != 1 {
 		t.Error("victim flipped before its retention threshold")
 	}
-	chip.Wait(100) // total 150 ms, past the threshold
+	chip.wait(100) // total 150 ms, past the threshold
 	chip.ReadRow(0, row, got)
 	if getBit(got, int(v.Col)) != 0 {
 		t.Error("victim did not flip after its retention threshold")
@@ -151,7 +151,7 @@ func TestWeakVictimNeedsBothNeighbors(t *testing.T) {
 	row, v := findVictim(t, chip, coupling.Weak)
 	left, right, _, _ := chip.Mapping().Neighbors(int(v.Col))
 
-	words := make([]uint64, chip.Geometry().Words())
+	words := make([]uint64, chip.geom.Words())
 	got := make([]uint64, len(words))
 
 	for _, tc := range []struct {
@@ -172,7 +172,7 @@ func TestWeakVictimNeedsBothNeighbors(t *testing.T) {
 			setBit(words, right, 0)
 		}
 		chip.WriteRow(0, row, words)
-		chip.Wait(500)
+		chip.wait(500)
 		chip.ReadRow(0, row, got)
 		failed := getBit(got, int(v.Col)) == 0
 		if failed != tc.wantFail {
@@ -189,7 +189,7 @@ func TestAntiRowPolarity(t *testing.T) {
 		v     coupling.Victim
 		found bool
 	)
-	for r := 2; r < chip.Geometry().Rows && !found; r += 4 {
+	for r := 2; r < chip.geom.Rows && !found; r += 4 {
 		for _, cand := range chip.TrueVictims(0, r) {
 			_, _, hasL, hasR := chip.Mapping().Neighbors(int(cand.Col))
 			if cand.Class == coupling.StrongLeft && cand.Surround == 0 && hasL && hasR {
@@ -205,10 +205,10 @@ func TestAntiRowPolarity(t *testing.T) {
 
 	// In an anti row, data 0 is the charged state: all-zeros with the
 	// left neighbor at 1 is the worst-case pattern.
-	words := make([]uint64, chip.Geometry().Words())
+	words := make([]uint64, chip.geom.Words())
 	setBit(words, left, 1)
 	chip.WriteRow(0, row, words)
-	chip.Wait(500)
+	chip.wait(500)
 	got := make([]uint64, len(words))
 	chip.ReadRow(0, row, got)
 	if getBit(got, int(v.Col)) != 1 {
@@ -219,7 +219,7 @@ func TestAntiRowPolarity(t *testing.T) {
 	fillOnes(words)
 	setBit(words, left, 0)
 	chip.WriteRow(0, row, words)
-	chip.Wait(500)
+	chip.wait(500)
 	chip.ReadRow(0, row, got)
 	if getBit(got, int(v.Col)) != 1 {
 		t.Error("discharged anti-row victim flipped")
@@ -233,7 +233,7 @@ func TestSurroundGating(t *testing.T) {
 	row, v := findVictim(t, chip, coupling.StrongLeft)
 	left, _, _, _ := chip.Mapping().Neighbors(int(v.Col))
 
-	words := make([]uint64, chip.Geometry().Words())
+	words := make([]uint64, chip.geom.Words())
 	got := make([]uint64, len(words))
 
 	// Only the immediate neighbor opposite: surround cells are still
@@ -241,7 +241,7 @@ func TestSurroundGating(t *testing.T) {
 	fillOnes(words)
 	setBit(words, left, 0)
 	chip.WriteRow(0, row, words)
-	chip.Wait(500)
+	chip.wait(500)
 	chip.ReadRow(0, row, got)
 	if getBit(got, int(v.Col)) != 1 {
 		t.Error("surround-gated victim flipped with only the immediate neighbor opposite")
@@ -253,7 +253,7 @@ func TestSurroundGating(t *testing.T) {
 	}
 	setBit(words, int(v.Col), 1)
 	chip.WriteRow(0, row, words)
-	chip.Wait(500)
+	chip.wait(500)
 	chip.ReadRow(0, row, got)
 	if getBit(got, int(v.Col)) != 0 {
 		t.Error("surround-gated victim survived the all-opposite worst case")
@@ -265,15 +265,15 @@ func TestWeakKindCellFailsRegardlessOfNeighbors(t *testing.T) {
 	chip := testChip(t, coupling.Config{VulnerableRate: 0, RetentionMinMs: 1, RetentionMaxMs: 1}, fc)
 	// Uniform all-charged content; weak cells must still fail on a
 	// long wait.
-	words := make([]uint64, chip.Geometry().Words())
+	words := make([]uint64, chip.geom.Words())
 	fillOnes(words)
 	flips := 0
 	got := make([]uint64, len(words))
-	for row := 0; row < chip.Geometry().Rows; row += 4 {
+	for row := 0; row < chip.geom.Rows; row += 4 {
 		chip.WriteRow(0, row, words)
 	}
-	chip.Wait(4000)
-	for row := 0; row < chip.Geometry().Rows; row += 4 {
+	chip.wait(4000)
+	for row := 0; row < chip.geom.Rows; row += 4 {
 		chip.ReadRow(0, row, got)
 		for w := range got {
 			if got[w] != words[w] {
@@ -291,7 +291,7 @@ func TestChipDeterminism(t *testing.T) {
 		return testChip(t, quietCoupling(), faults.DefaultConfig())
 	}
 	a, b := mk(), mk()
-	words := make([]uint64, a.Geometry().Words())
+	words := make([]uint64, a.geom.Words())
 	fillOnes(words)
 	words[3] = 0x0123456789abcdef
 	ga := make([]uint64, len(words))
@@ -300,8 +300,8 @@ func TestChipDeterminism(t *testing.T) {
 		a.WriteRow(0, row, words)
 		b.WriteRow(0, row, words)
 	}
-	a.Wait(4000)
-	b.Wait(4000)
+	a.wait(4000)
+	b.wait(4000)
 	for row := 0; row < 16; row++ {
 		a.ReadRow(0, row, ga)
 		b.ReadRow(0, row, gb)
@@ -335,7 +335,7 @@ func TestNewChipErrors(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := base
 			tt.mutate(&cfg)
-			if _, err := NewChip(cfg); err == nil {
+			if _, err := newChip(cfg); err == nil {
 				t.Error("NewChip succeeded, want error")
 			}
 		})
@@ -343,14 +343,14 @@ func TestNewChipErrors(t *testing.T) {
 }
 
 func TestNewChipDefaultGeometry(t *testing.T) {
-	chip, err := NewChip(ChipConfig{
+	chip, err := newChip(ChipConfig{
 		Vendor:   scramble.VendorA,
 		Coupling: coupling.DefaultConfig(),
 	})
 	if err != nil {
 		t.Fatalf("NewChip: %v", err)
 	}
-	if got, want := chip.Geometry(), ExperimentGeometry(); got != want {
+	if got, want := chip.geom, ExperimentGeometry(); got != want {
 		t.Errorf("default geometry = %+v, want %+v", got, want)
 	}
 }
@@ -360,7 +360,7 @@ func TestNewChipDefaultGeometry(t *testing.T) {
 // injectors (soft error targets a column drawn from [0, Cols)) must
 // never flip a padding bit.
 func TestPaddedGeometryRoundTrip(t *testing.T) {
-	chip, err := NewChip(ChipConfig{
+	chip, err := newChip(ChipConfig{
 		Geometry: Geometry{Banks: 1, Rows: 8, Cols: 96},
 		Vendor:   scramble.VendorToy,
 		Coupling: coupling.Config{RetentionMinMs: 1, RetentionMaxMs: 1},
@@ -370,7 +370,7 @@ func TestPaddedGeometryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewChip: %v", err)
 	}
-	g := chip.Geometry()
+	g := chip.geom
 	if g.Words() != 2 {
 		t.Fatalf("Words() = %d for Cols=96, want 2", g.Words())
 	}
@@ -382,7 +382,7 @@ func TestPaddedGeometryRoundTrip(t *testing.T) {
 	if got[0] != words[0] || got[1] != words[1] {
 		t.Fatalf("padded row did not round-trip: %x, want %x", got, words)
 	}
-	chip.Wait(100)
+	chip.wait(100)
 	chip.ReadRow(0, 0, got)
 	// The guaranteed soft error must land on a real cell: any flip in
 	// the padding bits means the injector drew a column >= Cols.
@@ -431,7 +431,7 @@ func TestModule(t *testing.T) {
 		t.Error("chips 0 and 1 drew identical victim populations")
 	}
 	mod.Wait(100)
-	if got := mod.Chip(3).Now(); got != 100 {
+	if got := mod.Chip(3).nowMs; got != 100 {
 		t.Errorf("chip clock = %v, want 100", got)
 	}
 }
@@ -452,9 +452,6 @@ func TestGeometryHelpers(t *testing.T) {
 	}
 	if got := g.RowCount(); got != 32 {
 		t.Errorf("RowCount() = %d, want 32", got)
-	}
-	if got := g.Bits(); got != 32*1024 {
-		t.Errorf("Bits() = %d, want %d", got, 32*1024)
 	}
 	// Cols need not be a multiple of 64: the last word is padded.
 	padded := Geometry{Banks: 1, Rows: 1, Cols: 63}
@@ -477,7 +474,7 @@ func TestGeometryHelpers(t *testing.T) {
 // first access is that read or a write to another row.
 func TestUnwrittenRowsReadZero(t *testing.T) {
 	c := testChip(t, quietCoupling(), faults.Config{})
-	buf := make([]uint64, c.Geometry().Words())
+	buf := make([]uint64, c.geom.Words())
 	for i := range buf {
 		buf[i] = ^uint64(0)
 	}

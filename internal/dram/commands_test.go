@@ -6,43 +6,40 @@ import (
 	"parbor/internal/coupling"
 	"parbor/internal/faults"
 	"parbor/internal/obs"
+	"parbor/internal/scramble"
 )
 
 // TestCommandsFlushToAttachedRecorder: row accesses only count until
-// FlushCommands delivers them, and SetRecorder flushes first, so each
-// recorder sees exactly the accesses made while it was attached and
-// activates always equal writes plus reads. A single-cell read counts
-// as one row read.
+// FlushCommands delivers them to the chip's recorder, activates
+// always equal writes plus reads, and a single-cell read counts as one
+// row read.
 func TestCommandsFlushToAttachedRecorder(t *testing.T) {
-	c := testChip(t, coupling.Config{VulnerableRate: 0, RetentionMinMs: 1, RetentionMaxMs: 1}, faults.Config{})
-	first, second := obs.NewCollector(), obs.NewCollector()
-	buf := make([]uint64, c.Geometry().Words())
+	col := obs.NewCollector()
+	c, err := newChip(ChipConfig{
+		Geometry: Geometry{Banks: 1, Rows: 64, Cols: 1024},
+		Vendor:   scramble.VendorToy,
+		Coupling: coupling.Config{VulnerableRate: 0, RetentionMinMs: 1, RetentionMaxMs: 1},
+		Faults:   faults.Config{},
+		Seed:     1234,
+		Recorder: col,
+	})
+	if err != nil {
+		t.Fatalf("newChip: %v", err)
+	}
+	buf := make([]uint64, c.geom.Words())
 
-	c.WriteRow(0, 0, buf) // no recorder attached: dropped at the next flush
-	c.SetRecorder(first)
 	c.WriteRow(0, 1, buf)
 	c.ReadRow(0, 1, buf)
-	if n := first.CommandCount(obs.CmdActivate); n != 0 {
+	if n := col.Snapshot("test").Commands["activate"]; n != 0 {
 		t.Fatalf("%d activates reached the recorder before a flush", n)
 	}
-	c.SetRecorder(second)
-	c.ReadRowDelta(0, 2, make([]uint64, c.Geometry().Words()))
+	c.ReadRowDelta(0, 2, make([]uint64, c.geom.Words()))
 	c.ReadCell(0, 3, 5)
 	c.FlushCommands()
 	c.FlushCommands() // nothing pending: a no-op
 
-	for _, tc := range []struct {
-		name                    string
-		col                     *obs.Collector
-		writes, reads, activate uint64
-	}{
-		{"first", first, 1, 1, 2},
-		{"second", second, 0, 2, 2},
-	} {
-		w, r, a := tc.col.CommandCount(obs.CmdWrite), tc.col.CommandCount(obs.CmdRead), tc.col.CommandCount(obs.CmdActivate)
-		if w != tc.writes || r != tc.reads || a != tc.activate {
-			t.Errorf("%s recorder: %d writes, %d reads, %d activates; want %d, %d, %d",
-				tc.name, w, r, a, tc.writes, tc.reads, tc.activate)
-		}
+	cmds := col.Snapshot("test").Commands
+	if w, r, a := cmds["write"], cmds["read"], cmds["activate"]; w != 1 || r != 3 || a != 4 {
+		t.Errorf("%d writes, %d reads, %d activates; want 1, 3, 4", w, r, a)
 	}
 }

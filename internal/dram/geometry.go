@@ -63,11 +63,6 @@ func (g Geometry) LastWordMask() uint64 {
 // RowCount returns the total number of rows in the chip.
 func (g Geometry) RowCount() int { return g.Banks * g.Rows }
 
-// Bits returns the total number of cells in the chip.
-func (g Geometry) Bits() int64 {
-	return int64(g.Banks) * int64(g.Rows) * int64(g.Cols)
-}
-
 // rowIndex flattens a (bank, row) pair.
 func (g Geometry) rowIndex(bank, row int) int { return bank*g.Rows + row }
 
@@ -78,11 +73,6 @@ func (g Geometry) rowIndex(bank, row int) int { return bank*g.Rows + row }
 // rates (documented in EXPERIMENTS.md).
 func ExperimentGeometry() Geometry {
 	return Geometry{Banks: 1, Rows: 2048, Cols: 8192}
-}
-
-// SmallGeometry is a reduced geometry for fast unit tests.
-func SmallGeometry() Geometry {
-	return Geometry{Banks: 1, Rows: 128, Cols: 1024}
 }
 
 // getBit returns bit i of the row bitmap.

@@ -16,7 +16,7 @@ import (
 // stream. With chained At keying the two rows must flip
 // independently.
 func TestLargeGeometryDrawsIndependent(t *testing.T) {
-	chip, err := NewChip(ChipConfig{
+	chip, err := newChip(ChipConfig{
 		Geometry: Geometry{Banks: 1, Rows: 2, Cols: 16384},
 		Vendor:   scramble.VendorA,
 		Coupling: coupling.Config{RetentionMinMs: 1, RetentionMaxMs: 1},
@@ -29,11 +29,11 @@ func TestLargeGeometryDrawsIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewChip: %v", err)
 	}
-	words := make([]uint64, chip.Geometry().Words())
+	words := make([]uint64, chip.geom.Words())
 	fillOnes(words) // rows 0 and 1 are both true-cell rows: all-ones is all-charged
 	chip.WriteRow(0, 0, words)
 	chip.WriteRow(0, 1, words)
-	chip.Wait(250) // past the 200 ms marginal retention threshold
+	chip.wait(250) // past the 200 ms marginal retention threshold
 
 	got0 := make([]uint64, len(words))
 	got1 := make([]uint64, len(words))
@@ -63,7 +63,7 @@ func TestLargeGeometryDrawsIndependent(t *testing.T) {
 func TestVRTTogglesIgnoreMaterializationOrder(t *testing.T) {
 	const rows = 16
 	mk := func() *Chip {
-		chip, err := NewChip(ChipConfig{
+		chip, err := newChip(ChipConfig{
 			Geometry: Geometry{Banks: 1, Rows: 64, Cols: 1024},
 			Vendor:   scramble.VendorToy,
 			Coupling: coupling.Config{RetentionMinMs: 1, RetentionMaxMs: 1},
@@ -84,14 +84,14 @@ func TestVRTTogglesIgnoreMaterializationOrder(t *testing.T) {
 		b.TrueVictims(0, r)
 	}
 
-	words := make([]uint64, a.Geometry().Words())
+	words := make([]uint64, a.geom.Words())
 	fillOnes(words)
 	for r := 0; r < rows; r++ {
 		a.WriteRow(0, r, words)
 		b.WriteRow(0, r, words)
 	}
-	a.Wait(100) // past the 64 ms VRT retention threshold
-	b.Wait(100)
+	a.wait(100) // past the 64 ms VRT retention threshold
+	b.wait(100)
 
 	gotA := make([][]uint64, rows)
 	for r := 0; r < rows; r++ {
@@ -128,14 +128,14 @@ func TestVRTTogglesIgnoreMaterializationOrder(t *testing.T) {
 func TestVRTDrawsVaryAcrossPasses(t *testing.T) {
 	chip := testChip(t, coupling.Config{RetentionMinMs: 1, RetentionMaxMs: 1},
 		faults.Config{VRTRate: 0.2, VRTToggleProb: 0.5})
-	words := make([]uint64, chip.Geometry().Words())
+	words := make([]uint64, chip.geom.Words())
 	fillOnes(words)
 	got := make([]uint64, len(words))
 
 	var patterns [][]uint64
 	for pass := 0; pass < 8; pass++ {
 		chip.WriteRow(0, 0, words)
-		chip.Wait(100)
+		chip.wait(100)
 		chip.ReadRow(0, 0, got)
 		patterns = append(patterns, append([]uint64(nil), got...))
 	}

@@ -63,7 +63,7 @@ func NewModule(cfg ModuleConfig) (*Module, error) {
 	}
 	m := &Module{name: cfg.Name, chips: make([]*Chip, 0, cfg.Chips)}
 	for i := 0; i < cfg.Chips; i++ {
-		chip, err := NewChip(ChipConfig{
+		chip, err := newChip(ChipConfig{
 			Geometry: cfg.Geometry,
 			Vendor:   cfg.Vendor,
 			Mapping:  cfg.Mapping,
@@ -91,24 +91,15 @@ func (m *Module) Chips() int { return len(m.chips) }
 func (m *Module) Chip(i int) *Chip { return m.chips[i] }
 
 // Vendor returns the module's scrambling profile.
-func (m *Module) Vendor() scramble.Vendor { return m.chips[0].Vendor() }
+func (m *Module) Vendor() scramble.Vendor { return m.chips[0].mapping.Vendor() }
 
 // Geometry returns the per-chip layout.
-func (m *Module) Geometry() Geometry { return m.chips[0].Geometry() }
+func (m *Module) Geometry() Geometry { return m.chips[0].geom }
 
 // Wait advances simulated time on every chip (they share the
 // module's clock).
 func (m *Module) Wait(ms float64) {
 	for _, c := range m.chips {
-		c.Wait(ms)
-	}
-}
-
-// SetRecorder attaches (or, with nil, detaches) a command recorder
-// on every chip. It lets a caller instrument a module it did not
-// construct; recording is passive and never changes results.
-func (m *Module) SetRecorder(r obs.Recorder) {
-	for _, c := range m.chips {
-		c.SetRecorder(r)
+		c.wait(ms)
 	}
 }

@@ -46,7 +46,7 @@ func diffPattern(words []uint64, kind string, seed uint64) {
 // sees the exact same (stored, elapsed, meta) state for both.
 func comparePaths(t *testing.T, c *Chip, label string) (flips int) {
 	t.Helper()
-	g := c.Geometry()
+	g := c.geom
 	scalar := make([]uint64, c.words)
 	planes := make([]uint64, c.words)
 	for bank := 0; bank < g.Banks; bank++ {
@@ -83,7 +83,7 @@ func comparePaths(t *testing.T, c *Chip, label string) (flips int) {
 // either disagrees with the scalar row read's toggle at col.
 func compareCellPaths(t *testing.T, c *Chip, col int, label string) {
 	t.Helper()
-	g := c.Geometry()
+	g := c.geom
 	delta := make([]uint64, c.words)
 	for bank := 0; bank < g.Banks; bank++ {
 		for row := 0; row < g.Rows; row++ {
@@ -201,7 +201,7 @@ func TestReadRowPlanesMatchScalarOracle(t *testing.T) {
 	for _, tc := range diffCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, pattern := range []string{"zeros", "ones", "aa", "rand"} {
-				chip, err := NewChip(ChipConfig{
+				chip, err := newChip(ChipConfig{
 					Geometry: tc.geom,
 					Vendor:   tc.vendor,
 					Coupling: tc.cc,
@@ -211,7 +211,7 @@ func TestReadRowPlanesMatchScalarOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("NewChip: %v", err)
 				}
-				words := make([]uint64, chip.Geometry().Words())
+				words := make([]uint64, chip.geom.Words())
 				for bank := 0; bank < tc.geom.Banks; bank++ {
 					for row := 0; row < tc.geom.Rows; row++ {
 						diffPattern(words, pattern, uint64(bank*tc.geom.Rows+row))
@@ -223,7 +223,7 @@ func TestReadRowPlanesMatchScalarOracle(t *testing.T) {
 				// 330 (weak), 700 (past the tier split), 3200 (all).
 				flips := 0
 				for _, wait := range []float64{32, 64, 144, 90, 370, 2500} {
-					chip.Wait(wait)
+					chip.wait(wait)
 					flips += comparePaths(t, chip, fmt.Sprintf("%s/%s/wait=%v", tc.name, pattern, wait))
 				}
 				if pattern == "rand" && flips == 0 {
@@ -247,7 +247,7 @@ func TestReadRowPlanesMatchScalarOracle(t *testing.T) {
 func TestReadRowDeltaMatchesReadRow(t *testing.T) {
 	cc := coupling.DefaultConfig()
 	cc.VulnerableRate = 0.05
-	chip, err := NewChip(ChipConfig{
+	chip, err := newChip(ChipConfig{
 		Geometry: Geometry{Banks: 1, Rows: 32, Cols: 1104}, // padded last word
 		Vendor:   scramble.VendorToy,
 		Coupling: cc,
@@ -257,13 +257,13 @@ func TestReadRowDeltaMatchesReadRow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewChip: %v", err)
 	}
-	g := chip.Geometry()
+	g := chip.geom
 	words := make([]uint64, g.Words())
 	for row := 0; row < g.Rows; row++ {
 		diffPattern(words, "rand", uint64(row))
 		chip.WriteRow(0, row, words)
 	}
-	chip.Wait(700)
+	chip.wait(700)
 	got := make([]uint64, g.Words())
 	delta := make([]uint64, g.Words())
 	sawFlip := false
@@ -322,11 +322,11 @@ func TestReadCellMatchesReadRow(t *testing.T) {
 	for _, tc := range diffCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.fc.SoftErrorPerRowRead = 0.5
-			chip, err := NewChip(ChipConfig{Geometry: tc.geom, Vendor: tc.vendor, Coupling: tc.cc, Faults: tc.fc, Seed: 917})
+			chip, err := newChip(ChipConfig{Geometry: tc.geom, Vendor: tc.vendor, Coupling: tc.cc, Faults: tc.fc, Seed: 917})
 			if err != nil {
 				t.Fatalf("NewChip: %v", err)
 			}
-			g := chip.Geometry()
+			g := chip.geom
 			words := make([]uint64, g.Words())
 			for bank := 0; bank < g.Banks; bank++ {
 				for row := 0; row < g.Rows; row++ {
@@ -337,7 +337,7 @@ func TestReadCellMatchesReadRow(t *testing.T) {
 			got := make([]uint64, g.Words())
 			flips := 0
 			for _, wait := range []float64{32, 64, 144, 90, 370, 2500} {
-				chip.Wait(wait)
+				chip.wait(wait)
 				for bank := 0; bank < g.Banks; bank++ {
 					for row := 0; row < g.Rows; row++ {
 						chip.ReadRow(bank, row, got)
@@ -391,7 +391,7 @@ func FuzzVictimPlanes(f *testing.F) {
 		fc.VRTRate, fc.VRTToggleProb = 2e-3, 0.5
 		fc.WeakCellRate = 2e-3
 		fc.RemappedColumnRate, fc.RemappedFailProb = 2e-3, 0.5
-		chip, err := NewChip(ChipConfig{
+		chip, err := newChip(ChipConfig{
 			Geometry: Geometry{Banks: 1, Rows: 8, Cols: cols},
 			Vendor:   vendor,
 			Coupling: cc,
@@ -401,8 +401,8 @@ func FuzzVictimPlanes(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewChip: %v", err)
 		}
-		words := make([]uint64, chip.Geometry().Words())
-		for row := 0; row < chip.Geometry().Rows; row++ {
+		words := make([]uint64, chip.geom.Words())
+		for row := 0; row < chip.geom.Rows; row++ {
 			x := fill ^ seed*uint64(row+1)
 			for i := range words {
 				x = x*6364136223846793005 + 1442695040888963407
@@ -414,10 +414,10 @@ func FuzzVictimPlanes(f *testing.F) {
 		// follow-up that crosses whatever gate the first stopped short
 		// of. Both must match the oracle exactly.
 		col := int(probe) % cols
-		chip.Wait(float64(waitMs))
+		chip.wait(float64(waitMs))
 		comparePaths(t, chip, "fuzz-wait1")
 		compareCellPaths(t, chip, col, "fuzz-wait1")
-		chip.Wait(float64(waitMs)/2 + 97)
+		chip.wait(float64(waitMs)/2 + 97)
 		comparePaths(t, chip, "fuzz-wait2")
 		compareCellPaths(t, chip, col, "fuzz-wait2")
 	})
@@ -433,7 +433,7 @@ func TestPlaneArenaFitsSmallChip(t *testing.T) {
 	cc.VulnerableRate = 2e-3
 	geom := Geometry{Banks: 1, Rows: 32, Cols: 8192}
 	for _, v := range []scramble.Vendor{scramble.VendorA, scramble.VendorB, scramble.VendorC} {
-		c, err := NewChip(ChipConfig{Geometry: geom, Vendor: v, Coupling: cc, Faults: faults.DefaultConfig(), Seed: 41})
+		c, err := newChip(ChipConfig{Geometry: geom, Vendor: v, Coupling: cc, Faults: faults.DefaultConfig(), Seed: 41})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -180,11 +180,11 @@ func Fig16(ctx context.Context, o Fig16Options) ([]Fig16Row, []Fig16Summary, err
 	if err != nil {
 		return nil, nil, err
 	}
-	return rows, Summarize(rows), nil
+	return rows, summarize(rows), nil
 }
 
-// Summarize aggregates Fig16 rows per density.
-func Summarize(rows []Fig16Row) []Fig16Summary {
+// summarize aggregates Fig16 rows per density.
+func summarize(rows []Fig16Row) []Fig16Summary {
 	byDensity := map[sim.Density][]Fig16Row{}
 	var order []sim.Density
 	for _, r := range rows {

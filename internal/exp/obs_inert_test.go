@@ -43,7 +43,7 @@ func TestObsInstrumentationInert(t *testing.T) {
 			if !reflect.DeepEqual(a, b) {
 				t.Errorf("vendor %v seed %d: instrumented run diverges from plain run", v, seed)
 			}
-			if col.CommandCount(obs.CmdActivate) == 0 {
+			if col.Snapshot("test").Commands["activate"] == 0 {
 				t.Errorf("vendor %v seed %d: collector attached but recorded nothing", v, seed)
 			}
 		}

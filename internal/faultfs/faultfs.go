@@ -183,10 +183,6 @@ func IsTransient(err error) bool {
 	return errors.As(err, &t) && t.Transient()
 }
 
-// DirOf returns the directory that must be fsynced for a rename or
-// create of path to be durable.
-func DirOf(path string) string { return filepath.Dir(path) }
-
 // WriteFileAtomic durably replaces path with data: the bytes are
 // written to a sibling temp file, fsynced, renamed over path, and the
 // directory is fsynced so the rename itself survives a crash. At
@@ -222,7 +218,7 @@ func WriteFileAtomic(fsys FS, path string, data []byte, perm fs.FileMode) error 
 		fsys.Remove(tmp)
 		return fmt.Errorf("faultfs: renaming %s: %w", tmp, err)
 	}
-	if err := fsys.SyncDir(DirOf(path)); err != nil {
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
 		// The rename happened; only its durability is in doubt. Report
 		// it — the caller may be about to delete the data's other copy.
 		return fmt.Errorf("faultfs: syncing dir of %s: %w", path, err)

@@ -1,15 +1,14 @@
 package fleet
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 
 	"parbor/internal/checkpoint"
+	"parbor/internal/strictjson"
 )
 
 // The HTTP/JSON API. Routes (Go 1.22 method+wildcard patterns):
@@ -56,15 +55,15 @@ func moduleStatus(m *Module) ModuleStatus {
 	st := m.Snapshot().Scheduler
 	ms := ModuleStatus{
 		ID:          m.ID(),
-		Vendor:      m.Spec().Vendor,
+		Vendor:      m.spec.Vendor,
 		Status:      m.Status(),
 		Epochs:      st.Epochs,
-		MaxEpochs:   m.Spec().MaxEpochs,
+		MaxEpochs:   m.spec.MaxEpochs,
 		Rounds:      st.Rounds,
 		Failures:    len(st.EverSeen),
 		Quarantined: st.Quarantined,
 	}
-	if err := m.Err(); err != nil {
+	if err := m.err(); err != nil {
 		ms.Error = err.Error()
 	}
 	return ms
@@ -77,7 +76,7 @@ func (d *Daemon) Handler() http.Handler {
 		// Always 200: a degraded log is an operator signal, not a
 		// liveness failure — load balancers must not kill a daemon
 		// that is detecting fine and merely buffering its log.
-		writeJSON(w, http.StatusOK, d.Health())
+		writeJSON(w, http.StatusOK, d.health())
 	})
 	mux.HandleFunc("POST /v1/modules", d.handleEnroll)
 	mux.HandleFunc("GET /v1/modules", d.handleList)
@@ -106,7 +105,7 @@ func (d *Daemon) Handler() http.Handler {
 			writeError(w, http.StatusNotFound, errors.New("fleet: no event log configured (run with -log-dir)"))
 			return
 		}
-		ru, err := d.Analytics()
+		ru, err := d.analytics()
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err)
 			return
@@ -136,10 +135,10 @@ func (d *Daemon) handleEnroll(w http.ResponseWriter, r *http.Request) {
 	// Strict decode: a typoed field silently ignored would enroll a
 	// module with default (zero) noise models and nobody would notice
 	// until the rollup looked implausibly clean.
+	// One request enrolls one module, so a second value or junk after
+	// the first is rejected too.
 	var req EnrollRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := strictjson.Decode(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("fleet: parsing enrollment: %w", err))
 		return
 	}
@@ -155,7 +154,7 @@ func (d *Daemon) handleEnroll(w http.ResponseWriter, r *http.Request) {
 	m, err := d.Enroll(req.Spec, snap)
 	if err != nil {
 		status := http.StatusBadRequest
-		if strings.Contains(err.Error(), "already enrolled") {
+		if errors.Is(err, errAlreadyEnrolled) {
 			status = http.StatusConflict
 		}
 		writeError(w, status, err)
@@ -175,7 +174,7 @@ func (d *Daemon) handleList(w http.ResponseWriter, r *http.Request) {
 
 func (d *Daemon) handleRetire(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !d.Retire(id) {
+	if !d.retire(id) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("fleet: no module %q", id))
 		return
 	}

@@ -21,7 +21,7 @@ func apiFleet(t *testing.T) (*Daemon, *httptest.Server) {
 	srv := httptest.NewServer(d.Handler())
 	t.Cleanup(func() {
 		srv.Close()
-		d.Pool().Drain()
+		d.Pool().drain()
 	})
 	return d, srv
 }
@@ -241,6 +241,10 @@ func TestAPIErrorPaths(t *testing.T) {
 		{"enroll invalid json", http.MethodPost, "/v1/modules", `{"spec":`, http.StatusBadRequest},
 		{"enroll unknown field", http.MethodPost, "/v1/modules",
 			`{"spec":{},"tpyo":1}`, http.StatusBadRequest},
+		{"enroll two objects", http.MethodPost, "/v1/modules",
+			mustJSON(t, EnrollRequest{Spec: testSpec(332)}) + mustJSON(t, EnrollRequest{Spec: testSpec(333)}), http.StatusBadRequest},
+		{"enroll trailing junk", http.MethodPost, "/v1/modules",
+			mustJSON(t, EnrollRequest{Spec: testSpec(334)}) + " junk", http.StatusBadRequest},
 		{"enroll malformed snapshot", http.MethodPost, "/v1/modules",
 			mustJSON(t, map[string]any{"spec": testSpec(331), "snapshot": json.RawMessage(`{"schema":"bogus"}`)}),
 			http.StatusBadRequest},
@@ -311,7 +315,7 @@ func TestAPIAnalytics(t *testing.T) {
 	srv := httptest.NewServer(d.Handler())
 	t.Cleanup(func() {
 		srv.Close()
-		d.Pool().Drain()
+		d.Pool().drain()
 	})
 	for i := 0; i < 4; i++ {
 		if _, err := d.Enroll(testSpec(340+i), nil); err != nil {

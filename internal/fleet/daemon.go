@@ -14,6 +14,7 @@ import (
 	"parbor/internal/faultfs"
 	"parbor/internal/fleetlog"
 	"parbor/internal/obs"
+	"parbor/internal/strictjson"
 )
 
 // Fleet-level counter names, reported into the daemon's own
@@ -47,7 +48,7 @@ type StateEntry struct {
 type Config struct {
 	// Workers bounds the epoch scheduler; <= 0 selects GOMAXPROCS.
 	Workers int
-	// StateDir, when non-empty, is where SaveState persists one JSON
+	// StateDir, when non-empty, is where Drain persists one JSON
 	// entry per module and LoadState resumes from. Created on demand.
 	StateDir string
 	// LogDir, when non-empty, enables the append-only failure-event
@@ -82,7 +83,7 @@ type Daemon struct {
 	log  *logSink
 }
 
-// NewDaemon builds an idle daemon; call Start (or Run) to launch the
+// NewDaemon builds an idle daemon; call Start to launch the
 // workers, and Close when done so the event log is flushed shut.
 func NewDaemon(cfg Config) (*Daemon, error) {
 	fsys := cfg.FS
@@ -92,8 +93,8 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		cfg:  cfg,
 		fsys: fsys,
-		reg:  NewRegistry(),
-		pool: NewPool(cfg.Workers),
+		reg:  newRegistry(),
+		pool: newPool(cfg.Workers),
 		col:  obs.NewCollector(),
 	}
 	if cfg.LogDir != "" {
@@ -119,7 +120,7 @@ func (d *Daemon) sink() func(fleetlog.Event) error {
 }
 
 // Registry exposes the membership table (read-mostly; mutate through
-// Enroll/Retire).
+// Enroll and the API).
 func (d *Daemon) Registry() *Registry { return d.reg }
 
 // Pool exposes the epoch scheduler.
@@ -132,20 +133,20 @@ func (d *Daemon) Enroll(spec ModuleSpec, snap *checkpoint.Snapshot) (*Module, er
 	if err != nil {
 		return nil, err
 	}
-	if err := d.reg.Add(m); err != nil {
+	if err := d.reg.add(m); err != nil {
 		return nil, err
 	}
 	d.col.Add(CounterEnrolled, 1)
 	if m.Status() != StatusDone {
-		d.pool.Submit(m)
+		d.pool.submit(m)
 	}
 	return m, nil
 }
 
-// Retire removes a module from the fleet. Its last snapshot remains
+// retire removes a module from the fleet. Its last snapshot remains
 // readable through the returned module until the caller drops it.
-func (d *Daemon) Retire(id string) bool {
-	ok := d.reg.Remove(id)
+func (d *Daemon) retire(id string) bool {
+	ok := d.reg.remove(id)
 	if ok {
 		d.col.Add(CounterRetired, 1)
 	}
@@ -153,7 +154,7 @@ func (d *Daemon) Retire(id string) bool {
 }
 
 // Start launches the scheduler workers.
-func (d *Daemon) Start(ctx context.Context) { d.pool.Start(ctx) }
+func (d *Daemon) Start(ctx context.Context) { d.pool.start(ctx) }
 
 // Drain gracefully stops the scheduler: every in-flight quantum
 // finishes (refreshing its module's snapshot), then workers exit.
@@ -161,7 +162,7 @@ func (d *Daemon) Start(ctx context.Context) { d.pool.Start(ctx) }
 // construction. If a state dir is configured, the fleet is persisted
 // to it.
 func (d *Daemon) Drain() error {
-	d.pool.Drain()
+	d.pool.drain()
 	if d.log != nil {
 		// Sync the log BEFORE persisting checkpoints: a crash between
 		// the two leaves the log ahead of the state, and replayed
@@ -173,7 +174,7 @@ func (d *Daemon) Drain() error {
 		d.log.drain()
 	}
 	if d.cfg.StateDir != "" {
-		if err := d.SaveState(); err != nil {
+		if err := d.saveState(); err != nil {
 			return err
 		}
 	}
@@ -196,29 +197,19 @@ func (d *Daemon) Close() error {
 	return d.log.close()
 }
 
-// Analytics classifies the accumulated failure-event log: the
+// analytics classifies the accumulated failure-event log: the
 // out-of-core counterpart of Rollup, covering every epoch ever logged
 // to LogDir (including by earlier daemon incarnations) rather than the
 // currently enrolled fleet's live state.
-func (d *Daemon) Analytics() (*fleetlog.Rollup, error) {
+func (d *Daemon) analytics() (*fleetlog.Rollup, error) {
 	if d.cfg.LogDir == "" {
 		return nil, fmt.Errorf("fleet: no event log configured")
 	}
 	return fleetlog.Analyze(d.cfg.LogDir, fleetlog.ClassifierConfig{FS: d.fsys})
 }
 
-// Run is the daemon main loop: start workers, wait for ctx
-// cancellation (SIGTERM in parbord), drain. The returned error is
-// from state persistence, not from module failures — those are
-// per-module status, visible in the rollup.
-func (d *Daemon) Run(ctx context.Context) error {
-	d.Start(ctx)
-	<-ctx.Done()
-	return d.Drain()
-}
-
 // Quiesce blocks until no module wants another quantum.
-func (d *Daemon) Quiesce() { d.pool.Quiesce() }
+func (d *Daemon) Quiesce() { d.pool.quiesce() }
 
 // Health is the /healthz body: liveness plus the log-degradation
 // state. OK is false while the event log is degraded — the daemon is
@@ -238,8 +229,8 @@ type Health struct {
 	LogEventsDropped uint64 `json:"log_events_dropped,omitempty"`
 }
 
-// Health reports the daemon's current health.
-func (d *Daemon) Health() Health {
+// health reports the daemon's current health.
+func (d *Daemon) health() Health {
 	h := Health{OK: true, Status: "ok", Modules: d.reg.Len()}
 	if d.log != nil {
 		degraded, reason, buffered, dropped := d.log.health()
@@ -255,7 +246,7 @@ func (d *Daemon) Health() Health {
 }
 
 // Rollup summarizes the current fleet.
-func (d *Daemon) Rollup() *Rollup { return BuildRollup(d.reg.List()) }
+func (d *Daemon) Rollup() *Rollup { return buildRollup(d.reg.List()) }
 
 // Report snapshots the daemon's fleet-level counters.
 func (d *Daemon) Report() *obs.Report { return d.col.Snapshot("parbord") }
@@ -297,11 +288,11 @@ func (d *Daemon) statePath(id string) string {
 	return filepath.Join(d.cfg.StateDir, id+".json")
 }
 
-// SaveState writes one StateEntry per enrolled module into StateDir,
+// saveState writes one StateEntry per enrolled module into StateDir,
 // and removes stale entries for modules no longer enrolled. Call only
 // while the pool is quiet: it reads each module's latest snapshot,
 // which is exactly the between-epochs state after a drain.
-func (d *Daemon) SaveState() error {
+func (d *Daemon) saveState() error {
 	if d.cfg.StateDir == "" {
 		return fmt.Errorf("fleet: no state dir configured")
 	}
@@ -310,7 +301,7 @@ func (d *Daemon) SaveState() error {
 	}
 	live := make(map[string]bool)
 	for _, m := range d.reg.List() {
-		entry := StateEntry{Schema: StateSchema, Spec: m.Spec(), Snapshot: m.Snapshot()}
+		entry := StateEntry{Schema: StateSchema, Spec: m.spec, Snapshot: m.Snapshot()}
 		data, err := json.MarshalIndent(&entry, "", "  ")
 		if err != nil {
 			return fmt.Errorf("fleet: marshaling state for %s: %w", m.ID(), err)
@@ -373,17 +364,41 @@ func (d *Daemon) LoadState() (int, error) {
 		if err != nil {
 			return n, fmt.Errorf("fleet: reading state entry %s: %w", name, err)
 		}
-		var entry StateEntry
-		if err := json.Unmarshal(data, &entry); err != nil {
-			return n, fmt.Errorf("fleet: parsing state entry %s: %w", name, err)
-		}
-		if entry.Schema != StateSchema {
-			return n, fmt.Errorf("fleet: state entry %s: unknown schema %q", name, entry.Schema)
-		}
-		if _, err := d.Enroll(entry.Spec, entry.Snapshot); err != nil {
-			return n, fmt.Errorf("fleet: resuming %s: %w", name, err)
+		if err := d.enrollEntry(data); err != nil {
+			return n, fmt.Errorf("fleet: state entry %s: %w", name, err)
 		}
 		n++
 	}
 	return n, nil
+}
+
+// EnrollState enrolls every entry of a JSON array of state entries,
+// each parsed as LoadState parses a state file, and returns how many
+// it enrolled.
+func (d *Daemon) EnrollState(data []byte) (int, error) {
+	var raws []json.RawMessage
+	if err := strictjson.Decode(data, &raws); err != nil {
+		return 0, fmt.Errorf("fleet: parsing state entries: %w", err)
+	}
+	for i, raw := range raws {
+		if err := d.enrollEntry(raw); err != nil {
+			return i, fmt.Errorf("fleet: state entry %d: %w", i, err)
+		}
+	}
+	return len(raws), nil
+}
+
+// enrollEntry parses one state entry strictly — an unknown field or
+// data after the object is an error, as on POST /v1/modules — checks
+// its schema and enrolls it.
+func (d *Daemon) enrollEntry(data []byte) error {
+	var entry StateEntry
+	if err := strictjson.Decode(data, &entry); err != nil {
+		return fmt.Errorf("parsing: %w", err)
+	}
+	if entry.Schema != StateSchema {
+		return fmt.Errorf("unknown schema %q", entry.Schema)
+	}
+	_, err := d.Enroll(entry.Spec, entry.Snapshot)
+	return err
 }

@@ -84,11 +84,11 @@ func refStates(t *testing.T) map[string]onlinetest.State {
 	}
 	d.Start(context.Background())
 	d.Quiesce()
-	d.Pool().Drain()
+	d.Pool().drain()
 	out := make(map[string]onlinetest.State)
 	for _, m := range d.Registry().List() {
 		if m.Status() != StatusDone {
-			t.Fatalf("ref module %s: %s (%v)", m.ID(), m.Status(), m.Err())
+			t.Fatalf("ref module %s: %s (%v)", m.ID(), m.Status(), m.err())
 		}
 		out[m.ID()] = m.Snapshot().Scheduler
 	}
@@ -200,7 +200,7 @@ func TestEveryFaultPointCrashSweep(t *testing.T) {
 			// Bit-identity with the uninterrupted baseline.
 			for _, m := range d.Registry().List() {
 				if m.Status() != StatusDone {
-					t.Fatalf("%s: module %s wedged: %s (%v)", name, m.ID(), m.Status(), m.Err())
+					t.Fatalf("%s: module %s wedged: %s (%v)", name, m.ID(), m.Status(), m.err())
 				}
 				got, want := m.Snapshot().Scheduler, ref[m.ID()]
 				if got.Epochs != want.Epochs || got.Retries != want.Retries ||
@@ -238,7 +238,7 @@ func TestLogDegradedServingAndRecovery(t *testing.T) {
 	}
 	ref.Start(context.Background())
 	ref.Quiesce()
-	ref.Pool().Drain()
+	ref.Pool().drain()
 
 	logDir := t.TempDir()
 	inj, err := faultfs.NewInjector(faultfs.OS{}, faultfs.InjectorConfig{})
@@ -256,12 +256,12 @@ func TestLogDegradedServingAndRecovery(t *testing.T) {
 	inj.Break(nil)
 	d.Start(context.Background())
 	d.Quiesce()
-	d.Pool().Drain()
+	d.Pool().drain()
 
 	// Detection survived the outage, bit-identically.
 	for _, m := range d.Registry().List() {
 		if m.Status() != StatusDone {
-			t.Fatalf("module %s did not finish under a dead log: %s (%v)", m.ID(), m.Status(), m.Err())
+			t.Fatalf("module %s did not finish under a dead log: %s (%v)", m.ID(), m.Status(), m.err())
 		}
 		want, _ := ref.Registry().Get(m.ID())
 		if !reflect.DeepEqual(m.Snapshot().Scheduler, want.Snapshot().Scheduler) {
@@ -270,7 +270,7 @@ func TestLogDegradedServingAndRecovery(t *testing.T) {
 	}
 
 	// The degradation is visible and accounted.
-	h := d.Health()
+	h := d.health()
 	if h.OK || h.Status != "degraded" || h.Reason == "" {
 		t.Fatalf("health during outage: %+v", h)
 	}
@@ -304,7 +304,7 @@ func TestLogDegradedServingAndRecovery(t *testing.T) {
 	if err := d.Drain(); err != nil {
 		t.Fatalf("drain after heal: %v", err)
 	}
-	h = d.Health()
+	h = d.health()
 	if !h.OK || h.Status != "ok" || h.LogBuffered != 0 {
 		t.Fatalf("health after recovery: %+v", h)
 	}
@@ -348,9 +348,9 @@ func TestLogDegradedBufferCapDrops(t *testing.T) {
 	inj.Break(nil)
 	d.Start(context.Background())
 	d.Quiesce()
-	d.Pool().Drain()
+	d.Pool().drain()
 
-	h := d.Health()
+	h := d.health()
 	if h.LogBuffered != 4 || h.LogEventsDropped != 8 {
 		t.Fatalf("buffer accounting: %+v (want 4 buffered, 8 dropped)", h)
 	}
@@ -366,7 +366,7 @@ func TestLogDegradedBufferCapDrops(t *testing.T) {
 	// detection.
 	for _, m := range d.Registry().List() {
 		if m.Status() != StatusDone {
-			t.Fatalf("module %s: %s (%v)", m.ID(), m.Status(), m.Err())
+			t.Fatalf("module %s: %s (%v)", m.ID(), m.Status(), m.err())
 		}
 	}
 }
@@ -526,10 +526,10 @@ func TestDiskChaosSoakOracle(t *testing.T) {
 	}
 	for _, m := range d.Registry().List() {
 		if m.Status() != StatusDone {
-			t.Fatalf("module %s: %s (%v) — storage chaos must never fail detection", m.ID(), m.Status(), m.Err())
+			t.Fatalf("module %s: %s (%v) — storage chaos must never fail detection", m.ID(), m.Status(), m.err())
 		}
 	}
-	t.Logf("soak: %d ops, %d faults injected, health %+v", inj.Ops(), inj.Faults(), d.Health())
+	t.Logf("soak: %d ops, %d faults injected, health %+v", inj.Ops(), inj.Faults(), d.health())
 
 	// Collect the survivors with a clean filesystem, then compare the
 	// out-of-core classifier (budget forced into spill-and-merge)

@@ -3,7 +3,11 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -79,7 +83,7 @@ func withChaos(sp ModuleSpec, i int) ModuleSpec {
 
 func TestSpecValidate(t *testing.T) {
 	good := testSpec(0)
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
 	cases := []struct {
@@ -102,7 +106,7 @@ func TestSpecValidate(t *testing.T) {
 	for _, tc := range cases {
 		sp := testSpec(0)
 		tc.mutate(&sp)
-		if err := sp.Validate(); err == nil {
+		if err := sp.validate(); err == nil {
 			t.Errorf("%s: spec accepted", tc.name)
 		}
 	}
@@ -120,17 +124,17 @@ func TestRegistryDuplicateAndRetire(t *testing.T) {
 	if !ok {
 		t.Fatalf("module not registered")
 	}
-	if !d.Retire("mod-0001") {
+	if !d.retire("mod-0001") {
 		t.Fatalf("retire failed")
 	}
-	if d.Retire("mod-0001") {
+	if d.retire("mod-0001") {
 		t.Fatalf("double retire succeeded")
 	}
 	if m.Status() != StatusRetired {
 		t.Fatalf("retired module has status %s", m.Status())
 	}
 	// A retired module handed to a worker is dropped, not run.
-	if m.RunQuantum(context.Background()) {
+	if m.runQuantum(context.Background()) {
 		t.Fatalf("retired module asked to be rescheduled")
 	}
 	if got := m.Snapshot().Scheduler.Epochs; got != 0 {
@@ -152,12 +156,12 @@ func TestFleetRunsToBudget(t *testing.T) {
 	}
 	d.Start(context.Background())
 	d.Quiesce()
-	d.Pool().Drain()
+	d.Pool().drain()
 
 	foundFailures := false
 	for _, m := range d.Registry().List() {
 		if m.Status() != StatusDone {
-			t.Fatalf("module %s finished with status %s (err %v)", m.ID(), m.Status(), m.Err())
+			t.Fatalf("module %s finished with status %s (err %v)", m.ID(), m.Status(), m.err())
 		}
 		st := m.Snapshot().Scheduler
 		if st.Epochs != 4 {
@@ -204,17 +208,17 @@ func TestReconcileAfterRetire(t *testing.T) {
 	}
 	d.Start(context.Background())
 	d.Quiesce()
-	d.Pool().Drain()
+	d.Pool().drain()
 
 	// Between quanta: a module that ran its whole budget.
-	if !d.Retire("mod-0300") {
+	if !d.retire("mod-0300") {
 		t.Fatal("retire of an enrolled module reported false")
 	}
 	// A resumed module retired after running: only the epochs it ran
 	// under this daemon count.
 	src, _ := d.Registry().Get("mod-0301")
 	snap := src.Snapshot()
-	if !d.Retire("mod-0301") {
+	if !d.retire("mod-0301") {
 		t.Fatal("retire reported false")
 	}
 	sp := testSpec(301)
@@ -226,11 +230,11 @@ func TestReconcileAfterRetire(t *testing.T) {
 	if _, err := d.Enroll(testSpec(310), nil); err != nil {
 		t.Fatalf("enroll: %v", err)
 	}
-	d.Retire("mod-0310")
+	d.retire("mod-0310")
 	d.Start(context.Background())
 	d.Quiesce()
-	d.Pool().Drain()
-	d.Retire("mod-0301")
+	d.Pool().drain()
+	d.retire("mod-0301")
 	if err := d.Reconcile(); err != nil {
 		t.Fatalf("reconcile after retirements between quanta: %v", err)
 	}
@@ -240,7 +244,7 @@ func TestReconcileAfterRetire(t *testing.T) {
 	const id = "mod-0320"
 	var m *Module
 	sink := func(ev fleetlog.Event) error {
-		if ev.Epoch == 2 && !d.Retire(id) {
+		if ev.Epoch == 2 && !d.retire(id) {
 			t.Error("mid-quantum retire reported false")
 		}
 		return nil
@@ -249,11 +253,11 @@ func TestReconcileAfterRetire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("buildModule: %v", err)
 	}
-	if err := d.reg.Add(m); err != nil {
+	if err := d.reg.add(m); err != nil {
 		t.Fatalf("register: %v", err)
 	}
 	quanta := 0
-	for m.RunQuantum(context.Background()) {
+	for m.runQuantum(context.Background()) {
 		quanta++
 	}
 	if quanta != 1 || m.Status() != StatusRetired {
@@ -342,7 +346,7 @@ func TestSnapshotReadsDuringSweep(t *testing.T) {
 			t.Fatalf("snapshot %d changed after it was published", i)
 		}
 	}
-	d.Pool().Drain()
+	d.Pool().drain()
 	if err := d.Reconcile(); err != nil {
 		t.Fatalf("reconcile: %v", err)
 	}
@@ -370,7 +374,7 @@ func TestPoolDrainKeepsQueueAndRestarts(t *testing.T) {
 	}
 	// Drain before starting: nothing runs, everything stays queued,
 	// and every module already has its enrollment snapshot.
-	d.Pool().Drain()
+	d.Pool().drain()
 	for _, m := range d.Registry().List() {
 		if m.Snapshot() == nil {
 			t.Fatalf("module %s has no snapshot before first quantum", m.ID())
@@ -379,7 +383,7 @@ func TestPoolDrainKeepsQueueAndRestarts(t *testing.T) {
 	// Restart and run to completion.
 	d.Start(context.Background())
 	d.Quiesce()
-	d.Pool().Drain()
+	d.Pool().drain()
 	for _, m := range d.Registry().List() {
 		if m.Status() != StatusDone {
 			t.Fatalf("module %s not done after restart: %s", m.ID(), m.Status())
@@ -411,10 +415,10 @@ func TestPoolDrainMidQuantumRequeues(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	d.Pool().Drain()
+	d.Pool().drain()
 	d.Start(context.Background())
 	d.Quiesce()
-	d.Pool().Drain()
+	d.Pool().drain()
 	for _, m := range d.Registry().List() {
 		if m.Status() != StatusDone {
 			t.Errorf("module %s is %s after drain and restart, want done", m.ID(), m.Status())
@@ -435,7 +439,7 @@ func anyEpochRan(d *Daemon) bool {
 }
 
 // TestClassifyModes pins fleetlog.CountModes, the fault-mode fold
-// BuildRollup runs over each module's canonical ever-seen set.
+// buildRollup runs over each module's canonical ever-seen set.
 func TestClassifyModes(t *testing.T) {
 	addr := func(chip, bank, row, col int) memctl.BitAddr {
 		return memctl.BitAddr{Chip: int16(chip), Bank: int16(bank), Row: int32(row), Col: int32(col)}
@@ -503,12 +507,58 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 		}
 	}
 	// A retire followed by a save prunes the entry.
-	d.Retire("mod-0203")
-	if err := d.SaveState(); err != nil {
+	d.retire("mod-0203")
+	if err := d.saveState(); err != nil {
 		t.Fatalf("save: %v", err)
 	}
 	d3 := newDaemon(t, Config{Workers: 1, StateDir: dir})
 	if n, err := d3.LoadState(); err != nil || n != 5 {
 		t.Fatalf("after prune: loaded %d, err %v; want 5, nil", n, err)
+	}
+}
+
+// TestLoadStateIsStrict: a state entry with a misspelled spec or
+// snapshot field, or data after the entry, is an error on resume, as
+// it is for -enroll files and POST /v1/modules, rather than a module
+// resumed with a zero noise model or a restarted attempt counter.
+func TestLoadStateIsStrict(t *testing.T) {
+	dir := t.TempDir()
+	d := newDaemon(t, Config{Workers: 1, StateDir: dir})
+	if _, err := d.Enroll(testSpec(300), nil); err != nil {
+		t.Fatal(err)
+	}
+	d.Start(context.Background())
+	d.Quiesce()
+	if err := d.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "mod-0300.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapTypo := regexp.MustCompile(`"snapshot":\s*\{`).ReplaceAllString(string(data), `"snapshot": {"host_attemps": 3,`)
+	cases := map[string]string{
+		"spec typo":     strings.Replace(string(data), `"WeakCellRate"`, `"WeakCelRate"`, 1),
+		"snapshot typo": snapTypo,
+		"trailing data": string(data) + "{}",
+	}
+	for name, body := range cases {
+		if body == string(data) {
+			t.Fatalf("%s: state entry unchanged", name)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d2 := newDaemon(t, Config{Workers: 1, StateDir: dir})
+		if n, err := d2.LoadState(); err == nil {
+			t.Errorf("%s: LoadState resumed %d modules, want an error", name, n)
+		}
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := newDaemon(t, Config{Workers: 1, StateDir: dir}).LoadState(); err != nil || n != 1 {
+		t.Fatalf("unedited entry: loaded %d, err %v; want 1, nil", n, err)
 	}
 }

@@ -77,10 +77,10 @@ type Module struct {
 // buildModule constructs the runtime for a spec, optionally resuming
 // from a checkpoint snapshot. fleetRec and sink may be nil.
 func buildModule(spec ModuleSpec, snap *checkpoint.Snapshot, fleetRec obs.Recorder, sink func(fleetlog.Event) error) (*Module, error) {
-	if err := spec.Validate(); err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	vendor, err := ParseVendor(spec.Vendor)
+	vendor, err := parseVendor(spec.Vendor)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +89,7 @@ func buildModule(spec ModuleSpec, snap *checkpoint.Snapshot, fleetRec obs.Record
 		Name:     spec.ID,
 		Vendor:   vendor,
 		Chips:    spec.Chips,
-		Geometry: spec.Geometry(),
+		Geometry: spec.geometry(),
 		Coupling: spec.Coupling,
 		Faults:   spec.Faults,
 		Seed:     spec.Seed,
@@ -172,11 +172,11 @@ func (m *Module) budgetExhaustedLocked() bool {
 	return m.spec.MaxEpochs > 0 && m.sched.Epochs() >= m.spec.MaxEpochs
 }
 
-// RunQuantum executes one transactional epoch and refreshes the
+// runQuantum executes one transactional epoch and refreshes the
 // module's checkpoint snapshot. It reports whether the module wants
 // another quantum (false when done, failed, retired, or the quantum
 // was cancelled — a draining pool must not requeue).
-func (m *Module) RunQuantum(ctx context.Context) bool {
+func (m *Module) runQuantum(ctx context.Context) bool {
 	m.execMu.Lock()
 	defer m.execMu.Unlock()
 
@@ -288,9 +288,6 @@ func (m *Module) retire() {
 // ID returns the spec ID.
 func (m *Module) ID() string { return m.spec.ID }
 
-// Spec returns the enrollment spec (value copy).
-func (m *Module) Spec() ModuleSpec { return m.spec }
-
 // Status returns the lifecycle state.
 func (m *Module) Status() Status {
 	m.stateMu.Lock()
@@ -298,9 +295,9 @@ func (m *Module) Status() Status {
 	return m.status
 }
 
-// Err returns the error that moved the module to StatusFailed, or
+// err returns the error that moved the module to StatusFailed, or
 // nil.
-func (m *Module) Err() error {
+func (m *Module) err() error {
 	m.stateMu.Lock()
 	defer m.stateMu.Unlock()
 	return m.lastErr

@@ -1,8 +1,8 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -16,18 +16,21 @@ type Registry struct {
 	order []string           //parbor:guardedby mu
 }
 
-// NewRegistry builds an empty registry.
-func NewRegistry() *Registry {
+// errAlreadyEnrolled marks an enrollment whose ID is taken.
+var errAlreadyEnrolled = errors.New("already enrolled")
+
+// newRegistry builds an empty registry.
+func newRegistry() *Registry {
 	return &Registry{byID: make(map[string]*Module)}
 }
 
-// Add enrolls a module, rejecting duplicate IDs.
-func (r *Registry) Add(m *Module) error {
+// add enrolls a module, rejecting duplicate IDs.
+func (r *Registry) add(m *Module) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	id := m.ID()
 	if _, ok := r.byID[id]; ok {
-		return fmt.Errorf("fleet: module %s already enrolled", id)
+		return fmt.Errorf("fleet: module %s %w", id, errAlreadyEnrolled)
 	}
 	r.byID[id] = m
 	r.order = append(r.order, id)
@@ -42,10 +45,10 @@ func (r *Registry) Get(id string) (*Module, bool) {
 	return m, ok
 }
 
-// Remove retires and forgets a module. It reports whether the ID was
+// remove retires and forgets a module. It reports whether the ID was
 // enrolled. The module object stays valid — an in-flight quantum
 // finishes and drops it.
-func (r *Registry) Remove(id string) bool {
+func (r *Registry) remove(id string) bool {
 	r.mu.Lock()
 	m, ok := r.byID[id]
 	if ok {
@@ -80,13 +83,4 @@ func (r *Registry) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.byID)
-}
-
-// IDs returns the enrolled IDs, sorted, for deterministic diagnostics.
-func (r *Registry) IDs() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := append([]string(nil), r.order...)
-	sort.Strings(out)
-	return out
 }

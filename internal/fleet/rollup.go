@@ -48,10 +48,8 @@ type Rollup struct {
 	ByMode   map[string]int           `json:"by_mode,omitempty"`
 }
 
-// BuildRollup summarizes a set of modules. Exposed as a function (not
-// only via the daemon) so tests and offline tools can roll up
-// persisted state.
-func BuildRollup(mods []*Module) *Rollup {
+// buildRollup summarizes a set of modules.
+func buildRollup(mods []*Module) *Rollup {
 	r := &Rollup{
 		Schema:   RollupSchema,
 		ByVendor: make(map[string]*VendorRollup),
@@ -71,10 +69,10 @@ func BuildRollup(mods []*Module) *Rollup {
 		}
 		snap := m.Snapshot()
 		st := snap.Scheduler
-		vr := r.ByVendor[m.Spec().Vendor]
+		vr := r.ByVendor[m.spec.Vendor]
 		if vr == nil {
 			vr = &VendorRollup{ByMode: make(map[string]int)}
-			r.ByVendor[m.Spec().Vendor] = vr
+			r.ByVendor[m.spec.Vendor] = vr
 		}
 		vr.Modules++
 		r.Epochs += st.Epochs

@@ -9,16 +9,16 @@ import (
 // Pool is the fleet's bounded epoch scheduler. A fixed number of
 // workers (defaulting to GOMAXPROCS) multiplex an unbounded set of
 // enrolled modules: each quantum is exactly one transactional epoch
-// (Module.RunQuantum). One epoch is the quantum because it is the unit
+// (Module.runQuantum). One epoch is the quantum because it is the unit
 // that is always checkpointable — onlinetest.Scheduler.RunEpoch leaves
 // the module between epochs on every exit path — so a drain only ever
 // waits for in-flight quanta, never for whole sweeps.
 //
 // Queueing discipline: one FIFO queue. Submissions join its tail; an
 // idle worker claims its head and keeps running that module, quantum
-// after quantum, while RunQuantum reports it wants more (its chip
+// after quantum, while runQuantum reports it wants more (its chip
 // arrays stay warm in cache). A module that still wants quanta when
-// the pool drains goes back to the queue's tail, so a later Start
+// the pool drains goes back to the queue's tail, so a later start
 // resumes it. A module enrolled while every worker runs an unbounded
 // module waits for a worker to free up (ROADMAP item 1). The queue and
 // the counters hang off one mutex: quanta are thousands of simulated
@@ -39,9 +39,9 @@ type Pool struct {
 	wg sync.WaitGroup
 }
 
-// NewPool builds a pool with the given worker bound; workers <= 0
+// newPool builds a pool with the given worker bound; workers <= 0
 // selects GOMAXPROCS.
-func NewPool(workers int) *Pool {
+func newPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -54,11 +54,11 @@ func NewPool(workers int) *Pool {
 // Workers returns the worker bound.
 func (p *Pool) Workers() int { return p.workers }
 
-// Start launches the workers. ctx cancellation makes in-flight quanta
+// start launches the workers. ctx cancellation makes in-flight quanta
 // return early (cancelled epochs roll back; nothing is lost) but does
-// not terminate the workers — call Drain for that, so shutdown always
+// not terminate the workers — call drain for that, so shutdown always
 // ends with every module checkpointed and no goroutine leaked.
-func (p *Pool) Start(ctx context.Context) {
+func (p *Pool) start(ctx context.Context) {
 	p.mu.Lock()
 	if p.started {
 		p.mu.Unlock()
@@ -72,22 +72,22 @@ func (p *Pool) Start(ctx context.Context) {
 	}
 }
 
-// Submit queues a module for its next quantum. Safe from any
+// submit queues a module for its next quantum. Safe from any
 // goroutine. Submissions during a drain are accepted but stay queued
-// until a future Start (the module is checkpointed either way).
-func (p *Pool) Submit(m *Module) {
+// until a future start (the module is checkpointed either way).
+func (p *Pool) submit(m *Module) {
 	p.mu.Lock()
 	p.queueLocked(m)
 	p.mu.Unlock()
 }
 
-// Drain stops the pool: workers finish the quantum they are on, then
+// drain stops the pool: workers finish the quantum they are on, then
 // exit. Queued modules stay queued, and a module whose quantum ends
 // wanting more is queued again (their snapshots are already current —
 // modules are checkpointed at enrollment and after every epoch), so a
-// later Start picks every one of them up. Blocks until every worker
+// later start picks every one of them up. Blocks until every worker
 // has exited.
-func (p *Pool) Drain() {
+func (p *Pool) drain() {
 	p.mu.Lock()
 	p.draining = true
 	p.cond.Broadcast()
@@ -99,10 +99,10 @@ func (p *Pool) Drain() {
 	p.mu.Unlock()
 }
 
-// Quiesce blocks until the pool has no queued and no running work —
+// quiesce blocks until the pool has no queued and no running work —
 // i.e. every enrolled module has run to its budget (or failed, or
 // been retired). It does not stop the workers.
-func (p *Pool) Quiesce() {
+func (p *Pool) quiesce() {
 	p.mu.Lock()
 	for len(p.queue)+p.running > 0 {
 		p.idle.Wait()
@@ -126,7 +126,7 @@ func (p *Pool) worker(ctx context.Context) {
 // should run m again. When it returns false the worker no longer holds
 // m: it is finished, or requeued because the pool is draining.
 func (p *Pool) runQuantum(ctx context.Context, m *Module) bool {
-	again := m.RunQuantum(ctx)
+	again := m.runQuantum(ctx)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if again && !p.draining {

@@ -40,7 +40,7 @@ func TestSoakThousandModulesDrainResume(t *testing.T) {
 	}
 	ref.Start(context.Background())
 	ref.Quiesce()
-	ref.Pool().Drain()
+	ref.Pool().drain()
 	if err := ref.Reconcile(); err != nil {
 		t.Fatalf("ref reconcile: %v", err)
 	}
@@ -58,8 +58,7 @@ func TestSoakThousandModulesDrainResume(t *testing.T) {
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- d1.Run(ctx) }()
+	d1.Start(ctx)
 	// Let the fleet get partway through its 4000 epochs, then pull
 	// the plug.
 	deadline := time.Now().Add(30 * time.Second)
@@ -70,7 +69,7 @@ func TestSoakThousandModulesDrainResume(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
-	if err := <-done; err != nil {
+	if err := d1.Drain(); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	// The first incarnation's process is over: its log handle closes
@@ -87,7 +86,7 @@ func TestSoakThousandModulesDrainResume(t *testing.T) {
 		case StatusRunning:
 			t.Fatalf("module %s still running after drain", m.ID())
 		case StatusFailed:
-			t.Fatalf("module %s failed: %v", m.ID(), m.Err())
+			t.Fatalf("module %s failed: %v", m.ID(), m.err())
 		case StatusDone:
 		default:
 			unfinished++
@@ -108,7 +107,7 @@ func TestSoakThousandModulesDrainResume(t *testing.T) {
 	}
 	d2.Start(context.Background())
 	d2.Quiesce()
-	d2.Pool().Drain()
+	d2.Pool().drain()
 	if err := d2.Reconcile(); err != nil {
 		t.Fatalf("resumed reconcile: %v", err)
 	}
@@ -126,7 +125,7 @@ func TestSoakThousandModulesDrainResume(t *testing.T) {
 			t.Fatalf("resumed fleet has unknown module %s", m2.ID())
 		}
 		if m2.Status() != StatusDone {
-			t.Fatalf("module %s did not finish after resume: %s (err %v)", m2.ID(), m2.Status(), m2.Err())
+			t.Fatalf("module %s did not finish after resume: %s (err %v)", m2.ID(), m2.Status(), m2.err())
 		}
 		st1, st2 := m1.Snapshot().Scheduler, m2.Snapshot().Scheduler
 		if !reflect.DeepEqual(st1.EverSeen, st2.EverSeen) {

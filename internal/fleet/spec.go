@@ -11,7 +11,7 @@
 //     optional per-module chaos plane, and an epoch budget.
 //   - Module: an enrolled member's runtime — dram.Module, memctl.Host,
 //     onlinetest.Scheduler, per-module obs.Collector — whose unit of
-//     scheduling is one transactional epoch (RunQuantum). After every
+//     scheduling is one transactional epoch (runQuantum). After every
 //     epoch the module refreshes an in-memory parbor/checkpoint/v1
 //     snapshot, so the fleet is checkpointed at all times by
 //     construction, and drain needs no extra save pass.
@@ -79,8 +79,8 @@ type ModuleSpec struct {
 	MaxEpochs int `json:"max_epochs,omitempty"`
 }
 
-// ParseVendor resolves a spec's vendor name.
-func ParseVendor(s string) (scramble.Vendor, error) {
+// parseVendor resolves a spec's vendor name.
+func parseVendor(s string) (scramble.Vendor, error) {
 	switch strings.ToLower(s) {
 	case "a":
 		return scramble.VendorA, nil
@@ -117,21 +117,21 @@ func validID(id string) bool {
 }
 
 // Geometry assembles the spec's per-chip layout.
-func (sp ModuleSpec) Geometry() dram.Geometry {
+func (sp ModuleSpec) geometry() dram.Geometry {
 	return dram.Geometry{Banks: sp.Banks, Rows: sp.Rows, Cols: sp.Cols}
 }
 
-// Validate rejects specs the fleet cannot build. The deeper layers
+// validate rejects specs the fleet cannot build. The deeper layers
 // validate again at construction; this pass exists so the API can
 // refuse an enrollment with a useful error before any allocation.
-func (sp ModuleSpec) Validate() error {
+func (sp ModuleSpec) validate() error {
 	if !validID(sp.ID) {
 		return fmt.Errorf("fleet: invalid module id %q (want 1-128 chars of [A-Za-z0-9._-])", sp.ID)
 	}
-	if _, err := ParseVendor(sp.Vendor); err != nil {
+	if _, err := parseVendor(sp.Vendor); err != nil {
 		return err
 	}
-	if err := sp.Geometry().Validate(); err != nil {
+	if err := sp.geometry().Validate(); err != nil {
 		return fmt.Errorf("fleet: module %s: %w", sp.ID, err)
 	}
 	if sp.Chips < 0 {

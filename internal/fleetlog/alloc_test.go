@@ -15,18 +15,18 @@ import (
 // spill buffers, which this budget sizes at creation, and the module
 // name is interned.
 func TestObserveAllocBudget(t *testing.T) {
-	c, err := NewClassifier(ClassifierConfig{MaxKeys: 1 << 16, SpillDir: t.TempDir()})
+	c, err := newSerialClassifier(ClassifierConfig{MaxKeys: 1 << 16, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	defer c.close()
 	ev := Event{Module: "mod-0001"}
 	for i := 0; i < 10; i++ {
 		ev.Fails = append(ev.Fails, memctl.BitAddr{Chip: int16(i % 2), Row: int32(i), Col: int32(7 * i)})
 	}
 	observe := func() {
 		ev.Epoch++
-		if err := c.Observe(ev); err != nil {
+		if err := c.observe(ev); err != nil {
 			t.Fatal(err)
 		}
 	}

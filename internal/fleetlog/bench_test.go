@@ -52,19 +52,19 @@ func BenchmarkClassifyForcedSpill(b *testing.B) {
 	dir := b.TempDir()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := NewClassifier(ClassifierConfig{MaxKeys: maxKeys, SpillDir: dir})
+		c, err := newSerialClassifier(ClassifierConfig{MaxKeys: maxKeys, SpillDir: dir})
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, ev := range events {
-			if err := c.Observe(ev); err != nil {
+			if err := c.observe(ev); err != nil {
 				b.Fatal(err)
 			}
 		}
 		if runs := len(c.shards[0].obs.runs); runs < 2 {
 			b.Fatalf("%d observation runs spilled, want at least 2", runs)
 		}
-		if _, err := c.Finish(); err != nil {
+		if _, err := c.finish(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -72,7 +72,7 @@ type ClassifierConfig struct {
 	// results are identical, only spill traffic changes.
 	MaxKeys int
 	// SpillDir holds the temporary sorted runs. Empty selects a fresh
-	// os.MkdirTemp directory that is removed on Finish/Close.
+	// os.MkdirTemp directory that is removed once the rollup is built.
 	SpillDir string
 	// FS is the filesystem seam spill runs and (via Analyze) segment
 	// reads go through; nil selects the real filesystem.
@@ -82,18 +82,17 @@ type ClassifierConfig struct {
 // defaultMaxKeys is the key budget MaxKeys <= 0 selects.
 const defaultMaxKeys = 1 << 20
 
-// Classifier folds a stream of events into a Rollup with O(modules)
+// classifier folds a stream of events into a Rollup with O(modules)
 // heap state: per-event keys go into two deduplicating spill sets
 // ((module, cell, epoch) observations and (module, epoch) pairs), and
-// Finish streams their sorted merge through a constant-state group
+// finish streams their sorted merge through a constant-state group
 // fold. The result is a pure function of the event set — order,
 // duplication, segmentation, and memory budget cannot change a byte
 // of it.
 //
-// Analyze folds into one shard per scan worker; a Classifier built by
-// NewClassifier has a single shard, and Finish merges every shard's
-// sets the same way whatever their number.
-type Classifier struct {
+// Analyze folds into one shard per scan worker, and finish merges
+// every shard's sets the same way whatever their number.
+type classifier struct {
 	spillDir string
 	ownDir   bool
 	mods     *modTable
@@ -146,18 +145,10 @@ type shard struct {
 	epochs *spillSet
 }
 
-// NewClassifier builds a classifier; call Close if Finish is never
-// reached, or spill files leak.
-func NewClassifier(cfg ClassifierConfig) (*Classifier, error) {
-	if cfg.MaxKeys <= 0 {
-		cfg.MaxKeys = defaultMaxKeys
-	}
-	return newClassifier(cfg, 1)
-}
-
 // newClassifier builds a classifier of n shards, each with a 1/n share
-// of cfg.MaxKeys (which must be at least n) per spill set.
-func newClassifier(cfg ClassifierConfig, n int) (*Classifier, error) {
+// of cfg.MaxKeys (which must be at least n) per spill set; call close
+// if finish is never reached, or spill files leak.
+func newClassifier(cfg ClassifierConfig, n int) (*classifier, error) {
 	dir, own := cfg.SpillDir, false
 	if dir == "" {
 		d, err := os.MkdirTemp("", "fleetlog-spill-")
@@ -166,7 +157,7 @@ func newClassifier(cfg ClassifierConfig, n int) (*Classifier, error) {
 		}
 		dir, own = d, true
 	}
-	c := &Classifier{
+	c := &classifier{
 		spillDir: dir,
 		ownDir:   own,
 		mods:     &modTable{ids: make(map[string]uint32)},
@@ -217,15 +208,6 @@ func packEpoch(mod, epoch uint32) spillKey {
 	return k
 }
 
-// Observe folds one event in. Events may arrive in any order and any
-// number of times.
-func (c *Classifier) Observe(ev Event) error {
-	if c.done {
-		return fmt.Errorf("fleetlog: classifier already finished")
-	}
-	return c.shards[0].observe(&ev)
-}
-
 // observe folds one event into the shard; the shard keeps nothing of
 // ev but the module name, and strings are immutable.
 func (s *shard) observe(ev *Event) error {
@@ -256,7 +238,7 @@ func (s *shard) observe(ev *Event) error {
 }
 
 // bankAgg is the fault-mode fold over one (chip, bank) group of
-// failures, fed in canonical order. Finish runs it over the merged
+// failures, fed in canonical order. finish runs it over the merged
 // log; CountModes runs it over the live fleet's failure sets, so the
 // two rollups classify identically.
 type bankAgg struct {
@@ -319,15 +301,14 @@ func CountModes(fails []memctl.BitAddr, into map[string]int) {
 	}
 }
 
-// Finish merges every shard's spill sets and folds the sorted streams
+// finish merges every shard's spill sets and folds the sorted streams
 // into the rollup. The classifier is consumed.
-func (c *Classifier) Finish() (*Rollup, error) {
+func (c *classifier) finish() (*Rollup, error) {
 	if c.done {
 		return nil, fmt.Errorf("fleetlog: classifier already finished")
 	}
 	c.done = true
-	//parbor:droperr classifier close releases scratch spill state re-derived on the next run; the rollup is already merged
-	defer c.Close()
+	defer c.close()
 
 	names := c.mods.list()
 	events := 0
@@ -439,8 +420,8 @@ func (c *Classifier) Finish() (*Rollup, error) {
 	return r, nil
 }
 
-// Close releases spill state. Idempotent; Finish calls it.
-func (c *Classifier) Close() error {
+// close releases spill state. Idempotent; finish calls it.
+func (c *classifier) close() {
 	for _, s := range c.shards {
 		s.obs.cleanup()
 		s.epochs.cleanup()
@@ -449,15 +430,14 @@ func (c *Classifier) Close() error {
 		os.RemoveAll(c.spillDir)
 		c.spillDir = ""
 	}
-	return nil
 }
 
 // Analyze classifies a whole log directory: the offline half of the
 // analytics pipeline (parborlog, and the daemon's /v1/analytics
 // endpoint). It scans the segments on min(GOMAXPROCS, segments,
 // MaxKeys) workers, each folding whole segments into its own shard,
-// and Finish merges the shards. The rollup is the one a single
-// Classifier fed the log in order would give; so is the error, the
+// and finish merges the shards. The rollup is the one a single
+// classifier fed the log in order would give; so is the error, the
 // lowest-numbered failing segment's.
 func Analyze(dir string, cfg ClassifierConfig) (*Rollup, error) {
 	if cfg.FS == nil {
@@ -474,8 +454,7 @@ func Analyze(dir string, cfg ClassifierConfig) (*Rollup, error) {
 	if err != nil {
 		return nil, err
 	}
-	//parbor:droperr classifier close releases scratch spill state; Finish already returned the rollup or an error
-	defer c.Close()
+	defer c.close()
 	sc := &scan{fsys: cfg.FS, dir: dir, segs: segs, torn: make([]bool, len(segs)), errs: make([]error, len(segs))}
 	sc.stop.Store(int64(len(segs)))
 	var wg sync.WaitGroup
@@ -492,7 +471,7 @@ func Analyze(dir string, cfg ClassifierConfig) (*Rollup, error) {
 			return nil, err
 		}
 	}
-	r, err := c.Finish()
+	r, err := c.finish()
 	if err != nil {
 		return nil, err
 	}

@@ -34,12 +34,12 @@ func zigzag(u uint64) int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-// AppendEvent appends ev's canonical payload encoding to dst and
+// appendEvent appends ev's canonical payload encoding to dst and
 // returns the extended slice. The failure list is written in canonical
 // ascending order — sorting a copy if the caller's slice is not
 // already sorted — so encoding is a pure function of the event's
 // failure *set* and decode→re-encode is byte-identical.
-func AppendEvent(dst []byte, ev Event) ([]byte, error) {
+func appendEvent(dst []byte, ev Event) ([]byte, error) {
 	if len(ev.Module) == 0 || len(ev.Module) > maxModuleID {
 		return dst, fmt.Errorf("fleetlog: module id length %d (want 1..%d)", len(ev.Module), maxModuleID)
 	}
@@ -107,22 +107,13 @@ func (c *payloadCursor) delta(prev int64, lo, hi int64, field string) (int64, er
 	return v, nil
 }
 
-// DecodeEvent decodes one payload produced by AppendEvent. It rejects
-// payloads with trailing garbage, implausible lengths, or
-// out-of-range coordinates, and its allocations are bounded by the
-// payload size regardless of what the header claims.
-func DecodeEvent(p []byte) (Event, error) {
-	var ev Event
-	if err := decodeEventInto(p, &ev); err != nil {
-		return Event{}, err
-	}
-	return ev, nil
-}
-
-// decodeEventInto is DecodeEvent into a caller-owned event, reusing
-// its Fails array and, when the module id is unchanged, its Module
-// string, so a stream of events decodes without allocating per event.
-// On error ev holds garbage.
+// decodeEventInto decodes one payload produced by appendEvent into a
+// caller-owned event. It rejects payloads with trailing garbage,
+// implausible lengths, or out-of-range coordinates, and its
+// allocations are bounded by the payload size regardless of what the
+// header claims. It reuses ev's Fails array and, when the module id
+// is unchanged, its Module string, so a stream of events decodes
+// without allocating per event. On error ev holds garbage.
 func decodeEventInto(p []byte, ev *Event) error {
 	c := payloadCursor{p: p}
 	idLen, err := c.uvarint()

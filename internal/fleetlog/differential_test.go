@@ -135,17 +135,17 @@ func genEvents(r *rand.Rand, nMods, nEvents int) []Event {
 // classifyEvents runs the streaming classifier over a slice.
 func classifyEvents(t *testing.T, events []Event, cfg ClassifierConfig) *Rollup {
 	t.Helper()
-	c, err := NewClassifier(cfg)
+	c, err := newSerialClassifier(cfg)
 	if err != nil {
-		t.Fatalf("NewClassifier: %v", err)
+		t.Fatalf("newSerialClassifier: %v", err)
 	}
-	defer c.Close()
+	defer c.close()
 	for _, ev := range events {
-		if err := c.Observe(ev); err != nil {
+		if err := c.observe(ev); err != nil {
 			t.Fatalf("Observe: %v", err)
 		}
 	}
-	r, err := c.Finish()
+	r, err := c.finish()
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}

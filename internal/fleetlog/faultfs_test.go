@@ -250,20 +250,18 @@ func TestSpillWriteErrorRemovesPartialRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		dir := filepath.Join(t.TempDir(), "spill")
-		c, err := NewClassifier(ClassifierConfig{MaxKeys: maxKeys, SpillDir: dir, FS: inj})
+		c, err := newSerialClassifier(ClassifierConfig{MaxKeys: maxKeys, SpillDir: dir, FS: inj})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var oerr error
 		for epoch := 1; oerr == nil && epoch <= 2*maxKeys; epoch++ {
-			oerr = c.Observe(Event{Module: "m", Epoch: epoch, Fails: []memctl.BitAddr{{Row: 1}, {Row: 2}}})
+			oerr = c.observe(Event{Module: "m", Epoch: epoch, Fails: []memctl.BitAddr{{Row: 1}, {Row: 2}}})
 		}
 		if !errors.Is(oerr, faultfs.ErrNoSpace) {
 			t.Fatalf("MaxKeys %d: Observe: %v, want the injected ENOSPC", maxKeys, oerr)
 		}
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
+		c.close()
 		left, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)

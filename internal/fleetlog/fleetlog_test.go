@@ -248,18 +248,18 @@ func TestCompact(t *testing.T) {
 }
 
 func TestCodecRejectsBadEvents(t *testing.T) {
-	if _, err := AppendEvent(nil, Event{Module: "", Epoch: 1}); err == nil {
+	if _, err := appendEvent(nil, Event{Module: "", Epoch: 1}); err == nil {
 		t.Error("empty module id accepted")
 	}
-	if _, err := AppendEvent(nil, Event{Module: "m", Epoch: -1}); err == nil {
+	if _, err := appendEvent(nil, Event{Module: "m", Epoch: -1}); err == nil {
 		t.Error("negative epoch accepted")
 	}
 	// Unsorted input encodes canonically.
-	p1, err := AppendEvent(nil, Event{Module: "m", Epoch: 1, Fails: []memctl.BitAddr{addr(1, 0, 0, 0), addr(0, 0, 0, 0)}})
+	p1, err := appendEvent(nil, Event{Module: "m", Epoch: 1, Fails: []memctl.BitAddr{addr(1, 0, 0, 0), addr(0, 0, 0, 0)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := AppendEvent(nil, Event{Module: "m", Epoch: 1, Fails: []memctl.BitAddr{addr(0, 0, 0, 0), addr(1, 0, 0, 0)}})
+	p2, err := appendEvent(nil, Event{Module: "m", Epoch: 1, Fails: []memctl.BitAddr{addr(0, 0, 0, 0), addr(1, 0, 0, 0)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,10 +267,10 @@ func TestCodecRejectsBadEvents(t *testing.T) {
 		t.Error("encoding is order-dependent")
 	}
 	// Trailing garbage is rejected.
-	if _, err := DecodeEvent(append(p1, 0)); err == nil {
+	if _, err := decodeEvent(append(p1, 0)); err == nil {
 		t.Error("trailing garbage accepted")
 	}
-	if _, err := DecodeEvent(nil); err == nil {
+	if _, err := decodeEvent(nil); err == nil {
 		t.Error("empty payload accepted")
 	}
 }

@@ -16,7 +16,7 @@ func fuzzSeedPayloads(tb testing.TB) [][]byte {
 	tb.Helper()
 	var seeds [][]byte
 	for _, ev := range testEvents() {
-		p, err := AppendEvent(nil, ev)
+		p, err := appendEvent(nil, ev)
 		if err != nil {
 			tb.Fatalf("seeding: %v", err)
 		}
@@ -25,7 +25,7 @@ func fuzzSeedPayloads(tb testing.TB) [][]byte {
 	return seeds
 }
 
-// FuzzFleetlogCodec: any payload DecodeEvent accepts must re-encode to
+// FuzzFleetlogCodec: any payload decodeEvent accepts must re-encode to
 // the identical bytes (canonical order is part of the format), decode
 // again to a deeply equal event, and never make the decoder allocate
 // beyond what the payload itself can hold — a hostile header claiming
@@ -37,19 +37,19 @@ func FuzzFleetlogCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 'm', 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f}) // huge claimed count
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ev, err := DecodeEvent(data)
+		ev, err := decodeEvent(data)
 		if err != nil {
 			return // rejected input: the only requirement is no panic
 		}
 		// Accepted payloads are canonical: re-encoding is byte-identical.
-		re, err := AppendEvent(nil, ev)
+		re, err := appendEvent(nil, ev)
 		if err != nil {
 			t.Fatalf("accepted payload failed to re-encode: %v", err)
 		}
 		if string(re) != string(data) {
 			t.Fatalf("re-encode drifted:\nin  %x\nout %x", data, re)
 		}
-		ev2, err := DecodeEvent(re)
+		ev2, err := decodeEvent(re)
 		if err != nil {
 			t.Fatalf("re-encoded payload rejected: %v", err)
 		}
@@ -101,7 +101,6 @@ func FuzzFleetlogReader(f *testing.F) {
 			t.Fatalf("OpenIter on a present directory: %v", err)
 		}
 		defer it.Close()
-		events := 0
 		for {
 			_, err := it.Next()
 			if err == io.EOF {
@@ -110,14 +109,9 @@ func FuzzFleetlogReader(f *testing.F) {
 			if err != nil {
 				return // hard corruption is a legitimate verdict
 			}
-			events++
 		}
-		// A drained stream's bookkeeping must agree with what it
-		// returned, and a segment cannot yield both a full clean read
-		// and a truncation.
-		if it.Events() != events {
-			t.Fatalf("iterator counted %d events, returned %d", it.Events(), events)
-		}
+		// A segment cannot yield both a full clean read and a
+		// truncation.
 		if len(it.Truncations()) > 1 {
 			t.Fatalf("single segment reported %d truncations", len(it.Truncations()))
 		}

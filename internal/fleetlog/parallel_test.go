@@ -83,7 +83,7 @@ func marshal(t *testing.T, r *Rollup) string {
 
 // TestAnalyzeParallelMatchesSerial: the segment-parallel Analyze gives
 // the byte-identical rollup, truncation count included, that one
-// Classifier fed the same log serially gives, and that the naive
+// classifier fed the same log serially gives, and that the naive
 // oracle gives, at every worker count and key budget. The log has many
 // small segments, replayed duplicates, and torn tails in two segments
 // in the middle of the log.

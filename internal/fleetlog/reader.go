@@ -211,7 +211,6 @@ type Iter struct {
 	pending []string
 	cur     *segReader
 	truncs  []Truncation
-	events  int
 }
 
 // OpenIter opens a log directory on fsys (faultfs.OS{} for the real
@@ -255,7 +254,6 @@ func (it *Iter) nextInto(ev *Event) error {
 		}
 		err := it.cur.event(ev)
 		if err == nil {
-			it.events++
 			return nil
 		}
 		if e, torn := err.(errTorn); torn {
@@ -278,9 +276,6 @@ func (it *Iter) closeCur() {
 // Truncations lists the torn tails recovered so far (complete once
 // Next has returned io.EOF).
 func (it *Iter) Truncations() []Truncation { return it.truncs }
-
-// Events returns how many events have been decoded so far.
-func (it *Iter) Events() int { return it.events }
 
 // Close releases the iterator's open segment, if any.
 func (it *Iter) Close() error {

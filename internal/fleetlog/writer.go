@@ -232,7 +232,7 @@ func (w *Writer) Append(ev Event) error {
 	// immediately before it.
 	const maxLen = binary.MaxVarintLen64
 	buf := append(w.buf[:0], make([]byte, maxLen)...)
-	buf, err := AppendEvent(buf, ev)
+	buf, err := appendEvent(buf, ev)
 	if err != nil {
 		return err
 	}
@@ -340,6 +340,3 @@ func (w *Writer) Close() error {
 	w.f = nil
 	return err
 }
-
-// Dir returns the log directory.
-func (w *Writer) Dir() string { return w.dir }

@@ -232,8 +232,7 @@ func TestCommandTotalsSurviveShardAbort(t *testing.T) {
 				defer cancel()
 				plane := &countingPlane{planeSpec: tc.spec, cancel: cancel}
 				col := obs.NewCollector()
-				mod := failyModule(t, scramble.VendorB, 2)
-				mod.SetRecorder(col)
+				mod := recordedFailyModule(t, scramble.VendorB, 2, col)
 				host, err := NewHostWithConfig(mod, HostConfig{WaitMs: 512, Parallelism: par, Faults: plane, Recorder: col})
 				if err != nil {
 					t.Fatal(err)
@@ -269,16 +268,17 @@ func TestCommandTotalsSurviveShardAbort(t *testing.T) {
 				if w+r == 0 || w == uint64(len(rows)) && r == uint64(len(rows))+1 {
 					t.Fatalf("degenerate case: %d writes, %d reads — the pass did not abort mid-sweep", w, r)
 				}
-				if got := col.CommandCount(obs.CmdWrite); got != w {
+				rep := col.Snapshot("abort")
+				if got := rep.Commands["write"]; got != w {
 					t.Errorf("write commands %d, rows written %d", got, w)
 				}
-				if got := col.CommandCount(obs.CmdRead); got != r {
+				if got := rep.Commands["read"]; got != r {
 					t.Errorf("read commands %d, rows read %d", got, r)
 				}
-				if got := col.CommandCount(obs.CmdActivate); got != w+r {
+				if got := rep.Commands["activate"]; got != w+r {
 					t.Errorf("activate commands %d, rows touched %d", got, w+r)
 				}
-				if err := col.Snapshot("abort").Reconcile(); err != nil {
+				if err := rep.Reconcile(); err != nil {
 					t.Errorf("Reconcile: %v", err)
 				}
 			})

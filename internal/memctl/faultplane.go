@@ -107,22 +107,17 @@ func (e *PassError) Transient() bool {
 	return len(e.Faults) > 0
 }
 
-// Chips returns the ascending chip indices that faulted.
-func (e *PassError) Chips() []int {
-	out := make([]int, len(e.Faults))
-	for i, f := range e.Faults {
-		out[i] = f.Chip
-	}
-	return out
-}
-
 // FaultedChips extracts the chip set from a pass or chip fault error,
 // for quarantine policies. ok is false when err carries no chip
 // attribution.
 func FaultedChips(err error) (chips []int, ok bool) {
 	var pe *PassError
 	if errors.As(err, &pe) {
-		return pe.Chips(), true
+		chips := make([]int, len(pe.Faults))
+		for i, f := range pe.Faults {
+			chips[i] = f.Chip
+		}
+		return chips, true
 	}
 	var cf *ChipFault
 	if errors.As(err, &cf) {

@@ -1140,12 +1140,3 @@ func appendMismatches(fails []BitAddr, r Row, want, got []uint64, lastMask uint6
 	}
 	return fails
 }
-
-// TimeEstimate returns the wall-clock duration the passes performed
-// so far would take on real hardware, per the Appendix model: each
-// pass writes the module, waits the refresh interval, and reads the
-// module back.
-func (h *Host) TimeEstimate(t Timing) time.Duration {
-	per := t.ModulePassTime(h.mod.Geometry(), h.mod.Chips(), h.waitMs)
-	return time.Duration(h.passes) * per
-}

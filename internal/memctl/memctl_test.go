@@ -211,9 +211,6 @@ func TestHostDefaults(t *testing.T) {
 func TestAppendixTimingNumbers(t *testing.T) {
 	tm := DDR3_1600()
 
-	if got := tm.RowAccessTime(8192); got < 667*time.Nanosecond || got > 668*time.Nanosecond {
-		t.Errorf("RowAccessTime(8KB) = %v, want 667.5ns", got)
-	}
 	if got := tm.TwoBlockAccessTime(); got < 37*time.Nanosecond || got > 38*time.Nanosecond {
 		t.Errorf("TwoBlockAccessTime() = %v, want 37.5ns", got)
 	}
@@ -229,8 +226,8 @@ func TestAppendixTimingNumbers(t *testing.T) {
 	if want := 413962240 * time.Nanosecond; pass != want {
 		t.Errorf("ModulePassTime = %v, want exactly %v (no per-row truncation)", pass, want)
 	}
-	if got := tm.RowAccessNs(8192); got != 667.5 {
-		t.Errorf("RowAccessNs(8KB) = %v, want 667.5", got)
+	if got := tm.rowAccessNs(8192); got != 667.5 {
+		t.Errorf("rowAccessNs(8KB) = %v, want 667.5", got)
 	}
 
 	// 92 and 132 tests must land on the paper's 38-55 s range.
@@ -239,23 +236,6 @@ func TestAppendixTimingNumbers(t *testing.T) {
 	}
 	if hi := 132 * pass; hi < 53*time.Second || hi > 57*time.Second {
 		t.Errorf("132 passes = %v, want about 55s", hi)
-	}
-}
-
-func TestTimeEstimateCountsPasses(t *testing.T) {
-	host, err := NewHost(cleanModule(t), 64)
-	if err != nil {
-		t.Fatalf("NewHost: %v", err)
-	}
-	data := make([]uint64, host.Geometry().Words())
-	for i := 0; i < 3; i++ {
-		if _, err := host.Pass(context.Background(), []Row{{Chip: 0, Bank: 0, Row: 0}}, [][]uint64{data}, host.WaitMs()); err != nil {
-			t.Fatalf("Pass: %v", err)
-		}
-	}
-	per := DDR3_1600().ModulePassTime(host.Geometry(), host.Chips(), 64)
-	if got, want := host.TimeEstimate(DDR3_1600()), 3*per; got != want {
-		t.Errorf("TimeEstimate = %v, want %v", got, want)
 	}
 }
 

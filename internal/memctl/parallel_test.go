@@ -11,12 +11,19 @@ import (
 	"parbor/internal/coupling"
 	"parbor/internal/dram"
 	"parbor/internal/faults"
+	"parbor/internal/obs"
 	"parbor/internal/scramble"
 )
 
 // failyModule builds a module with a dense failure population so the
 // determinism tests compare non-trivial failure sets.
 func failyModule(t *testing.T, v scramble.Vendor, seed uint64) *dram.Module {
+	t.Helper()
+	return recordedFailyModule(t, v, seed, nil)
+}
+
+// recordedFailyModule is failyModule with rec attached to every chip.
+func recordedFailyModule(t *testing.T, v scramble.Vendor, seed uint64, rec obs.Recorder) *dram.Module {
 	t.Helper()
 	cc := coupling.DefaultConfig()
 	cc.VulnerableRate = 5e-3
@@ -28,6 +35,7 @@ func failyModule(t *testing.T, v scramble.Vendor, seed uint64) *dram.Module {
 		Coupling: cc,
 		Faults:   faults.DefaultConfig(),
 		Seed:     seed,
+		Recorder: rec,
 	})
 	if err != nil {
 		t.Fatalf("NewModule: %v", err)

@@ -23,7 +23,7 @@ func DDR3_1600() Timing {
 	return Timing{TRCD: 13.75, TCCD: 5, TRP: 13.75}
 }
 
-// RowAccessNs returns the time, in (possibly fractional)
+// rowAccessNs returns the time, in (possibly fractional)
 // nanoseconds, to stream one module row of rowBytes through the
 // controller: tRCD + tCCD per 64-byte cache block + tRP. For an 8 KB
 // module row this is the Appendix's 13.75 + 5*128 + 13.75 = 667.5 ns.
@@ -31,15 +31,9 @@ func DDR3_1600() Timing {
 // time.Duration once: rounding the per-row time first loses half a
 // nanosecond per row, which ModulePassTime would then multiply by the
 // row count (130 µs per sweep of the paper's 2 GB module).
-func (t Timing) RowAccessNs(rowBytes int) float64 {
+func (t Timing) rowAccessNs(rowBytes int) float64 {
 	blocks := float64(rowBytes) / 64
 	return t.TRCD + t.TCCD*blocks + t.TRP
-}
-
-// RowAccessTime is RowAccessNs rounded to a whole-ns time.Duration,
-// for callers displaying a single row's cost.
-func (t Timing) RowAccessTime(rowBytes int) time.Duration {
-	return time.Duration(t.RowAccessNs(rowBytes) * float64(time.Nanosecond))
 }
 
 // TwoBlockAccessTime returns the time to read or write two cache
@@ -61,7 +55,7 @@ func (t Timing) TwoBlockAccessTime() time.Duration {
 // multiplication by the row count.
 func (t Timing) ModulePassTime(g dram.Geometry, chips int, waitMs float64) time.Duration {
 	rowBytes := chips * g.Cols / 8
-	sweepNs := float64(g.RowCount()) * t.RowAccessNs(rowBytes)
+	sweepNs := float64(g.RowCount()) * t.rowAccessNs(rowBytes)
 	ns := 2*sweepNs + waitMs*1e6
 	return time.Duration(ns * float64(time.Nanosecond))
 }

@@ -1,13 +1,12 @@
 // Package metrics provides the performance metrics used by the
 // paper's evaluation — weighted speedup for multi-programmed
-// workloads (Eyerman & Eeckhout; Snavely & Tullsen) — plus small
-// statistics helpers shared by the experiment harnesses.
+// workloads (Eyerman & Eeckhout; Snavely & Tullsen) — and the mean
+// the experiment harnesses average it with.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // WeightedSpeedup returns sum_i shared[i]/alone[i]: each core's IPC
@@ -42,84 +41,4 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean. All inputs must be positive.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("metrics: geomean of empty slice")
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if math.IsNaN(x) || x <= 0 {
-			return 0, fmt.Errorf("metrics: geomean requires positive values, got %v", x)
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs))), nil
-}
-
-// StdDev returns the sample standard deviation (0 for fewer than two
-// points).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)-1))
-}
-
-// MinMax returns the extremes (zeroes for an empty slice).
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) using
-// nearest-rank on a sorted copy.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("metrics: percentile of empty slice")
-	}
-	// NaN passes a plain range check (all comparisons are false) and
-	// int(math.Ceil(NaN)) would then index out of bounds.
-	if math.IsNaN(p) || p < 0 || p > 100 {
-		return 0, fmt.Errorf("metrics: percentile %v out of [0,100]", p)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p == 0 {
-		return sorted[0], nil
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	return sorted[rank-1], nil
-}
-
-// Normalize divides every element by base, returning relative values
-// (e.g. speedups over a baseline).
-func Normalize(xs []float64, base float64) ([]float64, error) {
-	if math.IsNaN(base) || base == 0 {
-		return nil, fmt.Errorf("metrics: normalize by %v", base)
-	}
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = x / base
-	}
-	return out, nil
 }

@@ -31,92 +31,12 @@ func TestWeightedSpeedup(t *testing.T) {
 	}
 }
 
-func TestMeanStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); got != 5 {
 		t.Errorf("Mean = %v, want 5", got)
 	}
-	if got := StdDev(xs); math.Abs(got-2.138) > 0.01 {
-		t.Errorf("StdDev = %v, want about 2.138", got)
-	}
-	if Mean(nil) != 0 || StdDev([]float64{1}) != 0 {
-		t.Error("degenerate cases should return 0")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	got, err := GeoMean([]float64{1, 8})
-	if err != nil {
-		t.Fatalf("GeoMean: %v", err)
-	}
-	if math.Abs(got-2.828) > 0.01 {
-		t.Errorf("GeoMean = %v, want about 2.828", got)
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Error("empty accepted")
-	}
-	if _, err := GeoMean([]float64{1, -2}); err == nil {
-		t.Error("negative accepted")
-	}
-	if _, err := GeoMean([]float64{1, math.NaN()}); err == nil {
-		t.Error("NaN accepted")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 2})
-	if min != -1 || max != 7 {
-		t.Errorf("MinMax = (%v, %v), want (-1, 7)", min, max)
-	}
-	min, max = MinMax(nil)
-	if min != 0 || max != 0 {
-		t.Error("empty MinMax should be zeros")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	for _, tc := range []struct{ p, want float64 }{
-		{p: 0, want: 1},
-		{p: 50, want: 5},
-		{p: 100, want: 10},
-	} {
-		got, err := Percentile(xs, tc.p)
-		if err != nil {
-			t.Fatalf("Percentile(%v): %v", tc.p, err)
-		}
-		if got != tc.want {
-			t.Errorf("Percentile(%v) = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-	if _, err := Percentile(nil, 50); err == nil {
-		t.Error("empty accepted")
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Error("out-of-range percentile accepted")
-	}
-	// NaN sails past p < 0 || p > 100 (all comparisons false) and used
-	// to drive an out-of-bounds index via int(math.Ceil(NaN)).
-	if _, err := Percentile(xs, math.NaN()); err == nil {
-		t.Error("NaN percentile accepted")
-	}
-	if got, err := Percentile([]float64{7}, 50); err != nil || got != 7 {
-		t.Errorf("single-element Percentile = (%v, %v), want (7, nil)", got, err)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	got, err := Normalize([]float64{2, 4}, 2)
-	if err != nil {
-		t.Fatalf("Normalize: %v", err)
-	}
-	if got[0] != 1 || got[1] != 2 {
-		t.Errorf("Normalize = %v, want [1 2]", got)
-	}
-	if _, err := Normalize([]float64{1}, 0); err == nil {
-		t.Error("zero base accepted")
-	}
-	if _, err := Normalize([]float64{1}, math.NaN()); err == nil {
-		t.Error("NaN base accepted")
+	if Mean(nil) != 0 {
+		t.Error("empty Mean should return 0")
 	}
 }

@@ -11,12 +11,12 @@ import (
 // events up to ~18-minute stages at 40 buckets.
 const histBuckets = 40
 
-// Histogram is a concurrent-safe power-of-two latency histogram.
+// histogram is a concurrent-safe power-of-two latency histogram.
 // Observations are nanosecond durations; buckets double in width, so
 // quantile estimates carry at most a 2x bucket error — plenty for
 // spotting stage-cost shifts and load imbalance, at the cost of two
 // atomic adds per observation and no allocation.
-type Histogram struct {
+type histogram struct {
 	count   atomic.Uint64
 	sumNs   atomic.Int64
 	minNs   atomic.Int64
@@ -24,9 +24,9 @@ type Histogram struct {
 	buckets [histBuckets]atomic.Uint64
 }
 
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	h := &Histogram{}
+// newHistogram returns an empty histogram.
+func newHistogram() *histogram {
+	h := &histogram{}
 	h.minNs.Store(math.MaxInt64)
 	return h
 }
@@ -43,9 +43,9 @@ func bucketFor(ns int64) int {
 	return b
 }
 
-// Observe records one duration in nanoseconds. Negative durations
+// observe records one duration in nanoseconds. Negative durations
 // (clock steps) are clamped to the lowest bucket.
-func (h *Histogram) Observe(ns int64) {
+func (h *histogram) observe(ns int64) {
 	if h == nil {
 		return
 	}
@@ -69,27 +69,11 @@ func (h *Histogram) Observe(ns int64) {
 	h.buckets[bucketFor(ns)].Add(1)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// SumNs returns the sum of all observations in nanoseconds.
-func (h *Histogram) SumNs() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sumNs.Load()
-}
-
-// Quantile returns an estimate of the q-th quantile (0 <= q <= 1) in
+// quantile returns an estimate of the q-th quantile (0 <= q <= 1) in
 // nanoseconds: the upper edge of the bucket holding the rank, i.e.
 // an estimate never below the true value by more than one bucket
 // width. Returns 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) int64 {
+func (h *histogram) quantile(q float64) int64 {
 	if h == nil {
 		return 0
 	}
@@ -121,9 +105,9 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.maxNs.Load()
 }
 
-// Summary condenses the histogram for the report.
-func (h *Histogram) Summary() TimingSummary {
-	if h == nil || h.Count() == 0 {
+// summary condenses the histogram for the report.
+func (h *histogram) summary() TimingSummary {
+	if h == nil || h.count.Load() == 0 {
 		return TimingSummary{}
 	}
 	count := h.count.Load()
@@ -133,9 +117,9 @@ func (h *Histogram) Summary() TimingSummary {
 		TotalMs: float64(sum) / 1e6,
 		MeanUs:  float64(sum) / float64(count) / 1e3,
 		MinUs:   float64(h.minNs.Load()) / 1e3,
-		P50Us:   float64(h.Quantile(0.50)) / 1e3,
-		P90Us:   float64(h.Quantile(0.90)) / 1e3,
-		P99Us:   float64(h.Quantile(0.99)) / 1e3,
+		P50Us:   float64(h.quantile(0.50)) / 1e3,
+		P90Us:   float64(h.quantile(0.90)) / 1e3,
+		P99Us:   float64(h.quantile(0.99)) / 1e3,
 		MaxUs:   float64(h.maxNs.Load()) / 1e3,
 	}
 }

@@ -87,7 +87,7 @@ type Collector struct {
 
 	mu       sync.Mutex
 	counters map[string]uint64     //parbor:guardedby mu
-	hists    map[string]*Histogram //parbor:guardedby mu
+	hists    map[string]*histogram //parbor:guardedby mu
 	stages   []*stageRecord        //parbor:guardedby mu
 	config   map[string]any        //parbor:guardedby mu
 	figures  map[string]float64    //parbor:guardedby mu
@@ -108,7 +108,7 @@ func NewCollector() *Collector {
 	return &Collector{
 		start:    time.Now(),
 		counters: make(map[string]uint64),
-		hists:    make(map[string]*Histogram),
+		hists:    make(map[string]*histogram),
 		config:   make(map[string]any),
 		figures:  make(map[string]float64),
 	}
@@ -140,43 +140,11 @@ func (c *Collector) ObserveNs(name string, ns int64) {
 	c.mu.Lock()
 	h := c.hists[name]
 	if h == nil {
-		h = NewHistogram()
+		h = newHistogram()
 		c.hists[name] = h
 	}
 	c.mu.Unlock()
-	h.Observe(ns)
-}
-
-// Counter returns the current value of a named counter.
-func (c *Collector) Counter(name string) uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counters[name]
-}
-
-// Commands returns a snapshot of the DRAM-command totals. On a nil
-// collector the snapshot is empty but non-nil, so report writers can
-// range and serialize it unconditionally.
-func (c *Collector) Commands() map[string]uint64 {
-	if c == nil {
-		return make(map[string]uint64, numCmds)
-	}
-	out := make(map[string]uint64, numCmds)
-	for i := Cmd(0); i < numCmds; i++ {
-		out[i.String()] = c.cmds[i].Load()
-	}
-	return out
-}
-
-// CommandCount returns the total for one command class.
-func (c *Collector) CommandCount(cmd Cmd) uint64 {
-	if c == nil || cmd >= numCmds {
-		return 0
-	}
-	return c.cmds[cmd].Load()
+	h.observe(ns)
 }
 
 // StartStage opens a named stage and returns a closer that records

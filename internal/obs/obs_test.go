@@ -17,13 +17,13 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	c.SetFigure("f", 1.5)
 	stop := c.StartStage("stage")
 	stop()
-	if got := c.Counter("x"); got != 0 {
+	r := c.Snapshot("test")
+	if got := r.Counters["x"]; got != 0 {
 		t.Fatalf("nil counter = %d, want 0", got)
 	}
-	if got := c.CommandCount(CmdActivate); got != 0 {
+	if got := r.Commands["activate"]; got != 0 {
 		t.Fatalf("nil command count = %d, want 0", got)
 	}
-	r := c.Snapshot("test")
 	if r.Schema != ReportSchema {
 		t.Fatalf("nil snapshot schema %q", r.Schema)
 	}
@@ -60,13 +60,13 @@ func TestCommandCountersConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := c.CommandCount(CmdActivate); got != workers*per*2 {
+	r := c.Snapshot("test")
+	if got := r.Commands["activate"]; got != workers*per*2 {
 		t.Fatalf("activates = %d, want %d", got, workers*per*2)
 	}
-	if got := c.Counter("host.passes"); got != workers*per {
+	if got := r.Counters["host.passes"]; got != workers*per {
 		t.Fatalf("passes = %d, want %d", got, workers*per)
 	}
-	r := c.Snapshot("test")
 	if err := r.Reconcile(); err != nil {
 		t.Fatalf("reconcile: %v", err)
 	}
@@ -155,23 +155,23 @@ func TestStagesRecordDeltas(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	for i := 1; i <= 1000; i++ {
-		h.Observe(int64(i) * 1000) // 1us .. 1ms
+		h.observe(int64(i) * 1000) // 1us .. 1ms
 	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d", h.Count())
+	if h.count.Load() != 1000 {
+		t.Fatalf("count = %d", h.count.Load())
 	}
-	p50 := h.Quantile(0.5)
+	p50 := h.quantile(0.5)
 	// Power-of-two buckets: the estimate may overshoot by at most
 	// one bucket (2x).
 	if p50 < 500_000/2 || p50 > 2*500_000*2 {
 		t.Fatalf("p50 = %dns, want within 2x of 500us", p50)
 	}
-	if h.Quantile(1) != 1_000_000 {
-		t.Fatalf("p100 = %dns, want max 1ms", h.Quantile(1))
+	if h.quantile(1) != 1_000_000 {
+		t.Fatalf("p100 = %dns, want max 1ms", h.quantile(1))
 	}
-	s := h.Summary()
+	s := h.summary()
 	if s.MinUs != 1 || s.MaxUs != 1000 {
 		t.Fatalf("min/max = %v/%v us, want 1/1000", s.MinUs, s.MaxUs)
 	}
@@ -181,29 +181,29 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestHistogramEdgeCases(t *testing.T) {
-	var nilH *Histogram
-	nilH.Observe(5)
-	if nilH.Count() != 0 || nilH.Quantile(0.5) != 0 {
+	var nilH *histogram
+	nilH.observe(5)
+	if nilH.quantile(0.5) != 0 {
 		t.Fatal("nil histogram not inert")
 	}
-	if (nilH.Summary() != TimingSummary{}) {
+	if (nilH.summary() != TimingSummary{}) {
 		t.Fatal("nil histogram summary not zero")
 	}
 
-	h := NewHistogram()
-	if h.Quantile(0.5) != 0 {
+	h := newHistogram()
+	if h.quantile(0.5) != 0 {
 		t.Fatal("empty histogram quantile != 0")
 	}
-	h.Observe(-10) // clamped
-	h.Observe(0)
-	h.Observe(math.MaxInt64) // clamped into the last bucket
-	if h.Count() != 3 {
-		t.Fatalf("count = %d", h.Count())
+	h.observe(-10) // clamped
+	h.observe(0)
+	h.observe(math.MaxInt64) // clamped into the last bucket
+	if h.count.Load() != 3 {
+		t.Fatalf("count = %d", h.count.Load())
 	}
-	if got := h.Quantile(math.NaN()); got != 0 {
+	if got := h.quantile(math.NaN()); got != 0 {
 		t.Fatalf("NaN quantile = %d, want 0", got)
 	}
-	if h.Quantile(-1) == 0 && h.Count() > 0 {
+	if h.quantile(-1) == 0 && h.count.Load() > 0 {
 		// q clamps to 0, which still returns the first occupied
 		// bucket's upper edge — never panics.
 		t.Log("quantile(-1) returned 0")

@@ -138,7 +138,10 @@ func (c *Collector) Snapshot(tool string) *Report {
 	r := &Report{
 		Schema:   ReportSchema,
 		Tool:     tool,
-		Commands: c.Commands(),
+		Commands: make(map[string]uint64, numCmds),
+	}
+	for i := Cmd(0); i < numCmds; i++ {
+		r.Commands[i.String()] = c.cmds[i].Load()
 	}
 	r.WallMs = float64(time.Since(c.start)) / 1e6
 	c.mu.Lock()
@@ -191,7 +194,7 @@ func (c *Collector) Snapshot(tool string) *Report {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			r.Timings[name] = c.hists[name].Summary()
+			r.Timings[name] = c.hists[name].summary()
 		}
 	}
 	return r

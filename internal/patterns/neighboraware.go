@@ -98,7 +98,7 @@ func masksToPatterns(masks [][]bool, chunkBits int) []Pattern {
 	out := make([]Pattern, 0, len(masks))
 	for i, mask := range masks {
 		words := maskWords(mask, chunkBits)
-		out = append(out, FromChunkMask(fmt.Sprintf("neighbor-aware-%d", i), words))
+		out = append(out, fromChunkMask(fmt.Sprintf("neighbor-aware-%d", i), words))
 	}
 	return out
 }

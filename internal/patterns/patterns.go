@@ -171,10 +171,10 @@ func Random(seed uint64, pass int) Pattern {
 	}
 }
 
-// FromChunkMask returns a pattern that replicates a chunk-sized
+// fromChunkMask returns a pattern that replicates a chunk-sized
 // charge mask across the row. mask holds chunkBits bits in
 // chunkBits/64 words.
-func FromChunkMask(name string, mask []uint64) Pattern {
+func fromChunkMask(name string, mask []uint64) Pattern {
 	m := append([]uint64(nil), mask...)
 	return Pattern{
 		Name: name,

@@ -290,7 +290,7 @@ func TestInverseIsInvolution(t *testing.T) {
 
 func TestFromChunkMaskReplication(t *testing.T) {
 	mask := []uint64{0x00000000000000ff, 0xff00000000000000}
-	p := FromChunkMask("m", mask)
+	p := fromChunkMask("m", mask)
 	buf := fillBuf(p, 6)
 	for i, w := range buf {
 		if w != mask[i%2] {

@@ -4,8 +4,7 @@
 //   - Uniform: every row refreshed at the nominal 64 ms interval
 //     (the DDR3 baseline).
 //   - RAIDR: rows containing weak (low-retention) cells refreshed at
-//     64 ms, all other rows at 256 ms (Liu et al., ISCA 2012). The
-//     weak-row set is held in a Bloom filter, as in the original.
+//     64 ms, all other rows at 256 ms (Liu et al., ISCA 2012).
 //   - DC-REF: the paper's contribution — a weak row is refreshed at
 //     64 ms only while its data content matches the worst-case
 //     pattern of one of its vulnerable cells (checked on writes,
@@ -22,7 +21,6 @@ package refresh
 import (
 	"fmt"
 
-	"parbor/internal/bloom"
 	"parbor/internal/rng"
 )
 
@@ -77,8 +75,6 @@ type Config struct {
 // Policy is not safe for concurrent use.
 type Policy struct {
 	cfg      Config
-	weak     *bloom.Filter // controller's weak-row storage (RAIDR-style)
-	nWeak    int64
 	nFast    int64          // rows currently on the fast interval
 	override map[int64]bool // DC-REF: matched-state set by writes
 	src      *rng.Source    // deterministic draws
@@ -105,19 +101,10 @@ func New(cfg Config) (*Policy, error) {
 		p.nFast = cfg.TotalRows
 		return p, nil
 	}
-
-	expectedWeak := uint64(float64(cfg.TotalRows)*cfg.WeakRowFrac) + 1
-	var err error
-	p.weak, err = bloom.NewWithEstimate(expectedWeak, 0.001)
-	if err != nil {
-		return nil, err
-	}
 	for row := int64(0); row < cfg.TotalRows; row++ {
 		if !p.isWeakDraw(row) {
 			continue
 		}
-		p.nWeak++
-		p.weak.Add(uint64(row))
 		switch cfg.Kind {
 		case RAIDR:
 			p.nFast++
@@ -130,8 +117,7 @@ func New(cfg Config) (*Policy, error) {
 	return p, nil
 }
 
-// isWeakDraw is the ground-truth weak-row membership (deterministic
-// per seed). The controller's Bloom filter approximates this set.
+// isWeakDraw is the weak-row membership (deterministic per seed).
 func (p *Policy) isWeakDraw(row int64) bool {
 	return p.src.SplitN("weak", uint64(row)).Float64() < p.cfg.WeakRowFrac
 }
@@ -142,27 +128,12 @@ func (p *Policy) initialMatch(row int64) bool {
 	return p.src.SplitN("match0", uint64(row)).Float64() < p.cfg.InitialMatchProb
 }
 
-// Kind returns the policy kind.
-func (p *Policy) Kind() Kind { return p.cfg.Kind }
-
 // TotalRows returns the number of managed rows.
 func (p *Policy) TotalRows() int64 { return p.cfg.TotalRows }
-
-// WeakRows returns the number of rows classified weak.
-func (p *Policy) WeakRows() int64 { return p.nWeak }
 
 // FastRows returns the number of rows currently refreshed at the fast
 // (64 ms) interval. The remaining rows use the slow (256 ms) one.
 func (p *Policy) FastRows() int64 { return p.nFast }
-
-// IsWeak reports whether the controller classifies the row as weak
-// (including Bloom-filter false positives, as in real RAIDR).
-func (p *Policy) IsWeak(row int64) bool {
-	if p.cfg.Kind == Uniform {
-		return false
-	}
-	return p.weak.Contains(uint64(row))
-}
 
 // matched returns the current content-match state of a weak row.
 func (p *Policy) matched(row int64) bool {

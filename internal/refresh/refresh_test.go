@@ -36,8 +36,14 @@ func TestRAIDRFastFraction(t *testing.T) {
 	if math.Abs(frac-0.164) > 0.01 {
 		t.Errorf("RAIDR fast fraction = %v, want about 0.164", frac)
 	}
-	if p.WeakRows() != p.FastRows() {
-		t.Errorf("RAIDR fast rows (%d) != weak rows (%d)", p.FastRows(), p.WeakRows())
+	var weak int64
+	for row := int64(0); row < 100000; row++ {
+		if p.isWeakDraw(row) {
+			weak++
+		}
+	}
+	if weak != p.FastRows() {
+		t.Errorf("RAIDR fast rows (%d) != weak rows (%d)", p.FastRows(), weak)
 	}
 }
 
@@ -126,15 +132,6 @@ func TestOnWriteNoopForOtherPolicies(t *testing.T) {
 		}
 		if p.FastRows() != before {
 			t.Errorf("%v: OnWrite changed fast set", kind)
-		}
-	}
-}
-
-func TestIsWeakNoFalseNegatives(t *testing.T) {
-	p := newPolicy(t, RAIDR, 20000)
-	for row := int64(0); row < 20000; row++ {
-		if p.isWeakDraw(row) && !p.IsWeak(row) {
-			t.Fatalf("Bloom filter lost weak row %d", row)
 		}
 	}
 }

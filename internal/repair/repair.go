@@ -96,10 +96,6 @@ type Plan struct {
 	sparedFailureCount int
 }
 
-// SparedFailures returns the number of individual failures the spared
-// rows contained.
-func (p *Plan) SparedFailures() int { return p.sparedFailureCount }
-
 // CoverageFraction returns mitigated / total for the planned inputs.
 func (p *Plan) CoverageFraction() float64 {
 	covered := len(p.ECCCovered) + len(p.Remapped) + len(p.RefreshManaged) + p.sparedFailureCount

@@ -70,8 +70,8 @@ func TestSpareRowsTakeWorstRows(t *testing.T) {
 	if len(plan.SparedRows) != 1 || plan.SparedRows[0].Row != 5 {
 		t.Fatalf("spared rows = %+v, want row 5", plan.SparedRows)
 	}
-	if plan.SparedFailures() != 6 {
-		t.Errorf("spared failures = %d, want 6", plan.SparedFailures())
+	if plan.sparedFailureCount != 6 {
+		t.Errorf("spared failures = %d, want 6", plan.sparedFailureCount)
 	}
 	// Row 9: one ECC + one remap; row 1: ECC.
 	if len(plan.ECCCovered) != 2 || len(plan.Remapped) != 1 || len(plan.Uncovered) != 0 {
@@ -221,8 +221,8 @@ func TestEndToEndWithDetection(t *testing.T) {
 		t.Errorf("informed coverage %.3f < plain %.3f",
 			informed.CoverageFraction(), plain.CoverageFraction())
 	}
-	plainHard := len(plain.ECCCovered) + len(plain.Remapped) + plain.SparedFailures()
-	informedHard := len(informed.ECCCovered) + len(informed.Remapped) + informed.SparedFailures()
+	plainHard := len(plain.ECCCovered) + len(plain.Remapped) + plain.sparedFailureCount
+	informedHard := len(informed.ECCCovered) + len(informed.Remapped) + informed.sparedFailureCount
 	if informedHard >= plainHard {
 		t.Errorf("informed plan consumes %d hard-mitigated failures vs %d; expected savings",
 			informedHard, plainHard)

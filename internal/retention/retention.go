@@ -98,8 +98,8 @@ func New(host *memctl.Host, cfg Config) (*Profiler, error) {
 	return &Profiler{host: host, cfg: cfg.withDefaults()}, nil
 }
 
-// Schedule returns the probe waits, ascending and log-spaced.
-func (p *Profiler) Schedule() []float64 {
+// schedule returns the probe waits, ascending and log-spaced.
+func (p *Profiler) schedule() []float64 {
 	var waits []float64
 	ratio := math.Pow(2, 1/float64(p.cfg.StepsPerOctave))
 	for w := p.cfg.MinMs; w <= p.cfg.MaxMs*1.0001; w *= ratio {
@@ -119,7 +119,7 @@ func (p *Profiler) ProfileModule(ctx context.Context, pats []patterns.Pattern) (
 	if len(pats) == 0 {
 		return nil, fmt.Errorf("retention: no stress patterns")
 	}
-	waits := p.Schedule()
+	waits := p.schedule()
 	geom := p.host.Geometry()
 
 	minRet := make(map[memctl.Row]float64)

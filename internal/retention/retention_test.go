@@ -123,7 +123,7 @@ func TestScheduleLogSpaced(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	got := p.Schedule()
+	got := p.schedule()
 	want := []float64{64, 128, 256, 512, 1024}
 	if len(got) != len(want) {
 		t.Fatalf("schedule %v, want %v", got, want)
@@ -137,7 +137,7 @@ func TestScheduleLogSpaced(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if got := p2.Schedule(); len(got) != 5 { // 64, 90.5, 128, 181, 256
+	if got := p2.schedule(); len(got) != 5 { // 64, 90.5, 128, 181, 256
 		t.Errorf("2-steps-per-octave schedule has %d entries, want 5: %v", len(got), got)
 	}
 }

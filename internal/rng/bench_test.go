@@ -15,10 +15,3 @@ func BenchmarkSplitN(b *testing.B) {
 		_ = s.SplitN("row", uint64(i))
 	}
 }
-
-func BenchmarkNormFloat64(b *testing.B) {
-	s := New(1)
-	for i := 0; i < b.N; i++ {
-		_ = s.NormFloat64()
-	}
-}

@@ -57,13 +57,9 @@ func (s *Source) Split(label string) *Source {
 // SplitN derives an independent child stream labeled by an integer,
 // e.g. one stream per row or per cell array.
 func (s *Source) SplitN(label string, n uint64) *Source {
-	c := s.ChildN(label, n)
+	c := s.Child(label).At(n)
 	return &c
 }
-
-// Seeded returns a Source value seeded with seed. It is the value
-// counterpart of New, for hot paths that must not heap-allocate.
-func Seeded(seed uint64) Source { return Source{state: seed} }
 
 // Child is Split returning the child stream by value: the stream is
 // bit-identical to Split(label)'s, but a local child never escapes to
@@ -75,11 +71,6 @@ func (s *Source) Child(label string) Source {
 		h = mix64(h ^ uint64(label[i]))
 	}
 	return Source{state: mix64(h)}
-}
-
-// ChildN is SplitN returning the child stream by value (see Child).
-func (s *Source) ChildN(label string, n uint64) Source {
-	return s.Child(label).At(n)
 }
 
 // At derives the integer-labeled child of s by value: Child(l).At(n)
@@ -119,19 +110,6 @@ func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1, using the Box-Muller transform (the polar
-// variant is avoided to keep the stream consumption deterministic at
-// exactly two draws per value).
-func (s *Source) NormFloat64() float64 {
-	u1 := s.Float64()
-	u2 := s.Float64()
-	if u1 < 1e-300 {
-		u1 = 1e-300
-	}
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
 // ExpFloat64 returns an exponentially distributed float64 with rate 1.
 func (s *Source) ExpFloat64() float64 {
 	u := s.Float64()
@@ -139,23 +117,4 @@ func (s *Source) ExpFloat64() float64 {
 		u = math.Nextafter(1, 0)
 	}
 	return -math.Log(1 - u)
-}
-
-// Perm returns a pseudo-random permutation of [0, n) as a slice,
-// using the Fisher-Yates shuffle.
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	s.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
 }

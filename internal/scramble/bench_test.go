@@ -3,7 +3,7 @@ package scramble
 import "testing"
 
 func BenchmarkNeighbors(b *testing.B) {
-	m := MustNew(VendorA)
+	m := mustNew(VendorA)
 	for i := 0; i < b.N; i++ {
 		_, _, _, _ = m.Neighbors(i & 8191)
 	}
@@ -12,6 +12,6 @@ func BenchmarkNeighbors(b *testing.B) {
 func BenchmarkNewVendorC(b *testing.B) {
 	// Vendor C runs the matching/augmentation construction.
 	for i := 0; i < b.N; i++ {
-		_ = MustNew(VendorC)
+		_ = mustNew(VendorC)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// InferSegments constructs a plausible physical layout consistent
+// inferSegments constructs a plausible physical layout consistent
 // with a detected neighbor-distance set: the inverse of what PARBOR
 // measures. Many layouts realize the same distance set; this builder
 // returns one deterministic monotone candidate in which every
@@ -18,7 +18,7 @@ import (
 // (u, u+d) for each positive distance d are matched greedily with
 // least-used-distance preference, so all distances appear with
 // comparable frequency.
-func InferSegments(distances []int, chunkBits int) ([][]int, error) {
+func inferSegments(distances []int, chunkBits int) ([][]int, error) {
 	if chunkBits <= 0 {
 		return nil, fmt.Errorf("scramble: chunkBits must be positive, got %d", chunkBits)
 	}
@@ -98,9 +98,9 @@ func InferSegments(distances []int, chunkBits int) ([][]int, error) {
 }
 
 // Infer builds a full Mapping from a detected distance set (see
-// InferSegments).
+// inferSegments).
 func Infer(distances []int, chunkBits int) (*Mapping, error) {
-	segs, err := InferSegments(distances, chunkBits)
+	segs, err := inferSegments(distances, chunkBits)
 	if err != nil {
 		return nil, err
 	}

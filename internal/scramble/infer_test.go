@@ -5,7 +5,7 @@ import "testing"
 func TestInferRealizesVendorDistanceSets(t *testing.T) {
 	for _, v := range Vendors() {
 		t.Run(v.String(), func(t *testing.T) {
-			truth := MustNew(v)
+			truth := mustNew(v)
 			inferred, err := Infer(truth.Distances(), truth.ChunkBits())
 			if err != nil {
 				t.Fatalf("Infer: %v", err)
@@ -40,7 +40,7 @@ func TestInferFrequencyBalance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
-	counts := m.DistanceCounts()
+	counts := distanceCounts(m)
 	max := 0
 	for _, c := range counts {
 		if c > max {

@@ -130,16 +130,6 @@ func New(v Vendor) (*Mapping, error) {
 	return m, nil
 }
 
-// MustNew is like New but panics on error. The built-in vendor
-// profiles are statically valid, so MustNew is the common constructor.
-func MustNew(v Vendor) *Mapping {
-	m, err := New(v)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // FromSegments builds a custom Mapping from an explicit chunk-local
 // segment list. Every system offset in [0, chunkBits) must appear in
 // exactly one segment. This is the extension point for modeling chips
@@ -210,20 +200,6 @@ func (m *Mapping) Distances() []int {
 	return out
 }
 
-// MaxDistance returns the largest absolute neighbor distance.
-func (m *Mapping) MaxDistance() int {
-	max := 0
-	for _, d := range m.distances {
-		if d > max {
-			max = d
-		}
-		if -d > max {
-			max = -d
-		}
-	}
-	return max
-}
-
 // Neighbors returns the system bit addresses of the physical left and
 // right neighbors of the cell holding system bit sysBit. A neighbor
 // is reported as (-1, false) when the cell sits at a segment end and
@@ -249,61 +225,6 @@ func (m *Mapping) Segments() [][]int {
 		out[i] = append([]int(nil), seg...)
 	}
 	return out
-}
-
-// SegmentCount returns the number of physical segments per chunk.
-func (m *Mapping) SegmentCount() int { return len(m.segments) }
-
-// DistanceCounts returns, for each signed neighbor distance, the
-// number of physically adjacent cell pairs per chunk realizing it.
-// The frequency balance matters for PARBOR's ranking stage: every
-// true distance must occur often enough to survive noise filtering.
-func (m *Mapping) DistanceCounts() map[int]int {
-	counts := make(map[int]int, len(m.distances))
-	for _, seg := range m.segments {
-		for i := 1; i < len(seg); i++ {
-			d := seg[i] - seg[i-1]
-			counts[d]++
-			counts[-d]++
-		}
-	}
-	return counts
-}
-
-// RegionDistances returns the sorted set of region-index distances
-// between physically adjacent cells when the row is divided into
-// regions of regionSize bits (the representation used at each level
-// of PARBOR's recursive test, Section 5.2.3 and Figure 11).
-//
-// regionSize must be a multiple of the chunk size or divide it evenly
-// (all of the paper's levels — 4096, 512, 64, 8, 1 — satisfy this for
-// the 128-bit chunk).
-func (m *Mapping) RegionDistances(regionSize int) ([]int, error) {
-	if regionSize <= 0 {
-		return nil, fmt.Errorf("scramble: region size must be positive, got %d", regionSize)
-	}
-	if regionSize%m.chunkBits == 0 {
-		// Chunk-local mapping: neighbors never leave an aligned chunk,
-		// so they never cross a coarser aligned region either.
-		return []int{0}, nil
-	}
-	if m.chunkBits%regionSize != 0 {
-		return nil, fmt.Errorf("scramble: region size %d does not divide chunk size %d", regionSize, m.chunkBits)
-	}
-	set := make(map[int]struct{})
-	for o := 0; o < m.chunkBits; o++ {
-		if r := m.right[o]; r != none {
-			d := int(r)/regionSize - o/regionSize
-			set[d] = struct{}{}
-			set[-d] = struct{}{}
-		}
-	}
-	out := make([]int, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Ints(out)
-	return out, nil
 }
 
 // linearSegments is the identity mapping: one contiguous segment.

@@ -3,10 +3,32 @@ package scramble
 import (
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func ints(xs ...int) []int { return xs }
+
+// mustNew builds a built-in vendor mapping; those are statically valid.
+func mustNew(v Vendor) *Mapping {
+	m, err := New(v)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// distanceCounts returns, for each signed neighbor distance, the
+// number of physically adjacent cell pairs per chunk realizing it.
+func distanceCounts(m *Mapping) map[int]int {
+	counts := make(map[int]int)
+	for _, seg := range m.Segments() {
+		for i := 1; i < len(seg); i++ {
+			d := seg[i] - seg[i-1]
+			counts[d]++
+			counts[-d]++
+		}
+	}
+	return counts
+}
 
 func TestVendorDistanceSets(t *testing.T) {
 	tests := []struct {
@@ -21,107 +43,9 @@ func TestVendorDistanceSets(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.vendor.String(), func(t *testing.T) {
-			m := MustNew(tt.vendor)
+			m := mustNew(tt.vendor)
 			if got := m.Distances(); !reflect.DeepEqual(got, tt.want) {
 				t.Errorf("Distances() = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
-// TestRegionDistancesMatchFigure11 pins the per-level region-distance
-// sets published in Figure 11 of the paper. These sets determine the
-// Table 1 test counts, so they are the load-bearing property of the
-// vendor models.
-func TestRegionDistancesMatchFigure11(t *testing.T) {
-	levels := []int{4096, 512, 64, 8, 1}
-	tests := []struct {
-		vendor Vendor
-		want   [][]int // per level
-	}{
-		{
-			vendor: VendorA,
-			want: [][]int{
-				ints(0),
-				ints(0),
-				ints(-1, 0, 1),
-				ints(-6, -2, -1, 1, 2, 6),
-				ints(-48, -16, -8, 8, 16, 48),
-			},
-		},
-		{
-			vendor: VendorB,
-			want: [][]int{
-				ints(0),
-				ints(0),
-				ints(-1, 0, 1),
-				ints(-8, 0, 8),
-				ints(-64, -1, 1, 64),
-			},
-		},
-		{
-			vendor: VendorC,
-			want: [][]int{
-				ints(0),
-				ints(0),
-				ints(-1, 0, 1),
-				ints(-6, -4, -2, 2, 4, 6),
-				ints(-49, -33, -16, 16, 33, 49),
-			},
-		},
-	}
-	for _, tt := range tests {
-		t.Run(tt.vendor.String(), func(t *testing.T) {
-			m := MustNew(tt.vendor)
-			for i, size := range levels {
-				got, err := m.RegionDistances(size)
-				if err != nil {
-					t.Fatalf("RegionDistances(%d): %v", size, err)
-				}
-				if !reflect.DeepEqual(got, tt.want[i]) {
-					t.Errorf("L%d (region %d): distances = %v, want %v", i+1, size, got, tt.want[i])
-				}
-			}
-		})
-	}
-}
-
-// TestTable1TestCounts derives the per-level test counts implied by
-// the region-distance sets (t_i = N_{i-1} * S_i, Section 7.1) and
-// checks them against Table 1 of the paper.
-func TestTable1TestCounts(t *testing.T) {
-	levels := []int{4096, 512, 64, 8, 1}
-	tests := []struct {
-		vendor    Vendor
-		wantLevel []int
-		wantTotal int
-	}{
-		{vendor: VendorA, wantLevel: ints(2, 8, 8, 24, 48), wantTotal: 90},
-		{vendor: VendorB, wantLevel: ints(2, 8, 8, 24, 24), wantTotal: 66},
-		{vendor: VendorC, wantLevel: ints(2, 8, 8, 24, 48), wantTotal: 90},
-	}
-	const rowBits = 8192
-	for _, tt := range tests {
-		t.Run(tt.vendor.String(), func(t *testing.T) {
-			m := MustNew(tt.vendor)
-			prevRegions := 1 // L1 subdivides the whole row
-			prevSize := rowBits
-			total := 0
-			for i, size := range levels {
-				nTests := prevRegions * (prevSize / size)
-				if nTests != tt.wantLevel[i] {
-					t.Errorf("L%d: tests = %d, want %d", i+1, nTests, tt.wantLevel[i])
-				}
-				total += nTests
-				dists, err := m.RegionDistances(size)
-				if err != nil {
-					t.Fatalf("RegionDistances(%d): %v", size, err)
-				}
-				prevRegions = len(dists)
-				prevSize = size
-			}
-			if total != tt.wantTotal {
-				t.Errorf("total tests = %d, want %d", total, tt.wantTotal)
 			}
 		})
 	}
@@ -130,7 +54,7 @@ func TestTable1TestCounts(t *testing.T) {
 func TestSegmentsCoverChunkExactlyOnce(t *testing.T) {
 	for _, v := range []Vendor{VendorLinear, VendorA, VendorB, VendorC, VendorToy} {
 		t.Run(v.String(), func(t *testing.T) {
-			m := MustNew(v)
+			m := mustNew(v)
 			seen := make(map[int]int)
 			for _, seg := range m.Segments() {
 				for _, o := range seg {
@@ -153,7 +77,7 @@ func TestSegmentsCoverChunkExactlyOnce(t *testing.T) {
 // construction for vendor C leaves almost no cells without neighbors,
 // since isolated cells can never exhibit data-dependent failures.
 func TestVendorCHasFewIsolatedCells(t *testing.T) {
-	m := MustNew(VendorC)
+	m := mustNew(VendorC)
 	isolated := 0
 	for _, seg := range m.Segments() {
 		if len(seg) == 1 {
@@ -172,8 +96,8 @@ func TestVendorCHasFewIsolatedCells(t *testing.T) {
 func TestDistanceFrequencyBalance(t *testing.T) {
 	for _, v := range Vendors() {
 		t.Run(v.String(), func(t *testing.T) {
-			m := MustNew(v)
-			counts := m.DistanceCounts()
+			m := mustNew(v)
+			counts := distanceCounts(m)
 			max := 0
 			for _, c := range counts {
 				if c > max {
@@ -192,7 +116,7 @@ func TestDistanceFrequencyBalance(t *testing.T) {
 func TestNeighborsAreMutual(t *testing.T) {
 	for _, v := range []Vendor{VendorLinear, VendorA, VendorB, VendorC, VendorToy} {
 		t.Run(v.String(), func(t *testing.T) {
-			m := MustNew(v)
+			m := mustNew(v)
 			// Test across several chunks to exercise the chunk-base math.
 			for base := 0; base < 3*m.ChunkBits(); base += m.ChunkBits() {
 				for o := 0; o < m.ChunkBits(); o++ {
@@ -218,7 +142,7 @@ func TestNeighborsAreMutual(t *testing.T) {
 
 func TestNeighborsStayInChunk(t *testing.T) {
 	for _, v := range []Vendor{VendorA, VendorB, VendorC} {
-		m := MustNew(v)
+		m := mustNew(v)
 		cb := m.ChunkBits()
 		for o := 0; o < cb; o++ {
 			bit := 5*cb + o // arbitrary chunk
@@ -229,23 +153,6 @@ func TestNeighborsStayInChunk(t *testing.T) {
 			if hasR && r/cb != bit/cb {
 				t.Errorf("%v: bit %d right neighbor %d leaves chunk", v, bit, r)
 			}
-		}
-	}
-}
-
-func TestMaxDistance(t *testing.T) {
-	tests := []struct {
-		vendor Vendor
-		want   int
-	}{
-		{vendor: VendorA, want: 48},
-		{vendor: VendorB, want: 64},
-		{vendor: VendorC, want: 49},
-		{vendor: VendorToy, want: 5},
-	}
-	for _, tt := range tests {
-		if got := MustNew(tt.vendor).MaxDistance(); got != tt.want {
-			t.Errorf("%v: MaxDistance() = %d, want %d", tt.vendor, got, tt.want)
 		}
 	}
 }
@@ -292,7 +199,7 @@ func TestFromSegmentsCustom(t *testing.T) {
 // paper: in the Figure 5/8 mapping, the neighbors of system address X
 // are at X+1 and X+5.
 func TestToyMappingMatchesFigure8(t *testing.T) {
-	m := MustNew(VendorToy)
+	m := mustNew(VendorToy)
 	l, r, hasL, hasR := m.Neighbors(0)
 	if !hasL || !hasR {
 		t.Fatalf("Neighbors(0): expected both neighbors, got hasL=%v hasR=%v", hasL, hasR)
@@ -300,47 +207,6 @@ func TestToyMappingMatchesFigure8(t *testing.T) {
 	got := map[int]bool{l: true, r: true}
 	if !got[1] || !got[5] {
 		t.Errorf("Neighbors(0) = {%d,%d}, want {1,5}", l, r)
-	}
-}
-
-// TestRegionDistancesQuick is a property test: for any (admissible)
-// region size, region distances must be consistent with bit distances
-// scaled down and the set must be symmetric around zero.
-func TestRegionDistancesQuick(t *testing.T) {
-	m := MustNew(VendorA)
-	f := func(pick uint8) bool {
-		sizes := []int{1, 2, 4, 8, 16, 32, 64, 128, 256}
-		size := sizes[int(pick)%len(sizes)]
-		ds, err := m.RegionDistances(size)
-		if err != nil {
-			return false
-		}
-		set := make(map[int]bool, len(ds))
-		for _, d := range ds {
-			set[d] = true
-		}
-		for _, d := range ds {
-			if !set[-d] {
-				return false // must be symmetric
-			}
-			if d*size > m.MaxDistance()+size {
-				return false // cannot exceed max bit distance by more than one region
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRegionDistancesErrors(t *testing.T) {
-	m := MustNew(VendorA)
-	if _, err := m.RegionDistances(0); err == nil {
-		t.Error("RegionDistances(0) succeeded, want error")
-	}
-	if _, err := m.RegionDistances(96); err == nil {
-		t.Error("RegionDistances(96) succeeded, want error (96 does not divide 128)")
 	}
 }
 

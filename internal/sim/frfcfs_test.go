@@ -7,15 +7,24 @@ import (
 	"parbor/internal/trace"
 )
 
+// specApp returns the SPEC2006 profile called name.
+func specApp(t *testing.T, name string) trace.App {
+	t.Helper()
+	for _, a := range trace.SPEC2006() {
+		if a.Name == name {
+			return a
+		}
+	}
+	t.Fatalf("no SPEC2006 profile %q", name)
+	return trace.App{}
+}
+
 // TestFRFCFSPrefersRowHits uses a streaming workload (libquantum,
 // 95% locality) and a pointer-chasing one (mcf, 20%): the scheduler's
 // row-hit preference must show up as a large hit-rate gap.
 func TestFRFCFSPrefersRowHits(t *testing.T) {
 	hitRate := func(name string) float64 {
-		app, err := trace.AppByName(name)
-		if err != nil {
-			t.Fatalf("AppByName: %v", err)
-		}
+		app := specApp(t, name)
 		res, err := Run(Config{
 			Workload: []trace.App{app, app},
 			Policy:   refresh.Uniform,
@@ -45,7 +54,7 @@ func TestFRFCFSPrefersRowHits(t *testing.T) {
 // system must not reduce average read latency.
 func TestReadLatencyGrowsUnderLoad(t *testing.T) {
 	lat := func(cores int) float64 {
-		app, _ := trace.AppByName("milc")
+		app := specApp(t, "milc")
 		wl := make([]trace.App, cores)
 		for i := range wl {
 			wl[i] = app

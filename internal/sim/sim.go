@@ -82,7 +82,7 @@ func (c Config) withDefaults() Config {
 		c.MLP = 4
 	}
 	if c.Timing == (Timing{}) {
-		c.Timing = DDR3_1600()
+		c.Timing = defaultTiming()
 	}
 	return c
 }
@@ -101,7 +101,7 @@ func (c Config) Validate() error {
 	if c.MLP < 0 {
 		return fmt.Errorf("sim: negative MLP %d", c.MLP)
 	}
-	if _, err := c.Density.TRFCns(); err != nil {
+	if _, err := c.Density.tRFCns(); err != nil {
 		return err
 	}
 	switch c.Policy {
@@ -234,11 +234,11 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rowsPerBank, err := cfg.Density.RowsPerBank()
+	rowsPerBank, err := cfg.Density.rowsPerBank()
 	if err != nil {
 		return nil, err
 	}
-	trfc, err := cfg.Density.TRFCns()
+	trfc, err := cfg.Density.tRFCns()
 	if err != nil {
 		return nil, err
 	}

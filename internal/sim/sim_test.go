@@ -191,11 +191,11 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestDensityAccessors(t *testing.T) {
-	if _, err := Density(0).TRFCns(); err == nil {
-		t.Error("invalid density TRFCns accepted")
+	if _, err := Density(0).tRFCns(); err == nil {
+		t.Error("invalid density tRFCns accepted")
 	}
-	if _, err := Density(0).RowsPerBank(); err == nil {
-		t.Error("invalid density RowsPerBank accepted")
+	if _, err := Density(0).rowsPerBank(); err == nil {
+		t.Error("invalid density rowsPerBank accepted")
 	}
 	if Density16Gbit.String() != "16Gbit" || Density32Gbit.String() != "32Gbit" {
 		t.Error("unexpected density names")
@@ -203,8 +203,8 @@ func TestDensityAccessors(t *testing.T) {
 	if Density(9).String() != "Density(9)" {
 		t.Error("unexpected fallback density name")
 	}
-	trfc16, _ := Density16Gbit.TRFCns()
-	trfc32, _ := Density32Gbit.TRFCns()
+	trfc16, _ := Density16Gbit.tRFCns()
+	trfc32, _ := Density32Gbit.tRFCns()
 	if trfc16 != 590 || trfc32 != 1000 {
 		t.Errorf("tRFC = %v/%v, want 590/1000", trfc16, trfc32)
 	}
@@ -214,8 +214,8 @@ func TestDensityAccessors(t *testing.T) {
 // model: a memory-hog mix must achieve lower per-core IPC than a
 // compute-bound mix.
 func TestMoreIntensiveWorkloadLowerIPC(t *testing.T) {
-	mcf, _ := trace.AppByName("mcf")
-	hmmer, _ := trace.AppByName("hmmer")
+	mcf := specApp(t, "mcf")
+	hmmer := specApp(t, "hmmer")
 	run := func(app trace.App) float64 {
 		r, err := Run(Config{
 			Workload: []trace.App{app, app, app, app},

@@ -26,8 +26,8 @@ func (d Density) String() string {
 	}
 }
 
-// TRFCns returns the refresh-command latency in nanoseconds.
-func (d Density) TRFCns() (float64, error) {
+// tRFCns returns the refresh-command latency in nanoseconds.
+func (d Density) tRFCns() (float64, error) {
 	switch d {
 	case Density16Gbit:
 		return 590, nil
@@ -38,8 +38,8 @@ func (d Density) TRFCns() (float64, error) {
 	}
 }
 
-// RowsPerBank returns the per-bank row count.
-func (d Density) RowsPerBank() (int, error) {
+// rowsPerBank returns the per-bank row count.
+func (d Density) rowsPerBank() (int, error) {
 	switch d {
 	case Density16Gbit:
 		return 32768, nil
@@ -61,8 +61,8 @@ type Timing struct {
 	CPUGHz float64 // core clock
 }
 
-// DDR3_1600 returns the simulator's default timing.
-func DDR3_1600() Timing {
+// defaultTiming returns the simulator's default timing.
+func defaultTiming() Timing {
 	return Timing{
 		TRCD:   13.75,
 		TRP:    13.75,

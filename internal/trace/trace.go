@@ -62,16 +62,6 @@ func SPEC2006() []App {
 	}
 }
 
-// AppByName looks up a profile.
-func AppByName(name string) (App, error) {
-	for _, a := range SPEC2006() {
-		if a.Name == name {
-			return a, nil
-		}
-	}
-	return App{}, fmt.Errorf("trace: unknown application %q", name)
-}
-
 // AverageContentMatchProb returns the mean ContentMatchProb across
 // the profile set — the number that determines DC-REF's steady-state
 // fast-row fraction.
@@ -122,9 +112,6 @@ func NewStream(app App, seed uint64) (*Stream, error) {
 	}, nil
 }
 
-// App returns the profile this stream models.
-func (s *Stream) App() App { return s.app }
-
 // Next returns the next request.
 func (s *Stream) Next() Request {
 	gap := int(s.gapMean * s.src.ExpFloat64())
@@ -147,20 +134,6 @@ func (s *Stream) Next() Request {
 		Write:   s.src.Float64() < s.app.WriteFrac,
 		Row:     row,
 	}
-}
-
-// Generate materializes n requests of a stream (useful for tests and
-// offline analysis).
-func Generate(app App, n int, seed uint64) ([]Request, error) {
-	s, err := NewStream(app, seed)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Request, n)
-	for i := range out {
-		out[i] = s.Next()
-	}
-	return out, nil
 }
 
 // Workloads builds n multi-programmed mixes of `cores` applications

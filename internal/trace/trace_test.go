@@ -38,29 +38,30 @@ func TestAverageContentMatchProb(t *testing.T) {
 	}
 }
 
-func TestAppByName(t *testing.T) {
-	a, err := AppByName("mcf")
-	if err != nil || a.Name != "mcf" {
-		t.Errorf("AppByName(mcf) = %+v, %v", a, err)
+// generate draws n requests from a fresh stream of app.
+func generate(t *testing.T, app App, n int, seed uint64) []Request {
+	t.Helper()
+	s, err := NewStream(app, seed)
+	if err != nil {
+		t.Fatalf("NewStream: %v", err)
 	}
-	if _, err := AppByName("nonexistent"); err == nil {
-		t.Error("unknown app accepted")
+	out := make([]Request, n)
+	for i := range out {
+		out[i] = s.Next()
 	}
+	return out
 }
 
 func TestStreamDeterminism(t *testing.T) {
-	app, _ := AppByName("milc")
-	a, err := Generate(app, 1000, 5)
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	b, _ := Generate(app, 1000, 5)
+	app := SPEC2006()[3] // milc
+	a := generate(t, app, 1000, 5)
+	b := generate(t, app, 1000, 5)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("request %d differs", i)
 		}
 	}
-	c, _ := Generate(app, 1000, 6)
+	c := generate(t, app, 1000, 6)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -74,11 +75,8 @@ func TestStreamDeterminism(t *testing.T) {
 }
 
 func TestStreamStatistics(t *testing.T) {
-	app, _ := AppByName("lbm")
-	reqs, err := Generate(app, 50000, 3)
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
+	app := SPEC2006()[1] // lbm
+	reqs := generate(t, app, 50000, 3)
 	var gaps, writes, hits float64
 	last := int64(-1)
 	for _, r := range reqs {
