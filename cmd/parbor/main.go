@@ -22,7 +22,7 @@
 //
 // With -online N, the detected distance set feeds N online-test
 // epochs on a fresh twin module and the failure-set checksum is
-// printed; -checkpoint writes a parbor/checkpoint/v1 snapshot after
+// printed; -checkpoint writes a parbor/checkpoint/v2 snapshot after
 // those epochs, and -resume continues a snapshotted sweep (module
 // configuration comes from the snapshot; detection is skipped). A
 // checkpointed-then-resumed sweep is bit-identical to an
@@ -180,22 +180,8 @@ func run(ctx context.Context, opts options) error {
 	if vendor == parbor.VendorToy {
 		cols = 1024
 	}
-	cc := parbor.DefaultCouplingConfig()
-	cc.VulnerableRate = 2e-3
-	mod, err := parbor.NewModule(parbor.ModuleConfig{
-		Name:     vendorName + "1",
-		Vendor:   vendor,
-		Chips:    chips,
-		Geometry: parbor.Geometry{Banks: 1, Rows: rows, Cols: cols},
-		Coupling: cc,
-		Faults:   parbor.DefaultFaultsConfig(),
-		Seed:     seed,
-		Recorder: rec,
-	})
-	if err != nil {
-		return err
-	}
-	host, err := parbor.NewHostWithConfig(mod, parbor.HostConfig{Recorder: rec})
+	geom := parbor.Geometry{Banks: 1, Rows: rows, Cols: cols}
+	mod, host, err := newModuleHost(vendorName+"1", vendor, chips, geom, seed, rec)
 	if err != nil {
 		return err
 	}
@@ -317,20 +303,7 @@ func run(ctx context.Context, opts options) error {
 
 	if opts.compareRandom {
 		// Fresh identical module so the baseline sees the same chips.
-		mod2, err := parbor.NewModule(parbor.ModuleConfig{
-			Name:     mod.Name(),
-			Vendor:   vendor,
-			Chips:    chips,
-			Geometry: parbor.Geometry{Banks: 1, Rows: rows, Cols: cols},
-			Coupling: cc,
-			Faults:   parbor.DefaultFaultsConfig(),
-			Seed:     seed,
-			Recorder: rec,
-		})
-		if err != nil {
-			return err
-		}
-		host2, err := parbor.NewHostWithConfig(mod2, parbor.HostConfig{Recorder: rec})
+		_, host2, err := newModuleHost(mod.Name(), vendor, chips, geom, seed, rec)
 		if err != nil {
 			return err
 		}
@@ -352,7 +325,7 @@ func run(ctx context.Context, opts options) error {
 	}
 	if opts.online > 0 {
 		stopOnline := col.StartStage("online")
-		err := runOnline(ctx, opts, vendor, cols, rec, nr.Distances)
+		err := runOnline(ctx, opts, vendor, geom, rec, nr.Distances)
 		stopOnline()
 		if err != nil {
 			return err
@@ -379,6 +352,32 @@ func run(ctx context.Context, opts options) error {
 	return nil
 }
 
+// newModuleHost builds the simulated module every mode of the command
+// runs on — the default coupling model at a 2e-3 vulnerable-cell rate,
+// the default noise model — and a host on it.
+func newModuleHost(name string, vendor parbor.Vendor, chips int, geom parbor.Geometry, seed uint64, rec obs.Recorder) (*parbor.Module, *parbor.Host, error) {
+	cc := parbor.DefaultCouplingConfig()
+	cc.VulnerableRate = 2e-3
+	mod, err := parbor.NewModule(parbor.ModuleConfig{
+		Name:     name,
+		Vendor:   vendor,
+		Chips:    chips,
+		Geometry: geom,
+		Coupling: cc,
+		Faults:   parbor.DefaultFaultsConfig(),
+		Seed:     seed,
+		Recorder: rec,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	host, err := parbor.NewHostWithConfig(mod, parbor.HostConfig{Recorder: rec})
+	if err != nil {
+		return nil, nil, err
+	}
+	return mod, host, nil
+}
+
 // onlineConfig is the scheduler configuration both the fresh-start and
 // resume paths use, so a resumed sweep matches an uninterrupted one.
 func onlineConfig(vendor parbor.Vendor, distances []int) onlinetest.Config {
@@ -393,23 +392,8 @@ func onlineConfig(vendor parbor.Vendor, distances []int) onlinetest.Config {
 // module (same configuration and seed as the detection target, so the
 // sweep starts from a known machine state) and optionally checkpoints
 // the sweep afterwards.
-func runOnline(ctx context.Context, opts options, vendor parbor.Vendor, cols int, rec obs.Recorder, distances []int) error {
-	cc := parbor.DefaultCouplingConfig()
-	cc.VulnerableRate = 2e-3
-	mod, err := parbor.NewModule(parbor.ModuleConfig{
-		Name:     opts.vendorName + "1",
-		Vendor:   vendor,
-		Chips:    opts.chips,
-		Geometry: parbor.Geometry{Banks: 1, Rows: opts.rows, Cols: cols},
-		Coupling: cc,
-		Faults:   parbor.DefaultFaultsConfig(),
-		Seed:     opts.seed,
-		Recorder: rec,
-	})
-	if err != nil {
-		return err
-	}
-	host, err := parbor.NewHostWithConfig(mod, parbor.HostConfig{Recorder: rec})
+func runOnline(ctx context.Context, opts options, vendor parbor.Vendor, geom parbor.Geometry, rec obs.Recorder, distances []int) error {
+	mod, host, err := newModuleHost(opts.vendorName+"1", vendor, opts.chips, geom, opts.seed, rec)
 	if err != nil {
 		return err
 	}
@@ -437,27 +421,12 @@ func runResume(ctx context.Context, opts options) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint %s: %w", opts.resume, err)
 	}
-	var rec obs.Recorder
-	cc := parbor.DefaultCouplingConfig()
-	cc.VulnerableRate = 2e-3
-	mod, err := parbor.NewModule(parbor.ModuleConfig{
-		Name:     snap.Module.Name,
-		Vendor:   vendor,
-		Chips:    snap.Module.Chips,
-		Geometry: parbor.Geometry{Banks: snap.Module.Banks, Rows: snap.Module.Rows, Cols: snap.Module.Cols},
-		Coupling: cc,
-		Faults:   parbor.DefaultFaultsConfig(),
-		Seed:     snap.Seed,
-		Recorder: rec,
-	})
+	geom := parbor.Geometry{Banks: snap.Module.Banks, Rows: snap.Module.Rows, Cols: snap.Module.Cols}
+	mod, host, err := newModuleHost(snap.Module.Name, vendor, snap.Module.Chips, geom, snap.Seed, nil)
 	if err != nil {
 		return err
 	}
 	if err := snap.Apply(mod); err != nil {
-		return err
-	}
-	host, err := parbor.NewHostWithConfig(mod, parbor.HostConfig{Recorder: rec})
-	if err != nil {
 		return err
 	}
 	sched, err := onlinetest.Resume(host, snap.Scheduler)

@@ -7,16 +7,16 @@
 //
 // Usage:
 //
-//	parbord -listen 127.0.0.1:7799 -state /var/lib/parbord
-//	parbord -state /var/lib/parbord -resume
-//	parbord -enroll fleet.json -run-to-idle -rollup
+//	parbord -listen 127.0.0.1:7799 -log-dir /var/lib/parbord
+//	parbord -enroll fleet.json -log-dir /var/lib/parbord -run-to-idle -rollup
 //
 // The scheduling quantum is one transactional online-test epoch:
-// every enrolled module is checkpointed (parbor/checkpoint/v1)
+// every enrolled module is checkpointed (parbor/checkpoint/v2)
 // after each completed epoch, so SIGTERM is always a graceful drain —
-// in-flight epochs finish, every module's state entry is persisted to
-// -state, and a later `parbord -resume` continues each sweep
-// bit-identically to an uninterrupted run.
+// in-flight epochs finish, the event log is synced, and the whole
+// fleet is written to fleet-state.json in -log-dir. The next parbord
+// on the same -log-dir enrolls that file before anything else and
+// continues each sweep bit-identically to an uninterrupted run.
 //
 // -enroll takes a JSON array of fleet state entries
 // ({"schema":"parbor/fleet-state/v1","spec":{...},"snapshot":{...}});
@@ -51,12 +51,10 @@ func main() {
 	var (
 		listen    = flag.String("listen", "", "serve the HTTP API on this address (empty = no API)")
 		workers   = flag.Int("workers", 0, "epoch scheduler worker bound (0 = GOMAXPROCS)")
-		stateDir  = flag.String("state", "", "persist per-module state entries in this directory on drain")
-		resume    = flag.Bool("resume", false, "enroll every state entry found in -state before starting")
 		enroll    = flag.String("enroll", "", "enroll modules from this JSON file (array of fleet state entries)")
 		runToIdle = flag.Bool("run-to-idle", false, "exit when the fleet quiesces instead of waiting for a signal")
 		rollup    = flag.Bool("rollup", false, "print the final fleet rollup JSON to stdout on exit")
-		logDir    = flag.String("log-dir", "", "append failure events to the fleetlog in this directory (serves GET /v1/analytics)")
+		logDir    = flag.String("log-dir", "", "durable directory: the failure-event log (serves GET /v1/analytics) and the fleet state, persisted on drain and resumed on start")
 		logRetain = flag.Int("log-retain", 0, "garbage-collect the event log to this many newest segments after each drain (0 = keep everything)")
 
 		// Disk-chaos soak flags: not for production. A nonzero seed
@@ -73,8 +71,6 @@ func main() {
 	if err := run(ctx, options{
 		listen:    *listen,
 		workers:   *workers,
-		stateDir:  *stateDir,
-		resume:    *resume,
 		enroll:    *enroll,
 		runToIdle: *runToIdle,
 		rollup:    *rollup,
@@ -91,8 +87,6 @@ func main() {
 type options struct {
 	listen    string
 	workers   int
-	stateDir  string
-	resume    bool
 	enroll    string
 	runToIdle bool
 	rollup    bool
@@ -103,9 +97,6 @@ type options struct {
 }
 
 func run(ctx context.Context, opts options) (err error) {
-	if opts.resume && opts.stateDir == "" {
-		return errors.New("-resume needs -state")
-	}
 	var fsys faultfs.FS
 	if opts.chaosSeed != 0 {
 		p := opts.chaosProb
@@ -125,7 +116,6 @@ func run(ctx context.Context, opts options) (err error) {
 	}
 	d, err := fleet.NewDaemon(fleet.Config{
 		Workers:   opts.workers,
-		StateDir:  opts.stateDir,
 		LogDir:    opts.logDir,
 		LogRetain: opts.logRetain,
 		FS:        fsys,
@@ -142,12 +132,8 @@ func run(ctx context.Context, opts options) (err error) {
 		}
 	}()
 
-	if opts.resume {
-		n, err := d.LoadState()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "parbord: resumed %d modules from %s\n", n, opts.stateDir)
+	if n := d.Registry().Len(); n > 0 {
+		fmt.Fprintf(os.Stderr, "parbord: resumed %d modules from %s\n", n, opts.logDir)
 	}
 	if opts.enroll != "" {
 		n, err := enrollFile(d, opts.enroll)
@@ -197,8 +183,8 @@ func run(ctx context.Context, opts options) (err error) {
 	}
 
 	// Graceful drain: every in-flight epoch completes, every module is
-	// left with a current checkpoint, the event log (with -log-dir) is
-	// synced, and (with -state) the fleet is persisted.
+	// left with a current checkpoint, and (with -log-dir) the event log
+	// is synced and the fleet persisted.
 	drainErr := d.Drain()
 	fmt.Fprintf(os.Stderr, "parbord: drained; %d modules enrolled\n", d.Registry().Len())
 

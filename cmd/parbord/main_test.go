@@ -61,9 +61,6 @@ func writeEnrollFile(t *testing.T, n int) string {
 }
 
 func TestRunValidation(t *testing.T) {
-	if err := run(context.Background(), options{resume: true}); err == nil {
-		t.Error("-resume without -state accepted")
-	}
 	if err := run(context.Background(), options{enroll: filepath.Join(t.TempDir(), "nope.json"), runToIdle: true}); err == nil {
 		t.Error("missing enroll file accepted")
 	}
@@ -94,17 +91,15 @@ func TestEnrollFileIsStrict(t *testing.T) {
 }
 
 // TestRunToIdleAndResume is the daemon's end-to-end smoke: enroll a
-// small fleet from a file, run it to idle with state and log
-// directories, then resume from the persisted state and verify the
-// second incarnation finds every module already done.
+// small fleet from a file, run it to idle with a log directory, then
+// run again on the same directory and verify the second incarnation
+// resumes every module, already done, and persists them back.
 func TestRunToIdleAndResume(t *testing.T) {
-	stateDir := filepath.Join(t.TempDir(), "state")
 	logDir := filepath.Join(t.TempDir(), "log")
 	enroll := writeEnrollFile(t, 2)
 
 	err := run(context.Background(), options{
 		workers:   2,
-		stateDir:  stateDir,
 		enroll:    enroll,
 		runToIdle: true,
 		logDir:    logDir,
@@ -113,49 +108,54 @@ func TestRunToIdleAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run to idle: %v", err)
 	}
-
-	states, err := os.ReadDir(stateDir)
-	if err != nil || len(states) != 2 {
-		t.Fatalf("state dir after drain: %v (%d entries, want 2)", err, len(states))
+	files, err := os.ReadDir(logDir)
+	if err != nil || len(files) < 2 {
+		t.Fatalf("log dir after drain: %v (%d entries, want segments and the state file)", err, len(files))
 	}
-	for _, e := range states {
+	for _, e := range files {
 		if strings.HasSuffix(e.Name(), ".tmp") {
-			t.Errorf("state dir holds temp debris %s", e.Name())
+			t.Errorf("log dir holds temp debris %s", e.Name())
 		}
 	}
-	segs, err := os.ReadDir(logDir)
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("log dir after drain: %v (%d entries)", err, len(segs))
-	}
+	loaded(t, logDir, 2)
 
-	// Second incarnation: resume from state, run to idle again. Every
-	// module is at its epoch budget, so this quiesces immediately —
-	// but it must still load all entries and persist them back.
-	err = run(context.Background(), options{
-		stateDir:  stateDir,
-		resume:    true,
-		runToIdle: true,
-	})
-	if err != nil {
+	// Second incarnation: every module is at its epoch budget, so this
+	// quiesces immediately — but it must still load the whole fleet
+	// and persist it back.
+	if err := run(context.Background(), options{logDir: logDir, runToIdle: true}); err != nil {
 		t.Fatalf("resume run: %v", err)
 	}
-	states, err = os.ReadDir(stateDir)
-	if err != nil || len(states) != 2 {
-		t.Fatalf("state dir after resume: %v (%d entries, want 2)", err, len(states))
+	loaded(t, logDir, 2)
+}
+
+// loaded opens a daemon on logDir with the real filesystem and checks
+// that it resumes want modules, all done.
+func loaded(t *testing.T, logDir string, want int) {
+	t.Helper()
+	d, err := fleet.NewDaemon(fleet.Config{LogDir: logDir})
+	if err != nil {
+		t.Fatalf("NewDaemon: %v", err)
+	}
+	defer d.Close()
+	if got := d.Registry().Len(); got != want {
+		t.Fatalf("log dir resumes %d modules, want %d", got, want)
+	}
+	for _, m := range d.Registry().List() {
+		if m.Status() != fleet.StatusDone {
+			t.Errorf("module %s resumed as %s, want done", m.ID(), m.Status())
+		}
 	}
 }
 
 // TestRunWithDiskChaos runs the same fleet with the deterministic
 // fault injector wired under all durable state. The daemon must
 // complete the run — degrading and recovering as faults land — and
-// still leave a loadable state directory.
+// still leave a log directory that resumes the whole fleet.
 func TestRunWithDiskChaos(t *testing.T) {
-	stateDir := filepath.Join(t.TempDir(), "state")
 	logDir := filepath.Join(t.TempDir(), "log")
 
 	err := run(context.Background(), options{
 		workers:   2,
-		stateDir:  stateDir,
 		enroll:    writeEnrollFile(t, 2),
 		runToIdle: true,
 		logDir:    logDir,
@@ -167,12 +167,5 @@ func TestRunWithDiskChaos(t *testing.T) {
 	}
 	// The post-crash contract: whatever survived must be loadable with
 	// a clean filesystem.
-	d, err := fleet.NewDaemon(fleet.Config{StateDir: stateDir})
-	if err != nil {
-		t.Fatalf("NewDaemon: %v", err)
-	}
-	defer d.Close()
-	if n, err := d.LoadState(); err != nil || n != 2 {
-		t.Fatalf("LoadState after chaos run: %v (%d modules, want 2)", err, n)
-	}
+	loaded(t, logDir, 2)
 }

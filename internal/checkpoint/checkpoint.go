@@ -37,8 +37,10 @@ import (
 )
 
 // Schema identifies the snapshot layout. Bump on incompatible
-// changes; readers reject schemas they do not know.
-const Schema = "parbor/checkpoint/v1"
+// changes; readers reject schemas they do not know. v2 writes the
+// scheduler's failure sets as base64 strings of the failure-list codec
+// (memctl.AppendAddrs) where v1 wrote arrays of cell objects.
+const Schema = "parbor/checkpoint/v2"
 
 // Clock is one chip's simulation clock.
 type Clock struct {
@@ -58,7 +60,7 @@ type ModuleIdent struct {
 	Cols   int    `json:"cols"`
 }
 
-// Snapshot is the parbor/checkpoint/v1 on-disk format.
+// Snapshot is the parbor/checkpoint/v2 on-disk format.
 type Snapshot struct {
 	Schema string      `json:"schema"`
 	Module ModuleIdent `json:"module"`

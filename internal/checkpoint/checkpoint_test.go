@@ -3,10 +3,13 @@ package checkpoint
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"testing"
 
 	"parbor/internal/chaos"
@@ -360,6 +363,48 @@ func TestUnmarshalIsStrict(t *testing.T) {
 	}
 	if _, err := Unmarshal(append(data, []byte("{}")...)); err == nil {
 		t.Error("snapshot followed by a second object accepted")
+	}
+
+	// The failure sets are strict too: only the exact bytes
+	// memctl.AppendAddrs writes for a set decode. list encodes a cell
+	// count and then raw zigzag deltas, valid or not.
+	list := func(count uint64, deltas ...int64) string {
+		p := binary.AppendUvarint(nil, count)
+		for _, d := range deltas {
+			p = binary.AppendUvarint(p, uint64(d)<<1^uint64(d>>63))
+		}
+		return base64.StdEncoding.EncodeToString(p)
+	}
+	everSeen := regexp.MustCompile(`"ever_seen": "[^"]*"`)
+	if !everSeen.Match(data) {
+		t.Fatal("marshaled snapshot has no ever_seen string")
+	}
+	withEverSeen := func(text string) []byte {
+		return everSeen.ReplaceAll(data, []byte(`"ever_seen": "`+text+`"`))
+	}
+	snap, err := Unmarshal(withEverSeen(list(2, 0, 0, 3, 1, 1, 0, -3, 2)))
+	if err != nil {
+		t.Fatalf("canonical two-cell list rejected: %v", err)
+	}
+	if want := (memctl.AddrList{{Row: 3, Col: 1}, {Chip: 1, Col: 3}}); !reflect.DeepEqual(snap.Scheduler.EverSeen, want) {
+		t.Fatalf("decoded %v, want %v", snap.Scheduler.EverSeen, want)
+	}
+	bad := map[string]string{
+		"unsorted":       list(2, 0, 0, 3, 1, 0, 0, -1, 0),
+		"duplicated":     list(2, 0, 0, 3, 1, 0, 0, 0, 0),
+		"chip range":     list(1, 1<<15, 0, 0, 0),
+		"row range":      list(1, 0, 0, -1<<31-1, 0),
+		"truncated":      list(2, 0, 0, 3, 1),
+		"short cell":     list(1, 0, 0, 3),
+		"trailing bytes": list(1, 0, 0, 3, 1, 0),
+		"empty":          "",
+		"not base64":     "AQ!A",
+		"line break":     `AQAA\nBgI=`,
+	}
+	for name, text := range bad {
+		if _, err := Unmarshal(withEverSeen(text)); err == nil {
+			t.Errorf("%s ever_seen %q accepted", name, text)
+		}
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 //	GET    /v1/modules/{id}            one status
 //	DELETE /v1/modules/{id}            retire
 //	GET    /v1/modules/{id}/report     parbor/report/v1 for the module
-//	GET    /v1/modules/{id}/checkpoint parbor/checkpoint/v1 snapshot
+//	GET    /v1/modules/{id}/checkpoint parbor/checkpoint/v2 snapshot
 //	GET    /v1/rollup                  fleet-wide failure rollup
 //	GET    /v1/analytics               event-log fault-mode analytics
 //	GET    /v1/report                  daemon's own parbor/report/v1

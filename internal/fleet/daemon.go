@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
-	"sort"
-	"strings"
 
 	"parbor/internal/checkpoint"
 	"parbor/internal/faultfs"
@@ -34,8 +32,16 @@ const (
 // StateSchema identifies the persisted per-module state entry layout.
 const StateSchema = "parbor/fleet-state/v1"
 
+// stateFile is the file in LogDir that holds the fleet: a JSON array of
+// StateEntry, as -enroll files are, replaced whole at every drain.
+const stateFile = "fleet-state.json"
+
+// stateWriteAttempts bounds how often a drain tries to write the state
+// file before it reports the failure.
+const stateWriteAttempts = 3
+
 // StateEntry is one module's durable record: the enrollment spec plus
-// the latest checkpoint snapshot. A directory of these is the whole
+// the latest checkpoint snapshot. An array of these is the whole
 // daemon state — rebuilding every entry reproduces the fleet exactly,
 // and each member resumes bit-identically from its snapshot.
 type StateEntry struct {
@@ -48,27 +54,19 @@ type StateEntry struct {
 type Config struct {
 	// Workers bounds the epoch scheduler; <= 0 selects GOMAXPROCS.
 	Workers int
-	// StateDir, when non-empty, is where Drain persists one JSON
-	// entry per module and LoadState resumes from. Created on demand.
-	StateDir string
-	// LogDir, when non-empty, enables the append-only failure-event
-	// log: every completed epoch appends one fleetlog event, and the
-	// /v1/analytics endpoint classifies the accumulated log.
+	// LogDir, when non-empty, is the daemon's durable directory. It
+	// holds the append-only failure-event log — every completed epoch
+	// appends one fleetlog event, and /v1/analytics classifies the
+	// accumulated log — and the fleet state file, which every Drain
+	// replaces and NewDaemon enrolls from when it exists.
 	LogDir string
-	// LogSegmentBytes caps each log segment; <= 0 selects the fleetlog
-	// default.
-	LogSegmentBytes int64
 	// LogRetain, when > 0, garbage-collects the event log down to the
 	// newest LogRetain segments after each drain (once the state is
 	// persisted). The active tail segment always survives.
 	LogRetain int
-	// LogBufferCap bounds the events held in memory while the log is
-	// degraded; <= 0 selects a default (defaultLogBufferCap). Events
-	// beyond the cap are dropped and counted.
-	LogBufferCap int
 	// FS is the filesystem seam all durable state (event log, state
-	// entries) goes through; nil selects the real filesystem. Tests
-	// and parbord's -diskchaos-seed flag swap in a fault injector.
+	// file) goes through; nil selects the real filesystem. Tests and
+	// parbord's -diskchaos-seed flag swap in a fault injector.
 	FS faultfs.FS
 }
 
@@ -84,7 +82,9 @@ type Daemon struct {
 }
 
 // NewDaemon builds an idle daemon; call Start to launch the
-// workers, and Close when done so the event log is flushed shut.
+// workers, and Close when done so the event log is flushed shut. With
+// a LogDir that holds a state file, the fleet the last Drain persisted
+// is enrolled again, each module resuming from its snapshot.
 func NewDaemon(cfg Config) (*Daemon, error) {
 	fsys := cfg.FS
 	if fsys == nil {
@@ -98,21 +98,23 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		col:  obs.NewCollector(),
 	}
 	if cfg.LogDir != "" {
-		sink, err := newLogSink(cfg.LogDir, fleetlog.WriterOptions{
-			SegmentBytes: cfg.LogSegmentBytes,
-			FS:           fsys,
-		}, cfg.LogBufferCap, d.col)
+		sink, err := newLogSink(cfg.LogDir, fleetlog.WriterOptions{FS: fsys}, defaultLogBufferCap, d.col)
 		if err != nil {
 			return nil, err
 		}
 		d.log = sink
+		if err := d.loadState(); err != nil {
+			//parbor:droperr the state file's error is the one to report; closing the just-opened log adds nothing
+			sink.close()
+			return nil, err
+		}
 	}
 	return d, nil
 }
 
 // sink returns the event-log append hook for enrolled modules, or nil
 // when no log is configured.
-func (d *Daemon) sink() func(fleetlog.Event) error {
+func (d *Daemon) sink() func(fleetlog.Event) {
 	if d.log == nil {
 		return nil
 	}
@@ -159,26 +161,24 @@ func (d *Daemon) Start(ctx context.Context) { d.pool.start(ctx) }
 // Drain gracefully stops the scheduler: every in-flight quantum
 // finishes (refreshing its module's snapshot), then workers exit.
 // After Drain every enrolled module has a current checkpoint by
-// construction. If a state dir is configured, the fleet is persisted
-// to it.
+// construction. With a LogDir, the fleet is persisted to its state
+// file.
 func (d *Daemon) Drain() error {
 	d.pool.drain()
-	if d.log != nil {
-		// Sync the log BEFORE persisting checkpoints: a crash between
-		// the two leaves the log ahead of the state, and replayed
-		// epochs re-log duplicate events the analytics deduplicate.
-		// The other order could lose events for checkpointed epochs.
-		// A log failure here degrades (it is the sink's problem now)
-		// rather than aborting the drain — the checkpoints must land
-		// regardless.
-		d.log.drain()
+	if d.log == nil {
+		return nil
 	}
-	if d.cfg.StateDir != "" {
-		if err := d.saveState(); err != nil {
-			return err
-		}
+	// Sync the log BEFORE persisting checkpoints: a crash between the
+	// two leaves the log ahead of the state, and replayed epochs re-log
+	// duplicate events the analytics deduplicate. The other order could
+	// lose events for checkpointed epochs. A log failure here degrades
+	// (it is the sink's problem now) rather than aborting the drain —
+	// the checkpoints must land regardless.
+	d.log.drain()
+	if err := d.saveState(); err != nil {
+		return err
 	}
-	if d.log != nil && d.cfg.LogRetain > 0 {
+	if d.cfg.LogRetain > 0 {
 		// Retention GC only after the state landed: the newest
 		// checkpoints supersede the collected segments' events.
 		if _, err := fleetlog.GC(d.fsys, d.cfg.LogDir, d.cfg.LogRetain); err != nil {
@@ -283,122 +283,69 @@ func (d *Daemon) Reconcile() error {
 	return nil
 }
 
-// statePath maps a module ID to its state file.
-func (d *Daemon) statePath(id string) string {
-	return filepath.Join(d.cfg.StateDir, id+".json")
+// saveState atomically replaces the state file with one StateEntry per
+// enrolled module, in enrollment order. Call only while the pool is
+// quiet: it reads each module's latest snapshot, which is exactly the
+// between-epochs state after a drain.
+func (d *Daemon) saveState() error {
+	mods := d.reg.List()
+	entries := make([]StateEntry, len(mods))
+	for i, m := range mods {
+		entries[i] = StateEntry{Schema: StateSchema, Spec: m.spec, Snapshot: m.Snapshot()}
+	}
+	data, err := json.Marshal(entries)
+	if err != nil {
+		return fmt.Errorf("fleet: marshaling state: %w", err)
+	}
+	// Atomic replace: a crash mid-save leaves the previous drain's
+	// fleet or this one, never a mix and never a torn file. A failed
+	// attempt leaves the previous file in place, so one transient
+	// storage error is retried rather than cost the next start its
+	// fleet.
+	path := filepath.Join(d.cfg.LogDir, stateFile)
+	for attempt := 1; ; attempt++ {
+		err := faultfs.WriteFileAtomic(d.fsys, path, append(data, '\n'), 0o644)
+		if err == nil {
+			return nil
+		}
+		if attempt == stateWriteAttempts {
+			return fmt.Errorf("fleet: writing state: %w", err)
+		}
+	}
 }
 
-// saveState writes one StateEntry per enrolled module into StateDir,
-// and removes stale entries for modules no longer enrolled. Call only
-// while the pool is quiet: it reads each module's latest snapshot,
-// which is exactly the between-epochs state after a drain.
-func (d *Daemon) saveState() error {
-	if d.cfg.StateDir == "" {
-		return fmt.Errorf("fleet: no state dir configured")
+// loadState enrolls the state file's entries, if the file exists.
+func (d *Daemon) loadState() error {
+	data, err := d.fsys.ReadFile(filepath.Join(d.cfg.LogDir, stateFile))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
 	}
-	if err := d.fsys.MkdirAll(d.cfg.StateDir, 0o755); err != nil {
-		return fmt.Errorf("fleet: creating state dir: %w", err)
-	}
-	live := make(map[string]bool)
-	for _, m := range d.reg.List() {
-		entry := StateEntry{Schema: StateSchema, Spec: m.spec, Snapshot: m.Snapshot()}
-		data, err := json.MarshalIndent(&entry, "", "  ")
-		if err != nil {
-			return fmt.Errorf("fleet: marshaling state for %s: %w", m.ID(), err)
-		}
-		path := d.statePath(m.ID())
-		// Atomic replace: a crash mid-save must leave either the old
-		// entry or the new one — a torn half-entry would poison the
-		// next LoadState.
-		if err := faultfs.WriteFileAtomic(d.fsys, path, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("fleet: writing state for %s: %w", m.ID(), err)
-		}
-		live[filepath.Base(path)] = true
-	}
-	names, err := d.fsys.ReadDir(d.cfg.StateDir)
 	if err != nil {
-		return fmt.Errorf("fleet: listing state dir: %w", err)
+		return fmt.Errorf("fleet: reading state: %w", err)
 	}
-	for _, e := range names {
-		if e.IsDir() {
-			continue
-		}
-		stale := strings.HasSuffix(e.Name(), ".json") && !live[e.Name()]
-		// A .json.tmp here is debris from a crashed earlier save: every
-		// rename in this save already committed.
-		stale = stale || strings.HasSuffix(e.Name(), ".json.tmp")
-		if stale {
-			if err := d.fsys.Remove(filepath.Join(d.cfg.StateDir, e.Name())); err != nil {
-				return fmt.Errorf("fleet: pruning state entry: %w", err)
-			}
-		}
+	if _, err := d.EnrollState(data); err != nil {
+		return fmt.Errorf("%s: %w", stateFile, err)
 	}
 	return nil
 }
 
-// LoadState enrolls every entry found in StateDir. Entries are loaded
-// in filename order so two restarts of the same fleet see the same
-// enrollment order. Returns how many modules were enrolled.
-func (d *Daemon) LoadState() (int, error) {
-	if d.cfg.StateDir == "" {
-		return 0, fmt.Errorf("fleet: no state dir configured")
-	}
-	entries, err := d.fsys.ReadDir(d.cfg.StateDir)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return 0, nil
-		}
-		return 0, fmt.Errorf("fleet: listing state dir: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	n := 0
-	for _, name := range names {
-		path := filepath.Join(d.cfg.StateDir, name)
-		data, err := d.fsys.ReadFile(path)
-		if err != nil {
-			return n, fmt.Errorf("fleet: reading state entry %s: %w", name, err)
-		}
-		if err := d.enrollEntry(data); err != nil {
-			return n, fmt.Errorf("fleet: state entry %s: %w", name, err)
-		}
-		n++
-	}
-	return n, nil
-}
-
-// EnrollState enrolls every entry of a JSON array of state entries,
-// each parsed as LoadState parses a state file, and returns how many
-// it enrolled.
+// EnrollState enrolls every entry of a JSON array of state entries —
+// an -enroll file or the state file — and returns how many it
+// enrolled. The array is parsed strictly, as on POST /v1/modules: an
+// unknown field in any entry, or data after the array, is an error
+// and enrolls nothing.
 func (d *Daemon) EnrollState(data []byte) (int, error) {
-	var raws []json.RawMessage
-	if err := strictjson.Decode(data, &raws); err != nil {
+	var entries []StateEntry
+	if err := strictjson.Decode(data, &entries); err != nil {
 		return 0, fmt.Errorf("fleet: parsing state entries: %w", err)
 	}
-	for i, raw := range raws {
-		if err := d.enrollEntry(raw); err != nil {
+	for i, e := range entries {
+		if e.Schema != StateSchema {
+			return i, fmt.Errorf("fleet: state entry %d: unknown schema %q", i, e.Schema)
+		}
+		if _, err := d.Enroll(e.Spec, e.Snapshot); err != nil {
 			return i, fmt.Errorf("fleet: state entry %d: %w", i, err)
 		}
 	}
-	return len(raws), nil
-}
-
-// enrollEntry parses one state entry strictly — an unknown field or
-// data after the object is an error, as on POST /v1/modules — checks
-// its schema and enrolls it.
-func (d *Daemon) enrollEntry(data []byte) error {
-	var entry StateEntry
-	if err := strictjson.Decode(data, &entry); err != nil {
-		return fmt.Errorf("parsing: %w", err)
-	}
-	if entry.Schema != StateSchema {
-		return fmt.Errorf("unknown schema %q", entry.Schema)
-	}
-	_, err := d.Enroll(entry.Spec, entry.Snapshot)
-	return err
+	return len(entries), nil
 }

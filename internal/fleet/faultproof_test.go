@@ -27,27 +27,48 @@ func sweepSpecs() []ModuleSpec {
 	return []ModuleSpec{testSpec(900), testSpec(901)}
 }
 
-// runFleetScenario is the scenario under test: open a daemon over
-// fsys, enroll the sweep fleet, run every epoch, drain, close. The
-// returned error is whatever the storage failure surfaced — crash
-// replays expect one and only care about the on-disk aftermath.
-func runFleetScenario(fsys faultfs.FS, stateDir, logDir string) error {
-	d, err := NewDaemon(Config{Workers: 1, StateDir: stateDir, LogDir: logDir, FS: fsys})
-	if err != nil {
-		return err
-	}
-	defer d.Close()
+// runFleetScenario is the scenario under test: two daemons in turn on
+// one log directory over fsys, as two parbord runs would be. Each
+// opens the directory (the second resumes the first's fleet from it),
+// enrolls the next module of the sweep fleet, runs every epoch, drains
+// and closes. The returned error is whatever the storage failure
+// surfaced — crash replays expect one and only care about the on-disk
+// aftermath.
+func runFleetScenario(fsys faultfs.FS, logDir string) error {
 	for _, sp := range sweepSpecs() {
+		d, err := NewDaemon(Config{Workers: 1, LogDir: logDir, FS: fsys})
+		if err != nil {
+			return err
+		}
 		if _, err := d.Enroll(sp, nil); err != nil {
+			d.Close()
+			return err
+		}
+		d.Start(context.Background())
+		d.Quiesce()
+		if err := d.Drain(); err != nil {
+			d.Close()
+			return err
+		}
+		if err := d.Close(); err != nil {
 			return err
 		}
 	}
-	d.Start(context.Background())
-	d.Quiesce()
-	if err := d.Drain(); err != nil {
-		return err
+	return nil
+}
+
+// newLogDaemon builds a daemon whose event log in dir has the given
+// writer options and degraded-mode buffer cap, where NewDaemon would
+// pick the defaults.
+func newLogDaemon(t *testing.T, workers int, dir string, opts fleetlog.WriterOptions, bufCap int) *Daemon {
+	t.Helper()
+	d := newDaemon(t, Config{Workers: workers, FS: opts.FS})
+	sink, err := newLogSink(dir, opts, bufCap, d.col)
+	if err != nil {
+		t.Fatalf("newLogSink: %v", err)
 	}
-	return d.Close()
+	d.cfg.LogDir, d.log = dir, sink
+	return d
 }
 
 // readLogEvents reads every intact event with a clean filesystem.
@@ -103,8 +124,10 @@ func refStates(t *testing.T) map[string]onlinetest.State {
 // crash the aftermath is reopened with a CLEAN filesystem and must
 // satisfy the recovery contract:
 //
-//   - The state directory parses: every entry is the old or the new
-//     checkpoint, never a torn hybrid (LoadState succeeds).
+//   - The state file parses and holds one drain's whole fleet: the
+//     reopened daemon loads nothing, the first daemon's module, or
+//     both modules, each at its finished state — never a torn file,
+//     a later module without an earlier one, or a module half-way.
 //   - The event log opens and streams: torn tails truncate away,
 //     nothing upstream of them is lost (readLogEvents succeeds).
 //   - Log ⊇ checkpoint: every epoch a persisted checkpoint claims is
@@ -123,7 +146,7 @@ func TestEveryFaultPointCrashSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewInjector: %v", err)
 	}
-	if err := runFleetScenario(count, t.TempDir(), t.TempDir()); err != nil {
+	if err := runFleetScenario(count, t.TempDir()); err != nil {
 		t.Fatalf("counting pass: %v", err)
 	}
 	total := count.Ops()
@@ -131,11 +154,12 @@ func TestEveryFaultPointCrashSweep(t *testing.T) {
 		t.Fatalf("scenario traced only %d ops; the sweep would be vacuous", total)
 	}
 	t.Logf("sweeping %d crash points x 3 crash shapes", total)
+	fleetSizes := make(map[int]bool) // how many modules each reboot loaded
 
 	for crashOp := 1; crashOp <= total; crashOp++ {
 		for _, crashByte := range []int{0, 3, 1 << 30} {
 			name := fmt.Sprintf("op%03d/byte%d", crashOp, crashByte)
-			stateDir, logDir := t.TempDir(), t.TempDir()
+			logDir := t.TempDir()
 			inj, err := faultfs.NewInjector(faultfs.OS{}, faultfs.InjectorConfig{
 				CrashOp:   crashOp,
 				CrashByte: crashByte,
@@ -143,20 +167,25 @@ func TestEveryFaultPointCrashSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: NewInjector: %v", name, err)
 			}
-			runFleetScenario(inj, stateDir, logDir) // error expected: the world stopped
+			runFleetScenario(inj, logDir) // error expected: the world stopped
 			if !inj.Crashed() {
 				t.Fatalf("%s: crash point never reached", name)
 			}
 
 			// "Reboot": reopen everything with the real filesystem.
-			d, err := NewDaemon(Config{Workers: 1, StateDir: stateDir, LogDir: logDir})
+			d, err := NewDaemon(Config{Workers: 1, LogDir: logDir})
 			if err != nil {
 				t.Fatalf("%s: reopening daemon: %v", name, err)
 			}
-			loaded, err := d.LoadState()
-			if err != nil {
-				d.Close()
-				t.Fatalf("%s: LoadState after crash: %v", name, err)
+			loaded := d.Registry().Len()
+			fleetSizes[loaded] = true
+			for i, m := range d.Registry().List() {
+				st := m.Snapshot().Scheduler
+				if m.ID() != sweepSpecs()[i].ID || m.Status() != StatusDone || !reflect.DeepEqual(st, ref[m.ID()]) {
+					d.Close()
+					t.Fatalf("%s: reopened fleet holds %s (%s, %d epochs) at position %d, not a drained fleet",
+						name, m.ID(), m.Status(), st.Epochs, i)
+				}
 			}
 
 			// Log ⊇ checkpoint.
@@ -219,6 +248,9 @@ func TestEveryFaultPointCrashSweep(t *testing.T) {
 				t.Fatalf("%s: healed log covers %d modules / %d epochs, want 2 / 8", name, lr.Modules, lr.Epochs)
 			}
 		}
+	}
+	if len(fleetSizes) != 3 {
+		t.Fatalf("reboots loaded fleets of sizes %v; want crashes before, between and after the two drains", fleetSizes)
 	}
 }
 
@@ -339,7 +371,7 @@ func TestLogDegradedBufferCapDrops(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewInjector: %v", err)
 	}
-	d := newDaemon(t, Config{Workers: 2, LogDir: t.TempDir(), LogBufferCap: 4, FS: inj})
+	d := newLogDaemon(t, 2, t.TempDir(), fleetlog.WriterOptions{FS: inj}, 4)
 	for i := 0; i < 3; i++ {
 		if _, err := d.Enroll(testSpec(920+i), nil); err != nil {
 			t.Fatalf("enroll: %v", err)
@@ -496,13 +528,9 @@ func TestDiskChaosSoakOracle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewInjector: %v", err)
 	}
-	d, err := NewDaemon(Config{Workers: 4, LogDir: logDir, LogSegmentBytes: 1 << 10, FS: inj})
-	if err != nil {
-		// The injector can refuse the very first open; that is a valid
-		// (if boring) draw, but this seed is chosen to get further.
-		t.Fatalf("NewDaemon under chaos: %v", err)
-	}
-	defer d.Close()
+	// The injector can refuse the very first open; that is a valid (if
+	// boring) draw, but this seed is chosen to get further.
+	d := newLogDaemon(t, 4, logDir, fleetlog.WriterOptions{SegmentBytes: 1 << 10, FS: inj}, defaultLogBufferCap)
 	const n = 24
 	for i := 0; i < n; i++ {
 		sp := testSpec(930 + i)

@@ -243,11 +243,10 @@ func TestReconcileAfterRetire(t *testing.T) {
 	// epoch is in flight — completed and logged, not yet published.
 	const id = "mod-0320"
 	var m *Module
-	sink := func(ev fleetlog.Event) error {
+	sink := func(ev fleetlog.Event) {
 		if ev.Epoch == 2 && !d.retire(id) {
 			t.Error("mid-quantum retire reported false")
 		}
-		return nil
 	}
 	m, err := buildModule(testSpec(320), nil, d.col, sink)
 	if err != nil {
@@ -472,11 +471,14 @@ func TestClassifyModes(t *testing.T) {
 	}
 }
 
-func TestSaveLoadStateRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	d := newDaemon(t, Config{Workers: 2, StateDir: dir})
-	for i := 0; i < 6; i++ {
-		if _, err := d.Enroll(testSpec(200+i), nil); err != nil {
+// runToDrain enrolls specs into a daemon on logDir (after whatever
+// fleet the directory resumes), runs them to idle, drains and closes
+// it, as one parbord -run-to-idle would.
+func runToDrain(t *testing.T, logDir string, specs ...ModuleSpec) *Daemon {
+	t.Helper()
+	d := newDaemon(t, Config{Workers: 2, LogDir: logDir})
+	for _, sp := range specs {
+		if _, err := d.Enroll(sp, nil); err != nil {
 			t.Fatalf("enroll: %v", err)
 		}
 	}
@@ -485,20 +487,29 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 	if err := d.Drain(); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-
-	d2 := newDaemon(t, Config{Workers: 2, StateDir: dir})
-	n, err := d2.LoadState()
-	if err != nil {
-		t.Fatalf("load: %v", err)
+	if err := d.Close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
-	if n != 6 {
+	return d
+}
+
+func TestSaveLoadStateRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	var specs []ModuleSpec
+	for i := 0; i < 6; i++ {
+		specs = append(specs, testSpec(200+i))
+	}
+	d := runToDrain(t, dir, specs...)
+
+	d2 := newDaemon(t, Config{Workers: 2, LogDir: dir})
+	if n := d2.Registry().Len(); n != 6 {
 		t.Fatalf("loaded %d modules, want 6", n)
 	}
-	for _, m2 := range d2.Registry().List() {
-		m1, ok := d.Registry().Get(m2.ID())
-		if !ok {
-			t.Fatalf("loaded unknown module %s", m2.ID())
+	for i, m2 := range d2.Registry().List() {
+		if m2.ID() != specs[i].ID {
+			t.Fatalf("loaded %s at position %d, want enrollment order (%s)", m2.ID(), i, specs[i].ID)
 		}
+		m1, _ := d.Registry().Get(m2.ID())
 		if m2.Status() != StatusDone {
 			t.Fatalf("completed module %s resumed as %s", m2.ID(), m2.Status())
 		}
@@ -506,33 +517,49 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 			t.Fatalf("module %s state drifted across save/load", m2.ID())
 		}
 	}
-	// A retire followed by a save prunes the entry.
-	d.retire("mod-0203")
-	if err := d.saveState(); err != nil {
-		t.Fatalf("save: %v", err)
+	// A retire followed by a drain drops the module from the state.
+	d2.retire("mod-0203")
+	if err := d2.Drain(); err != nil {
+		t.Fatalf("drain: %v", err)
 	}
-	d3 := newDaemon(t, Config{Workers: 1, StateDir: dir})
-	if n, err := d3.LoadState(); err != nil || n != 5 {
-		t.Fatalf("after prune: loaded %d, err %v; want 5, nil", n, err)
+	if err := d2.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	d3 := newDaemon(t, Config{Workers: 1, LogDir: dir})
+	if _, ok := d3.Registry().Get("mod-0203"); ok || d3.Registry().Len() != 5 {
+		t.Fatalf("after retiring mod-0203: loaded %d modules, want the other 5", d3.Registry().Len())
 	}
 }
 
-// TestLoadStateIsStrict: a state entry with a misspelled spec or
-// snapshot field, or data after the entry, is an error on resume, as
-// it is for -enroll files and POST /v1/modules, rather than a module
+// TestDrainKeepsResumedFleet: a daemon opened on a drained log
+// directory resumes its fleet, so enrolling more modules and draining
+// again keeps both. The per-module state directory this replaced lost
+// the first fleet here whenever the second run forgot to resume it.
+func TestDrainKeepsResumedFleet(t *testing.T) {
+	dir := t.TempDir()
+	runToDrain(t, dir, testSpec(410), testSpec(411))
+	runToDrain(t, dir, testSpec(412))
+	d := newDaemon(t, Config{Workers: 1, LogDir: dir})
+	var got []string
+	for _, m := range d.Registry().List() {
+		got = append(got, m.ID())
+		if m.Status() != StatusDone {
+			t.Errorf("module %s resumed as %s, want done", m.ID(), m.Status())
+		}
+	}
+	if want := []string{"mod-0410", "mod-0411", "mod-0412"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened store holds %v, want %v", got, want)
+	}
+}
+
+// TestLoadStateIsStrict: a state file with a misspelled spec or
+// snapshot field, or data after the array, is an error on open, as it
+// is for -enroll files and POST /v1/modules, rather than a module
 // resumed with a zero noise model or a restarted attempt counter.
 func TestLoadStateIsStrict(t *testing.T) {
 	dir := t.TempDir()
-	d := newDaemon(t, Config{Workers: 1, StateDir: dir})
-	if _, err := d.Enroll(testSpec(300), nil); err != nil {
-		t.Fatal(err)
-	}
-	d.Start(context.Background())
-	d.Quiesce()
-	if err := d.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "mod-0300.json")
+	runToDrain(t, dir, testSpec(300))
+	path := filepath.Join(dir, stateFile)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -545,20 +572,20 @@ func TestLoadStateIsStrict(t *testing.T) {
 	}
 	for name, body := range cases {
 		if body == string(data) {
-			t.Fatalf("%s: state entry unchanged", name)
+			t.Fatalf("%s: state file unchanged", name)
 		}
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		d2 := newDaemon(t, Config{Workers: 1, StateDir: dir})
-		if n, err := d2.LoadState(); err == nil {
-			t.Errorf("%s: LoadState resumed %d modules, want an error", name, n)
+		if d, err := NewDaemon(Config{Workers: 1, LogDir: dir}); err == nil {
+			d.Close()
+			t.Errorf("%s: NewDaemon resumed %d modules, want an error", name, d.Registry().Len())
 		}
 	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := newDaemon(t, Config{Workers: 1, StateDir: dir}).LoadState(); err != nil || n != 1 {
-		t.Fatalf("unedited entry: loaded %d, err %v; want 1, nil", n, err)
+	if n := newDaemon(t, Config{Workers: 1, LogDir: dir}).Registry().Len(); n != 1 {
+		t.Fatalf("unedited state file: loaded %d modules, want 1", n)
 	}
 }

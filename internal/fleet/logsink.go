@@ -53,19 +53,16 @@ func newLogSink(dir string, opts fleetlog.WriterOptions, bufCap int, col *obs.Co
 	if err != nil {
 		return nil, err
 	}
-	if bufCap <= 0 {
-		bufCap = defaultLogBufferCap
-	}
 	return &logSink{dir: dir, opts: opts, col: col, w: w, bufCap: bufCap}, nil
 }
 
 // append records one event, absorbing any log failure into the
-// degradation state machine. It never returns an error.
-func (s *logSink) append(ev fleetlog.Event) error {
+// degradation state machine.
+func (s *logSink) append(ev fleetlog.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil
+		return
 	}
 	if s.degraded {
 		s.probeLocked()
@@ -73,12 +70,11 @@ func (s *logSink) append(ev fleetlog.Event) error {
 	if !s.degraded && s.w != nil {
 		err := s.w.Append(ev)
 		if err == nil {
-			return nil
+			return
 		}
 		s.degradeLocked(err)
 	}
 	s.bufferLocked(ev)
-	return nil
 }
 
 // degradeLocked enters degraded mode: the (poisoned) writer is

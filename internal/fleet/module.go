@@ -57,10 +57,8 @@ type Module struct {
 	fleetRec obs.Recorder
 
 	// sink, when non-nil, receives one failure-event record after
-	// every completed epoch — the daemon's append-only event log. A
-	// sink failure is terminal for the module: an un-logged epoch
-	// would silently hole the analytics.
-	sink func(fleetlog.Event) error
+	// every completed epoch — the daemon's append-only event log.
+	sink func(fleetlog.Event)
 
 	// baseEpochs is the scheduler's epoch count at enrollment: nonzero
 	// when the module resumed from a checkpoint. The daemon's
@@ -76,7 +74,7 @@ type Module struct {
 
 // buildModule constructs the runtime for a spec, optionally resuming
 // from a checkpoint snapshot. fleetRec and sink may be nil.
-func buildModule(spec ModuleSpec, snap *checkpoint.Snapshot, fleetRec obs.Recorder, sink func(fleetlog.Event) error) (*Module, error) {
+func buildModule(spec ModuleSpec, snap *checkpoint.Snapshot, fleetRec obs.Recorder, sink func(fleetlog.Event)) (*Module, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
@@ -190,15 +188,13 @@ func (m *Module) runQuantum(ctx context.Context) bool {
 	m.stateMu.Unlock()
 
 	res, err := m.sched.RunEpoch(ctx)
-	var sinkErr error
 	if err == nil && m.sink != nil {
-		// Log before refreshing the checkpoint: if the append fails the
-		// snapshot still advances (the epoch really completed), but the
-		// ordering keeps the log's coverage a superset of any persisted
-		// checkpoint — replayed epochs re-log duplicate events, which
-		// the analytics deduplicate, whereas the reverse order could
-		// drop an epoch from the log forever.
-		sinkErr = m.sink(fleetlog.Event{
+		// Log before refreshing the checkpoint: the ordering keeps the
+		// log's coverage a superset of any persisted checkpoint —
+		// replayed epochs re-log duplicate events, which the analytics
+		// deduplicate, whereas the reverse order could drop an epoch
+		// from the log forever.
+		m.sink(fleetlog.Event{
 			Module: m.spec.ID,
 			Epoch:  m.sched.Epochs(),
 			Fails:  res.Observed,
@@ -250,14 +246,6 @@ func (m *Module) runQuantum(ctx context.Context) bool {
 		m.lastErr = err
 		return false
 	}
-	if sinkErr != nil {
-		// The epoch completed and is counted above, but its event never
-		// reached the log; take the module off the schedule rather than
-		// accumulate epochs the analytics will never see.
-		m.status = StatusFailed
-		m.lastErr = fmt.Errorf("fleet: module %s: event log append: %w", m.spec.ID, sinkErr)
-		return false
-	}
 	if m.budgetExhaustedLocked() {
 		m.status = StatusDone
 		return false
@@ -303,7 +291,7 @@ func (m *Module) err() error {
 	return m.lastErr
 }
 
-// Snapshot returns the latest parbor/checkpoint/v1 snapshot. Never
+// Snapshot returns the latest parbor/checkpoint/v2 snapshot. Never
 // nil for an enrolled module; the returned value is immutable.
 func (m *Module) Snapshot() *checkpoint.Snapshot {
 	m.stateMu.Lock()

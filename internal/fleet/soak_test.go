@@ -49,9 +49,8 @@ func TestSoakThousandModulesDrainResume(t *testing.T) {
 	// exactly this — cancel the run context, Daemon.Run drains and
 	// persists). Both incarnations append to the same event log, as
 	// parbord restarted with the same -log-dir would.
-	dir := t.TempDir()
 	logDir := t.TempDir()
-	d1 := newDaemon(t, Config{Workers: 8, StateDir: dir, LogDir: logDir})
+	d1 := newDaemon(t, Config{Workers: 8, LogDir: logDir})
 	for _, sp := range specs {
 		if _, err := d1.Enroll(sp, nil); err != nil {
 			t.Fatalf("d1 enroll %s: %v", sp.ID, err)
@@ -100,10 +99,11 @@ func TestSoakThousandModulesDrainResume(t *testing.T) {
 	}
 	t.Logf("drained with %d/%d modules unfinished", unfinished, n)
 
-	// Resumed fleet: load the persisted state and run to quiescence.
-	d2 := newDaemon(t, Config{Workers: 8, StateDir: dir, LogDir: logDir})
-	if got, err := d2.LoadState(); err != nil || got != n {
-		t.Fatalf("resume loaded %d modules, err %v; want %d, nil", got, err, n)
+	// Resumed fleet: reopen the log directory, which enrolls the
+	// persisted fleet, and run to quiescence.
+	d2 := newDaemon(t, Config{Workers: 8, LogDir: logDir})
+	if got := d2.Registry().Len(); got != n {
+		t.Fatalf("resume loaded %d modules, want %d", got, n)
 	}
 	d2.Start(context.Background())
 	d2.Quiesce()

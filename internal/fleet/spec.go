@@ -12,7 +12,7 @@
 //   - Module: an enrolled member's runtime — dram.Module, memctl.Host,
 //     onlinetest.Scheduler, per-module obs.Collector — whose unit of
 //     scheduling is one transactional epoch (runQuantum). After every
-//     epoch the module refreshes an in-memory parbor/checkpoint/v1
+//     epoch the module refreshes an in-memory parbor/checkpoint/v2
 //     snapshot, so the fleet is checkpointed at all times by
 //     construction, and drain needs no extra save pass.
 //   - Registry: enroll/retire bookkeeping.

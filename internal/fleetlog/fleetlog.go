@@ -23,10 +23,10 @@
 //
 //	payload = module id (uvarint length + bytes)
 //	        | epoch (uvarint)
-//	        | failure count (uvarint)
-//	        | failures, each as four zigzag-uvarint deltas
-//	          (chip, bank, row, col) from the previous failure,
-//	          in canonical ascending order
+//	        | failure list (memctl.AppendAddrs): count (uvarint),
+//	          then each failure as four zigzag-uvarint deltas
+//	          (chip, bank, row, col) from the previous one, distinct
+//	          and in canonical ascending order
 //
 // Every record is independently framed, so a torn tail — the daemon
 // killed mid-write, a disk that lied about a flush — truncates cleanly:
@@ -61,7 +61,8 @@ type Event struct {
 	// event and deduplicates away in the classifier.
 	Epoch int `json:"epoch"`
 	// Fails are the cells observed failing this epoch. The codec
-	// canonicalizes the order (ascending chip, bank, row, col).
+	// writes them as a set: sorted (ascending chip, bank, row, col)
+	// and without repeats.
 	Fails []memctl.BitAddr `json:"fails,omitempty"`
 }
 

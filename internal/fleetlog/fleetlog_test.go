@@ -266,6 +266,14 @@ func TestCodecRejectsBadEvents(t *testing.T) {
 	if string(p1) != string(p2) {
 		t.Error("encoding is order-dependent")
 	}
+	// A repeated cell encodes as the set: duplicates never reach the log.
+	p3, err := appendEvent(nil, Event{Module: "m", Epoch: 1, Fails: []memctl.BitAddr{addr(1, 0, 0, 0), addr(0, 0, 0, 0), addr(1, 0, 0, 0)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(p3) != string(p2) {
+		t.Error("a duplicated cell changed the encoding")
+	}
 	// Trailing garbage is rejected.
 	if _, err := decodeEvent(append(p1, 0)); err == nil {
 		t.Error("trailing garbage accepted")

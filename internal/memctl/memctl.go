@@ -11,7 +11,6 @@
 package memctl
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -67,23 +66,6 @@ type BitAddr struct {
 	Bank int16
 	Row  int32
 	Col  int32
-}
-
-// CompareAddrs orders cells canonically by (chip, bank, row, col): the
-// order FullPass reports failures in, and the one every failure list
-// that is compared, merged or serialized is kept in. It returns -1, 0
-// or +1 in the manner of cmp.Compare.
-func CompareAddrs(a, b BitAddr) int {
-	if c := cmp.Compare(a.Chip, b.Chip); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Bank, b.Bank); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Row, b.Row); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Col, b.Col)
 }
 
 // RowSource supplies the pattern data of one row of a full-module
@@ -309,7 +291,7 @@ func (h *Host) WaitMs() float64 { return h.waitMs }
 
 // Attempts returns the host's attempt counter: the entropy an
 // attached FaultPlane keys its draws on. A checkpoint that records it
-// (parbor/checkpoint/v1 HostAttempts) lets a resumed host replay the
+// (parbor/checkpoint/v2 HostAttempts) lets a resumed host replay the
 // exact fault schedule an uninterrupted run would have seen.
 func (h *Host) Attempts() int { return h.attempts }
 

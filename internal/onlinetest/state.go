@@ -12,7 +12,7 @@ import (
 // needed to rebuild a Scheduler that continues a sweep exactly where
 // this one stopped. The checkpoint layer (internal/checkpoint) wraps
 // it together with the module's simulation clocks into the
-// parbor/checkpoint/v1 snapshot.
+// parbor/checkpoint/v2 snapshot.
 type State struct {
 	// Config rebuilds the pattern set and epoch budget. Distances are
 	// part of it, so a resumed run does not need to re-detect.
@@ -22,9 +22,10 @@ type State struct {
 	Rounds int `json:"rounds"`
 	Tests  int `json:"tests"`
 	// EverSeen and SweepSeen are the failure sets, in canonical
-	// (chip, bank, row, col) order so the encoding is deterministic.
-	EverSeen  []memctl.BitAddr `json:"ever_seen"`
-	SweepSeen []memctl.BitAddr `json:"sweep_seen"`
+	// (chip, bank, row, col) order. Each serializes as one string, the
+	// base64 of its memctl.AppendAddrs encoding.
+	EverSeen  memctl.AddrList `json:"ever_seen"`
+	SweepSeen memctl.AddrList `json:"sweep_seen"`
 	// Quarantined chips, ascending.
 	Quarantined []int `json:"quarantined,omitempty"`
 	// Retries and DegradedEpochs carry the resilience totals across

@@ -431,7 +431,7 @@ func IsTransient(err error) bool { return memctl.IsTransient(err) }
 // reporting ok=false when the error carries none.
 func FaultedChips(err error) ([]int, bool) { return memctl.FaultedChips(err) }
 
-// Checkpoint is a parbor/checkpoint/v1 snapshot of an online sweep:
+// Checkpoint is a parbor/checkpoint/v2 snapshot of an online sweep:
 // scheduler state plus per-chip simulation clocks, sufficient to
 // resume the sweep bit-identically on a module rebuilt from the same
 // configuration and seed.
