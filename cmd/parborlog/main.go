@@ -13,10 +13,11 @@
 //	parborlog -dir /var/lib/parbord/log -gc 4        # drop all but 4 newest segments
 //
 // -mem-budget bounds the classifier's in-memory key set; past it,
-// sorted runs spill to -spill (default: a temp dir) and are k-way
-// merged, so a log of any size classifies in bounded memory. The
-// segments are scanned on up to GOMAXPROCS workers, which share the
-// budget rather than each taking a copy of it. The
+// sorted runs spill to -spill (default: a temp dir) and are merged, so
+// a log of any size classifies in bounded memory. The segments are
+// scanned on up to GOMAXPROCS workers, which share the budget rather
+// than each taking a copy of it; a sealed segment whose summary
+// matches it is merged from the summary instead of being decoded. The
 // rollup is a pure function of the event set: order, duplicated
 // replays, segment boundaries, and the memory budget cannot change a
 // byte of the output.
@@ -30,6 +31,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"parbor/internal/faultfs"
 	"parbor/internal/fleetlog"
@@ -60,7 +63,12 @@ func main() {
 	if *gc >= 0 {
 		opts.gc, opts.gcOn = *gc, true
 	}
-	if err := run(context.Background(), opts, os.Stdout); err != nil {
+	// SIGINT and SIGTERM stop a rollup's scan and merge workers; the
+	// spill runs are removed before run returns.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, opts, os.Stdout)
+	stop()
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "parborlog: %v\n", err)
 		os.Exit(1)
 	}
@@ -101,7 +109,7 @@ func run(ctx context.Context, opts options, stdout io.Writer) error {
 	case opts.gcOn:
 		return runGC(opts, stdout)
 	default:
-		return runRollup(opts, stdout)
+		return runRollup(ctx, opts, stdout)
 	}
 }
 
@@ -123,8 +131,8 @@ func runGC(opts options, stdout io.Writer) error {
 
 // runRollup streams the log through the out-of-core classifier and
 // prints the rollup.
-func runRollup(opts options, stdout io.Writer) error {
-	r, err := fleetlog.Analyze(opts.dir, fleetlog.ClassifierConfig{
+func runRollup(ctx context.Context, opts options, stdout io.Writer) error {
+	r, err := fleetlog.Analyze(ctx, opts.dir, fleetlog.ClassifierConfig{
 		MaxKeys:  opts.memBudget,
 		SpillDir: opts.spill,
 	})

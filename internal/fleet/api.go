@@ -105,7 +105,8 @@ func (d *Daemon) Handler() http.Handler {
 			writeError(w, http.StatusNotFound, errors.New("fleet: no event log configured (run with -log-dir)"))
 			return
 		}
-		ru, err := d.analytics()
+		// A client that disconnects cancels its query.
+		ru, err := d.analytics(r.Context())
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err)
 			return

@@ -201,11 +201,11 @@ func (d *Daemon) Close() error {
 // out-of-core counterpart of Rollup, covering every epoch ever logged
 // to LogDir (including by earlier daemon incarnations) rather than the
 // currently enrolled fleet's live state.
-func (d *Daemon) analytics() (*fleetlog.Rollup, error) {
+func (d *Daemon) analytics(ctx context.Context) (*fleetlog.Rollup, error) {
 	if d.cfg.LogDir == "" {
 		return nil, fmt.Errorf("fleet: no event log configured")
 	}
-	return fleetlog.Analyze(d.cfg.LogDir, fleetlog.ClassifierConfig{FS: d.fsys})
+	return fleetlog.Analyze(ctx, d.cfg.LogDir, fleetlog.ClassifierConfig{FS: d.fsys})
 }
 
 // Quiesce blocks until no module wants another quantum.

@@ -240,7 +240,7 @@ func TestEveryFaultPointCrashSweep(t *testing.T) {
 			}
 
 			// The healed log covers the full sweep for both modules.
-			lr, err := fleetlog.Analyze(logDir, fleetlog.ClassifierConfig{})
+			lr, err := fleetlog.Analyze(t.Context(), logDir, fleetlog.ClassifierConfig{})
 			if err != nil {
 				t.Fatalf("%s: analyzing healed log: %v", name, err)
 			}
@@ -349,7 +349,7 @@ func TestLogDegradedServingAndRecovery(t *testing.T) {
 
 	// Nothing was lost: the recovered log classifies identically to
 	// the live fleet.
-	lr, err := fleetlog.Analyze(logDir, fleetlog.ClassifierConfig{})
+	lr, err := fleetlog.Analyze(t.Context(), logDir, fleetlog.ClassifierConfig{})
 	if err != nil {
 		t.Fatalf("analyzing recovered log: %v", err)
 	}
@@ -583,7 +583,7 @@ func TestDiskChaosSoakOracle(t *testing.T) {
 		t.Fatalf("no events survived; the oracle comparison is vacuous")
 	}
 
-	got, err := fleetlog.Analyze(logDir, fleetlog.ClassifierConfig{MaxKeys: 16, SpillDir: t.TempDir()})
+	got, err := fleetlog.Analyze(t.Context(), logDir, fleetlog.ClassifierConfig{MaxKeys: 16, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("streaming rollup of surviving log: %v", err)
 	}

@@ -159,7 +159,7 @@ func TestSoakThousandModulesDrainResume(t *testing.T) {
 	// spill-and-merge at this scale) must reproduce the live rollup
 	// exactly: same failing cells, same fault-mode split, all 4,000
 	// epochs accounted for, no torn tails from a graceful drain.
-	lr, err := fleetlog.Analyze(logDir, fleetlog.ClassifierConfig{MaxKeys: 1 << 12, SpillDir: t.TempDir()})
+	lr, err := fleetlog.Analyze(t.Context(), logDir, fleetlog.ClassifierConfig{MaxKeys: 1 << 12, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("analyzing event log: %v", err)
 	}

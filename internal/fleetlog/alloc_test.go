@@ -1,7 +1,6 @@
 package fleetlog
 
 import (
-	"encoding/binary"
 	"io"
 	"slices"
 	"testing"
@@ -93,21 +92,26 @@ func TestNextIntoReusesEvent(t *testing.T) {
 
 // TestSpillBufferGrowsOnce: the in-memory key buffer starts small,
 // grows once straight to the budget when it first fills, and is then
-// reused by every run, while merge still yields each distinct key once.
+// reused by every run, while the merge still counts each distinct key
+// once.
 func TestSpillBufferGrowsOnce(t *testing.T) {
 	const limit = 2*initialKeys + 1000
-	s := newSpillSet(faultfs.OS{}, limit, t.TempDir(), "t")
+	c, err := newSerialClassifier(ClassifierConfig{MaxKeys: limit, SpillDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.close()
+	s := &c.shards[0].b.epochs
 	if cap(s.mem) != initialKeys {
 		t.Fatalf("fresh buffer holds %d keys, want %d", cap(s.mem), initialKeys)
 	}
 	const distinct = limit + limit/2
 	var base *spillKey
 	for i := 0; i < 2*distinct; i++ {
-		// Every key twice, far apart, so duplicates straddle spills.
+		// Every epoch key twice, far apart, so duplicates straddle
+		// spills.
 		v := uint32(i*7919) % distinct
-		var k spillKey
-		binary.BigEndian.PutUint32(k[keyBytes-4:], v)
-		if err := s.add(k); err != nil {
+		if err := c.observe(Event{Module: "m", Epoch: int(v)}); err != nil {
 			t.Fatal(err)
 		}
 		if i == initialKeys {
@@ -120,22 +124,15 @@ func TestSpillBufferGrowsOnce(t *testing.T) {
 			t.Fatalf("key %d: the buffer was reallocated after growing to the budget", i)
 		}
 	}
-	if len(s.runs) < 2 {
-		t.Fatalf("%d runs spilled; the reuse check is vacuous", len(s.runs))
+	if runs := len(c.shards[0].runs); runs < 2 {
+		t.Fatalf("%d runs spilled; the reuse check is vacuous", runs)
 	}
-	next := uint32(0)
-	err := mergeSets([]*spillSet{s}, func(k spillKey) error {
-		if v := binary.BigEndian.Uint32(k[keyBytes-4:]); v != next {
-			t.Fatalf("merge yielded %d, want %d", v, next)
-		}
-		next++
-		return nil
-	})
+	r, err := c.finish(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next != distinct {
-		t.Fatalf("merge yielded %d distinct keys, want %d", next, distinct)
+	if r.Epochs != distinct {
+		t.Fatalf("merge counted %d distinct epochs, want %d", r.Epochs, distinct)
 	}
 }
 

@@ -61,30 +61,24 @@ func BenchmarkClassifyForcedSpill(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if runs := len(c.shards[0].obs.runs); runs < 2 {
-			b.Fatalf("%d observation runs spilled, want at least 2", runs)
+		if runs := len(c.shards[0].runs); runs < 2 {
+			b.Fatalf("%d runs spilled, want at least 2", runs)
 		}
-		if _, err := c.finish(); err != nil {
+		if _, err := c.finish(b.Context()); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkAnalyze classifies a whole multi-segment log directory,
-// analytics-shaped (analyticsWeakCells, epoch by epoch, about 1% of
-// events replayed): segment reads, decode, key packing, the per-worker
-// sorts and the merge, on min(GOMAXPROCS, segments) scan workers.
-func BenchmarkAnalyze(b *testing.B) {
-	const epochs = 20
+// analyticsEvents is the analytics-shaped event stream the writer and
+// Analyze benchmarks log: analyticsWeakCells, epoch by epoch, each weak
+// cell failing in about half the epochs, and about 1% of events
+// replayed.
+func analyticsEvents(epochs int) []Event {
 	r := rand.New(rand.NewSource(5))
 	weak := analyticsWeakCells(r)
-	dir := b.TempDir()
-	w, err := OpenWriter(dir, WriterOptions{SegmentBytes: 256 << 10})
-	if err != nil {
-		b.Fatal(err)
-	}
-	events := 0
+	var events []Event
 	for epoch := 1; epoch <= epochs; epoch++ {
 		for m, cells := range weak {
 			ev := Event{Module: fmt.Sprintf("log-%05d", m), Epoch: epoch}
@@ -94,16 +88,98 @@ func BenchmarkAnalyze(b *testing.B) {
 				}
 			}
 			for n := 1 + r.Intn(100)/99; n > 0; n-- {
-				if err := w.Append(ev); err != nil {
-					b.Fatal(err)
-				}
-				events++
+				events = append(events, ev)
 			}
+		}
+	}
+	return events
+}
+
+// writeEvents logs events into a fresh directory of segBytes segments.
+func writeEvents(b *testing.B, events []Event, segBytes int64) string {
+	b.Helper()
+	dir := b.TempDir()
+	w, err := OpenWriter(dir, WriterOptions{SegmentBytes: segBytes})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, ev := range events {
+		if err := w.Append(ev); err != nil {
+			b.Fatal(err)
 		}
 	}
 	if err := w.Close(); err != nil {
 		b.Fatal(err)
 	}
+	return dir
+}
+
+// dirBytes sums the sizes of a directory's files with the suffix.
+func dirBytes(b *testing.B, dir, suffix string) int64 {
+	b.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var n int64
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) != suffix {
+			continue
+		}
+		st, err := os.Stat(filepath.Join(dir, e.Name()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n += st.Size()
+	}
+	return n
+}
+
+// BenchmarkWriterAppend logs an analytics-shaped stream (20 epochs of
+// 2,000 modules) into 256 KiB segments and closes the writer: the
+// append path, and each rotation's fsyncs. One op is the whole log.
+func BenchmarkWriterAppend(b *testing.B) {
+	events := analyticsEvents(20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := b.TempDir()
+		b.StartTimer()
+		w, err := OpenWriter(dir, WriterOptions{SegmentBytes: 256 << 10})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, ev := range events {
+			if err := w.Append(ev); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkAnalyze classifies a whole multi-segment log directory,
+// analytics-shaped (analyticsEvents), as every query after the first
+// does: every segment read and its records checksummed, the sealed
+// segments merged from their summaries, the tail decoded, keyed and
+// sorted, and the module-range merge, on min(GOMAXPROCS, segments)
+// scan workers and up to GOMAXPROCS merge workers. It reports the
+// summaries' size per log byte.
+func BenchmarkAnalyze(b *testing.B) { benchAnalyze(b, true) }
+
+// BenchmarkAnalyzeNoSummaries is BenchmarkAnalyze with the summaries
+// removed before every query, as the first query after the segments
+// were sealed finds them: it decodes, keys and sorts every sealed
+// segment into its summary and writes it.
+func BenchmarkAnalyzeNoSummaries(b *testing.B) { benchAnalyze(b, false) }
+
+func benchAnalyze(b *testing.B, summaries bool) {
+	events := analyticsEvents(20)
+	dir := writeEvents(b, events, 256<<10)
 	segs, err := listSegments(faultfs.OS{}, dir)
 	if err != nil {
 		b.Fatal(err)
@@ -111,26 +187,30 @@ func BenchmarkAnalyze(b *testing.B) {
 	if len(segs) < 4 {
 		b.Fatalf("log has %d segments, want at least 4", len(segs))
 	}
-	var size int64
-	for _, s := range segs {
-		st, err := os.Stat(filepath.Join(dir, s))
-		if err != nil {
-			b.Fatal(err)
-		}
-		size += st.Size()
-	}
+	summarize(b, dir)
+	size, sums := dirBytes(b, dir, segSuffix), dirBytes(b, dir, sumSuffix)
 	spill := b.TempDir()
 	b.SetBytes(size)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ru, err := Analyze(dir, ClassifierConfig{SpillDir: spill})
+		if !summaries {
+			b.StopTimer()
+			for _, s := range sumFiles(b, dir) {
+				if err := os.Remove(filepath.Join(dir, s)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+		}
+		ru, err := Analyze(b.Context(), dir, ClassifierConfig{SpillDir: spill})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if ru.Events != events {
-			b.Fatalf("folded %d events, want %d", ru.Events, events)
+		if ru.Events != len(events) {
+			b.Fatalf("folded %d events, want %d", ru.Events, len(events))
 		}
 	}
-	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(float64(sums)/float64(size), "summary-B/log-B")
 }

@@ -1,13 +1,14 @@
 package fleetlog
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
-	"math"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -64,91 +65,70 @@ type Rollup struct {
 
 // ClassifierConfig bounds the classifier's memory.
 type ClassifierConfig struct {
-	// MaxKeys is the in-memory key budget per spill set before a
-	// sorted run is flushed to disk; <= 0 selects 1<<20 (about 20 MiB
-	// of keys per set). Analyze's scan workers share it: each holds a
-	// 1/W share of both sets, so the bound is the same at every worker
-	// count. The differential suite runs it down to a few keys;
-	// results are identical, only spill traffic changes.
+	// MaxKeys is the in-memory key budget per key set (observations,
+	// epochs) before the keys are sorted and spilled as a run; <= 0
+	// selects 1<<20 (about 20 MiB of keys per set). Analyze's scan
+	// workers share it: each holds a 1/W share of both sets, so the
+	// bound is the same at every worker count. The merge's read
+	// windows share MaxKeys*20 bytes. The differential suite runs it
+	// down to a few keys; results are identical, only spill traffic
+	// changes.
 	MaxKeys int
 	// SpillDir holds the temporary sorted runs. Empty selects a fresh
 	// os.MkdirTemp directory that is removed once the rollup is built.
 	SpillDir string
 	// FS is the filesystem seam spill runs and (via Analyze) segment
-	// reads go through; nil selects the real filesystem.
+	// and summary reads go through; nil selects the real filesystem.
 	FS faultfs.FS
 }
 
 // defaultMaxKeys is the key budget MaxKeys <= 0 selects.
 const defaultMaxKeys = 1 << 20
 
-// classifier folds a stream of events into a Rollup with O(modules)
-// heap state: per-event keys go into two deduplicating spill sets
-// ((module, cell, epoch) observations and (module, epoch) pairs), and
-// finish streams their sorted merge through a constant-state group
-// fold. The result is a pure function of the event set — order,
-// duplication, segmentation, and memory budget cannot change a byte
-// of it.
-//
-// Analyze folds into one shard per scan worker, and finish merges
-// every shard's sets the same way whatever their number.
+// classifier folds events into a Rollup with O(modules) heap state.
+// Each shard packs its events' keys ((module, cell, epoch)
+// observations and (module, epoch) pairs) into a runBuilder and spills
+// it as a sorted run (summary.go) whenever a key set fills; finish
+// merges every run, the shards' residues and any segment summaries
+// Analyze found, module by module. The result is a pure function of
+// the event set — order, duplication, segmentation, summaries and
+// memory budget cannot change a byte of it.
 type classifier struct {
+	fsys     faultfs.FS
 	spillDir string
 	ownDir   bool
-	mods     *modTable
+	maxKeys  int
 	shards   []*shard
-	done     bool
+	// sums are the segment summaries Analyze merges instead of
+	// scanning their segments, and sumEvents the records they cover.
+	sums      []*run
+	sumEvents int
+	done      bool
 }
 
-// modTable interns module names into the IDs that lead every key. All
-// of a classifier's shards share one table, so a module has the same
-// ID, and its keys sort alike, whichever worker saw it. Which module
-// gets which ID depends on scheduling, but IDs never reach the rollup:
-// PerModule is sorted by name, and every count is per module or a sum.
-type modTable struct {
-	mu    sync.Mutex
-	ids   map[string]uint32 //parbor:guardedby mu
-	names []string          //parbor:guardedby mu
-}
-
-// intern returns name's ID, assigning the next one on first sight.
-func (t *modTable) intern(name string) (uint32, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if id, ok := t.ids[name]; ok {
-		return id, nil
-	}
-	if len(t.names) >= math.MaxUint32 {
-		return 0, fmt.Errorf("fleetlog: module population overflow")
-	}
-	id := uint32(len(t.names))
-	t.ids[name] = id
-	t.names = append(t.names, name)
-	return id, nil
-}
-
-// list returns the names indexed by ID.
-func (t *modTable) list() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.names
-}
-
-// shard is one scan worker's classifier state: its own two spill sets,
-// a private cache of the shared module table (a warm event takes no
-// lock), and the number of events it folded.
+// shard is one scan worker's classifier state: a builder holding its
+// keys under a 1/n share of the budget, the runs it spilled, and the
+// number of events it folded.
 type shard struct {
-	mods   *modTable
-	ids    map[string]uint32
+	fsys   faultfs.FS
+	dir    string
+	prefix string
+	b      *runBuilder
+	runs   []*run
+	buf    []byte // spill encoding scratch
 	events int
-	obs    *spillSet
-	epochs *spillSet
 }
 
 // newClassifier builds a classifier of n shards, each with a 1/n share
-// of cfg.MaxKeys (which must be at least n) per spill set; call close
+// of cfg.MaxKeys (which must be at least n) per key set; call close
 // if finish is never reached, or spill files leak.
 func newClassifier(cfg ClassifierConfig, n int) (*classifier, error) {
+	if cfg.FS == nil {
+		cfg.FS = faultfs.OS{}
+	}
+	if cfg.MaxKeys <= 0 {
+		cfg.MaxKeys = defaultMaxKeys
+	}
 	dir, own := cfg.SpillDir, false
 	if dir == "" {
 		d, err := os.MkdirTemp("", "fleetlog-spill-")
@@ -157,34 +137,16 @@ func newClassifier(cfg ClassifierConfig, n int) (*classifier, error) {
 		}
 		dir, own = d, true
 	}
-	c := &classifier{
-		spillDir: dir,
-		ownDir:   own,
-		mods:     &modTable{ids: make(map[string]uint32)},
-	}
-	limit := cfg.MaxKeys / n
+	c := &classifier{fsys: cfg.FS, spillDir: dir, ownDir: own, maxKeys: cfg.MaxKeys}
 	for i := range n {
 		c.shards = append(c.shards, &shard{
-			mods:   c.mods,
-			ids:    make(map[string]uint32),
-			obs:    newSpillSet(cfg.FS, limit, dir, fmt.Sprintf("w%d-obs", i)),
-			epochs: newSpillSet(cfg.FS, limit, dir, fmt.Sprintf("w%d-epoch", i)),
+			fsys:   cfg.FS,
+			dir:    dir,
+			prefix: fmt.Sprintf("w%d", i),
+			b:      newRunBuilder(cfg.MaxKeys / n),
 		})
 	}
 	return c, nil
-}
-
-// modID interns a module name through the shard's cache.
-func (s *shard) modID(name string) (uint32, error) {
-	if id, ok := s.ids[name]; ok {
-		return id, nil
-	}
-	id, err := s.mods.intern(name)
-	if err != nil {
-		return 0, err
-	}
-	s.ids[name] = id
-	return id, nil
 }
 
 // Key packing: big-endian fields so bytewise order equals tuple
@@ -208,33 +170,80 @@ func packEpoch(mod, epoch uint32) spillKey {
 	return k
 }
 
-// observe folds one event into the shard; the shard keeps nothing of
-// ev but the module name, and strings are immutable.
+// observe folds one event into the shard, spilling the builder as a
+// run whenever a key set fills; the shard keeps nothing of ev but the
+// module name, and strings are immutable.
 func (s *shard) observe(ev *Event) error {
-	if ev.Module == "" {
-		return fmt.Errorf("fleetlog: event with empty module id")
+	if err := checkEvent(ev); err != nil {
+		return err
 	}
-	if ev.Epoch < 0 || ev.Epoch > math.MaxUint32 {
-		return fmt.Errorf("fleetlog: module %s: epoch %d out of range", ev.Module, ev.Epoch)
-	}
-	mod, err := s.modID(ev.Module)
+	mod, err := s.b.modID(ev.Module)
 	if err != nil {
 		return err
 	}
 	epoch := uint32(ev.Epoch)
-	if err := s.epochs.add(packEpoch(mod, epoch)); err != nil {
-		return err
+	if s.b.epochs.add(packEpoch(mod, epoch)) {
+		if err := s.spill(); err != nil {
+			return err
+		}
 	}
 	for _, a := range ev.Fails {
-		if a.Chip < 0 || a.Bank < 0 || a.Row < 0 || a.Col < 0 {
-			return fmt.Errorf("fleetlog: module %s: negative failure coordinate %+v", ev.Module, a)
-		}
-		if err := s.obs.add(packObs(mod, a, epoch)); err != nil {
-			return err
+		if s.b.obs.add(packObs(mod, a, epoch)) {
+			if err := s.spill(); err != nil {
+				return err
+			}
 		}
 	}
 	s.events++
 	return nil
+}
+
+// spill sorts the builder's keys and writes them as one run file.
+func (s *shard) spill() error {
+	s.buf = s.b.appendRun(s.buf[:0], runMeta{})
+	h, err := decodeRunHeader(s.buf)
+	if err != nil {
+		return fmt.Errorf("fleetlog: encoding spill run: %w", err)
+	}
+	// The spill dir is scratch space the caller merely names (e.g.
+	// parborlog -spill); create it on first use rather than demanding
+	// it exists.
+	if err := s.fsys.MkdirAll(s.dir, 0o755); err != nil {
+		return fmt.Errorf("fleetlog: creating spill dir: %w", err)
+	}
+	path := filepath.Join(s.dir, fmt.Sprintf("%s-%06d.run", s.prefix, len(s.runs)))
+	f, err := s.fsys.Create(path)
+	if err != nil {
+		return fmt.Errorf("fleetlog: creating spill run: %w", err)
+	}
+	_, err = f.Write(s.buf)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		// A partial run never reaches s.runs, so close would not find
+		// it: remove it here, or a caller-named spill dir keeps it.
+		//parbor:droperr best-effort removal of a scratch run that already failed; the write error is what the caller needs
+		s.fsys.Remove(path)
+		return fmt.Errorf("fleetlog: writing spill run: %w", err)
+	}
+	s.runs = append(s.runs, &run{hdr: h, path: path})
+	return nil
+}
+
+// seal sorts the builder's residue into an in-memory run. A scan
+// worker seals its shard before it returns, so the sorts run on every
+// worker rather than serially in finish; finish seals the rest.
+func (s *shard) seal() {
+	if s.b.empty() {
+		return
+	}
+	data := s.b.appendRun(nil, runMeta{})
+	h, err := decodeRunHeader(data)
+	if err != nil {
+		panic("fleetlog: a run just encoded does not decode: " + err.Error())
+	}
+	s.runs = append(s.runs, &run{hdr: h, data: memReaderAt(data)})
 }
 
 // bankAgg is the fault-mode fold over one (chip, bank) group of
@@ -301,130 +310,16 @@ func CountModes(fails []memctl.BitAddr, into map[string]int) {
 	}
 }
 
-// finish merges every shard's spill sets and folds the sorted streams
-// into the rollup. The classifier is consumed.
-func (c *classifier) finish() (*Rollup, error) {
-	if c.done {
-		return nil, fmt.Errorf("fleetlog: classifier already finished")
-	}
-	c.done = true
-	defer c.close()
-
-	names := c.mods.list()
-	events := 0
-	var obs, epochs []*spillSet
-	for _, s := range c.shards {
-		events += s.events
-		obs = append(obs, s.obs)
-		epochs = append(epochs, s.epochs)
-	}
-
-	// Distinct completed epochs per module.
-	epochCount := make(map[uint32]int, len(names))
-	if err := mergeSets(epochs, func(k spillKey) error {
-		epochCount[binary.BigEndian.Uint32(k[0:4])]++
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Group fold over (module, chip, bank, row, col, epoch)-sorted
-	// observations: constant state — the current cell run and the
-	// current bank group.
-	perMod := make(map[uint32]*ModuleRollup, len(names))
-	get := func(mod uint32) *ModuleRollup {
-		mr := perMod[mod]
-		if mr == nil {
-			mr = &ModuleRollup{Module: names[mod]}
-			perMod[mod] = mr
-		}
-		return mr
-	}
-	var (
-		prev       spillKey
-		have       bool
-		addrEpochs int
-		bank       bankAgg
-	)
-	sameAddr := func(a, b spillKey) bool { return [16]byte(a[:16]) == [16]byte(b[:16]) }
-	sameBank := func(a, b spillKey) bool { return [8]byte(a[:8]) == [8]byte(b[:8]) }
-	endAddr := func(k spillKey) {
-		mr := get(binary.BigEndian.Uint32(k[0:4]))
-		mr.Failures++
-		mr.Observations += addrEpochs
-		if addrEpochs >= 2 {
-			mr.Permanent++
-		} else {
-			mr.Transient++
-		}
-		bank.addAddr(int32(binary.BigEndian.Uint32(k[8:12])), int32(binary.BigEndian.Uint32(k[12:16])))
-	}
-	endBank := func(k spillKey) {
-		mr := get(binary.BigEndian.Uint32(k[0:4]))
-		if mr.ByMode == nil {
-			mr.ByMode = make(map[string]int)
-		}
-		mr.ByMode[bank.mode()]++
-		bank.reset()
-	}
-	bank.reset()
-	if err := mergeSets(obs, func(k spillKey) error {
-		if have && !sameAddr(prev, k) {
-			endAddr(prev)
-			if !sameBank(prev, k) {
-				endBank(prev)
-			}
-			addrEpochs = 0
-		}
-		addrEpochs++
-		prev, have = k, true
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if have {
-		endAddr(prev)
-		endBank(prev)
-	}
-
-	// Assemble: every module that appeared in any event is listed,
-	// failing or not, sorted by name below.
-	r := &Rollup{Schema: RollupSchema, Events: events, Modules: len(names)}
-	r.PerModule = make([]ModuleRollup, 0, len(names))
-	for id := range names {
-		mr := perMod[uint32(id)]
-		if mr == nil {
-			mr = &ModuleRollup{Module: names[id]}
-		}
-		mr.Epochs = epochCount[uint32(id)]
-		r.Epochs += mr.Epochs
-		r.Failures += mr.Failures
-		r.Observations += mr.Observations
-		r.Transient += mr.Transient
-		r.Permanent += mr.Permanent
-		if mr.Failures > 0 {
-			r.FailingModules++
-		}
-		for mode, n := range mr.ByMode {
-			if r.ByMode == nil {
-				r.ByMode = make(map[string]int)
-			}
-			r.ByMode[mode] += n
-		}
-		r.PerModule = append(r.PerModule, *mr)
-	}
-	sort.Slice(r.PerModule, func(i, j int) bool { return r.PerModule[i].Module < r.PerModule[j].Module })
-	if len(r.PerModule) == 0 {
-		r.PerModule = nil
-	}
-	return r, nil
-}
-
 // close releases spill state. Idempotent; finish calls it.
 func (c *classifier) close() {
 	for _, s := range c.shards {
-		s.obs.cleanup()
-		s.epochs.cleanup()
+		for _, r := range s.runs {
+			if r.path != "" {
+				//parbor:droperr best-effort removal of a scratch spill run
+				c.fsys.Remove(r.path)
+			}
+		}
+		s.runs = nil
 	}
 	if c.ownDir && c.spillDir != "" {
 		os.RemoveAll(c.spillDir)
@@ -435,11 +330,19 @@ func (c *classifier) close() {
 // Analyze classifies a whole log directory: the offline half of the
 // analytics pipeline (parborlog, and the daemon's /v1/analytics
 // endpoint). It scans the segments on min(GOMAXPROCS, segments,
-// MaxKeys) workers, each folding whole segments into its own shard,
-// and finish merges the shards. The rollup is the one a single
+// MaxKeys) workers. Every record of every segment is read and its
+// checksum verified; a segment whose summary matches that walk (same
+// byte length, record count and record-CRC digest) contributes its
+// summary's sorted runs. A sealed segment (any but the last) without
+// one gets one written from the walk, which this query merges too; the
+// last segment, and a segment whose summary cannot be written, is
+// decoded and keyed into the worker's shard. finish then merges on up
+// to GOMAXPROCS
+// workers over disjoint module ranges. The rollup is the one a single
 // classifier fed the log in order would give; so is the error, the
-// lowest-numbered failing segment's.
-func Analyze(dir string, cfg ClassifierConfig) (*Rollup, error) {
+// lowest-numbered failing segment's. Once ctx is done the workers stop
+// and Analyze returns ctx.Err(), with its spill runs removed.
+func Analyze(ctx context.Context, dir string, cfg ClassifierConfig) (*Rollup, error) {
 	if cfg.FS == nil {
 		cfg.FS = faultfs.OS{}
 	}
@@ -455,7 +358,11 @@ func Analyze(dir string, cfg ClassifierConfig) (*Rollup, error) {
 		return nil, err
 	}
 	defer c.close()
-	sc := &scan{fsys: cfg.FS, dir: dir, segs: segs, torn: make([]bool, len(segs)), errs: make([]error, len(segs))}
+	sc := &scan{
+		ctx: ctx, fsys: cfg.FS, dir: dir, segs: segs,
+		torn: make([]bool, len(segs)), errs: make([]error, len(segs)),
+		sums: make([]*run, len(segs)), records: make([]int, len(segs)),
+	}
 	sc.stop.Store(int64(len(segs)))
 	var wg sync.WaitGroup
 	for _, sh := range c.shards {
@@ -466,12 +373,21 @@ func Analyze(dir string, cfg ClassifierConfig) (*Rollup, error) {
 		}()
 	}
 	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	for _, err := range sc.errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	r, err := c.finish()
+	for i, r := range sc.sums {
+		if r != nil {
+			c.sums = append(c.sums, r)
+			c.sumEvents += sc.records[i]
+		}
+	}
+	r, err := c.finish(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -490,30 +406,195 @@ func Analyze(dir string, cfg ClassifierConfig) (*Rollup, error) {
 // since one of them may fail too. The lowest error is thus the one a
 // serial scan would meet first, at every worker count.
 type scan struct {
+	ctx  context.Context
 	fsys faultfs.FS
 	dir  string
 	segs []string
 	next atomic.Int64
 	stop atomic.Int64
-	// torn and errs are indexed by segment; each slot is written by the
+	// The slices are indexed by segment; each slot is written by the
 	// one worker that claimed the segment and read after all are done.
 	torn []bool
 	errs []error
+	// sums holds a segment's summary when it matched the segment, and
+	// records the records that walk counted.
+	sums    []*run
+	records []int
 }
 
-// work claims and folds segments until none is left below stop, then
-// seals the shard's residues so the merge finds them sorted.
+// ctxStride is how many records a scan worker reads between checks of
+// its context.
+const ctxStride = 4096
+
+// work claims and folds segments until none is left below stop or the
+// context is done, then seals the shard's residue so the merge finds
+// it sorted.
 func (sc *scan) work(sh *shard) {
 	var ev Event
-	for {
+	var fl filler
+	for sc.ctx.Err() == nil {
 		i := sc.next.Add(1) - 1
 		if i >= sc.stop.Load() {
 			break
 		}
-		sc.segment(int(i), sh, &ev)
+		if !sc.summarized(int(i), &fl) {
+			sc.segment(int(i), sh, &ev)
+		}
 	}
-	sh.obs.seal()
-	sh.epochs.seal()
+	if sc.ctx.Err() == nil {
+		sh.seal()
+	}
+}
+
+// filler is a scan worker's scratch for reading summaries and writing
+// missing ones, reused from segment to segment.
+type filler struct {
+	sum  []byte
+	recs []byte
+	b    sumBuilder
+}
+
+// read reads the summary at path into fl.sum.
+func (fl *filler) read(fsys faultfs.FS, path string) error {
+	f, err := fsys.Open(path)
+	if err != nil {
+		return err
+	}
+	//parbor:droperr read-side close of a summary that is checked before use
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	fl.sum = slices.Grow(fl.sum[:0], int(st.Size()))[:st.Size()]
+	_, err = io.ReadFull(f, fl.sum)
+	return err
+}
+
+// summarized walks segment i's records, verifying each checksum and
+// folding the record CRCs into a digest, and reports whether the
+// segment is done with. It is done if its summary decodes and matches
+// the walk (recorded in sums), if reading the segment failed (recorded
+// in errs), or if it is sealed — any segment but the last — and the
+// walk wrote it a summary, replacing a missing, malformed or stale one.
+// A torn segment, the last one without a summary, and a summary that
+// cannot be written leave the segment to a decoding scan.
+func (sc *scan) summarized(i int, fl *filler) bool {
+	path := filepath.Join(sc.dir, sumName(segSeq(sc.segs[i])))
+	var h *runHeader
+	if fl.read(sc.fsys, path) == nil {
+		h, _ = checkRun(fl.sum)
+	}
+	sealed := i < len(sc.segs)-1
+	if h == nil && !sealed {
+		return false
+	}
+	meta, ok := sc.walk(i, fl, h == nil)
+	switch {
+	case !ok:
+		return sc.errs[i] != nil || sc.ctx.Err() != nil
+	case h != nil && h.meta == meta:
+		sc.sums[i] = &run{hdr: h, path: path}
+	case !sealed:
+		return false
+	case h != nil:
+		// A stale summary: walk again, keeping the records.
+		if meta, ok = sc.walk(i, fl, true); !ok {
+			return sc.errs[i] != nil || sc.ctx.Err() != nil
+		}
+		fallthrough
+	default:
+		if h = fl.write(sc.fsys, path, meta); h == nil {
+			return false
+		}
+		sc.sums[i] = &run{hdr: h, path: path}
+	}
+	sc.records[i] = int(meta.records)
+	return true
+}
+
+// walk reads segment i's records through walkSegment, recording a
+// failed read in errs. It reports false for a torn segment, a failed
+// read or a done context.
+func (sc *scan) walk(i int, fl *filler, keep bool) (runMeta, bool) {
+	meta, err := fl.walkSegment(sc.fsys, filepath.Join(sc.dir, sc.segs[i]), keep, func() bool { return sc.ctx.Err() != nil })
+	if _, torn := err.(errTorn); err != nil && !torn && err != errStopped {
+		sc.fail(i, err)
+	}
+	return meta, err == nil
+}
+
+// errStopped ends a walk whose stop function fired.
+var errStopped = fmt.Errorf("fleetlog: walk stopped")
+
+// walkSegment reads a segment's records, verifying their checksums,
+// and returns the segment's meta; with keep, it also copies the framed
+// records into fl.recs. It returns an errTorn for a torn segment,
+// errStopped once stop (which may be nil) reports true, and any other
+// failure to read the segment.
+func (fl *filler) walkSegment(fsys faultfs.FS, path string, keep bool, stop func() bool) (runMeta, error) {
+	meta := runMeta{digest: digestSeed}
+	sr, err := openSegment(fsys, path)
+	if err != nil {
+		return meta, err
+	}
+	//parbor:droperr read-side close of a segment whose records are verified or whose error is returned
+	defer sr.close()
+	fl.recs = fl.recs[:0]
+	if keep {
+		fl.recs = slices.Grow(fl.recs, int(sr.size))
+	}
+	for {
+		payload, err := sr.record()
+		if err == errSegEnd {
+			meta.segBytes = uint64(sr.size)
+			return meta, nil
+		}
+		if err != nil {
+			return meta, err
+		}
+		if keep {
+			fl.recs = binary.AppendUvarint(fl.recs, uint64(len(payload)))
+			fl.recs = append(fl.recs, payload...)
+			fl.recs = binary.LittleEndian.AppendUint32(fl.recs, sr.crc)
+		}
+		meta.records++
+		meta.digest = digestAdd(meta.digest, sr.crc)
+		if stop != nil && meta.records%ctxStride == 0 && stop() {
+			return meta, errStopped
+		}
+	}
+}
+
+// write builds the summary of the records in fl.recs, writes it to
+// path and returns its header, or nil if the records hold an event the
+// classifier rejects or the file cannot be written. The write is best
+// effort and unsynced: a summary is a cache of its segment, and a torn
+// or lost one is rebuilt by the next Analyze.
+func (fl *filler) write(fsys faultfs.FS, path string, meta runMeta) *runHeader {
+	parts, err := fl.b.build(fl.recs, meta)
+	if err != nil {
+		return nil
+	}
+	h := fl.b.enc.header(meta)
+	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil
+	}
+	for _, part := range parts {
+		if err == nil {
+			_, err = f.Write(part)
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		//parbor:droperr best-effort removal of a partial summary, which the next Analyze rejects and rebuilds anyway
+		fsys.Remove(path)
+		return nil
+	}
+	return h
 }
 
 // segment folds segment i into sh, decoding into the worker's reused
@@ -525,14 +606,17 @@ func (sc *scan) segment(i int, sh *shard, ev *Event) {
 		sc.fail(i, err)
 		return
 	}
-	for err == nil {
+	for n := 1; err == nil; n++ {
 		if err = sr.event(ev); err == nil {
 			err = sh.observe(ev)
+		}
+		if n%ctxStride == 0 && sc.ctx.Err() != nil {
+			break
 		}
 	}
 	if _, torn := err.(errTorn); torn {
 		sc.torn[i] = true
-	} else if err != errSegEnd {
+	} else if err != nil && err != errSegEnd {
 		// Stop the other workers before releasing the segment.
 		sc.fail(i, err)
 	}

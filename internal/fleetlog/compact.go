@@ -20,7 +20,9 @@ type CompactStats struct {
 
 // Compact rewrites a log directory into a fresh one: every intact
 // record is re-encoded canonically into new segments of the requested
-// size, and torn tails are dropped (they carry no recoverable data).
+// size, each sealed one with its summary (best effort, as Analyze
+// writes them), and torn tails are dropped (they carry no recoverable
+// data).
 // The source is untouched; dst must not already contain segments, so
 // a half-finished compaction cannot be mistaken for a complete one.
 // Both sides go through opts.FS.
@@ -73,11 +75,22 @@ func Compact(srcDir, dstDir string, opts WriterOptions) (CompactStats, error) {
 		return st, err
 	}
 	st.SegmentsOut = len(outSegs)
+	// Every segment but the last is sealed: summarize it now, as the
+	// first Analyze of the log otherwise would.
+	var fl filler
+	for _, seg := range outSegs[:max(0, len(outSegs)-1)] {
+		meta, err := fl.walkSegment(fsys, filepath.Join(dstDir, seg), true, nil)
+		if err != nil {
+			return st, err
+		}
+		fl.write(fsys, filepath.Join(dstDir, sumName(segSeq(seg))), meta)
+	}
 	return st, nil
 }
 
 // GC removes the oldest segments of a log directory beyond a
-// retention count, returning the filenames it deleted. The newest
+// retention count, each with its summary, returning the segment
+// filenames it deleted. The newest
 // keep segments survive, and the active tail segment (the
 // highest-numbered one, which a live Writer may still be appending
 // to) is never removed even when keep <= 0. GC is the retention
@@ -98,6 +111,13 @@ func GC(fsys faultfs.FS, dir string, keep int) ([]string, error) {
 	}
 	var removed []string
 	for _, name := range segs[:len(segs)-keep] {
+		// The summary goes first: a crash between the two removals
+		// leaves a segment without a summary, which Analyze scans,
+		// rather than a summary without a segment.
+		sum := sumName(segSeq(name))
+		if err := fsys.Remove(filepath.Join(dir, sum)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return removed, fmt.Errorf("fleetlog: removing %s: %w", sum, err)
+		}
 		if err := fsys.Remove(filepath.Join(dir, name)); err != nil {
 			return removed, fmt.Errorf("fleetlog: removing %s: %w", name, err)
 		}

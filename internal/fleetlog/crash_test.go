@@ -2,11 +2,14 @@ package fleetlog
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"parbor/internal/faultfs"
 	"parbor/internal/memctl"
 )
 
@@ -107,5 +110,129 @@ func TestTornWriteEveryByteBoundary(t *testing.T) {
 		if len(truncs) != 0 {
 			t.Fatalf("%s: recovered log still reports truncations: %+v", label, truncs)
 		}
+	}
+}
+
+// rotatingScenario logs events through a writer of tiny segments on
+// fsys, with a Sync halfway, closes it, and analyzes the log: every
+// rotation syncs and closes a segment, syncs the directory and creates
+// the next, and the analysis writes every sealed segment's summary.
+func rotatingScenario(t *testing.T, fsys faultfs.FS, dir string, events []Event) error {
+	w, err := OpenWriter(dir, WriterOptions{FS: fsys, SegmentBytes: 200, RetryAttempts: 1})
+	if err != nil {
+		return err
+	}
+	for i, ev := range events {
+		if err := w.Append(ev); err != nil {
+			w.Close()
+			return err
+		}
+		if i == len(events)/2 {
+			if err := w.Sync(); err != nil {
+				w.Close()
+				return err
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
+		return err
+	}
+	_, err = Analyze(t.Context(), dir, ClassifierConfig{FS: fsys, SpillDir: t.TempDir()})
+	return err
+}
+
+// canonical is an event's codec bytes, which ignore the order and
+// repeats of its failure list.
+func canonical(t *testing.T, ev Event) string {
+	t.Helper()
+	p, err := appendEvent(nil, ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(p)
+}
+
+// TestRotatingWriterCrashSweep stops the world at every operation of a
+// rotating writer and of the analysis that summarizes its log, fsyncs
+// and summary writes included, on both sides of each and mid-buffer
+// for writes. After every crash the log must hold a prefix of the
+// appended events and analyze to the naive oracle's rollup of what it
+// holds, whatever state the crash left the summaries in; a writer
+// reopened on it must continue the log, which must still analyze to
+// the oracle's rollup. One scan worker keeps the analysis's operation
+// order fixed.
+func TestRotatingWriterCrashSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash sweep skipped in -short mode")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	events := genEvents(rand.New(rand.NewSource(4)), 5, 60)
+	count, err := faultfs.NewInjector(faultfs.OS{}, faultfs.InjectorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rotatingScenario(t, count, t.TempDir(), events); err != nil {
+		t.Fatalf("counting pass: %v", err)
+	}
+	kinds := map[string]int{}
+	for _, op := range count.Trace() {
+		kinds[string(op.Kind)+filepath.Ext(op.Path)]++
+	}
+	if kinds["write.sum"] < 5 || kinds["sync.seg"] < 5 || kinds["syncdir"] < 5 {
+		t.Fatalf("the scenario's trace covers too few summary writes and syncs: %v", kinds)
+	}
+	total := count.Ops()
+	t.Logf("sweeping %d crash points x 3 crash shapes", total)
+	for crashOp := 1; crashOp <= total; crashOp++ {
+		for _, crashByte := range []int{0, 3, 1 << 30} {
+			name := fmt.Sprintf("op%03d/byte%d", crashOp, crashByte)
+			dir := t.TempDir()
+			inj, err := faultfs.NewInjector(faultfs.OS{}, faultfs.InjectorConfig{CrashOp: crashOp, CrashByte: crashByte})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rotatingScenario(t, inj, dir, events) // error expected: the world stopped
+			if !inj.Crashed() {
+				t.Fatalf("%s: crash point never reached", name)
+			}
+
+			got, _ := readAll(t, dir)
+			if len(got) > len(events) {
+				t.Fatalf("%s: the log holds %d events, %d were appended", name, len(got), len(events))
+			}
+			for i := range got {
+				if canonical(t, got[i]) != canonical(t, events[i]) {
+					t.Fatalf("%s: event %d is not the %d-th appended", name, i, i)
+				}
+			}
+			checkAnalyze(t, name, dir)
+
+			w, err := OpenWriter(dir, WriterOptions{SegmentBytes: 200})
+			if err != nil {
+				t.Fatalf("%s: reopening: %v", name, err)
+			}
+			for _, ev := range events[len(got):] {
+				if err := w.Append(ev); err != nil {
+					t.Fatalf("%s: appending after the crash: %v", name, err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatalf("%s: closing after the crash: %v", name, err)
+			}
+			checkAnalyze(t, name+"/reopened", dir)
+		}
+	}
+}
+
+// checkAnalyze asserts Analyze gives the oracle's rollup of the
+// records dir holds.
+func checkAnalyze(t *testing.T, label, dir string) {
+	t.Helper()
+	got, err := Analyze(t.Context(), dir, ClassifierConfig{MaxKeys: 16, SpillDir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("%s: Analyze: %v", label, err)
+	}
+	if g, w := marshal(t, got), marshal(t, logOracle(t, dir)); g != w {
+		t.Fatalf("%s: rollup differs from the oracle's:\ngot  %s\nwant %s", label, g, w)
 	}
 }

@@ -145,7 +145,7 @@ func classifyEvents(t *testing.T, events []Event, cfg ClassifierConfig) *Rollup 
 			t.Fatalf("Observe: %v", err)
 		}
 	}
-	r, err := c.finish()
+	r, err := c.finish(t.Context())
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
@@ -194,7 +194,8 @@ func TestDifferentialOracle(t *testing.T) {
 			diffRollups(t, "doubled vs original set", got, want)
 
 			// Through the log: write, read back, classify — across
-			// segment sizes, so record/segment splits move everywhere.
+			// segment sizes, so record/segment splits move everywhere,
+			// and summary states.
 			for _, segBytes := range []int64{0, 32, 512} {
 				dir := t.TempDir()
 				w, err := OpenWriter(dir, WriterOptions{SegmentBytes: segBytes})
@@ -209,11 +210,22 @@ func TestDifferentialOracle(t *testing.T) {
 				if err := w.Close(); err != nil {
 					t.Fatalf("Close: %v", err)
 				}
-				got, err := Analyze(dir, ClassifierConfig{MaxKeys: 4, SpillDir: t.TempDir()})
+				got, err := Analyze(t.Context(), dir, ClassifierConfig{MaxKeys: 4, SpillDir: t.TempDir()})
 				if err != nil {
 					t.Fatalf("Analyze: %v", err)
 				}
 				diffRollups(t, fmt.Sprintf("segBytes=%d", segBytes), got, want)
+
+				// Every summary state gives the rollup of the records
+				// the log then holds.
+				for _, state := range summaryStates {
+					sdir := withSummaryState(t, dir, state)
+					got, err := Analyze(t.Context(), sdir, ClassifierConfig{MaxKeys: 4, SpillDir: t.TempDir()})
+					if err != nil {
+						t.Fatalf("summaries %s: Analyze: %v", state, err)
+					}
+					diffRollups(t, fmt.Sprintf("segBytes=%d, summaries %s", segBytes, state), got, logOracle(t, sdir))
+				}
 			}
 		})
 	}
@@ -278,7 +290,7 @@ func TestDifferentialMillionEventsSpill(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	got, err := Analyze(dir, ClassifierConfig{MaxKeys: 1 << 16, SpillDir: t.TempDir()})
+	got, err := Analyze(t.Context(), dir, ClassifierConfig{MaxKeys: 1 << 16, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}

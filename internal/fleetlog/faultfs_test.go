@@ -2,8 +2,11 @@ package fleetlog
 
 import (
 	"errors"
+	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -232,7 +235,7 @@ func TestAnalyzeThroughInjectedReadFault(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, aerr := Analyze(dir, ClassifierConfig{FS: inj}); !errors.Is(aerr, faultfs.ErrIO) {
+		if _, aerr := Analyze(t.Context(), dir, ClassifierConfig{FS: inj}); !errors.Is(aerr, faultfs.ErrIO) {
 			t.Fatalf("Analyze over unreadable log: %v, want ErrIO", aerr)
 		}
 	})
@@ -268,6 +271,118 @@ func TestSpillWriteErrorRemovesPartialRun(t *testing.T) {
 		}
 		if len(left) != 0 {
 			t.Fatalf("MaxKeys %d: spill dir keeps %d files after Close, first %s", maxKeys, len(left), left[0].Name())
+		}
+	}
+}
+
+// closeTracer wraps an injector and records, for every close of a
+// file opened for writing, how many operations the injector had traced
+// by then.
+type closeTracer struct {
+	*faultfs.Injector
+	mu     sync.Mutex
+	closes []closeAt
+}
+
+type closeAt struct {
+	path  string
+	after int // injector operations traced before the close
+}
+
+func (c *closeTracer) OpenFile(name string, flag int, perm fs.FileMode) (faultfs.File, error) {
+	f, err := c.Injector.OpenFile(name, flag, perm)
+	if err != nil || flag&(os.O_WRONLY|os.O_RDWR) == 0 {
+		return f, err
+	}
+	return &tracedClose{File: f, c: c, path: name}, nil
+}
+
+type tracedClose struct {
+	faultfs.File
+	c    *closeTracer
+	path string
+}
+
+func (f *tracedClose) Close() error {
+	f.c.mu.Lock()
+	f.c.closes = append(f.c.closes, closeAt{f.path, f.c.Ops()})
+	f.c.mu.Unlock()
+	return f.File.Close()
+}
+
+// TestWriterSyncsSegmentsBeforeClosing: over an injector trace of a
+// rotating writer that is reopened once, every segment handle is
+// closed only after an fsync of that segment that follows its last
+// write, and the directory is fsynced after every segment is created.
+// A drain that persists state after a Sync can then rely on every
+// logged epoch being durable, rotated segments included.
+func TestWriterSyncsSegmentsBeforeClosing(t *testing.T) {
+	inj, err := faultfs.NewInjector(faultfs.OS{}, faultfs.InjectorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys := &closeTracer{Injector: inj}
+	dir := t.TempDir()
+	events := genEvents(rand.New(rand.NewSource(6)), 4, 80)
+	for _, part := range [][]Event{events[:40], events[40:]} {
+		w, err := OpenWriter(dir, WriterOptions{FS: fsys, SegmentBytes: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range part {
+			if err := w.Append(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trace := inj.Trace()
+	segCloses := 0
+	for _, c := range fsys.closes {
+		if filepath.Ext(c.path) != segSuffix {
+			continue
+		}
+		segCloses++
+		lastWrite, synced := 0, false
+		for _, op := range trace[:c.after] {
+			if op.Path != c.path {
+				continue
+			}
+			switch op.Kind {
+			case faultfs.OpWrite, faultfs.OpTruncate:
+				lastWrite, synced = op.Seq, false
+			case faultfs.OpSync:
+				synced = op.Seq > lastWrite
+			}
+		}
+		if !synced {
+			t.Fatalf("%s closed after op %d without a sync after its last write (op %d)", filepath.Base(c.path), c.after, lastWrite)
+		}
+	}
+	if segCloses < 4 {
+		t.Fatalf("only %d segment closes traced; the writer did not rotate", segCloses)
+	}
+	for i, op := range trace {
+		if op.Kind != faultfs.OpOpenFile || filepath.Ext(op.Path) != segSuffix {
+			continue
+		}
+		created := true
+		for _, prev := range trace[:i] {
+			if prev.Path == op.Path {
+				created = false // a reopened tail, not a new segment
+			}
+		}
+		dirSynced := false
+		for _, later := range trace[i+1:] {
+			if later.Kind == faultfs.OpSyncDir && later.Path == dir {
+				dirSynced = true
+				break
+			}
+		}
+		if created && !dirSynced {
+			t.Fatalf("%s was created at op %d and the directory never synced after", filepath.Base(op.Path), op.Seq)
 		}
 	}
 }

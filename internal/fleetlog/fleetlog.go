@@ -11,11 +11,14 @@
 // events back one record at a time — a segment is never materialized —
 // and the classifier keeps O(modules) state, spilling sorted key runs
 // to disk and merging them when a log is too large for its memory
-// budget.
+// budget. The first Analyze to read a sealed segment writes its keys
+// beside it as a summary, which later queries merge instead of
+// decoding the segment again.
 //
-// On-disk layout (see DESIGN.md section 12 for the framing diagram):
+// On-disk layout (see DESIGN.md section 12 for the framing diagrams):
 //
 //	<dir>/00000001.seg, 00000002.seg, ...   rotated at SegmentBytes
+//	<dir>/00000001.sum, ...                 beside each sealed segment
 //
 //	segment = "PBFL" magic (4 bytes) | version (1 byte) | records...
 //	record  = payload length (uvarint) | payload | CRC-32/IEEE of
@@ -27,6 +30,18 @@
 //	          then each failure as four zigzag-uvarint deltas
 //	          (chip, bank, row, col) from the previous one, distinct
 //	          and in canonical ascending order
+//
+//	summary = "PBFS" magic | version | the segment's byte length,
+//	          record count and FNV-1a digest of its record CRCs
+//	          | module names, ascending, with each one's key counts
+//	          and block sizes | every module's distinct epochs
+//	          | every module's distinct cells, each with its distinct
+//	          epochs | CRC-32/IEEE of all before
+//
+// A summary is used only when it decodes strictly and its length,
+// record count and digest match the segment as read; otherwise the
+// segment is decoded, so a missing, torn or stale summary costs time,
+// never a different rollup. Spill runs use the same format.
 //
 // Every record is independently framed, so a torn tail — the daemon
 // killed mid-write, a disk that lied about a flush — truncates cleanly:

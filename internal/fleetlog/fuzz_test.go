@@ -1,6 +1,7 @@
 package fleetlog
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -114,6 +115,28 @@ func FuzzFleetlogReader(f *testing.F) {
 		// truncation.
 		if len(it.Truncations()) > 1 {
 			t.Fatalf("single segment reported %d truncations", len(it.Truncations()))
+		}
+	})
+}
+
+// FuzzFleetlogSummary: the run decoder behind segment summaries and
+// spill runs is strict and never panics. Whatever checkRun accepts
+// re-encodes, through the classifier's run builder, to the identical
+// bytes, so no two accepted runs mean the same keys.
+func FuzzFleetlogSummary(f *testing.F) {
+	sum := summaryOf(f)
+	f.Add(sum)
+	f.Add(sum[:len(sum)/2])
+	f.Add([]byte{})
+	f.Add([]byte(runMagic + "\x01"))
+	f.Add(append([]byte(runMagic+"\x01\x00\x00"), make([]byte, 8)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := checkRun(data)
+		if err != nil {
+			return // rejected input: the only requirement is no panic
+		}
+		if again := reencodeRun(data, h); !bytes.Equal(again, data) {
+			t.Fatalf("accepted run re-encodes differently:\nin  %x\nout %x", data, again)
 		}
 	})
 }

@@ -84,9 +84,11 @@ func marshal(t *testing.T, r *Rollup) string {
 // TestAnalyzeParallelMatchesSerial: the segment-parallel Analyze gives
 // the byte-identical rollup, truncation count included, that one
 // classifier fed the same log serially gives, and that the naive
-// oracle gives, at every worker count and key budget. The log has many
-// small segments, replayed duplicates, and torn tails in two segments
-// in the middle of the log.
+// oracle gives, at every worker count and key budget, with the
+// segment summaries present, absent, torn, stale or mixed. The log has
+// many small segments, replayed duplicates (some in another segment
+// than the event they replay), and torn tails in two segments in the
+// middle of the log.
 func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
 	events := genEvents(r, 12, 400)
@@ -124,14 +126,31 @@ func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("serial classifier and oracle disagree:\nserial %s\noracle %s", want, got)
 	}
 
+	// The same log with its summaries in every state, and the oracle's
+	// rollup of the records each copy holds.
+	if n := straddlingReplays(t, dir); n == 0 {
+		t.Fatal("no replayed event straddles two segments")
+	}
+	// Analyze repairs the summaries it finds wanting, so every run gets
+	// a fresh copy in its state.
+	wants := map[string]string{}
+	for _, state := range summaryStates {
+		wants[state] = marshal(t, logOracle(t, withSummaryState(t, dir, state)))
+	}
+	if wants["present"] != want || wants["absent"] != want {
+		t.Fatalf("copies of the log hold other records:\npresent %s\nabsent  %s\nwant    %s", wants["present"], wants["absent"], want)
+	}
+
 	withGOMAXPROCS(t, []int{1, 2, 8}, func(t *testing.T, procs int) {
-		for _, maxKeys := range []int{4, 64, 0} {
-			got, err := Analyze(dir, ClassifierConfig{MaxKeys: maxKeys, SpillDir: t.TempDir()})
-			if err != nil {
-				t.Fatalf("MaxKeys %d: Analyze: %v", maxKeys, err)
-			}
-			if g := marshal(t, got); g != want {
-				t.Fatalf("MaxKeys %d: parallel rollup differs from serial:\ngot  %s\nwant %s", maxKeys, g, want)
+		for _, state := range summaryStates {
+			for _, maxKeys := range []int{4, 64, 0} {
+				got, err := Analyze(t.Context(), withSummaryState(t, dir, state), ClassifierConfig{MaxKeys: maxKeys, SpillDir: t.TempDir()})
+				if err != nil {
+					t.Fatalf("summaries %s, MaxKeys %d: Analyze: %v", state, maxKeys, err)
+				}
+				if g := marshal(t, got); g != wants[state] {
+					t.Fatalf("summaries %s, MaxKeys %d: parallel rollup differs from serial:\ngot  %s\nwant %s", state, maxKeys, g, wants[state])
+				}
 			}
 		}
 	})
@@ -217,7 +236,7 @@ func TestAnalyzeErrorIsSerialError(t *testing.T) {
 	withGOMAXPROCS(t, []int{1, 2, 4, 8}, func(t *testing.T, procs int) {
 		for rep := 0; rep < 10; rep++ {
 			spill := filepath.Join(t.TempDir(), "spill")
-			_, err := Analyze(dir, ClassifierConfig{MaxKeys: 8, SpillDir: spill})
+			_, err := Analyze(t.Context(), dir, ClassifierConfig{MaxKeys: 8, SpillDir: spill})
 			if err == nil || err.Error() != want.Error() {
 				t.Fatalf("rep %d: Analyze error %v, want the serial scan's %v", rep, err, want)
 			}
@@ -290,7 +309,7 @@ func TestAnalyzeStopsClaimingAfterError(t *testing.T) {
 	}
 	withGOMAXPROCS(t, []int{1, 2, 8}, func(t *testing.T, procs int) {
 		g := &gatedFS{FS: faultfs.OS{}, index: index, bad: bad, closed: make(chan struct{})}
-		if _, err := Analyze(dir, ClassifierConfig{SpillDir: t.TempDir(), FS: g}); err == nil || !strings.Contains(err.Error(), segs[bad]) {
+		if _, err := Analyze(t.Context(), dir, ClassifierConfig{SpillDir: t.TempDir(), FS: g}); err == nil || !strings.Contains(err.Error(), segs[bad]) {
 			t.Fatalf("Analyze error %v, want %s's checksum error", err, segs[bad])
 		}
 		if late := int(g.late.Load()); late > procs-1 {

@@ -45,7 +45,12 @@ type segReader struct {
 	size int64 // file size at open
 	off  int64 // offset of the next unread record
 	buf  []byte
+	crc  uint32 // the last record's checksum
 }
+
+// segReadBuf is a segment reader's buffer: large enough that a scan
+// of a whole log makes few read calls.
+const segReadBuf = 64 << 10
 
 // openSegment opens a segment and validates its header. A file too
 // short to hold the header is reported as torn (a crash can tear the
@@ -62,7 +67,7 @@ func openSegment(fsys faultfs.FS, path string) (*segReader, error) {
 		f.Close()
 		return nil, err
 	}
-	sr := &segReader{name: filepath.Base(path), f: f, br: bufio.NewReader(f), size: st.Size()}
+	sr := &segReader{name: filepath.Base(path), f: f, br: bufio.NewReaderSize(f, segReadBuf), size: st.Size()}
 	hdr := make([]byte, segHeaderLen)
 	if _, err := io.ReadFull(sr.br, hdr); err != nil {
 		if isInjectedFault(err) {
@@ -168,7 +173,18 @@ func (sr *segReader) next() ([]byte, error) {
 		return nil, fmt.Errorf("fleetlog: checksum mismatch at offset %d", sr.off)
 	}
 	sr.off += hdrLen + int64(plen) + 4
+	sr.crc = want
 	return payload, nil
+}
+
+// record is next with any failure but a clean end or a torn tail
+// wrapped with the segment's name.
+func (sr *segReader) record() ([]byte, error) {
+	payload, err := sr.next()
+	if _, torn := err.(errTorn); torn || err == errSegEnd || err == nil {
+		return payload, err
+	}
+	return nil, fmt.Errorf("fleetlog: %s: %w", sr.name, err)
 }
 
 // event decodes the next record into ev. It returns errSegEnd at a
@@ -176,14 +192,11 @@ func (sr *segReader) next() ([]byte, error) {
 // failure (corruption, an undecodable payload, a failed read) wrapped
 // with the segment's name.
 func (sr *segReader) event(ev *Event) error {
-	payload, err := sr.next()
-	if _, torn := err.(errTorn); torn || err == errSegEnd {
+	payload, err := sr.record()
+	if err != nil {
 		return err
 	}
-	if err == nil {
-		err = decodeEventInto(payload, ev)
-	}
-	if err != nil {
+	if err := decodeEventInto(payload, ev); err != nil {
 		return fmt.Errorf("fleetlog: %s: %w", sr.name, err)
 	}
 	return nil

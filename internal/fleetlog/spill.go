@@ -1,17 +1,13 @@
 package fleetlog
 
 import (
-	"bufio"
 	"bytes"
-	"container/heap"
 	"encoding/binary"
 	"fmt"
-	"io"
+	"math"
 	"math/bits"
-	"path/filepath"
 	"slices"
-
-	"parbor/internal/faultfs"
+	"sort"
 )
 
 // The classifier's working set is a *set* of fixed-size sort keys:
@@ -24,122 +20,45 @@ import (
 //
 // keyBytes packs (module uint32, chip uint16, bank uint16, row
 // uint32, col uint32, epoch uint32) big-endian, so bytewise key order
-// equals (module, chip, bank, row, col, epoch) tuple order and the
-// merged stream arrives pre-grouped for the classifier's fold. All
-// packed fields are validated non-negative first.
+// equals (module, chip, bank, row, col, epoch) tuple order: a sorted
+// buffer arrives grouped by module and cell, as the run format
+// (summary.go) lists it. All packed fields are validated non-negative
+// first.
 const keyBytes = 20
 
 type spillKey [keyBytes]byte
 
-// spillSet is a deduplicating set of spillKeys with bounded memory:
-// at most limit keys are held in memory; beyond that they are sorted,
-// deduplicated and flushed to a run file, and mergeSets streams the
-// union of all runs plus the residue of any number of sets in sorted
-// order. Disk usage is O(total distinct-ish keys); memory stays
-// O(limit + runs).
+// spillSet is a flat buffer of spillKeys, duplicates included, that
+// sortedMem sorts and compacts in place: a classifier shard's
+// runBuilder keeps one for observation keys and one for epoch keys.
+// add reports the set full at limit keys, and the shard then spills
+// its builder as a run. The buffer starts at initialKeys and, the
+// first time it fills, grows once straight to limit, which every later
+// run reuses: small streams stay small, and a large one leaves no
+// chain of doubled buffers behind as garbage.
 type spillSet struct {
-	fsys   faultfs.FS
-	limit  int
-	dir    string
-	prefix string
-	// mem is a flat buffer of the keys added since the last spill,
-	// duplicates included: spill and merge sort and compact it in
-	// place. It starts at initialKeys and, the first time it fills,
-	// grows once straight to limit, which every later run reuses:
-	// small streams stay small, and a large one leaves no chain of
-	// doubled buffers behind as garbage.
-	mem  []spillKey
-	runs []string
-	// sealed marks mem as sorted and compacted for the final merge;
-	// nothing is added after that.
-	sealed bool
-	// spilled counts keys written to runs (with cross-run duplicates),
-	// for diagnostics.
-	spilled int
+	limit int
+	mem   []spillKey
 }
 
-func newSpillSet(fsys faultfs.FS, limit int, dir, prefix string) *spillSet {
-	if fsys == nil {
-		fsys = faultfs.OS{}
-	}
-	return &spillSet{
-		fsys:   fsys,
-		limit:  limit,
-		dir:    dir,
-		prefix: prefix,
-		mem:    make([]spillKey, 0, min(limit, initialKeys)),
-	}
+func newSpillSet(limit int) spillSet {
+	return spillSet{limit: limit, mem: make([]spillKey, 0, min(limit, initialKeys))}
 }
 
 // initialKeys is the spill buffer's starting capacity, in keys.
 const initialKeys = 1 << 16
 
-// add inserts a key, spilling the in-memory keys to a run file when
-// the budget is reached. Duplicates count against the budget until
-// the spill removes them, which changes how many runs are written but
-// never the merged set.
-func (s *spillSet) add(k spillKey) error {
+// add appends a key and reports whether the set is now full.
+// Duplicates count against the limit until a sort removes them, which
+// changes how many runs are spilled but never the merged set.
+func (s *spillSet) add(k spillKey) bool {
 	if len(s.mem) == cap(s.mem) && cap(s.mem) < s.limit {
 		grown := make([]spillKey, len(s.mem), s.limit)
 		copy(grown, s.mem)
 		s.mem = grown
 	}
 	s.mem = append(s.mem, k)
-	if len(s.mem) >= s.limit {
-		return s.spill()
-	}
-	return nil
-}
-
-// spill sorts the in-memory keys and writes them as one run.
-func (s *spillSet) spill() error {
-	if len(s.mem) == 0 {
-		return nil
-	}
-	keys := s.sortedMem()
-	// The spill dir is scratch space the caller merely names (e.g.
-	// parborlog -spill); create it on first use rather than demanding
-	// it exists.
-	if err := s.fsys.MkdirAll(s.dir, 0o755); err != nil {
-		return fmt.Errorf("fleetlog: creating spill dir: %w", err)
-	}
-	path := filepath.Join(s.dir, fmt.Sprintf("%s-%06d.run", s.prefix, len(s.runs)))
-	f, err := s.fsys.Create(path)
-	if err != nil {
-		return fmt.Errorf("fleetlog: creating spill run: %w", err)
-	}
-	if err := writeRun(f, keys); err != nil {
-		// A partial run never reaches s.runs, so cleanup would not
-		// find it: remove it here, or a caller-named spill dir keeps it.
-		//parbor:droperr best-effort removal of a scratch run that already failed; the write error is what the caller needs
-		s.fsys.Remove(path)
-		return err
-	}
-	s.runs = append(s.runs, path)
-	s.spilled += len(keys)
-	s.mem = s.mem[:0]
-	return nil
-}
-
-// writeRun writes keys to f and closes it, on every path.
-func writeRun(f faultfs.File, keys []spillKey) error {
-	bw := bufio.NewWriterSize(f, 1<<16)
-	// Slice the keys in place: ranging by value would copy each key
-	// into a variable that escapes through the io.Writer call.
-	for i := range keys {
-		if _, err := bw.Write(keys[i][:]); err != nil {
-			f.Close()
-			return fmt.Errorf("fleetlog: writing spill run: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("fleetlog: flushing spill run: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("fleetlog: closing spill run: %w", err)
-	}
-	return nil
+	return len(s.mem) >= s.limit
 }
 
 // sortedMem sorts and deduplicates the in-memory keys in place and
@@ -148,17 +67,6 @@ func (s *spillSet) sortedMem() []spillKey {
 	radixSort(s.mem, 0)
 	s.mem = slices.Compact(s.mem)
 	return s.mem
-}
-
-// seal sorts and compacts the in-memory residue for the final merge.
-// A scan worker seals its sets before it returns, so the sorts run on
-// every worker rather than serially inside the merge; mergeSets seals
-// whatever is still unsealed.
-func (s *spillSet) seal() {
-	if !s.sealed {
-		s.sortedMem()
-		s.sealed = true
-	}
 }
 
 // radixCutoff is the bucket size at or below which radixSort hands
@@ -249,127 +157,107 @@ func insertionSort(keys []spillKey, depth int) {
 	}
 }
 
-// runCursor is one merge source: a spilled run file or the in-memory
-// residue.
-type runCursor struct {
-	br  *bufio.Reader // nil for the in-memory residue
-	f   faultfs.File
-	mem []spillKey
-	pos int
-	cur spillKey
-	ok  bool
+// runBuilder is a classifier shard's key store: each event's epoch key
+// and observation keys, packed with a builder-local module number into
+// two flat spill sets under the shard's key budget. appendRun sorts
+// them into a run.
+type runBuilder struct {
+	ids    map[string]uint32
+	names  []string
+	obs    spillSet
+	epochs spillSet
+	enc    runEncoder
+	// appendRun scratch, reused across runs.
+	order []uint32
+	rank  []uint32
+	eps   []uint32
 }
 
-func (c *runCursor) advance() error {
-	if c.br == nil {
-		if c.pos >= len(c.mem) {
-			c.ok = false
-			return nil
-		}
-		c.cur = c.mem[c.pos]
-		c.pos++
-		return nil
+// newRunBuilder returns a builder whose spill sets hold limit keys
+// each.
+func newRunBuilder(limit int) *runBuilder {
+	return &runBuilder{
+		ids:    make(map[string]uint32),
+		obs:    newSpillSet(limit),
+		epochs: newSpillSet(limit),
 	}
-	_, err := io.ReadFull(c.br, c.cur[:])
-	if err == io.EOF {
-		c.ok = false
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("fleetlog: reading spill run: %w", err)
-	}
-	return nil
 }
 
-// cursorHeap is a min-heap of merge sources by current key.
-type cursorHeap []*runCursor
-
-func (h cursorHeap) Len() int { return len(h) }
-func (h cursorHeap) Less(i, j int) bool {
-	return bytes.Compare(h[i].cur[:], h[j].cur[:]) < 0
-}
-func (h cursorHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *cursorHeap) Push(x any)   { *h = append(*h, x.(*runCursor)) }
-func (h *cursorHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
-// mergeSets streams the distinct keys of the union of sets in sorted
-// order through yield: one k-way heap merge over every set's run files
-// and sealed residue, with equal keys across sources collapsed. One
-// set is the serial classifier's case; a parallel scan passes every
-// worker's. The sets are consumed, and their run files are removed
-// however the merge ends.
-func mergeSets(sets []*spillSet, yield func(spillKey) error) error {
-	var h cursorHeap
-	defer func() {
-		for _, c := range h {
-			if c.f != nil {
-				//parbor:droperr read-side close of a scratch spill run removed by the cleanup below
-				c.f.Close()
-			}
-		}
-		for _, s := range sets {
-			s.cleanup()
-		}
-	}()
-	for _, s := range sets {
-		for _, path := range s.runs {
-			f, err := s.fsys.Open(path)
-			if err != nil {
-				return fmt.Errorf("fleetlog: opening spill run: %w", err)
-			}
-			c := &runCursor{br: bufio.NewReaderSize(f, 1<<16), f: f, ok: true}
-			h = append(h, c)
-			if err := c.advance(); err != nil {
-				return err
-			}
-			if !c.ok {
-				//parbor:droperr read-side close of an empty scratch spill run; nothing was or will be read from it
-				f.Close()
-				h = h[:len(h)-1]
-			}
-		}
-		s.seal()
-		if len(s.mem) > 0 {
-			c := &runCursor{mem: s.mem, ok: true}
-			c.advance()
-			h = append(h, c)
-		}
-		s.mem = nil
+// modID returns name's builder-local number, assigning the next one on
+// first sight.
+func (b *runBuilder) modID(name string) (uint32, error) {
+	if id, ok := b.ids[name]; ok {
+		return id, nil
 	}
-	heap.Init(&h)
-	var last spillKey
-	haveLast := false
-	for len(h) > 0 {
-		c := h[0]
-		k := c.cur
-		if err := c.advance(); err != nil {
-			return err
-		}
-		if c.ok {
-			heap.Fix(&h, 0)
-		} else {
-			if c.f != nil {
-				//parbor:droperr read-side close of a fully drained scratch spill run; its bytes are already merged
-				c.f.Close()
-				c.f = nil
-			}
-			heap.Pop(&h)
-		}
-		if haveLast && k == last {
-			continue // duplicate across sources
-		}
-		last, haveLast = k, true
-		if err := yield(k); err != nil {
-			return err
-		}
+	if len(b.names) >= math.MaxUint32 {
+		return 0, fmt.Errorf("fleetlog: module population overflow")
 	}
-	return nil
+	id := uint32(len(b.names))
+	b.ids[name] = id
+	b.names = append(b.names, name)
+	return id, nil
 }
 
-// cleanup removes any remaining run files.
-func (s *spillSet) cleanup() {
-	for _, path := range s.runs {
-		s.fsys.Remove(path)
+// empty reports whether no key is buffered.
+func (b *runBuilder) empty() bool { return len(b.obs.mem) == 0 && len(b.epochs.mem) == 0 }
+
+// appendRun sorts the buffered keys and appends them to dst as one
+// run, then empties the spill sets. The module table survives: a
+// module with no buffered key is left out of the run, so the shard's
+// module numbers stay valid across its spills.
+func (b *runBuilder) appendRun(dst []byte, meta runMeta) []byte {
+	be := binary.BigEndian
+	// Renumber the modules that have keys by name, so that the key
+	// sort orders them as the run lists them.
+	const absent = math.MaxUint32
+	b.rank = slices.Grow(b.rank[:0], len(b.names))[:len(b.names)]
+	for i := range b.rank {
+		b.rank[i] = absent
 	}
-	s.runs = nil
+	for _, keys := range [][]spillKey{b.epochs.mem, b.obs.mem} {
+		for i := range keys {
+			b.rank[be.Uint32(keys[i][0:4])] = 0
+		}
+	}
+	b.order = b.order[:0]
+	for id, r := range b.rank {
+		if r != absent {
+			b.order = append(b.order, uint32(id))
+		}
+	}
+	sort.Slice(b.order, func(i, j int) bool { return b.names[b.order[i]] < b.names[b.order[j]] })
+	for r, id := range b.order {
+		b.rank[id] = uint32(r)
+	}
+	for _, keys := range [][]spillKey{b.epochs.mem, b.obs.mem} {
+		for i := range keys {
+			be.PutUint32(keys[i][0:4], b.rank[be.Uint32(keys[i][0:4])])
+		}
+	}
+	ek, ok := b.epochs.sortedMem(), b.obs.sortedMem()
+	b.enc.reset()
+	for r, id := range b.order {
+		b.eps = b.eps[:0]
+		for ; len(ek) > 0 && be.Uint32(ek[0][0:4]) == uint32(r); ek = ek[1:] {
+			b.eps = append(b.eps, be.Uint32(ek[0][4:8]))
+		}
+		b.enc.startModule(b.names[id], b.eps)
+		for len(ok) > 0 && be.Uint32(ok[0][0:4]) == uint32(r) {
+			k := &ok[0]
+			b.eps = b.eps[:0]
+			for ; len(ok) > 0 && [16]byte(ok[0][:16]) == [16]byte(k[:16]); ok = ok[1:] {
+				b.eps = append(b.eps, be.Uint32(ok[0][16:20]))
+			}
+			b.enc.cell(cell{
+				chip: int64(be.Uint16(k[4:6])),
+				bank: int64(be.Uint16(k[6:8])),
+				row:  int64(be.Uint32(k[8:12])),
+				col:  int64(be.Uint32(k[12:16])),
+			}, b.eps)
+		}
+		b.enc.endModule()
+	}
+	b.epochs.mem = b.epochs.mem[:0]
+	b.obs.mem = b.obs.mem[:0]
+	return b.enc.appendRun(dst, meta)
 }

@@ -100,7 +100,11 @@ func listSegments(fsys faultfs.FS, dir string) ([]string, error) {
 // Writer appends failure events to a segmented log directory. It is
 // safe for concurrent use: the fleet's worker pool appends from many
 // goroutines, and each record is written with a single write call so
-// concurrent appends never interleave bytes.
+// concurrent appends never interleave bytes. A segment is synced
+// before it is closed, and the directory at the first sync point after
+// a segment is created. Summaries of sealed segments are Analyze's to
+// write (summary.go), not the Writer's: the append path pays nothing
+// for them.
 type Writer struct {
 	mu   sync.Mutex
 	dir  string
@@ -111,6 +115,9 @@ type Writer struct {
 	size int64        //parbor:guardedby mu
 	buf  []byte       //parbor:guardedby mu — whole-record scratch, reused across appends
 	err  error        //parbor:guardedby mu — sticky: a writer that failed mid-record must not continue
+	// dirDirty marks a segment created since the directory was last
+	// synced.
+	dirDirty bool //parbor:guardedby mu
 }
 
 // OpenWriter opens (creating if needed) a log directory for append.
@@ -197,7 +204,7 @@ func (w *Writer) openSegmentLocked(seq int) error {
 	if err != nil {
 		return fmt.Errorf("fleetlog: creating segment: %w", err)
 	}
-	w.f, w.seq, w.size = f, seq, 0
+	w.f, w.seq, w.size, w.dirDirty = f, seq, 0, true
 	if err := w.writeRecordLocked(segHeader()); err != nil {
 		f.Close()
 		w.f = nil
@@ -296,14 +303,33 @@ func (w *Writer) writeRecordLocked(rec []byte) error {
 	return fmt.Errorf("fleetlog: retries exhausted: %w", err)
 }
 
-// rotateLocked closes the current segment and opens the next one.
-// Called with the lock held.
+// rotateLocked syncs and closes the current segment and opens the
+// next one. Called with the lock held.
 func (w *Writer) rotateLocked() error {
-	if err := w.f.Close(); err != nil {
+	if err := w.syncLocked(); err != nil {
+		return err
+	}
+	err := w.f.Close()
+	w.f = nil
+	if err != nil {
 		return fmt.Errorf("fleetlog: closing segment: %w", err)
 	}
-	w.f = nil
 	return w.openSegmentLocked(w.seq + 1)
+}
+
+// syncLocked flushes the current segment, and the directory if a
+// segment was created since it was last synced, to stable storage.
+func (w *Writer) syncLocked() error {
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("fleetlog: syncing segment: %w", err)
+	}
+	if w.dirDirty {
+		if err := w.fsys.SyncDir(w.dir); err != nil {
+			return fmt.Errorf("fleetlog: syncing log dir: %w", err)
+		}
+		w.dirDirty = false
+	}
+	return nil
 }
 
 // Sync flushes the current segment to stable storage. A Sync failure
@@ -321,20 +347,30 @@ func (w *Writer) Sync() error {
 	if w.f == nil {
 		return nil
 	}
-	if err := w.f.Sync(); err != nil {
-		w.err = fmt.Errorf("fleetlog: syncing segment: %w", err)
+	if err := w.syncLocked(); err != nil {
+		w.err = err
 		return w.err
 	}
 	return nil
 }
 
-// Close closes the current segment. Append after Close fails;
-// reopening the directory with OpenWriter continues the log.
+// Close syncs and closes the current segment; a failed sync poisons
+// the writer as Sync does. A writer that is already poisoned only
+// releases its segment. Append after Close fails; reopening the
+// directory with OpenWriter continues the log.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return nil
+	}
+	if w.err == nil {
+		if err := w.syncLocked(); err != nil {
+			w.err = err
+			w.f.Close()
+			w.f = nil
+			return err
+		}
 	}
 	err := w.f.Close()
 	w.f = nil
