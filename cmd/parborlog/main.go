@@ -14,7 +14,9 @@
 //
 // -mem-budget bounds the classifier's in-memory key set; past it,
 // sorted runs spill to -spill (default: a temp dir) and are merged, so
-// a log of any size classifies in bounded memory. The segments are
+// a log of any size classifies in bounded memory (plus, past 2560 run
+// files at the default budget, 8 KiB of read windows per further run;
+// DESIGN.md section 12). The segments are
 // scanned on up to GOMAXPROCS workers, which share the budget rather
 // than each taking a copy of it; a sealed segment whose summary
 // matches it is merged from the summary instead of being decoded. The

@@ -99,23 +99,20 @@ type classifier struct {
 	ownDir   bool
 	maxKeys  int
 	shards   []*shard
-	// sums are the segment summaries Analyze merges instead of
-	// scanning their segments, and sumEvents the records they cover.
-	sums      []*run
-	sumEvents int
-	done      bool
+	done     bool
 }
 
 // shard is one scan worker's classifier state: a builder holding its
-// keys under a 1/n share of the budget, the runs it spilled, and the
-// number of events it folded.
+// keys under a 1/n share of the budget, the runs it spilled or took
+// from segment summaries, and the number of events they and the
+// builder hold.
 type shard struct {
 	fsys   faultfs.FS
 	dir    string
 	prefix string
 	b      *runBuilder
 	runs   []*run
-	buf    []byte // spill encoding scratch
+	buf    []byte // run encoding and summary reading scratch
 	events int
 }
 
@@ -243,7 +240,7 @@ func (s *shard) seal() {
 	if err != nil {
 		panic("fleetlog: a run just encoded does not decode: " + err.Error())
 	}
-	s.runs = append(s.runs, &run{hdr: h, data: memReaderAt(data)})
+	s.runs = append(s.runs, &run{hdr: h, ra: memReaderAt(data)})
 }
 
 // bankAgg is the fault-mode fold over one (chip, bank) group of
@@ -310,10 +307,15 @@ func CountModes(fails []memctl.BitAddr, into map[string]int) {
 	}
 }
 
-// close releases spill state. Idempotent; finish calls it.
+// close releases the runs: it closes every open run file and removes
+// the spill runs (summaries stay). Idempotent; finish calls it.
 func (c *classifier) close() {
 	for _, s := range c.shards {
 		for _, r := range s.runs {
+			if r.f != nil {
+				//parbor:droperr read-side close of a run whose keys are merged or no longer needed
+				r.f.Close()
+			}
 			if r.path != "" {
 				//parbor:droperr best-effort removal of a scratch spill run
 				c.fsys.Remove(r.path)
@@ -330,18 +332,19 @@ func (c *classifier) close() {
 // Analyze classifies a whole log directory: the offline half of the
 // analytics pipeline (parborlog, and the daemon's /v1/analytics
 // endpoint). It scans the segments on min(GOMAXPROCS, segments,
-// MaxKeys) workers. Every record of every segment is read and its
-// checksum verified; a segment whose summary matches that walk (same
+// MaxKeys) workers, and every record of every segment is read and its
+// checksum verified. A segment whose summary matches that walk (same
 // byte length, record count and record-CRC digest) contributes its
-// summary's sorted runs. A sealed segment (any but the last) without
-// one gets one written from the walk, which this query merges too; the
-// last segment, and a segment whose summary cannot be written, is
-// decoded and keyed into the worker's shard. finish then merges on up
-// to GOMAXPROCS
-// workers over disjoint module ranges. The rollup is the one a single
-// classifier fed the log in order would give; so is the error, the
-// lowest-numbered failing segment's. Once ctx is done the workers stop
-// and Analyze returns ctx.Err(), with its spill runs removed.
+// summary's sorted run. Any other segment is decoded and keyed into
+// the worker's shard; a sealed one (any but the last) whose keys fit
+// the worker's share of MaxKeys is summarized from those keys, and the
+// query merges the summary it wrote. finish then merges on up to
+// GOMAXPROCS workers over disjoint module ranges. The rollup is the
+// one a single classifier fed the log in order would give; so is the
+// error, the lowest-numbered failing segment's. Once ctx is done the
+// workers stop and Analyze returns ctx.Err(), with its spill runs
+// removed. Concurrent calls on one directory are safe: a summary is
+// renamed into place whole, and a query merges the file it checked.
 func Analyze(ctx context.Context, dir string, cfg ClassifierConfig) (*Rollup, error) {
 	if cfg.FS == nil {
 		cfg.FS = faultfs.OS{}
@@ -361,7 +364,6 @@ func Analyze(ctx context.Context, dir string, cfg ClassifierConfig) (*Rollup, er
 	sc := &scan{
 		ctx: ctx, fsys: cfg.FS, dir: dir, segs: segs,
 		torn: make([]bool, len(segs)), errs: make([]error, len(segs)),
-		sums: make([]*run, len(segs)), records: make([]int, len(segs)),
 	}
 	sc.stop.Store(int64(len(segs)))
 	var wg sync.WaitGroup
@@ -379,12 +381,6 @@ func Analyze(ctx context.Context, dir string, cfg ClassifierConfig) (*Rollup, er
 	for _, err := range sc.errs {
 		if err != nil {
 			return nil, err
-		}
-	}
-	for i, r := range sc.sums {
-		if r != nil {
-			c.sums = append(c.sums, r)
-			c.sumEvents += sc.records[i]
 		}
 	}
 	r, err := c.finish(ctx)
@@ -412,14 +408,13 @@ type scan struct {
 	segs []string
 	next atomic.Int64
 	stop atomic.Int64
+	// unwritable is set once a summary could not be written: the rest
+	// of the query summarizes nothing.
+	unwritable atomic.Bool
 	// The slices are indexed by segment; each slot is written by the
 	// one worker that claimed the segment and read after all are done.
 	torn []bool
 	errs []error
-	// sums holds a segment's summary when it matched the segment, and
-	// records the records that walk counted.
-	sums    []*run
-	records []int
 }
 
 // ctxStride is how many records a scan worker reads between checks of
@@ -431,13 +426,12 @@ const ctxStride = 4096
 // it sorted.
 func (sc *scan) work(sh *shard) {
 	var ev Event
-	var fl filler
 	for sc.ctx.Err() == nil {
 		i := sc.next.Add(1) - 1
 		if i >= sc.stop.Load() {
 			break
 		}
-		if !sc.summarized(int(i), &fl) {
+		if !sc.summarized(int(i), sh) {
 			sc.segment(int(i), sh, &ev)
 		}
 	}
@@ -446,106 +440,56 @@ func (sc *scan) work(sh *shard) {
 	}
 }
 
-// filler is a scan worker's scratch for reading summaries and writing
-// missing ones, reused from segment to segment.
-type filler struct {
-	sum  []byte
-	recs []byte
-	b    sumBuilder
+// sumPath is segment i's summary file.
+func (sc *scan) sumPath(i int) string {
+	return filepath.Join(sc.dir, sumName(segSeq(sc.segs[i])))
 }
 
-// read reads the summary at path into fl.sum.
-func (fl *filler) read(fsys faultfs.FS, path string) error {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return err
-	}
-	//parbor:droperr read-side close of a summary that is checked before use
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	fl.sum = slices.Grow(fl.sum[:0], int(st.Size()))[:st.Size()]
-	_, err = io.ReadFull(f, fl.sum)
-	return err
-}
-
-// summarized walks segment i's records, verifying each checksum and
-// folding the record CRCs into a digest, and reports whether the
-// segment is done with. It is done if its summary decodes and matches
-// the walk (recorded in sums), if reading the segment failed (recorded
-// in errs), or if it is sealed — any segment but the last — and the
-// walk wrote it a summary, replacing a missing, malformed or stale one.
-// A torn segment, the last one without a summary, and a summary that
-// cannot be written leave the segment to a decoding scan.
-func (sc *scan) summarized(i int, fl *filler) bool {
-	path := filepath.Join(sc.dir, sumName(segSeq(sc.segs[i])))
-	var h *runHeader
-	if fl.read(sc.fsys, path) == nil {
-		h, _ = checkRun(fl.sum)
-	}
-	sealed := i < len(sc.segs)-1
-	if h == nil && !sealed {
+// summarized reports whether segment i is done with through its
+// summary: the summary checks out and matches a walk over the
+// segment's records, and sh merges it. A failed read of the segment,
+// recorded in errs, and a done context also end the segment here. A
+// missing, malformed or stale summary, and a torn segment, leave the
+// segment to a decoding scan.
+func (sc *scan) summarized(i int, sh *shard) bool {
+	f, h := sh.readSummary(sc.sumPath(i))
+	if f == nil {
 		return false
 	}
-	meta, ok := sc.walk(i, fl, h == nil)
-	switch {
-	case !ok:
-		return sc.errs[i] != nil || sc.ctx.Err() != nil
-	case h != nil && h.meta == meta:
-		sc.sums[i] = &run{hdr: h, path: path}
-	case !sealed:
-		return false
-	case h != nil:
-		// A stale summary: walk again, keeping the records.
-		if meta, ok = sc.walk(i, fl, true); !ok {
-			return sc.errs[i] != nil || sc.ctx.Err() != nil
-		}
-		fallthrough
-	default:
-		if h = fl.write(sc.fsys, path, meta); h == nil {
-			return false
-		}
-		sc.sums[i] = &run{hdr: h, path: path}
+	meta, err := sc.walk(i)
+	if err == nil && meta == h.meta {
+		sh.runs = append(sh.runs, &run{hdr: h, f: f, ra: f})
+		sh.events += int(meta.records)
+		return true
 	}
-	sc.records[i] = int(meta.records)
+	//parbor:droperr read-side close of a summary that is not used
+	f.Close()
+	if _, torn := err.(errTorn); err == nil || torn {
+		return false
+	}
+	if err != errStopped {
+		sc.fail(i, err)
+	}
 	return true
 }
 
-// walk reads segment i's records through walkSegment, recording a
-// failed read in errs. It reports false for a torn segment, a failed
-// read or a done context.
-func (sc *scan) walk(i int, fl *filler, keep bool) (runMeta, bool) {
-	meta, err := fl.walkSegment(sc.fsys, filepath.Join(sc.dir, sc.segs[i]), keep, func() bool { return sc.ctx.Err() != nil })
-	if _, torn := err.(errTorn); err != nil && !torn && err != errStopped {
-		sc.fail(i, err)
-	}
-	return meta, err == nil
-}
-
-// errStopped ends a walk whose stop function fired.
+// errStopped ends a walk whose context is done.
 var errStopped = fmt.Errorf("fleetlog: walk stopped")
 
-// walkSegment reads a segment's records, verifying their checksums,
-// and returns the segment's meta; with keep, it also copies the framed
-// records into fl.recs. It returns an errTorn for a torn segment,
-// errStopped once stop (which may be nil) reports true, and any other
-// failure to read the segment.
-func (fl *filler) walkSegment(fsys faultfs.FS, path string, keep bool, stop func() bool) (runMeta, error) {
+// walk reads segment i's records, verifying their checksums, and
+// returns the segment's meta. It returns an errTorn for a torn
+// segment, errStopped once the context is done, and any other failure
+// to read the segment.
+func (sc *scan) walk(i int) (runMeta, error) {
 	meta := runMeta{digest: digestSeed}
-	sr, err := openSegment(fsys, path)
+	sr, err := openSegment(sc.fsys, filepath.Join(sc.dir, sc.segs[i]))
 	if err != nil {
 		return meta, err
 	}
 	//parbor:droperr read-side close of a segment whose records are verified or whose error is returned
 	defer sr.close()
-	fl.recs = fl.recs[:0]
-	if keep {
-		fl.recs = slices.Grow(fl.recs, int(sr.size))
-	}
 	for {
-		payload, err := sr.record()
+		_, err := sr.record()
 		if err == errSegEnd {
 			meta.segBytes = uint64(sr.size)
 			return meta, nil
@@ -553,75 +497,64 @@ func (fl *filler) walkSegment(fsys faultfs.FS, path string, keep bool, stop func
 		if err != nil {
 			return meta, err
 		}
-		if keep {
-			fl.recs = binary.AppendUvarint(fl.recs, uint64(len(payload)))
-			fl.recs = append(fl.recs, payload...)
-			fl.recs = binary.LittleEndian.AppendUint32(fl.recs, sr.crc)
-		}
 		meta.records++
 		meta.digest = digestAdd(meta.digest, sr.crc)
-		if stop != nil && meta.records%ctxStride == 0 && stop() {
+		if meta.records%ctxStride == 0 && sc.ctx.Err() != nil {
 			return meta, errStopped
 		}
 	}
 }
 
-// write builds the summary of the records in fl.recs, writes it to
-// path and returns its header, or nil if the records hold an event the
-// classifier rejects or the file cannot be written. The write is best
-// effort and unsynced: a summary is a cache of its segment, and a torn
-// or lost one is rebuilt by the next Analyze.
-func (fl *filler) write(fsys faultfs.FS, path string, meta runMeta) *runHeader {
-	parts, err := fl.b.build(fl.recs, meta)
-	if err != nil {
-		return nil
-	}
-	h := fl.b.enc.header(meta)
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil
-	}
-	for _, part := range parts {
-		if err == nil {
-			_, err = f.Write(part)
-		}
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		//parbor:droperr best-effort removal of a partial summary, which the next Analyze rejects and rebuilds anyway
-		fsys.Remove(path)
-		return nil
-	}
-	return h
-}
-
 // segment folds segment i into sh, decoding into the worker's reused
 // ev. A torn tail is recorded and ends the segment; any other failure
-// is recorded against the segment and stops the scan.
+// is recorded against the segment and stops the scan. A sealed
+// segment is keyed into an empty builder (a residue is spilled first),
+// and if all its keys fit, they are written as its summary, which sh
+// then merges; the segment's keys never take more than the shard's
+// share of the key budget. After a summary cannot be written, the
+// query summarizes no more segments.
 func (sc *scan) segment(i int, sh *shard, ev *Event) {
 	sr, err := openSegment(sc.fsys, filepath.Join(sc.dir, sc.segs[i]))
 	if err != nil {
 		sc.fail(i, err)
 		return
 	}
-	for n := 1; err == nil; n++ {
+	//parbor:droperr read-side close of a segment whose records are folded or whose error is recorded
+	defer sr.close()
+	summarize := i < len(sc.segs)-1 && !sc.unwritable.Load()
+	if summarize && !sh.b.empty() {
+		if err := sh.spill(); err != nil {
+			sc.fail(i, err)
+			return
+		}
+	}
+	runs := len(sh.runs)
+	meta := runMeta{digest: digestSeed}
+	for err == nil {
 		if err = sr.event(ev); err == nil {
+			meta.records++
+			meta.digest = digestAdd(meta.digest, sr.crc)
 			err = sh.observe(ev)
 		}
-		if n%ctxStride == 0 && sc.ctx.Err() != nil {
-			break
+		if meta.records%ctxStride == 0 && sc.ctx.Err() != nil {
+			return
 		}
 	}
 	if _, torn := err.(errTorn); torn {
 		sc.torn[i] = true
-	} else if err != nil && err != errSegEnd {
+		return
+	}
+	if err != errSegEnd {
 		// Stop the other workers before releasing the segment.
 		sc.fail(i, err)
+		return
 	}
-	//parbor:droperr read-side close of a segment whose records are folded or whose error is recorded
-	sr.close()
+	if summarize && len(sh.runs) == runs {
+		meta.segBytes = uint64(sr.size)
+		if !sh.summarize(sc.sumPath(i), meta) {
+			sc.unwritable.Store(true)
+		}
+	}
 }
 
 // fail records segment i's error and lowers stop to i.
@@ -629,4 +562,77 @@ func (sc *scan) fail(i int, err error) {
 	sc.errs[i] = err
 	for cur := sc.stop.Load(); int64(i) < cur && !sc.stop.CompareAndSwap(cur, int64(i)); cur = sc.stop.Load() {
 	}
+}
+
+// readSummary opens the summary at path and checks all of it,
+// returning the open file and its header, or nil if it is missing,
+// unreadable or malformed. The merge reads the file it returns, so a
+// query merges the bytes it checked even if another query renames a
+// new summary over path meanwhile.
+func (s *shard) readSummary(path string) (faultfs.File, *runHeader) {
+	f, err := s.fsys.Open(path)
+	if err != nil {
+		return nil, nil
+	}
+	st, err := f.Stat()
+	if err == nil {
+		s.buf = slices.Grow(s.buf[:0], int(st.Size()))[:st.Size()]
+		_, err = io.ReadFull(f, s.buf)
+	}
+	var h *runHeader
+	if err == nil {
+		h, err = checkRun(s.buf)
+	}
+	if err != nil {
+		//parbor:droperr read-side close of a summary that is not used
+		f.Close()
+		return nil, nil
+	}
+	return f, h
+}
+
+// summarize sorts the builder's keys, one sealed segment's, into its
+// summary with meta and writes it to path, and the shard merges the
+// file written. It reports false if the summary could not be written;
+// the shard then keeps the run in memory.
+func (s *shard) summarize(path string, meta runMeta) bool {
+	s.buf = s.b.appendRun(s.buf[:0], meta)
+	h, err := decodeRunHeader(s.buf)
+	if err != nil {
+		panic("fleetlog: a run just encoded does not decode: " + err.Error())
+	}
+	if f := writeSummary(s.fsys, path, s.buf); f != nil {
+		s.runs = append(s.runs, &run{hdr: h, f: f, ra: f})
+		return true
+	}
+	s.runs = append(s.runs, &run{hdr: h, ra: memReaderAt(slices.Clone(s.buf))})
+	return false
+}
+
+// sumTemps numbers the temporary files summaries are written through.
+var sumTemps atomic.Uint64
+
+// writeSummary writes a summary to a temporary file beside path and
+// renames it over path, so that a concurrent Analyze finds the old
+// summary or the whole new one, never part of one, and returns the
+// file, open for reading. It returns nil if the summary cannot be
+// written. The write is unsynced: a summary is a cache of its segment,
+// and one that a crash tears or loses is rebuilt by the next Analyze.
+func writeSummary(fsys faultfs.FS, path string, data []byte) faultfs.File {
+	tmp := fmt.Sprintf("%s.%d-%d.tmp", path, os.Getpid(), sumTemps.Add(1))
+	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil
+	}
+	if _, err = f.Write(data); err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		//parbor:droperr the summary is abandoned; the query keeps its run in memory
+		f.Close()
+		//parbor:droperr best-effort removal of a partial summary that nothing reads
+		fsys.Remove(tmp)
+		return nil
+	}
+	return f
 }

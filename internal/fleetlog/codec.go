@@ -61,28 +61,6 @@ func (c *payloadCursor) uvarint() (uint64, error) {
 	return v, nil
 }
 
-// eventHead splits a payload produced by appendEvent into the module
-// id (aliasing p), the epoch, and the failure list's encoding.
-func eventHead(p []byte) (id []byte, epoch uint64, fails []byte, err error) {
-	c := payloadCursor{p: p}
-	idLen, err := c.uvarint()
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	if idLen == 0 || idLen > maxModuleID || idLen > uint64(len(p)-c.off) {
-		return nil, 0, nil, fmt.Errorf("fleetlog: implausible module id length %d", idLen)
-	}
-	id = p[c.off : c.off+int(idLen)]
-	c.off += int(idLen)
-	if epoch, err = c.uvarint(); err != nil {
-		return nil, 0, nil, err
-	}
-	if epoch > math.MaxInt64 {
-		return nil, 0, nil, fmt.Errorf("fleetlog: epoch %d out of range", epoch)
-	}
-	return id, epoch, p[c.off:], nil
-}
-
 // decodeEventInto decodes one payload produced by appendEvent into a
 // caller-owned event. It rejects payloads with trailing garbage,
 // implausible lengths, or a failure list memctl.DecodeAddrs refuses,
@@ -91,15 +69,27 @@ func eventHead(p []byte) (id []byte, epoch uint64, fails []byte, err error) {
 // module id is unchanged, its Module string, so a stream of events
 // decodes without allocating per event. On error ev holds garbage.
 func decodeEventInto(p []byte, ev *Event) error {
-	id, epoch, fails, err := eventHead(p)
+	c := payloadCursor{p: p}
+	idLen, err := c.uvarint()
 	if err != nil {
 		return err
 	}
-	if ev.Module != string(id) {
+	if idLen == 0 || idLen > maxModuleID || idLen > uint64(len(p)-c.off) {
+		return fmt.Errorf("fleetlog: implausible module id length %d", idLen)
+	}
+	if id := p[c.off : c.off+int(idLen)]; ev.Module != string(id) {
 		ev.Module = string(id)
 	}
+	c.off += int(idLen)
+	epoch, err := c.uvarint()
+	if err != nil {
+		return err
+	}
+	if epoch > math.MaxInt64 {
+		return fmt.Errorf("fleetlog: epoch %d out of range", epoch)
+	}
 	ev.Epoch = int(epoch)
-	if ev.Fails, err = memctl.DecodeAddrs(fails, ev.Fails); err != nil {
+	if ev.Fails, err = memctl.DecodeAddrs(p[c.off:], ev.Fails); err != nil {
 		return fmt.Errorf("fleetlog: %w", err)
 	}
 	return nil

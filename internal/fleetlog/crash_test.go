@@ -178,7 +178,8 @@ func TestRotatingWriterCrashSweep(t *testing.T) {
 	for _, op := range count.Trace() {
 		kinds[string(op.Kind)+filepath.Ext(op.Path)]++
 	}
-	if kinds["write.sum"] < 5 || kinds["sync.seg"] < 5 || kinds["syncdir"] < 5 {
+	// A summary is written to a temporary file and renamed into place.
+	if kinds["write.tmp"] < 5 || kinds["rename.tmp"] < 5 || kinds["sync.seg"] < 5 || kinds["syncdir"] < 5 {
 		t.Fatalf("the scenario's trace covers too few summary writes and syncs: %v", kinds)
 	}
 	total := count.Ops()

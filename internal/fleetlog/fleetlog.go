@@ -11,14 +11,17 @@
 // events back one record at a time — a segment is never materialized —
 // and the classifier keeps O(modules) state, spilling sorted key runs
 // to disk and merging them when a log is too large for its memory
-// budget. The first Analyze to read a sealed segment writes its keys
-// beside it as a summary, which later queries merge instead of
-// decoding the segment again.
+// budget. The first Analyze to read a sealed segment whose keys fit a
+// scan worker's share of that budget writes them beside it as a
+// summary, which later queries merge instead of decoding the segment
+// again.
 //
 // On-disk layout (see DESIGN.md section 12 for the framing diagrams):
 //
 //	<dir>/00000001.seg, 00000002.seg, ...   rotated at SegmentBytes
 //	<dir>/00000001.sum, ...                 beside each sealed segment
+//	                                        (written to a .tmp file and
+//	                                        renamed into place)
 //
 //	segment = "PBFL" magic (4 bytes) | version (1 byte) | records...
 //	record  = payload length (uvarint) | payload | CRC-32/IEEE of

@@ -13,14 +13,20 @@ import (
 )
 
 // run is one merge source: a segment summary or spill run on disk, or
-// a shard's residue in memory.
+// a run in memory (a shard's residue, or a summary that could not be
+// written).
 type run struct {
-	hdr  *runHeader
-	path string      // the file, when on disk
-	data memReaderAt // the bytes, when in memory
-	// finish sets ra to data or the open file, and gid to the global
-	// module number of each header entry.
-	ra  io.ReaderAt
+	hdr *runHeader
+	// path is a spill run's file, which finish opens and the
+	// classifier's close removes.
+	path string
+	// f is the run's open file: a summary's from the moment its bytes
+	// were checked or written, a spill run's from finish on.
+	f faultfs.File
+	// ra serves the run's bytes: f, or the bytes in memory.
+	ra io.ReaderAt
+	// gid is the global module number of each header entry, set by
+	// finish.
 	gid []uint32
 }
 
@@ -41,8 +47,8 @@ func (c *classifier) finish(ctx context.Context) (*Rollup, error) {
 	c.done = true
 	defer c.close()
 
-	runs := slices.Clone(c.sums)
-	events := c.sumEvents
+	var runs []*run
+	events := 0
 	for _, s := range c.shards {
 		s.seal()
 		events += s.events
@@ -50,31 +56,29 @@ func (c *classifier) finish(ctx context.Context) (*Rollup, error) {
 	}
 	names := numberModules(runs)
 
-	var files []faultfs.File
-	defer func() {
-		for _, f := range files {
-			//parbor:droperr read-side close of a run whose keys are merged or whose error is returned
-			f.Close()
-		}
-	}()
+	files := 0
 	for _, r := range runs {
-		r.ra = r.data
-		if r.path == "" {
-			continue
+		if r.path != "" {
+			f, err := c.fsys.Open(r.path)
+			if err != nil {
+				return nil, fmt.Errorf("fleetlog: opening key run: %w", err)
+			}
+			r.f, r.ra = f, f
 		}
-		f, err := c.fsys.Open(r.path)
-		if err != nil {
-			return nil, fmt.Errorf("fleetlog: opening key run: %w", err)
+		if r.f != nil {
+			files++
 		}
-		files = append(files, f)
-		r.ra = f
 	}
 
-	parts := partition(runs, len(names), runtime.GOMAXPROCS(0))
-	// The windows of every worker over every file share MaxKeys keys'
-	// worth of bytes.
-	window := c.maxKeys * keyBytes / max(1, 2*len(parts)*len(files))
-	window = min(window, 64<<10)
+	// Every merge worker reads each run file through two windows, and
+	// all the windows share MaxKeys keys' worth of bytes: there are no
+	// more workers than leave every window minWindow bytes. With more
+	// than budget/(2*minWindow) run files (2560 at the default MaxKeys)
+	// one worker's minimal windows exceed the budget.
+	budget := c.maxKeys * keyBytes
+	procs := min(runtime.GOMAXPROCS(0), budget/max(1, 2*files*minWindow))
+	parts := partition(runs, len(names), max(1, procs))
+	window := min(budget/max(1, 2*len(parts)*files), 64<<10)
 	out := make([][]ModuleRollup, len(parts))
 	errs := make([]error, len(parts))
 	var wg sync.WaitGroup

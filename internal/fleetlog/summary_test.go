@@ -2,15 +2,15 @@ package fleetlog
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -368,22 +368,13 @@ func (c *cancelFS) Open(name string) (faultfs.File, error) {
 func TestSummaryCodecRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	meta := runMeta{segBytes: 12345, records: 300, digest: 0xfeedface}
-	var recs []byte
+	sh := &shard{b: newRunBuilder(1 << 20)}
 	for _, ev := range genEvents(r, 9, 300) {
-		p, err := appendEvent(nil, ev)
-		if err != nil {
+		if err := sh.observe(&ev); err != nil {
 			t.Fatal(err)
 		}
-		recs = binary.AppendUvarint(recs, uint64(len(p)))
-		recs = append(recs, p...)
-		recs = binary.LittleEndian.AppendUint32(recs, crc32.ChecksumIEEE(p))
 	}
-	var b sumBuilder
-	parts, err := b.build(recs, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := slices.Concat(parts[:]...)
+	data := sh.b.appendRun(nil, meta)
 	h, err := checkRun(data)
 	if err != nil {
 		t.Fatalf("checkRun: %v", err)
@@ -456,4 +447,179 @@ func summaryOf(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	return data
+}
+
+// TestAnalyzeConcurrentQueries: Analyze calls that run at once on a
+// log without summaries, and so write the same summaries over each
+// other, all give the oracle's rollup, and leave one valid summary
+// beside every sealed segment and no temporary file.
+func TestAnalyzeConcurrentQueries(t *testing.T) {
+	events := genEvents(rand.New(rand.NewSource(31)), 6, 600)
+	dir, segs := writeSegmented(t, events, 256)
+	want := marshal(t, oracleRollup(events))
+	withGOMAXPROCS(t, []int{1, 4}, func(t *testing.T, procs int) {
+		for round := range 4 {
+			for _, s := range sumFiles(t, dir) {
+				if err := os.Remove(filepath.Join(dir, s)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const queries = 6
+			got := make([]*Rollup, queries)
+			errs := make([]error, queries)
+			spill := make([]string, queries)
+			for q := range spill {
+				spill[q] = t.TempDir()
+			}
+			var wg sync.WaitGroup
+			for q := range queries {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[q], errs[q] = Analyze(t.Context(), dir, ClassifierConfig{SpillDir: spill[q]})
+				}()
+			}
+			wg.Wait()
+			for q := range queries {
+				if errs[q] != nil {
+					t.Fatalf("round %d, query %d: %v", round, q, errs[q])
+				}
+				if g := marshal(t, got[q]); g != want {
+					t.Fatalf("round %d, query %d: rollup differs from the oracle's:\ngot  %s\nwant %s", round, q, g, want)
+				}
+			}
+			if sums := sumFiles(t, dir); len(sums) != len(segs)-1 {
+				t.Fatalf("round %d: %d summaries for %d segments", round, len(sums), len(segs))
+			}
+			for _, s := range sumFiles(t, dir) {
+				data, err := os.ReadFile(filepath.Join(dir, s))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := checkRun(data); err != nil {
+					t.Fatalf("round %d: %s rejected: %v", round, s, err)
+				}
+			}
+			if tmp := tempFiles(t, dir); len(tmp) != 0 {
+				t.Fatalf("round %d: temporary files left: %v", round, tmp)
+			}
+		}
+	})
+}
+
+// tempFiles lists a log directory's temporary summary files.
+func tempFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tmp []string
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".tmp") {
+			tmp = append(tmp, e.Name())
+		}
+	}
+	return tmp
+}
+
+// segmentAdds returns how many keys of each set decoding a segment
+// adds to a builder: one epoch key per record, one observation key per
+// listed failure.
+func segmentAdds(t *testing.T, path string) (epochs, obs int) {
+	t.Helper()
+	sr, err := openSegment(faultfs.OS{}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.close()
+	var ev Event
+	for sr.event(&ev) == nil {
+		epochs++
+		obs += len(ev.Fails)
+	}
+	return epochs, obs
+}
+
+// TestAnalyzeSummarizesWithinBudget: Analyze summarizes a sealed
+// segment only when all its keys fit a scan worker's share of MaxKeys;
+// a larger one is scanned under the budget on every query, and a
+// segment after it is still summarized. The rollup is the oracle's
+// either way.
+func TestAnalyzeSummarizesWithinBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one worker: the share is MaxKeys
+	events := genEvents(rand.New(rand.NewSource(33)), 4, 900)
+	dir, segs := writeSegmented(t, events, 2<<10)
+	if len(segs) < 6 {
+		t.Fatalf("log has %d segments, want at least 6", len(segs))
+	}
+	need := make([]int, len(segs)-1) // the budget each sealed segment needs
+	for i, seg := range segs[:len(segs)-1] {
+		epochs, obs := segmentAdds(t, filepath.Join(dir, seg))
+		need[i] = max(epochs, obs) + 1
+	}
+	budget := slices.Sorted(slices.Values(need))[len(need)/2]
+	want := marshal(t, oracleRollup(events))
+	for pass := range 2 {
+		got, err := Analyze(t.Context(), dir, ClassifierConfig{MaxKeys: budget, SpillDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := marshal(t, got); g != want {
+			t.Fatalf("pass %d: rollup differs from the oracle's:\ngot  %s\nwant %s", pass, g, want)
+		}
+		fits := 0
+		for i, seg := range segs[:len(segs)-1] {
+			has := fileExists(filepath.Join(dir, sumName(segSeq(seg))))
+			if has != (need[i] <= budget) {
+				t.Fatalf("pass %d: %s needs a budget of %d keys, MaxKeys is %d, summarized %v", pass, seg, need[i], budget, has)
+			}
+			if has {
+				fits++
+			}
+		}
+		if fits == 0 || fits == len(need) {
+			t.Fatalf("%d of %d sealed segments fit the budget; the test needs both kinds", fits, len(need))
+		}
+	}
+}
+
+// noTempFS fails every attempt to create a temporary summary file, as
+// a read-only or full log directory would, and counts the attempts.
+type noTempFS struct {
+	faultfs.FS
+	tries atomic.Int32
+}
+
+func (n *noTempFS) OpenFile(name string, flag int, perm os.FileMode) (faultfs.File, error) {
+	if strings.HasSuffix(name, ".tmp") {
+		n.tries.Add(1)
+		return nil, os.ErrPermission
+	}
+	return n.FS.OpenFile(name, flag, perm)
+}
+
+// TestAnalyzeWithoutWritableSummaries: where no summary can be
+// written, Analyze still gives the oracle's rollup and writes nothing
+// beside the segments, and a query stops trying after the first
+// failure.
+func TestAnalyzeWithoutWritableSummaries(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	events := genEvents(rand.New(rand.NewSource(35)), 5, 300)
+	dir, segs := writeSegmented(t, events, 256)
+	if len(segs) < 4 {
+		t.Fatalf("log has %d segments, want at least 4", len(segs))
+	}
+	fsys := &noTempFS{FS: faultfs.OS{}}
+	got, err := Analyze(t.Context(), dir, ClassifierConfig{FS: fsys, SpillDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffRollups(t, "unwritable summaries", got, oracleRollup(events))
+	if n := fsys.tries.Load(); n != 1 {
+		t.Fatalf("%d summary writes tried, want 1", n)
+	}
+	if sums, tmp := sumFiles(t, dir), tempFiles(t, dir); len(sums)+len(tmp) != 0 {
+		t.Fatalf("files written beside the segments: %v %v", sums, tmp)
+	}
 }
