@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // A run is one sorted batch of classifier keys in a compact, module-
@@ -264,8 +265,13 @@ func (e *runEncoder) header(meta runMeta) *runHeader {
 }
 
 // appendRun appends the finished run to dst.
+// dst grows once, to the run's size: a residue of a million keys
+// encodes to megabytes, and growing by appends would leave a larger
+// copy behind as garbage.
 func (e *runEncoder) appendRun(dst []byte, meta runMeta) []byte {
-	for _, part := range e.finish(meta) {
+	parts := e.finish(meta)
+	dst = slices.Grow(dst, len(parts[0])+len(parts[1])+len(parts[2])+len(parts[3]))
+	for _, part := range parts {
 		dst = append(dst, part...)
 	}
 	return dst
