@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -111,6 +112,9 @@ type shard struct {
 	dir    string
 	prefix string
 	b      *runBuilder
+	// seg is the highest segment decoded into the builder since it was
+	// last empty: the segment of the run it spills or seals next.
+	seg    int
 	runs   []*run
 	buf    []byte // run encoding and summary reading scratch
 	events int
@@ -224,7 +228,7 @@ func (s *shard) spill() error {
 		s.fsys.Remove(path)
 		return fmt.Errorf("fleetlog: writing spill run: %w", err)
 	}
-	s.runs = append(s.runs, &run{hdr: h, path: path})
+	s.runs = append(s.runs, &run{hdr: h, path: path, seg: s.seg})
 	return nil
 }
 
@@ -240,7 +244,7 @@ func (s *shard) seal() {
 	if err != nil {
 		panic("fleetlog: a run just encoded does not decode: " + err.Error())
 	}
-	s.runs = append(s.runs, &run{hdr: h, ra: memReaderAt(data)})
+	s.runs = append(s.runs, &run{hdr: h, ra: memReaderAt(data), seg: s.seg})
 }
 
 // bankAgg is the fault-mode fold over one (chip, bank) group of
@@ -338,8 +342,10 @@ func (c *classifier) close() {
 // summary's sorted run. Any other segment is decoded and keyed into
 // the worker's shard; a sealed one (any but the last) whose keys fit
 // the worker's share of MaxKeys is summarized from those keys, and the
-// query merges the summary it wrote. finish then merges on up to
-// GOMAXPROCS workers over disjoint module ranges. The rollup is the
+// query merges the summary it wrote. With more than one worker the
+// tail, which has no summary, is claimed first. finish then merges the
+// runs in segment order on up to GOMAXPROCS workers over disjoint
+// module ranges. The rollup is the
 // one a single classifier fed the log in order would give; so is the
 // error, the lowest-numbered failing segment's. Once ctx is done the
 // workers stop and Analyze returns ctx.Err(), with its spill runs
@@ -363,7 +369,8 @@ func Analyze(ctx context.Context, dir string, cfg ClassifierConfig) (*Rollup, er
 	defer c.close()
 	sc := &scan{
 		ctx: ctx, fsys: cfg.FS, dir: dir, segs: segs,
-		torn: make([]bool, len(segs)), errs: make([]error, len(segs)),
+		tailFirst: len(c.shards) > 1,
+		torn:      make([]bool, len(segs)), errs: make([]error, len(segs)),
 	}
 	sc.stop.Store(int64(len(segs)))
 	var wg sync.WaitGroup
@@ -396,18 +403,21 @@ func Analyze(ctx context.Context, dir string, cfg ClassifierConfig) (*Rollup, er
 }
 
 // scan is one Analyze pass over a log's segments. Workers claim whole
-// segments in segment order from next. A failing segment lowers stop
-// to its index, and no worker claims a segment at or past stop; the
-// segments below it were all claimed already and run to the end,
-// since one of them may fail too. The lowest error is thus the one a
-// serial scan would meet first, at every worker count.
+// segments from next (see order). A failing segment lowers stop to its
+// index, and a claim of a segment at or past stop is skipped. Every
+// claim but the tail's is of a higher segment than the claims before
+// it, so the segments below stop were all claimed already, and they
+// run to the end, since one of them may fail too. The lowest error is
+// thus the one a serial scan would meet first, at every worker count.
 type scan struct {
 	ctx  context.Context
 	fsys faultfs.FS
 	dir  string
 	segs []string
-	next atomic.Int64
-	stop atomic.Int64
+	// tailFirst makes the tail the first claim (see order).
+	tailFirst bool
+	next      atomic.Int64
+	stop      atomic.Int64
 	// unwritable is set once a summary could not be written: the rest
 	// of the query summarizes nothing.
 	unwritable atomic.Bool
@@ -421,22 +431,43 @@ type scan struct {
 // its context.
 const ctxStride = 4096
 
-// work claims and folds segments until none is left below stop or the
+// work claims and folds segments until every one is claimed or the
 // context is done, then seals the shard's residue so the merge finds
 // it sorted.
 func (sc *scan) work(sh *shard) {
 	var ev Event
 	for sc.ctx.Err() == nil {
-		i := sc.next.Add(1) - 1
-		if i >= sc.stop.Load() {
+		k := int(sc.next.Add(1) - 1)
+		if k >= len(sc.segs) {
 			break
 		}
-		if !sc.summarized(int(i), sh) {
-			sc.segment(int(i), sh, &ev)
+		i := sc.order(k)
+		if int64(i) >= sc.stop.Load() {
+			continue
+		}
+		if !sc.summarized(i, sh) {
+			sc.segment(i, sh, &ev)
 		}
 	}
 	if sc.ctx.Err() == nil {
 		sh.seal()
+	}
+}
+
+// order returns the segment of the k-th claim. With tailFirst the tail,
+// the one segment that never has a summary and so is always decoded,
+// keyed and sorted, is claimed first, and it runs beside the sealed
+// segments rather than alone after them; the rest follow in segment
+// order. With one worker nothing runs beside the tail, and every claim
+// is in segment order, as a serial read goes.
+func (sc *scan) order(k int) int {
+	switch {
+	case !sc.tailFirst:
+		return k
+	case k == 0:
+		return len(sc.segs) - 1
+	default:
+		return k - 1
 	}
 }
 
@@ -458,7 +489,7 @@ func (sc *scan) summarized(i int, sh *shard) bool {
 	}
 	meta, err := sc.walk(i)
 	if err == nil && meta == h.meta {
-		sh.runs = append(sh.runs, &run{hdr: h, f: f, ra: f})
+		sh.runs = append(sh.runs, &run{hdr: h, f: f, ra: f, seg: i})
 		sh.events += int(meta.records)
 		return true
 	}
@@ -512,7 +543,9 @@ func (sc *scan) walk(i int) (runMeta, error) {
 // and if all its keys fit, they are written as its summary, which sh
 // then merges; the segment's keys never take more than the shard's
 // share of the key budget. After a summary cannot be written, the
-// query summarizes no more segments.
+// query summarizes no more segments. The log's tail is sealed into an
+// in-memory run once decoded: claimed first, it would otherwise be
+// the residue the next sealed segment spills.
 func (sc *scan) segment(i int, sh *shard, ev *Event) {
 	sr, err := openSegment(sc.fsys, filepath.Join(sc.dir, sc.segs[i]))
 	if err != nil {
@@ -521,12 +554,18 @@ func (sc *scan) segment(i int, sh *shard, ev *Event) {
 	}
 	//parbor:droperr read-side close of a segment whose records are folded or whose error is recorded
 	defer sr.close()
-	summarize := i < len(sc.segs)-1 && !sc.unwritable.Load()
+	tail := i == len(sc.segs)-1
+	summarize := !tail && !sc.unwritable.Load()
 	if summarize && !sh.b.empty() {
 		if err := sh.spill(); err != nil {
 			sc.fail(i, err)
 			return
 		}
+	}
+	if sh.b.empty() {
+		sh.seg = i
+	} else {
+		sh.seg = max(sh.seg, i)
 	}
 	runs := len(sh.runs)
 	meta := runMeta{digest: digestSeed}
@@ -540,16 +579,18 @@ func (sc *scan) segment(i int, sh *shard, ev *Event) {
 			return
 		}
 	}
-	if _, torn := err.(errTorn); torn {
-		sc.torn[i] = true
-		return
-	}
-	if err != errSegEnd {
+	_, torn := err.(errTorn)
+	if !torn && err != errSegEnd {
 		// Stop the other workers before releasing the segment.
 		sc.fail(i, err)
 		return
 	}
-	if summarize && len(sh.runs) == runs {
+	sc.torn[i] = torn
+	if tail {
+		sh.seal()
+		return
+	}
+	if summarize && !torn && len(sh.runs) == runs {
 		meta.segBytes = uint64(sr.size)
 		if !sh.summarize(sc.sumPath(i), meta) {
 			sc.unwritable.Store(true)
@@ -602,15 +643,22 @@ func (s *shard) summarize(path string, meta runMeta) bool {
 		panic("fleetlog: a run just encoded does not decode: " + err.Error())
 	}
 	if f := writeSummary(s.fsys, path, s.buf); f != nil {
-		s.runs = append(s.runs, &run{hdr: h, f: f, ra: f})
+		s.runs = append(s.runs, &run{hdr: h, f: f, ra: f, seg: s.seg})
 		return true
 	}
-	s.runs = append(s.runs, &run{hdr: h, ra: memReaderAt(slices.Clone(s.buf))})
+	s.runs = append(s.runs, &run{hdr: h, ra: memReaderAt(slices.Clone(s.buf)), seg: s.seg})
 	return false
 }
 
 // sumTemps numbers the temporary files summaries are written through.
 var sumTemps atomic.Uint64
+
+// isSumTemp reports whether name is the temporary file of a summary
+// (writeSummary), <seq>.sum.<pid>-<n>.tmp.
+func isSumTemp(name string) bool {
+	sum, _, ok := strings.Cut(name, sumSuffix+".")
+	return ok && strings.HasSuffix(name, ".tmp") && seqOf(sum+sumSuffix, sumSuffix) > 0
+}
 
 // writeSummary writes a summary to a temporary file beside path and
 // renames it over path, so that a concurrent Analyze finds the old

@@ -92,21 +92,20 @@ func Compact(srcDir, dstDir string, opts WriterOptions) (CompactStats, error) {
 // to) is never removed even when keep <= 0. GC is the retention
 // policy for logs that have been compacted or rolled up elsewhere:
 // it deletes data, so callers run it only after the rollup pipeline
-// has consumed the old segments. Pass faultfs.OS{} for the real
-// filesystem.
+// has consumed the old segments. Every call also sweeps summary debris
+// (sweepSummaries), whether or not a segment is due. Pass faultfs.OS{}
+// for the real filesystem.
 func GC(fsys faultfs.FS, dir string, keep int) ([]string, error) {
 	if keep < 1 {
 		keep = 1 // the active tail is never collectable
 	}
-	segs, err := listSegments(fsys, dir)
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("fleetlog: listing log dir: %w", err)
 	}
-	if len(segs) <= keep {
-		return nil, nil
-	}
+	segs := segmentNames(entries)
 	var removed []string
-	for _, name := range segs[:len(segs)-keep] {
+	for _, name := range segs[:max(0, len(segs)-keep)] {
 		// The summary goes first: a crash between the two removals
 		// leaves a segment without a summary, which Analyze scans,
 		// rather than a summary without a segment.
@@ -119,5 +118,29 @@ func GC(fsys faultfs.FS, dir string, keep int) ([]string, error) {
 		}
 		removed = append(removed, name)
 	}
-	return removed, nil
+	return removed, sweepSummaries(fsys, dir, entries, segs)
+}
+
+// sweepSummaries removes the summary debris among a log directory's
+// entries, whose segments are segs: temporary files, which a crash
+// between creating one and renaming it leaves, and summaries whose
+// segment is gone, which a query that summarizes a segment while GC
+// removes it leaves. A live query's temporary file may go too; its
+// rename then fails, and the query keeps that run in memory.
+func sweepSummaries(fsys faultfs.FS, dir string, entries []fs.DirEntry, segs []string) error {
+	live := make(map[int]bool, len(segs))
+	for _, name := range segs {
+		live[segSeq(name)] = true
+	}
+	for _, e := range entries {
+		name := e.Name()
+		seq := seqOf(name, sumSuffix)
+		if orphan := seq > 0 && !live[seq]; !orphan && !isSumTemp(name) {
+			continue
+		}
+		if err := fsys.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("fleetlog: removing %s: %w", name, err)
+		}
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package fleetlog
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"parbor/internal/faultfs"
 )
@@ -25,6 +27,10 @@ type run struct {
 	f faultfs.File
 	// ra serves the run's bytes: f, or the bytes in memory.
 	ra io.ReaderAt
+	// seg is the segment the run comes from: a summary's own, and for
+	// a spill run or a residue the highest segment decoded into its
+	// builder. finish merges the runs in this order.
+	seg int
 	// gid is the global module number of each header entry, set by
 	// finish.
 	gid []uint32
@@ -34,7 +40,9 @@ type run struct {
 type modRange struct{ lo, hi int }
 
 // finish merges every run — the segment summaries, the shards' spill
-// runs and their residues — into the rollup. Modules are numbered
+// runs and their residues — into the rollup, in segment order, so a
+// module's epoch blocks and a cell's epoch lists arrive ascending
+// wherever the log's epochs ascend. Modules are numbered
 // globally in name order, which every run's module order agrees with,
 // and split into up to GOMAXPROCS contiguous ranges of about equal
 // bytes; each merge worker folds its range of every run, module by
@@ -54,6 +62,7 @@ func (c *classifier) finish(ctx context.Context) (*Rollup, error) {
 		events += s.events
 		runs = append(runs, s.runs...)
 	}
+	slices.SortStableFunc(runs, func(a, b *run) int { return cmp.Compare(a.seg, b.seg) })
 	names := numberModules(runs)
 
 	files := 0
@@ -185,14 +194,19 @@ type mergeSrc struct {
 	cr      cellReader
 }
 
-// cellHeap is a min-heap of merge sources by current cell.
+// cellHeap is a min-heap of merge sources by current cell, then by
+// source index: a cell's sources pop in run order.
 type cellHeap struct {
 	srcs []mergeSrc
 	idx  []int
 }
 
 func (h *cellHeap) less(a, b int) bool {
-	return h.srcs[h.idx[a]].cr.at.less(h.srcs[h.idx[b]].cr.at)
+	i, j := h.idx[a], h.idx[b]
+	if x, y := h.srcs[i].cr.at, h.srcs[j].cr.at; x != y {
+		return x.less(y)
+	}
+	return i < j
 }
 
 func (h *cellHeap) push(i int) {
@@ -229,9 +243,12 @@ func (h *cellHeap) pop() int {
 	return top
 }
 
-// countDistinct counts the distinct values of xs. Runs in segment
-// order hold ascending epochs, so xs is nearly always sorted already
-// and one pass does; otherwise it is sorted first.
+// countDistinct counts the distinct values of xs. finish merges the
+// runs in segment order and a cell's runs pop in that order, so xs
+// concatenates the epoch lists of ascending segments: wherever the
+// log's epochs ascend, xs is sorted and one pass counts it. Only a log
+// whose epochs arrive out of order (an old epoch logged in a later
+// segment) takes the sort, which distinctSorts counts.
 func countDistinct(xs []uint32) int {
 	n := min(len(xs), 1)
 	for i := 1; i < len(xs); i++ {
@@ -239,12 +256,16 @@ func countDistinct(xs []uint32) int {
 		case xs[i] > xs[i-1]:
 			n++
 		case xs[i] < xs[i-1]:
+			distinctSorts.Add(1)
 			slices.Sort(xs)
 			return len(slices.Compact(xs))
 		}
 	}
 	return n
 }
+
+// distinctSorts counts countDistinct's sorts, for the tests.
+var distinctSorts atomic.Int64
 
 // mergeRange folds modules [pr.lo, pr.hi) of every run into their
 // rollups, in name order. A module's distinct epochs are counted over
@@ -317,8 +338,6 @@ func mergeRange(ctx context.Context, runs []*run, names []string, pr modRange, w
 			for len(h.idx) > 0 && srcs[h.idx[0]].cr.at == at {
 				group = append(group, h.pop())
 			}
-			// In run order, a cell's epochs nearly always ascend.
-			slices.Sort(group)
 			scratch = scratch[:0]
 			for _, i := range group {
 				s := &srcs[i]

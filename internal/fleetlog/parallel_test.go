@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -210,38 +211,82 @@ func runFiles(t *testing.T, dir string) []string {
 	return runs
 }
 
-// TestAnalyzeErrorIsSerialError: with two corrupt segments, Analyze
-// returns the lower-numbered one's error, the one a serial scan meets
-// first, at every worker count, even though the higher one's
-// corruption sits at its first record and the lower one's near its
-// end. Every worker's spill runs are removed on the error path.
+// copyLog copies a log directory's files into a fresh directory.
+func copyLog(t *testing.T, dir string) string {
+	t.Helper()
+	cp := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cp, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cp
+}
+
+// TestAnalyzeErrorIsSerialError: with corrupt segments, Analyze
+// returns the lowest-numbered one's error, the one a serial scan meets
+// first, at every worker count: where the higher one's corruption sits
+// at its first record and the lower one's near its end, where the tail
+// (claimed first by more than one worker) alone is corrupt, and where
+// the tail fails at its first record and a lower segment near its end.
+// Every worker's spill runs are removed on the error path.
 func TestAnalyzeErrorIsSerialError(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	dir, segs := writeSegmented(t, genEvents(r, 8, 600), 512)
 	if len(segs) < 8 {
 		t.Fatalf("log has %d segments, want at least 8", len(segs))
 	}
-	lo := filepath.Join(dir, segs[3])
-	data, err := os.ReadFile(lo)
-	if err != nil {
-		t.Fatal(err)
+	tail := len(segs) - 1
+	// The cases with a corrupt tail scan the whole log, so they run
+	// under a budget that spills less.
+	cases := []struct {
+		name    string
+		lo      int // the lowest corrupt segment, corrupt near its end
+		hi      int // another corrupt segment, corrupt at its first record, or -1
+		maxKeys int
+	}{
+		{"sealed", 3, 4, 8},
+		{"tail", tail, -1, 256},
+		{"tail and sealed", 2, tail, 256},
 	}
-	corruptCRC(t, lo, len(recordEnds(t, data))-2)
-	corruptCRC(t, filepath.Join(dir, segs[4]), 0)
-	want := serialError(t, dir)
-	if !strings.Contains(want.Error(), segs[3]) {
-		t.Fatalf("serial error %q does not name %s", want, segs[3])
+	dirs := make([]string, len(cases))
+	wants := make([]error, len(cases))
+	for c, tc := range cases {
+		dirs[c] = copyLog(t, dir)
+		lo := filepath.Join(dirs[c], segs[tc.lo])
+		data, err := os.ReadFile(lo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corruptCRC(t, lo, len(recordEnds(t, data))-2)
+		if tc.hi >= 0 {
+			corruptCRC(t, filepath.Join(dirs[c], segs[tc.hi]), 0)
+		}
+		wants[c] = serialError(t, dirs[c])
+		if !strings.Contains(wants[c].Error(), segs[tc.lo]) {
+			t.Fatalf("%s: serial error %q does not name %s", tc.name, wants[c], segs[tc.lo])
+		}
 	}
 
 	withGOMAXPROCS(t, []int{1, 2, 4, 8}, func(t *testing.T, procs int) {
-		for rep := 0; rep < 10; rep++ {
-			spill := filepath.Join(t.TempDir(), "spill")
-			_, err := Analyze(t.Context(), dir, ClassifierConfig{MaxKeys: 8, SpillDir: spill})
-			if err == nil || err.Error() != want.Error() {
-				t.Fatalf("rep %d: Analyze error %v, want the serial scan's %v", rep, err, want)
-			}
-			if left := runFiles(t, spill); len(left) != 0 {
-				t.Fatalf("rep %d: spill dir keeps %d runs after the error, first %s", rep, len(left), left[0])
+		for c, tc := range cases {
+			for rep := 0; rep < 10; rep++ {
+				spill := filepath.Join(t.TempDir(), "spill")
+				_, err := Analyze(t.Context(), dirs[c], ClassifierConfig{MaxKeys: tc.maxKeys, SpillDir: spill})
+				if err == nil || err.Error() != wants[c].Error() {
+					t.Fatalf("%s, rep %d: Analyze error %v, want the serial scan's %v", tc.name, rep, err, wants[c])
+				}
+				if left := runFiles(t, spill); len(left) != 0 {
+					t.Fatalf("%s, rep %d: spill dir keeps %d runs after the error, first %s", tc.name, rep, len(left), left[0])
+				}
 			}
 		}
 	})
@@ -316,4 +361,98 @@ func TestAnalyzeStopsClaimingAfterError(t *testing.T) {
 			t.Fatalf("%d segments opened after the scan stopped, want at most %d", late, procs-1)
 		}
 	})
+}
+
+// alternatingFS makes two scan workers alternate over a log's sealed
+// segments after one of them has opened the tail: the open of sealed
+// segment j waits until the opens of segment j+1 and of the tail have
+// begun, which the worker holding j cannot do, so the other worker
+// claims j+1, and the tail before any sealed segment. A wait that times
+// out is counted in stalled, and after one no open waits.
+type alternatingFS struct {
+	faultfs.FS
+	index   map[string]int // segment name -> position in the log
+	opened  []chan struct{}
+	once    []sync.Once
+	stalled atomic.Int32
+}
+
+func newAlternatingFS(segs []string) *alternatingFS {
+	a := &alternatingFS{FS: faultfs.OS{}, index: make(map[string]int), opened: make([]chan struct{}, len(segs)), once: make([]sync.Once, len(segs))}
+	for i, s := range segs {
+		a.index[s] = i
+		a.opened[i] = make(chan struct{})
+	}
+	return a
+}
+
+func (a *alternatingFS) Open(name string) (faultfs.File, error) {
+	if i, seg := a.index[filepath.Base(name)]; seg {
+		a.once[i].Do(func() { close(a.opened[i]) })
+		tail := len(a.opened) - 1
+		if i < tail && a.stalled.Load() == 0 {
+			deadline := time.After(10 * time.Second)
+			for _, j := range []int{i + 1, tail} {
+				select {
+				case <-a.opened[j]:
+				case <-deadline:
+					a.stalled.Add(1)
+				}
+			}
+		}
+	}
+	return a.FS.Open(name)
+}
+
+// TestAnalyzeMergesRunsInSegmentOrder: two scan workers, one of which
+// claims the tail first, then alternate over the sealed segments, so
+// the runs they hand finish, shard by shard, are not in the log's
+// order; finish merges them in segment order, so on a log whose epochs
+// ascend no distinct-epoch count takes its fallback sort, with the
+// summaries absent (the query writes them) and present.
+// A log whose old epochs are logged again in later segments takes the
+// sort and still gives the oracle's rollup.
+func TestAnalyzeMergesRunsInSegmentOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // two scan workers
+	events := analyticsEvents(4)
+	dir, segs := writeSegmented(t, events, 32<<10)
+	if len(segs) < 8 {
+		t.Fatalf("log has %d segments, want at least 8", len(segs))
+	}
+	want := marshal(t, oracleRollup(events))
+	for _, state := range []string{"absent", "present"} {
+		fsys := newAlternatingFS(segs)
+		before := distinctSorts.Load()
+		got, err := Analyze(t.Context(), dir, ClassifierConfig{SpillDir: t.TempDir(), FS: fsys})
+		if err != nil {
+			t.Fatalf("summaries %s: %v", state, err)
+		}
+		if n := fsys.stalled.Load(); n != 0 {
+			t.Fatalf("summaries %s: %d segment opens waited out their turn; the workers did not take the tail first and alternate", state, n)
+		}
+		if g := marshal(t, got); g != want {
+			t.Fatalf("summaries %s: rollup differs from the oracle's:\ngot  %s\nwant %s", state, g, want)
+		}
+		if n := distinctSorts.Load() - before; n != 0 {
+			t.Fatalf("summaries %s: %d distinct-epoch counts sorted a log whose epochs ascend", state, n)
+		}
+		if sums := sumFiles(t, dir); len(sums) != len(segs)-1 {
+			t.Fatalf("summaries %s: %d summaries for %d segments", state, len(sums), len(segs))
+		}
+	}
+
+	// Replay the first epochs at the end of the log.
+	late := append(slices.Clone(events), events[:len(events)/4]...)
+	dir, _ = writeSegmented(t, late, 32<<10)
+	before := distinctSorts.Load()
+	got, err := Analyze(t.Context(), dir, ClassifierConfig{SpillDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := marshal(t, got), marshal(t, oracleRollup(late)); g != w {
+		t.Fatalf("out-of-order log: rollup differs from the oracle's:\ngot  %s\nwant %s", g, w)
+	}
+	if distinctSorts.Load() == before {
+		t.Fatal("a log with old epochs in its last segments took no fallback sort")
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -36,20 +37,7 @@ func withSummaryState(t *testing.T, dir, state string) string {
 	if len(sumFiles(t, dir)) == 0 {
 		summarize(t, dir)
 	}
-	cp := t.TempDir()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(cp, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	cp := copyLog(t, dir)
 	segs, err := listSegments(faultfs.OS{}, cp)
 	if err != nil {
 		t.Fatal(err)
@@ -314,6 +302,121 @@ func TestGCRemovesSummaries(t *testing.T) {
 	diffRollups(t, "after GC", got, logOracle(t, dir))
 }
 
+// TestGCSweepsSummaryDebris: GC removes the temporary file a crash
+// left between creating a summary and renaming it, and a summary whose
+// segment is gone, as a query that summarized a segment while GC
+// removed it leaves, also when no segment is due; it keeps every valid
+// summary and every other file, and the log still analyzes to its
+// records' rollup.
+func TestGCSweepsSummaryDebris(t *testing.T) {
+	r := rand.New(rand.NewSource(10))
+	dir, segs := writeSegmented(t, genEvents(r, 4, 120), 128)
+	if len(segs) < 6 {
+		t.Fatalf("log has %d segments, want at least 6", len(segs))
+	}
+	summarize(t, dir)
+	first := filepath.Join(dir, sumName(segSeq(segs[0])))
+	orphan, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, keep := range []int{len(segs) - 2, len(segs)} {
+		// The query's rename lands after GC removed the segment.
+		if err := os.WriteFile(first, orphan, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		debris := []string{
+			sumName(segSeq(segs[0])),
+			sumName(segSeq(segs[1])) + ".4242-1.tmp",
+			sumName(segSeq(segs[len(segs)-2])) + ".4242-2.tmp",
+		}
+		for _, name := range debris[1:] {
+			if err := os.WriteFile(filepath.Join(dir, name), orphan[:len(orphan)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		other := filepath.Join(dir, "notes.tmp")
+		if err := os.WriteFile(other, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		removed, err := GC(faultfs.OS{}, dir, keep)
+		if err != nil {
+			t.Fatalf("keep %d: %v", keep, err)
+		}
+		if keep == len(segs) && len(removed) != 0 {
+			t.Fatalf("keep %d: removed segments %v", keep, removed)
+		}
+		for _, name := range debris {
+			if fileExists(filepath.Join(dir, name)) {
+				t.Fatalf("keep %d: %s survived GC", keep, name)
+			}
+		}
+		if !fileExists(other) {
+			t.Fatalf("keep %d: GC removed a file that is not summary debris", keep)
+		}
+		left, err := listSegments(faultfs.OS{}, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, seg := range left[:len(left)-1] {
+			want = append(want, sumName(segSeq(seg)))
+		}
+		if sums := sumFiles(t, dir); !slices.Equal(sums, want) {
+			t.Fatalf("keep %d: summaries after GC %v, want %v", keep, sums, want)
+		}
+		got, err := Analyze(t.Context(), dir, ClassifierConfig{SpillDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffRollups(t, fmt.Sprintf("keep %d", keep), got, logOracle(t, dir))
+	}
+}
+
+// sweepingFS runs GC, with no segment due, just before every rename of
+// a temporary summary, so the sweep removes the file the query is
+// about to rename; it counts the renames.
+type sweepingFS struct {
+	faultfs.FS
+	dir     string
+	renames atomic.Int32
+}
+
+func (s *sweepingFS) Rename(from, to string) error {
+	if strings.HasSuffix(from, ".tmp") {
+		s.renames.Add(1)
+		if _, err := GC(faultfs.OS{}, s.dir, math.MaxInt); err != nil {
+			return err
+		}
+	}
+	return s.FS.Rename(from, to)
+}
+
+// TestAnalyzeTempSummaryVanishes: a query whose temporary summary file
+// GC sweeps before the query renames it still gives the oracle's
+// rollup, and leaves neither a summary nor a temporary file.
+func TestAnalyzeTempSummaryVanishes(t *testing.T) {
+	events := genEvents(rand.New(rand.NewSource(37)), 5, 300)
+	dir, segs := writeSegmented(t, events, 256)
+	if len(segs) < 4 {
+		t.Fatalf("log has %d segments, want at least 4", len(segs))
+	}
+	withGOMAXPROCS(t, []int{1, 2}, func(t *testing.T, procs int) {
+		fsys := &sweepingFS{FS: faultfs.OS{}, dir: dir}
+		got, err := Analyze(t.Context(), dir, ClassifierConfig{FS: fsys, SpillDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffRollups(t, "vanished temporary summaries", got, oracleRollup(events))
+		if fsys.renames.Load() == 0 {
+			t.Fatal("no summary was renamed into place")
+		}
+		if sums, tmp := sumFiles(t, dir), tempFiles(t, dir); len(sums)+len(tmp) != 0 {
+			t.Fatalf("files left beside the segments: %v %v", sums, tmp)
+		}
+	})
+}
+
 // TestAnalyzeCancelled: Analyze stops once its context is done and
 // returns the context's error, with no spill run left behind, whether
 // the context ends before the scan or in the middle of it.
@@ -558,7 +661,9 @@ func TestAnalyzeSummarizesWithinBudget(t *testing.T) {
 		epochs, obs := segmentAdds(t, filepath.Join(dir, seg))
 		need[i] = max(epochs, obs) + 1
 	}
-	budget := slices.Sorted(slices.Values(need))[len(need)/2]
+	sorted := slices.Clone(need)
+	slices.Sort(sorted)
+	budget := sorted[len(need)/2]
 	want := marshal(t, oracleRollup(events))
 	for pass := range 2 {
 		got, err := Analyze(t.Context(), dir, ClassifierConfig{MaxKeys: budget, SpillDir: t.TempDir()})

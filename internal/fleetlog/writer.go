@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -69,11 +70,15 @@ func segHeader() []byte { return append([]byte(segMagic), segVersion) }
 func segName(seq int) string { return fmt.Sprintf("%08d%s", seq, segSuffix) }
 
 // segSeq parses a segment filename's sequence number, or -1.
-func segSeq(name string) int {
-	if !strings.HasSuffix(name, segSuffix) {
+func segSeq(name string) int { return seqOf(name, segSuffix) }
+
+// seqOf parses the sequence number of a filename with the suffix, or
+// -1.
+func seqOf(name, suffix string) int {
+	if !strings.HasSuffix(name, suffix) {
 		return -1
 	}
-	n, err := strconv.Atoi(strings.TrimSuffix(name, segSuffix))
+	n, err := strconv.Atoi(strings.TrimSuffix(name, suffix))
 	if err != nil || n <= 0 {
 		return -1
 	}
@@ -87,6 +92,12 @@ func listSegments(fsys faultfs.FS, dir string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	return segmentNames(entries), nil
+}
+
+// segmentNames returns the segment filenames among entries in sequence
+// order.
+func segmentNames(entries []fs.DirEntry) []string {
 	var names []string
 	for _, e := range entries {
 		if !e.IsDir() && segSeq(e.Name()) > 0 {
@@ -94,7 +105,7 @@ func listSegments(fsys faultfs.FS, dir string) ([]string, error) {
 		}
 	}
 	sort.Slice(names, func(i, j int) bool { return segSeq(names[i]) < segSeq(names[j]) })
-	return names, nil
+	return names
 }
 
 // Writer appends failure events to a segmented log directory. It is
