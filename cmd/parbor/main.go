@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -51,6 +50,7 @@ import (
 	"parbor/internal/onlinetest"
 	"parbor/internal/patterns"
 	"parbor/internal/retention"
+	"parbor/internal/scramble"
 )
 
 func main() {
@@ -107,23 +107,6 @@ func main() {
 	}
 }
 
-func parseVendor(s string) (parbor.Vendor, error) {
-	switch strings.ToLower(s) {
-	case "a":
-		return parbor.VendorA, nil
-	case "b":
-		return parbor.VendorB, nil
-	case "c":
-		return parbor.VendorC, nil
-	case "linear":
-		return parbor.VendorLinear, nil
-	case "toy":
-		return parbor.VendorToy, nil
-	default:
-		return 0, fmt.Errorf("unknown vendor %q (want A, B, C, linear or toy)", s)
-	}
-}
-
 type options struct {
 	vendorName    string
 	rows, chips   int
@@ -148,7 +131,7 @@ func run(ctx context.Context, opts options) error {
 		return runResume(ctx, opts)
 	}
 	vendorName, rows, chips, sample, seed := opts.vendorName, opts.rows, opts.chips, opts.sample, opts.seed
-	vendor, err := parseVendor(vendorName)
+	vendor, err := scramble.ParseVendor(vendorName)
 	if err != nil {
 		return err
 	}
@@ -417,7 +400,7 @@ func runResume(ctx context.Context, opts options) error {
 	if err != nil {
 		return err
 	}
-	vendor, err := parseVendor(snap.Module.Vendor)
+	vendor, err := scramble.ParseVendor(snap.Module.Vendor)
 	if err != nil {
 		return fmt.Errorf("checkpoint %s: %w", opts.resume, err)
 	}

@@ -9,23 +9,6 @@ import (
 	"time"
 )
 
-func TestParseVendor(t *testing.T) {
-	for name, want := range map[string]string{
-		"a": "A", "B": "B", "c": "C", "linear": "Linear", "TOY": "Toy",
-	} {
-		v, err := parseVendor(name)
-		if err != nil {
-			t.Fatalf("parseVendor(%q): %v", name, err)
-		}
-		if v.String() != want {
-			t.Errorf("parseVendor(%q) = %v, want %s", name, v, want)
-		}
-	}
-	if _, err := parseVendor("samsung"); err == nil {
-		t.Error("unknown vendor accepted")
-	}
-}
-
 func TestRunSmallModule(t *testing.T) {
 	err := run(context.Background(), options{
 		vendorName:    "toy",

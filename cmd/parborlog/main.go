@@ -13,10 +13,11 @@
 //	parborlog -dir /var/lib/parbord/log -gc 4        # drop all but 4 newest segments
 //
 // -mem-budget bounds the classifier's in-memory key set; past it,
-// sorted runs spill to -spill (default: a temp dir) and are merged, so
-// a log of any size classifies in bounded memory (plus, past 2560 run
-// files at the default budget, 8 KiB of read windows per further run;
-// DESIGN.md section 12). The segments are
+// sorted runs spill to -spill (default: the system temp dir), one
+// spill file per scan worker, and are merged, so a log of any size
+// classifies in bounded memory (plus, past 2560 runs on disk at the
+// default budget, 8 KiB of read windows per further run; DESIGN.md
+// section 12) and with one open file per worker. The segments are
 // scanned on up to GOMAXPROCS workers, which share the budget rather
 // than each taking a copy of it; a sealed segment whose summary
 // matches it is merged from the summary instead of being decoded. The
@@ -46,7 +47,7 @@ func main() {
 		dump      = flag.Bool("dump", false, "print raw events as JSON lines instead of the rollup")
 		compact   = flag.String("compact", "", "rewrite the log into this directory (drops torn tails) instead of analyzing")
 		memBudget = flag.Int("mem-budget", 0, "classifier in-memory key budget before spilling, shared by the scan workers (0 = default)")
-		spill     = flag.String("spill", "", "directory for spill runs (empty = temp dir)")
+		spill     = flag.String("spill", "", "directory for the scan workers' spill files, one per worker, created if missing (empty = system temp dir)")
 		segBytes  = flag.Int64("segment-bytes", 0, "segment size for -compact output (0 = default)")
 		gc        = flag.Int("gc", -1, "garbage-collect the log to this many newest segments (the active tail always survives); -1 = off")
 	)
@@ -66,7 +67,7 @@ func main() {
 		opts.gc, opts.gcOn = *gc, true
 	}
 	// SIGINT and SIGTERM stop a rollup's scan and merge workers; the
-	// spill runs are removed before run returns.
+	// spill files are removed before run returns.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	err := run(ctx, opts, os.Stdout)
 	stop()

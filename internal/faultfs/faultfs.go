@@ -57,8 +57,7 @@ type FS interface {
 	OpenFile(name string, flag int, perm fs.FileMode) (File, error)
 	ReadFile(name string) ([]byte, error)
 	// WriteFile is the plain non-durable write (no fsync, no rename
-	// dance). Persistence sites use WriteFileAtomic instead; this
-	// exists for scratch data whose loss is harmless (spill runs).
+	// dance). Persistence sites use WriteFileAtomic instead.
 	WriteFile(name string, data []byte, perm fs.FileMode) error
 	Rename(oldpath, newpath string) error
 	Remove(name string) error

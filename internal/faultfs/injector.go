@@ -166,13 +166,6 @@ func (in *Injector) Heal() {
 	in.mu.Unlock()
 }
 
-// Broken reports whether a Break outage is active.
-func (in *Injector) Broken() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.broken != nil
-}
-
 // Crashed reports whether the configured crash point was reached.
 func (in *Injector) Crashed() bool {
 	in.mu.Lock()
@@ -216,15 +209,6 @@ func (in *Injector) Faults() int {
 type plan struct {
 	err     error
 	partial int
-}
-
-// mutates reports whether a Break outage covers the op kind.
-func mutates(kind OpKind) bool {
-	switch kind {
-	case OpWrite, OpSync, OpSyncDir, OpCreate, OpRename, OpRemove, OpTruncate, OpMkdirAll:
-		return true
-	}
-	return false
 }
 
 // step serializes one operation: assigns its sequence number, records

@@ -12,6 +12,7 @@ import (
 	"parbor/internal/memctl"
 	"parbor/internal/obs"
 	"parbor/internal/onlinetest"
+	"parbor/internal/scramble"
 )
 
 // Status is an enrolled module's lifecycle state.
@@ -78,7 +79,7 @@ func buildModule(spec ModuleSpec, snap *checkpoint.Snapshot, fleetRec obs.Record
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	vendor, err := parseVendor(spec.Vendor)
+	vendor, err := scramble.ParseVendor(spec.Vendor)
 	if err != nil {
 		return nil, err
 	}

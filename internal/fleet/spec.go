@@ -79,24 +79,6 @@ type ModuleSpec struct {
 	MaxEpochs int `json:"max_epochs,omitempty"`
 }
 
-// parseVendor resolves a spec's vendor name.
-func parseVendor(s string) (scramble.Vendor, error) {
-	switch strings.ToLower(s) {
-	case "a":
-		return scramble.VendorA, nil
-	case "b":
-		return scramble.VendorB, nil
-	case "c":
-		return scramble.VendorC, nil
-	case "linear":
-		return scramble.VendorLinear, nil
-	case "toy":
-		return scramble.VendorToy, nil
-	default:
-		return 0, fmt.Errorf("fleet: unknown vendor %q (want A|B|C|linear|toy)", s)
-	}
-}
-
 // validID reports whether an ID is usable as a fleet key and a state
 // filename.
 func validID(id string) bool {
@@ -128,8 +110,8 @@ func (sp ModuleSpec) validate() error {
 	if !validID(sp.ID) {
 		return fmt.Errorf("fleet: invalid module id %q (want 1-128 chars of [A-Za-z0-9._-])", sp.ID)
 	}
-	if _, err := parseVendor(sp.Vendor); err != nil {
-		return err
+	if _, err := scramble.ParseVendor(sp.Vendor); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
 	if err := sp.geometry().Validate(); err != nil {
 		return fmt.Errorf("fleet: module %s: %w", sp.ID, err)

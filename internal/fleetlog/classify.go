@@ -75,10 +75,12 @@ type ClassifierConfig struct {
 	// down to a few keys; results are identical, only spill traffic
 	// changes.
 	MaxKeys int
-	// SpillDir holds the temporary sorted runs. Empty selects a fresh
-	// os.MkdirTemp directory that is removed once the rollup is built.
+	// SpillDir is the directory that holds the temporary sorted runs:
+	// each scan worker appends its runs to one spill file there,
+	// created on its first spill and removed once the rollup is built.
+	// It is created if missing; empty selects os.TempDir().
 	SpillDir string
-	// FS is the filesystem seam spill runs and (via Analyze) segment
+	// FS is the filesystem seam spill files and (via Analyze) segment
 	// and summary reads go through; nil selects the real filesystem.
 	FS faultfs.FS
 }
@@ -95,29 +97,32 @@ const defaultMaxKeys = 1 << 20
 // the event set — order, duplication, segmentation, summaries and
 // memory budget cannot change a byte of it.
 type classifier struct {
-	fsys     faultfs.FS
-	spillDir string
-	ownDir   bool
-	maxKeys  int
-	shards   []*shard
-	done     bool
+	fsys    faultfs.FS
+	maxKeys int
+	shards  []*shard
+	done    bool
 }
 
 // shard is one scan worker's classifier state: a builder holding its
 // keys under a 1/n share of the budget, the runs it spilled or took
 // from segment summaries, and the number of events they and the
-// builder hold.
+// builder hold. Its spill runs are consecutive sections of one spill
+// file, so the files it holds open do not grow with its spills.
 type shard struct {
 	fsys   faultfs.FS
 	dir    string
-	prefix string
+	worker int
 	b      *runBuilder
 	// seg is the highest segment decoded into the builder since it was
 	// last empty: the segment of the run it spills or seals next.
-	seg    int
-	runs   []*run
-	buf    []byte // run encoding and summary reading scratch
-	events int
+	seg int
+	// spillFile holds the shard's spill runs, and spillEnd ends the
+	// last; the file is created on the first spill.
+	spillFile faultfs.File
+	spillEnd  int64
+	runs      []*run
+	buf       []byte // run encoding and summary reading scratch
+	events    int
 }
 
 // newClassifier builds a classifier of n shards, each with a 1/n share
@@ -130,20 +135,16 @@ func newClassifier(cfg ClassifierConfig, n int) (*classifier, error) {
 	if cfg.MaxKeys <= 0 {
 		cfg.MaxKeys = defaultMaxKeys
 	}
-	dir, own := cfg.SpillDir, false
+	dir := cfg.SpillDir
 	if dir == "" {
-		d, err := os.MkdirTemp("", "fleetlog-spill-")
-		if err != nil {
-			return nil, fmt.Errorf("fleetlog: creating spill dir: %w", err)
-		}
-		dir, own = d, true
+		dir = os.TempDir()
 	}
-	c := &classifier{fsys: cfg.FS, spillDir: dir, ownDir: own, maxKeys: cfg.MaxKeys}
+	c := &classifier{fsys: cfg.FS, maxKeys: cfg.MaxKeys}
 	for i := range n {
 		c.shards = append(c.shards, &shard{
 			fsys:   cfg.FS,
 			dir:    dir,
-			prefix: fmt.Sprintf("w%d", i),
+			worker: i,
 			b:      newRunBuilder(cfg.MaxKeys / n),
 		})
 	}
@@ -199,36 +200,33 @@ func (s *shard) observe(ev *Event) error {
 	return nil
 }
 
-// spill sorts the builder's keys and writes them as one run file.
+// spill sorts the builder's keys and writes them as one run at the end
+// of the shard's spill file, creating it on the first spill. A write
+// that fails fails the query, and close removes the file, partial run
+// and all.
 func (s *shard) spill() error {
-	s.buf = s.b.appendRun(s.buf[:0], runMeta{})
-	h, err := decodeRunHeader(s.buf)
-	if err != nil {
-		return fmt.Errorf("fleetlog: encoding spill run: %w", err)
+	if s.spillFile == nil {
+		// The spill dir is scratch space the caller merely names (e.g.
+		// parborlog -spill); create it on first use rather than
+		// demanding it exists.
+		if err := s.fsys.MkdirAll(s.dir, 0o755); err != nil {
+			return fmt.Errorf("fleetlog: creating spill dir: %w", err)
+		}
+		name := fmt.Sprintf("fleetlog-spill-%d-%d-w%d.run", os.Getpid(), tempSeq.Add(1), s.worker)
+		f, err := s.fsys.OpenFile(filepath.Join(s.dir, name), os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o600)
+		if err != nil {
+			return fmt.Errorf("fleetlog: creating spill file: %w", err)
+		}
+		s.spillFile = f
 	}
-	// The spill dir is scratch space the caller merely names (e.g.
-	// parborlog -spill); create it on first use rather than demanding
-	// it exists.
-	if err := s.fsys.MkdirAll(s.dir, 0o755); err != nil {
-		return fmt.Errorf("fleetlog: creating spill dir: %w", err)
-	}
-	path := filepath.Join(s.dir, fmt.Sprintf("%s-%06d.run", s.prefix, len(s.runs)))
-	f, err := s.fsys.Create(path)
-	if err != nil {
-		return fmt.Errorf("fleetlog: creating spill run: %w", err)
-	}
-	_, err = f.Write(s.buf)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		// A partial run never reaches s.runs, so close would not find
-		// it: remove it here, or a caller-named spill dir keeps it.
-		//parbor:droperr best-effort removal of a scratch run that already failed; the write error is what the caller needs
-		s.fsys.Remove(path)
+	var h *runHeader
+	s.buf, h = s.b.appendRun(s.buf[:0], runMeta{})
+	if _, err := s.spillFile.WriteAt(s.buf, s.spillEnd); err != nil {
 		return fmt.Errorf("fleetlog: writing spill run: %w", err)
 	}
-	s.runs = append(s.runs, &run{hdr: h, path: path, seg: s.seg})
+	ra := io.NewSectionReader(s.spillFile, s.spillEnd, int64(len(s.buf)))
+	s.spillEnd += int64(len(s.buf))
+	s.runs = append(s.runs, &run{hdr: h, ra: ra, seg: s.seg})
 	return nil
 }
 
@@ -239,11 +237,7 @@ func (s *shard) seal() {
 	if s.b.empty() {
 		return
 	}
-	data := s.b.appendRun(nil, runMeta{})
-	h, err := decodeRunHeader(data)
-	if err != nil {
-		panic("fleetlog: a run just encoded does not decode: " + err.Error())
-	}
+	data, h := s.b.appendRun(nil, runMeta{})
 	s.runs = append(s.runs, &run{hdr: h, ra: memReaderAt(data), seg: s.seg})
 }
 
@@ -311,25 +305,25 @@ func CountModes(fails []memctl.BitAddr, into map[string]int) {
 	}
 }
 
-// close releases the runs: it closes every open run file and removes
-// the spill runs (summaries stay). Idempotent; finish calls it.
+// close releases the runs: it closes every open summary, and closes
+// and removes the spill files (summaries stay). Idempotent; finish
+// calls it.
 func (c *classifier) close() {
 	for _, s := range c.shards {
 		for _, r := range s.runs {
 			if r.f != nil {
-				//parbor:droperr read-side close of a run whose keys are merged or no longer needed
+				//parbor:droperr read-side close of a summary whose keys are merged or no longer needed
 				r.f.Close()
-			}
-			if r.path != "" {
-				//parbor:droperr best-effort removal of a scratch spill run
-				c.fsys.Remove(r.path)
 			}
 		}
 		s.runs = nil
-	}
-	if c.ownDir && c.spillDir != "" {
-		os.RemoveAll(c.spillDir)
-		c.spillDir = ""
+		if s.spillFile != nil {
+			//parbor:droperr close of a scratch spill file whose runs are merged or no longer needed
+			s.spillFile.Close()
+			//parbor:droperr best-effort removal of a scratch spill file
+			c.fsys.Remove(s.spillFile.Name())
+			s.spillFile = nil
+		}
 	}
 }
 
@@ -348,7 +342,7 @@ func (c *classifier) close() {
 // module ranges. The rollup is the
 // one a single classifier fed the log in order would give; so is the
 // error, the lowest-numbered failing segment's. Once ctx is done the
-// workers stop and Analyze returns ctx.Err(), with its spill runs
+// workers stop and Analyze returns ctx.Err(), with its spill files
 // removed. Concurrent calls on one directory are safe: a summary is
 // renamed into place whole, and a query merges the file it checked.
 func Analyze(ctx context.Context, dir string, cfg ClassifierConfig) (*Rollup, error) {
@@ -637,11 +631,8 @@ func (s *shard) readSummary(path string) (faultfs.File, *runHeader) {
 // file written. It reports false if the summary could not be written;
 // the shard then keeps the run in memory.
 func (s *shard) summarize(path string, meta runMeta) bool {
-	s.buf = s.b.appendRun(s.buf[:0], meta)
-	h, err := decodeRunHeader(s.buf)
-	if err != nil {
-		panic("fleetlog: a run just encoded does not decode: " + err.Error())
-	}
+	var h *runHeader
+	s.buf, h = s.b.appendRun(s.buf[:0], meta)
 	if f := writeSummary(s.fsys, path, s.buf); f != nil {
 		s.runs = append(s.runs, &run{hdr: h, f: f, ra: f, seg: s.seg})
 		return true
@@ -650,8 +641,9 @@ func (s *shard) summarize(path string, meta runMeta) bool {
 	return false
 }
 
-// sumTemps numbers the temporary files summaries are written through.
-var sumTemps atomic.Uint64
+// tempSeq numbers the temporary files: the spill files, and those
+// summaries are written through.
+var tempSeq atomic.Uint64
 
 // isSumTemp reports whether name is the temporary file of a summary
 // (writeSummary), <seq>.sum.<pid>-<n>.tmp.
@@ -667,7 +659,7 @@ func isSumTemp(name string) bool {
 // written. The write is unsynced: a summary is a cache of its segment,
 // and one that a crash tears or loses is rebuilt by the next Analyze.
 func writeSummary(fsys faultfs.FS, path string, data []byte) faultfs.File {
-	tmp := fmt.Sprintf("%s.%d-%d.tmp", path, os.Getpid(), sumTemps.Add(1))
+	tmp := fmt.Sprintf("%s.%d-%d.tmp", path, os.Getpid(), tempSeq.Add(1))
 	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil

@@ -19,13 +19,11 @@ import (
 // written).
 type run struct {
 	hdr *runHeader
-	// path is a spill run's file, which finish opens and the
-	// classifier's close removes.
-	path string
-	// f is the run's open file: a summary's from the moment its bytes
-	// were checked or written, a spill run's from finish on.
+	// f is a summary's open file, from the moment its bytes were
+	// checked or written; the classifier's close closes it.
 	f faultfs.File
-	// ra serves the run's bytes: f, or the bytes in memory.
+	// ra serves the run's bytes: f, a section of its shard's spill
+	// file, or the bytes in memory.
 	ra io.ReaderAt
 	// seg is the segment the run comes from: a summary's own, and for
 	// a spill run or a residue the highest segment decoded into its
@@ -67,23 +65,16 @@ func (c *classifier) finish(ctx context.Context) (*Rollup, error) {
 
 	files := 0
 	for _, r := range runs {
-		if r.path != "" {
-			f, err := c.fsys.Open(r.path)
-			if err != nil {
-				return nil, fmt.Errorf("fleetlog: opening key run: %w", err)
-			}
-			r.f, r.ra = f, f
-		}
-		if r.f != nil {
+		if _, inMem := r.ra.(memReaderAt); !inMem {
 			files++
 		}
 	}
 
-	// Every merge worker reads each run file through two windows, and
-	// all the windows share MaxKeys keys' worth of bytes: there are no
-	// more workers than leave every window minWindow bytes. With more
-	// than budget/(2*minWindow) run files (2560 at the default MaxKeys)
-	// one worker's minimal windows exceed the budget.
+	// Every merge worker reads each run on disk through two windows,
+	// and all the windows share MaxKeys keys' worth of bytes: there are
+	// no more workers than leave every window minWindow bytes. With
+	// more than budget/(2*minWindow) runs on disk (2560 at the default
+	// MaxKeys) one worker's minimal windows exceed the budget.
 	budget := c.maxKeys * keyBytes
 	procs := min(runtime.GOMAXPROCS(0), budget/max(1, 2*files*minWindow))
 	parts := partition(runs, len(names), max(1, procs))

@@ -202,10 +202,11 @@ func (b *runBuilder) modID(name string) (uint32, error) {
 func (b *runBuilder) empty() bool { return len(b.obs.mem) == 0 && len(b.epochs.mem) == 0 }
 
 // appendRun sorts the buffered keys and appends them to dst as one
-// run, then empties the spill sets. The module table survives: a
-// module with no buffered key is left out of the run, so the shard's
-// module numbers stay valid across its spills.
-func (b *runBuilder) appendRun(dst []byte, meta runMeta) []byte {
+// run, then empties the spill sets, and returns the run's header with
+// offsets from the run's start. The module table survives: a module
+// with no buffered key is left out of the run, so the shard's module
+// numbers stay valid across its spills.
+func (b *runBuilder) appendRun(dst []byte, meta runMeta) ([]byte, *runHeader) {
 	be := binary.BigEndian
 	// Renumber the modules that have keys by name, so that the key
 	// sort orders them as the run lists them.
@@ -259,5 +260,6 @@ func (b *runBuilder) appendRun(dst []byte, meta runMeta) []byte {
 	}
 	b.epochs.mem = b.epochs.mem[:0]
 	b.obs.mem = b.obs.mem[:0]
-	return b.enc.appendRun(dst, meta)
+	dst = b.enc.appendRun(dst, meta)
+	return dst, b.enc.header(meta)
 }

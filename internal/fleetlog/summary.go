@@ -17,8 +17,8 @@ import (
 //     segment's keys, plus the segment's byte length, record count and
 //     a digest of its record CRCs, so that a later Analyze can tell
 //     whether the summary still describes the segment it sits beside;
-//   - a spill run, which a classifier writes to its spill directory
-//     when its key budget fills (the meta fields are zero).
+//   - a spill run, which a classifier's scan worker appends to its one
+//     spill file when its key budget fills (the meta fields are zero).
 //
 // Layout (every integer a minimal uvarint unless noted):
 //

@@ -477,7 +477,7 @@ func TestSummaryCodecRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	data := sh.b.appendRun(nil, meta)
+	data, _ := sh.b.appendRun(nil, meta)
 	h, err := checkRun(data)
 	if err != nil {
 		t.Fatalf("checkRun: %v", err)
@@ -524,7 +524,8 @@ func reencodeRun(data []byte, h *runHeader) []byte {
 			}
 		}
 	}
-	return b.appendRun(nil, h.meta)
+	out, _ := b.appendRun(nil, h.meta)
+	return out
 }
 
 // summaryOf returns the summary bytes of a small summarized log's

@@ -29,6 +29,7 @@ package scramble
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Vendor identifies an address-scrambling profile.
@@ -64,6 +65,17 @@ func (v Vendor) String() string {
 	default:
 		return fmt.Sprintf("Vendor(%d)", int(v))
 	}
+}
+
+// ParseVendor returns the profile whose String label is name, ignoring
+// case: "A", "b", "linear", "Toy".
+func ParseVendor(name string) (Vendor, error) {
+	for v := VendorLinear; v <= VendorToy; v++ {
+		if strings.EqualFold(name, v.String()) {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown vendor %q (want A, B, C, linear or toy)", name)
 }
 
 // Vendors lists the three real-chip profiles evaluated in the paper.

@@ -2,6 +2,7 @@ package scramble
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -222,5 +223,23 @@ func TestVendorString(t *testing.T) {
 func TestNewUnknownVendor(t *testing.T) {
 	if _, err := New(Vendor(42)); err == nil {
 		t.Error("New(42) succeeded, want error")
+	}
+}
+
+// TestParseVendor: every vendor's String label parses back to it, in
+// any case, and an unknown name is an error.
+func TestParseVendor(t *testing.T) {
+	for _, v := range []Vendor{VendorLinear, VendorA, VendorB, VendorC, VendorToy} {
+		for _, name := range []string{v.String(), strings.ToLower(v.String()), strings.ToUpper(v.String())} {
+			got, err := ParseVendor(name)
+			if err != nil || got != v {
+				t.Errorf("ParseVendor(%q) = %v, %v; want %v", name, got, err, v)
+			}
+		}
+	}
+	for _, name := range []string{"", "samsung", "D", "Vendor(1)", "lin"} {
+		if v, err := ParseVendor(name); err == nil {
+			t.Errorf("ParseVendor(%q) = %v, want an error", name, v)
+		}
 	}
 }
