@@ -44,32 +44,6 @@ func (t *Tester) SimplePatternTest(ctx context.Context) (FailureSet, error) {
 	return fails, nil
 }
 
-// Victim identifies one known data-dependent victim cell for the
-// naive searches below.
-type Victim struct {
-	Row memctl.Row
-	// Col is the victim's bit address within the row.
-	Col int32
-	// FailData is the data value under which the victim fails.
-	FailData uint64
-}
-
-// DiscoverVictims exposes the discovery phase on its own: it returns
-// the victim sample (one per row, capped at the configured sample
-// size), the number of passes used, and all observed failures, or
-// the first pass error.
-func (t *Tester) DiscoverVictims(ctx context.Context) ([]Victim, int, FailureSet, error) {
-	vs, tests, fails, err := t.discoverVictims(ctx)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	out := make([]Victim, 0, len(vs))
-	for _, v := range vs {
-		out = append(out, Victim{Row: v.row, Col: v.col, FailData: v.failData})
-	}
-	return out, tests, fails, nil
-}
-
 // LinearNeighborSearch is the O(n) single-victim baseline: it probes
 // every other bit address of the victim's row one at a time and
 // returns the bit distances at which the victim failed (the strongly

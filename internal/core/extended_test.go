@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"maps"
+	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"parbor/internal/coupling"
@@ -132,30 +135,210 @@ func TestDetectExtendedNeighborsValidation(t *testing.T) {
 	}
 }
 
-func TestFillNeutralizedPattern(t *testing.T) {
-	buf := make([]uint64, 4)
-	// failData 1: background zeros (opposite), region [64,128) ones,
-	// victim at 10 also one.
-	fillNeutralizedPattern(buf, 1, 64, 64, 10)
-	for i := 0; i < 256; i++ {
-		want := uint64(0)
-		if (i >= 64 && i < 128) || i == 10 {
-			want = 1
+// referenceExtended is second-order detection written the way
+// referenceLevel writes a first-order level: per pass, one freshly
+// allocated row per live victim with the neutralized pattern set bit
+// by bit, a Pass over all of them, and hash maps from failing address
+// to victim and from victim to region; a victim whose cell is not
+// among the pass's failures survived. It returns the result, or the
+// region size of the first level at which no victim survived.
+func referenceExtended(t *testing.T, tester *Tester, victims []Victim, distances []int) (*ExtendedResult, int) {
+	t.Helper()
+	rowBits := tester.host.Geometry().Cols
+	words := tester.host.Geometry().Words()
+	hitLimit := len(distances) + 16
+	dead := make([]bool, len(victims))
+	res := &ExtendedResult{Victims: len(victims)}
+	parentSize, parentDists := rowBits, []int{0}
+	for _, size := range levelSizes(rowBits, tester.cfg.FirstSplit, tester.cfg.Fanout) {
+		k := parentSize / size
+		nParents := rowBits / parentSize
+		passes := 0
+		hits := make([][]int, len(victims))
+		for _, dp := range parentDists {
+			for j := 0; j < k; j++ {
+				var rows []memctl.Row
+				var data [][]uint64
+				addrToVictim := make(map[memctl.BitAddr]int)
+				regionOf := make(map[int]int)
+				for vi, v := range victims {
+					if dead[vi] {
+						continue
+					}
+					parentIdx := int(v.Col)/parentSize + dp
+					if parentIdx < 0 || parentIdx >= nParents {
+						continue
+					}
+					rIdx := parentIdx*k + j
+					buf := make([]uint64, words)
+					for c := 0; c < rowBits; c++ {
+						bit := 1 - v.FailData // opposite to the victim...
+						if (c >= rIdx*size && c < (rIdx+1)*size) || c == int(v.Col) {
+							bit = v.FailData // ...except the region and the victim
+						}
+						setBitTo(buf, c, bit)
+					}
+					rows = append(rows, v.Row)
+					data = append(data, buf)
+					addrToVictim[memctl.BitAddr{Chip: int16(v.Row.Chip), Bank: int16(v.Row.Bank), Row: int32(v.Row.Row), Col: v.Col}] = vi
+					regionOf[vi] = rIdx
+				}
+				passes++
+				fails, err := tester.host.Pass(context.Background(), rows, data, tester.host.WaitMs())
+				if err != nil {
+					t.Fatalf("reference pass: %v", err)
+				}
+				failed := make(map[int]bool)
+				for _, a := range fails {
+					if vi, ok := addrToVictim[a]; ok {
+						failed[vi] = true
+					}
+				}
+				for vi, rIdx := range regionOf {
+					if !failed[vi] {
+						hits[vi] = append(hits[vi], rIdx-int(victims[vi].Col)/size)
+					}
+				}
+			}
 		}
-		if got := bitAt(buf, i); got != want {
-			t.Fatalf("bit %d = %d, want %d", i, got, want)
+		res.Tests += passes
+		freq := make(map[int]int)
+		for vi := range victims {
+			if dead[vi] {
+				continue
+			}
+			if len(hits[vi]) > hitLimit {
+				dead[vi] = true
+				continue
+			}
+			for _, d := range hits[vi] {
+				freq[d]++
+			}
+		}
+		if len(freq) == 0 {
+			return nil, size
+		}
+		level := LevelReport{
+			RegionSize:  size,
+			Tests:       passes,
+			Frequencies: freq,
+			Distances:   rankDistances(freq, tester.cfg.RankThreshold),
+		}
+		res.Levels = append(res.Levels, level)
+		parentSize, parentDists = size, level.Distances
+	}
+	imm := make(map[int]bool)
+	for _, d := range distances {
+		imm[d] = true
+	}
+	for _, d := range parentDists {
+		if !imm[d] && d != 0 {
+			res.Distances = append(res.Distances, d)
 		}
 	}
-	// failData 0: background ones, region zeros.
-	fillNeutralizedPattern(buf, 0, 0, 8, 100)
-	for i := 0; i < 256; i++ {
-		want := uint64(1)
-		if i < 8 || i == 100 {
-			want = 0
+	sort.Ints(res.Distances)
+	return res, 0
+}
+
+// tailGatedRun runs first-order detection, discovery and
+// classification, and returns the tail-gated victims with the
+// immediate distances: the inputs of second-order detection.
+func tailGatedRun(t *testing.T, tester *Tester) ([]Victim, []int) {
+	t.Helper()
+	ctx := context.Background()
+	res, err := tester.DetectNeighborsCtx(ctx)
+	if err != nil {
+		t.Fatalf("DetectNeighborsCtx: %v", err)
+	}
+	victims, _, _, err := tester.DiscoverVictims(ctx)
+	if err != nil {
+		t.Fatalf("DiscoverVictims: %v", err)
+	}
+	classified, _, err := tester.ClassifyVictims(ctx, victims, res.Distances)
+	if err != nil {
+		t.Fatalf("ClassifyVictims: %v", err)
+	}
+	return TailGated(classified), res.Distances
+}
+
+// TestExtendedMatchesReference is the differential guard on
+// second-order detection: on twin modules brought to the same state by
+// the same first-order run, DetectExtendedNeighbors must report
+// exactly the reference's levels, test count and distances, or, where
+// the reference finds no survivor at some level, fail at that level.
+// It covers tailModule and every vendor's noisy modules that have
+// tail-gated victims.
+func TestExtendedMatchesReference(t *testing.T) {
+	type twin struct {
+		name  string
+		build func() *Tester
+	}
+	cases := []twin{{"tailModule", func() *Tester { _, tester := tailModule(t); return tester }}}
+	for _, v := range scramble.Vendors() {
+		for _, seed := range []uint64{3, 17, 42} {
+			cases = append(cases, twin{fmt.Sprintf("vendor %v seed %d", v, seed), func() *Tester {
+				return newTester(t, noisyHost(t, v, seed))
+			}})
 		}
-		if got := bitAt(buf, i); got != want {
-			t.Fatalf("bit %d = %d, want %d", i, got, want)
+	}
+	// cmd/parbor's toy module at seed 5: its tail-gated victims all
+	// fail at region size 8, so the error path is compared too.
+	cases = append(cases, twin{"toy seed 5", func() *Tester {
+		cc := coupling.DefaultConfig()
+		cc.VulnerableRate = 2e-3
+		mod, err := dram.NewModule(dram.ModuleConfig{
+			Vendor:   scramble.VendorToy,
+			Chips:    8,
+			Geometry: dram.Geometry{Banks: 1, Rows: 256, Cols: 1024},
+			Coupling: cc,
+			Faults:   faults.DefaultConfig(),
+			Seed:     5,
+		})
+		if err != nil {
+			t.Fatalf("NewModule: %v", err)
 		}
+		host, err := memctl.NewHost(mod, 0)
+		if err != nil {
+			t.Fatalf("NewHost: %v", err)
+		}
+		return newTester(t, host)
+	}})
+	compared, completed := 0, 0
+	for _, c := range cases {
+		tester, ref := c.build(), c.build()
+		tail, distances := tailGatedRun(t, tester)
+		refTail, refDistances := tailGatedRun(t, ref)
+		if !slices.Equal(tail, refTail) || !slices.Equal(distances, refDistances) {
+			t.Fatalf("%s: twin modules diverged before second-order detection", c.name)
+		}
+		if len(tail) == 0 {
+			continue
+		}
+		compared++
+		got, err := tester.DetectExtendedNeighbors(context.Background(), tail, distances)
+		want, failSize := referenceExtended(t, ref, tail, distances)
+		if failSize != 0 {
+			wantErr := fmt.Sprintf("core: no tail-gated victim survived at region size %d", failSize)
+			if err == nil || err.Error() != wantErr {
+				t.Errorf("%s (%d tail victims): error %v, reference fails with %q", c.name, len(tail), err, wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s (%d tail victims): %v; the reference completes with %+v", c.name, len(tail), err, want)
+			continue
+		}
+		completed++
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s (%d tail victims):\n got  %+v\n want %+v", c.name, len(tail), got, want)
+		}
+	}
+	t.Logf("%d runs compared, %d completed every level", compared, completed)
+	if completed < 2 {
+		t.Errorf("only %d runs completed every level; the comparison is too thin", completed)
+	}
+	if completed == compared {
+		t.Error("no run failed at a level; the error path went unexercised")
 	}
 }
 

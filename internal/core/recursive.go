@@ -12,42 +12,25 @@ import (
 // and returns the neighbor-location result (steps 1-4 of Section
 // 5.1).
 func (t *Tester) DetectNeighborsCtx(ctx context.Context) (*NeighborResult, error) {
-	victims, discTests, discovered, err := t.discoverVictims(ctx)
+	victims, discTests, discovered, err := t.DiscoverVictims(ctx)
 	if err != nil {
 		return nil, err
 	}
 	if len(victims) == 0 {
 		return nil, fmt.Errorf("core: no data-dependent victim candidates found during discovery")
 	}
-	res := &NeighborResult{
+	levels, tests, err := t.recurse(ctx, victims, false, t.cfg.MarginalHitLimit)
+	if err != nil {
+		return nil, err
+	}
+	return &NeighborResult{
+		Levels:            levels,
+		Distances:         levels[len(levels)-1].Distances,
 		SampleSize:        len(victims),
 		DiscoveryTests:    discTests,
+		RecursionTests:    tests,
 		DiscoveryFailures: discovered,
-	}
-
-	rowBits := t.host.Geometry().Cols
-	sizes := levelSizes(rowBits, t.cfg.FirstSplit, t.cfg.Fanout)
-
-	// Shared region-pattern buffers: victims probing the same region
-	// with the same fail polarity alias one buffer (the host never
-	// mutates pass data), so a pass fills O(distinct regions) rows,
-	// not O(victims).
-	arena := newRegionArena(t.host.Geometry().Words(), rowBits)
-
-	parentSize := rowBits
-	parentDists := []int{0}
-	for _, size := range sizes {
-		report, err := t.runLevel(ctx, victims, arena, rowBits, parentSize, size, parentDists)
-		if err != nil {
-			return nil, err
-		}
-		res.Levels = append(res.Levels, *report)
-		res.RecursionTests += report.Tests
-		parentSize = size
-		parentDists = report.Distances
-	}
-	res.Distances = parentDists
-	return res, nil
+	}, nil
 }
 
 // levelSizes returns the region sizes of each recursion level: the
@@ -76,21 +59,21 @@ func levelSizes(rowBits, firstSplit, fanout int) []int {
 	}
 }
 
-// regionArena hands out the shared base region-pattern buffers of one
-// recursion pass. All victims with the same fail polarity probing the
-// same region write identical data (the victim-bit fix-up in runLevel
-// is only needed when the victim lies inside the region), so the
-// arena keeps one base buffer per (failData, region index) slot.
-// Slots are a flat table indexed by region: a pass touches
-// at most one region per parent region, and reset clears exactly the
-// slots it filled. Buffers are pooled across passes and levels, so the
-// steady state allocates nothing.
+// regionArena hands out the shared region-pattern rows of one
+// recursion pass. A region test's row depends only on its fill value
+// and its region, so every entry probing the same region at the same
+// polarity aliases one base row; only an entry whose own bit the base
+// row holds wrong gets a dedicated copy (see recurse). Slots are a
+// flat table indexed by polarity and region: a pass touches at most
+// one region per parent region, and reset clears exactly the slots it
+// filled. Buffers are pooled across passes and levels, so the steady
+// state allocates nothing.
 type regionArena struct {
 	words   int
 	pool    [][]uint64
 	used    int
 	regions int
-	base    [][]uint64 // slot failData*regions + region index -> this pass's base row
+	base    [][]uint64 // slot fill*regions + region index -> this pass's base row
 	filled  []int      // slots set this pass
 }
 
@@ -128,37 +111,49 @@ func (a *regionArena) alloc() []uint64 {
 }
 
 // region returns this pass's shared base buffer for region rIdx (of
-// the given size) under fail polarity failData, filling it on first
-// use.
+// the given size) filled with the bit value fill outside the region,
+// filling it on first use.
 //
 //parbor:hotpath
-func (a *regionArena) region(failData uint64, rIdx, size int) []uint64 {
-	s := int(failData)*a.regions + rIdx
+func (a *regionArena) region(fill uint64, rIdx, size int) []uint64 {
+	s := int(fill)*a.regions + rIdx
 	if b := a.base[s]; b != nil {
 		return b
 	}
 	b := a.alloc()
-	fillRegionBase(b, failData, rIdx*size, size)
+	fillRegionBase(b, fill, rIdx*size, size)
 	a.base[s] = b
 	a.filled = append(a.filled, s)
 	return b
 }
 
-// runLevel performs every region test of one recursion level over all
-// live victims simultaneously, applies marginal-victim filtering, and
-// ranks the observed distances.
+// recurse is the parallel recursive region test (Sections 5.2.2-5.2.4):
+// level by level, from the first split down to single bits, every
+// live victim is tested in every region its parent level ranked, all
+// victims in one pass per region. It returns each level's report and
+// the total number of passes.
+//
+// A first-order pass (inverse false) writes a victim's row at its fail
+// value except the region under test, which holds the complement; the
+// victim failing marks the region. An inverse pass writes the row
+// opposite to the victim except the region, which holds the victim's
+// own value; the victim surviving marks the region
+// (DetectExtendedNeighbors). Either way the victim bit holds the fail
+// value (Section 5.2.3).
 //
 // A pass probes each live victim's own cell (memctl.Host.Probe), so
-// every failure it reports names its victim by list index; flips
-// elsewhere in the row are never evaluated. A victim's region
-// distance is recomputed from its column rather than remembered per
-// pass.
-func (t *Tester) runLevel(ctx context.Context, victims []victimInfo, arena *regionArena, rowBits, parentSize, size int, parentDists []int) (*LevelReport, error) {
-	k := parentSize / size
-	nParents := rowBits / parentSize
-
-	passes := 0
-	hits := make([][]int, len(victims)) // region distances at which each victim failed
+// every failure it reports names its entry by list index; flips
+// elsewhere in the row are never evaluated, and an entry listed twice
+// is judged twice. A victim's region distance is recomputed from its
+// column rather than remembered per pass. After each level, a victim
+// that marked more than hitLimit regions is discarded with its
+// findings (Section 5.2.4, first step) and the rest are ranked
+// (second step); a level at which no victim marks a region is an
+// error.
+func (t *Tester) recurse(ctx context.Context, victims []Victim, inverse bool, hitLimit int) ([]LevelReport, int, error) {
+	rowBits := t.host.Geometry().Cols
+	arena := newRegionArena(t.host.Geometry().Words(), rowBits)
+	dead := make([]bool, len(victims))
 
 	// Reused per-pass slices: the pass's probed cells, their rows'
 	// data, and the victim index behind each cell.
@@ -166,82 +161,103 @@ func (t *Tester) runLevel(ctx context.Context, victims []victimInfo, arena *regi
 	pdata := make([][]uint64, 0, len(victims))
 	pvict := make([]int, 0, len(victims))
 
-	for _, dp := range parentDists {
-		for j := 0; j < k; j++ {
-			pcells = pcells[:0]
-			pdata = pdata[:0]
-			pvict = pvict[:0]
-			arena.reset()
+	var levels []LevelReport
+	tests := 0
+	parentSize, parentDists := rowBits, []int{0}
+	for _, size := range levelSizes(rowBits, t.cfg.FirstSplit, t.cfg.Fanout) {
+		k := parentSize / size
+		nParents := rowBits / parentSize
+		passes := 0
+		hits := make([][]int, len(victims)) // region distances each victim marked
 
-			for vi := range victims {
-				v := &victims[vi]
-				if v.dead {
-					continue
+		for _, dp := range parentDists {
+			for j := 0; j < k; j++ {
+				pcells, pdata, pvict = pcells[:0], pdata[:0], pvict[:0]
+				arena.reset()
+				for vi, v := range victims {
+					if dead[vi] {
+						continue
+					}
+					parentIdx := int(v.Col)/parentSize + dp
+					if parentIdx < 0 || parentIdx >= nParents {
+						continue
+					}
+					fill := v.FailData
+					if inverse {
+						fill ^= 1
+					}
+					row := arena.region(fill, parentIdx*k+j, size)
+					if c := int(v.Col); bitAt(row, c) != v.FailData {
+						// The shared row holds the wrong value at the
+						// victim bit (first-order: the victim lies in
+						// the region; inverse: outside it), so this
+						// entry needs a dedicated copy.
+						fixed := arena.alloc()
+						copy(fixed, row)
+						setBitTo(fixed, c, v.FailData)
+						row = fixed
+					}
+					pcells = append(pcells, cellAddr(v.Row, v.Col))
+					pdata = append(pdata, row)
+					pvict = append(pvict, vi)
 				}
-				parentIdx := int(v.col)/parentSize + dp
-				if parentIdx < 0 || parentIdx >= nParents {
-					continue
+				passes++
+				failed, err := t.host.Probe(ctx, pcells, pdata, t.host.WaitMs())
+				if err != nil {
+					if inverse {
+						return nil, 0, fmt.Errorf("core: extended pass: %w", err)
+					}
+					return nil, 0, fmt.Errorf("core: level pass (size %d, parent %+d, sub %d): %w", size, dp, j, err)
 				}
-				rIdx := parentIdx*k + j
-				start := rIdx * size
-				row := arena.region(v.failData, rIdx, size)
-				if c := int(v.col); c >= start && c < start+size {
-					// The victim bit lies inside the complemented
-					// region and must keep its fail value (Section
-					// 5.2.3): this victim needs a dedicated copy.
-					// Outside the region the base row already holds
-					// failData at the victim bit, so sharing is exact.
-					fixed := arena.alloc()
-					copy(fixed, row)
-					setBitTo(fixed, c, v.failData)
-					row = fixed
+				// failed is ascending, so one walk pairs it with the
+				// entries.
+				for e, vi := range pvict {
+					fail := len(failed) > 0 && failed[0] == e
+					if fail {
+						failed = failed[1:]
+					}
+					if fail == inverse {
+						continue
+					}
+					col := int(victims[vi].Col)
+					hits[vi] = append(hits[vi], (col/parentSize+dp)*k+j-col/size)
 				}
-				pcells = append(pcells, cellAddr(v.row, v.col))
-				pdata = append(pdata, row)
-				pvict = append(pvict, vi)
-			}
-			passes++
-			failed, err := t.host.Probe(ctx, pcells, pdata, t.host.WaitMs())
-			if err != nil {
-				return nil, fmt.Errorf("core: level pass (size %d, parent %+d, sub %d): %w", size, dp, j, err)
-			}
-			for _, e := range failed {
-				vi := pvict[e]
-				col := int(victims[vi].col)
-				d := (col/parentSize+dp)*k + j - col/size
-				hits[vi] = append(hits[vi], d)
 			}
 		}
-	}
 
-	// Marginal-victim filtering: a genuine victim fails in at most one
-	// region per level, so a victim exceeding the hit limit is failing
-	// for non-data-dependent reasons; drop it and its findings
-	// (Section 5.2.4, first step).
-	limit := t.cfg.MarginalHitLimit
-	freq := make(map[int]int)
-	for vi := range victims {
-		if victims[vi].dead {
-			continue
+		// Marginal-victim filtering: a genuine victim marks a bounded
+		// number of regions per level, so one exceeding the hit limit
+		// reacts to something other than its neighbors' content.
+		freq := make(map[int]int)
+		for vi, h := range hits {
+			if dead[vi] {
+				continue
+			}
+			if len(h) > hitLimit {
+				dead[vi] = true
+				continue
+			}
+			for _, d := range h {
+				freq[d]++
+			}
 		}
-		if len(hits[vi]) > limit {
-			victims[vi].dead = true
-			continue
+		if len(freq) == 0 {
+			if inverse {
+				return nil, 0, fmt.Errorf("core: no tail-gated victim survived at region size %d", size)
+			}
+			return nil, 0, fmt.Errorf("core: no victim failed at region size %d; cannot locate neighbors", size)
 		}
-		for _, d := range hits[vi] {
-			freq[d]++
+		level := LevelReport{
+			RegionSize:  size,
+			Tests:       passes,
+			Frequencies: freq,
+			Distances:   rankDistances(freq, t.cfg.RankThreshold),
 		}
+		levels = append(levels, level)
+		tests += passes
+		parentSize, parentDists = size, level.Distances
 	}
-	if len(freq) == 0 {
-		return nil, fmt.Errorf("core: no victim failed at region size %d; cannot locate neighbors", size)
-	}
-
-	return &LevelReport{
-		RegionSize:  size,
-		Tests:       passes,
-		Frequencies: freq,
-		Distances:   rankDistances(freq, t.cfg.RankThreshold),
-	}, nil
+	return levels, tests, nil
 }
 
 // rankDistances keeps the distances whose frequency is at least
@@ -264,17 +280,17 @@ func rankDistances(freq map[int]int, threshold float64) []int {
 }
 
 // fillRegionBase builds the victim-agnostic half of a region test
-// pattern: every bit holds the fail value except the region under
+// pattern: every bit holds the value fill except the region under
 // test, which holds the complement.
 //
 //parbor:hotpath
-func fillRegionBase(buf []uint64, failData uint64, start, size int) {
-	fill := uint64(0)
-	if failData != 0 {
-		fill = ^uint64(0)
+func fillRegionBase(buf []uint64, fill uint64, start, size int) {
+	word := uint64(0)
+	if fill != 0 {
+		word = ^uint64(0)
 	}
 	for i := range buf {
-		buf[i] = fill
+		buf[i] = word
 	}
 	end := start + size // exclusive
 	firstWord := start >> 6

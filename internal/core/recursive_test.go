@@ -39,10 +39,10 @@ func noisyHost(t testing.TB, vendor scramble.Vendor, seed uint64) *memctl.Host {
 
 // referenceLevel is the recursion level as first written: one freshly
 // filled pattern row per victim, and hash maps from failing address to
-// victim and from victim to region. runLevel must produce exactly its
+// victim and from victim to region. recurse must produce exactly its
 // reports. ignored counts the failures it discarded because they were
 // not at a victim's own column.
-func referenceLevel(t *testing.T, tester *Tester, victims []victimInfo, rowBits, parentSize, size int, parentDists []int, ignored *int) LevelReport {
+func referenceLevel(t *testing.T, tester *Tester, victims []Victim, dead []bool, rowBits, parentSize, size int, parentDists []int, ignored *int) LevelReport {
 	t.Helper()
 	k := parentSize / size
 	nParents := rowBits / parentSize
@@ -56,19 +56,19 @@ func referenceLevel(t *testing.T, tester *Tester, victims []victimInfo, rowBits,
 			addrToVictim := make(map[memctl.BitAddr]int)
 			regionOf := make(map[int]int)
 			for vi, v := range victims {
-				if v.dead {
+				if dead[vi] {
 					continue
 				}
-				parentIdx := int(v.col)/parentSize + dp
+				parentIdx := int(v.Col)/parentSize + dp
 				if parentIdx < 0 || parentIdx >= nParents {
 					continue
 				}
 				rIdx := parentIdx*k + j
 				buf := make([]uint64, words)
-				fillRegionPattern(buf, v.failData, rIdx*size, size, int(v.col))
-				rows = append(rows, v.row)
+				fillRegionPattern(buf, v.FailData, rIdx*size, size, int(v.Col))
+				rows = append(rows, v.Row)
 				data = append(data, buf)
-				addrToVictim[memctl.BitAddr{Chip: int16(v.row.Chip), Bank: int16(v.row.Bank), Row: int32(v.row.Row), Col: v.col}] = vi
+				addrToVictim[memctl.BitAddr{Chip: int16(v.Row.Chip), Bank: int16(v.Row.Bank), Row: int32(v.Row.Row), Col: v.Col}] = vi
 				regionOf[vi] = rIdx
 			}
 			passes++
@@ -82,17 +82,17 @@ func referenceLevel(t *testing.T, tester *Tester, victims []victimInfo, rowBits,
 					*ignored++
 					continue
 				}
-				hits[vi] = append(hits[vi], regionOf[vi]-int(victims[vi].col)/size)
+				hits[vi] = append(hits[vi], regionOf[vi]-int(victims[vi].Col)/size)
 			}
 		}
 	}
 	freq := make(map[int]int)
 	for vi := range victims {
-		if victims[vi].dead {
+		if dead[vi] {
 			continue
 		}
 		if len(hits[vi]) > tester.cfg.MarginalHitLimit {
-			victims[vi].dead = true
+			dead[vi] = true
 			continue
 		}
 		for _, d := range hits[vi] {
@@ -122,7 +122,7 @@ func TestRunLevelMatchesMapReference(t *testing.T) {
 			}
 
 			ref := newTester(t, noisyHost(t, v, seed))
-			victims, _, _, err := ref.discoverVictims(context.Background())
+			victims, _, _, err := ref.DiscoverVictims(context.Background())
 			if err != nil {
 				t.Fatalf("vendor %v seed %d: discovery: %v", v, seed, err)
 			}
@@ -135,9 +135,10 @@ func TestRunLevelMatchesMapReference(t *testing.T) {
 				t.Fatalf("vendor %v seed %d: %d levels, want %d", v, seed, len(got.Levels), len(sizes))
 			}
 			ignored := 0
+			dead := make([]bool, len(victims))
 			parentSize, parentDists := rowBits, []int{0}
 			for i, size := range sizes {
-				want := referenceLevel(t, ref, victims, rowBits, parentSize, size, parentDists, &ignored)
+				want := referenceLevel(t, ref, victims, dead, rowBits, parentSize, size, parentDists, &ignored)
 				if !reflect.DeepEqual(got.Levels[i], want) {
 					t.Fatalf("vendor %v seed %d level %d:\n got  %+v\n want %+v", v, seed, i+1, got.Levels[i], want)
 				}

@@ -9,24 +9,27 @@ import (
 	"parbor/internal/patterns"
 )
 
-// victimInfo is one cell of the initial victim sample.
-type victimInfo struct {
-	row memctl.Row
-	col int32
-	// failData is the data value (0 or 1) that was written to the
+// Victim is one known data-dependent victim cell: a member of the
+// discovery sample, the input of the recursion, the classifier and
+// the naive searches.
+type Victim struct {
+	Row memctl.Row
+	// Col is the victim's bit address within the row.
+	Col int32
+	// FailData is the data value (0 or 1) that was written to the
 	// cell in the pass where it failed — i.e. the value that leaves
 	// the cell charged. The recursive test writes this value to the
 	// victim and its complement to the region under test.
-	failData uint64
-	// dead marks victims discarded as marginal during recursion.
-	dead bool
+	FailData uint64
 }
 
-// discoverVictims runs the simple discovery patterns (each with its
+// DiscoverVictims runs the simple discovery patterns (each with its
 // inverse — the paper's 10 initial tests) and assembles the initial
 // victim sample: cells that failed under at least one pattern but not
 // under all of them. Cells failing everywhere are weak/stuck cells,
-// not data-dependent, and are excluded (Section 5.2.1).
+// not data-dependent, and are excluded (Section 5.2.1). It returns
+// the sample (capped at the configured sample size), the number of
+// passes used, and every observed failure, or the first pass error.
 //
 // One victim per row is kept, because the parallel recursive test
 // dedicates each row's data pattern to a single victim.
@@ -36,7 +39,7 @@ type victimInfo struct {
 // canonical list of candidates with the set of passes each failed in.
 // A row's first non-stuck candidate in that list is its lowest-column
 // victim, so the victims come out sorted.
-func (t *Tester) discoverVictims(ctx context.Context) ([]victimInfo, int, FailureSet, error) {
+func (t *Tester) DiscoverVictims(ctx context.Context) ([]Victim, int, FailureSet, error) {
 	base := patterns.DiscoveryPatterns()
 	all := make([]patterns.Pattern, 0, 2*len(base))
 	for _, p := range base {
@@ -59,9 +62,9 @@ func (t *Tester) discoverVictims(ctx context.Context) ([]victimInfo, int, Failur
 // selectVictims picks the victim sample from the canonical candidate
 // list of the discovery passes all, and returns it with the set of
 // every candidate.
-func (t *Tester) selectVictims(cands []candidate, all []patterns.Pattern) ([]victimInfo, FailureSet) {
+func (t *Tester) selectVictims(cands []candidate, all []patterns.Pattern) ([]Victim, FailureSet) {
 	discovered := make(FailureSet, len(cands))
-	var victims []victimInfo
+	var victims []Victim
 	allMask := uint32(1)<<uint(len(all)) - 1
 	for _, c := range cands {
 		discovered[c.addr] = struct{}{}
@@ -69,16 +72,16 @@ func (t *Tester) selectVictims(cands []candidate, all []patterns.Pattern) ([]vic
 			continue // stuck or weak cell: fails regardless of content
 		}
 		r := memctl.Row{Chip: int(c.addr.Chip), Bank: int(c.addr.Bank), Row: int(c.addr.Row)}
-		if n := len(victims); n > 0 && victims[n-1].row == r {
+		if n := len(victims); n > 0 && victims[n-1].Row == r {
 			continue // the row already has its lowest-column victim
 		}
 		// Discovery patterns are uniform, so the first failing pass's
 		// data for this row is just its memoized arena row.
 		first := all[bits.TrailingZeros32(c.failMask)]
-		victims = append(victims, victimInfo{
-			row:      r,
-			col:      c.addr.Col,
-			failData: bitAt(t.arena.Materialize(first), int(c.addr.Col)),
+		victims = append(victims, Victim{
+			Row:      r,
+			Col:      c.addr.Col,
+			FailData: bitAt(t.arena.Materialize(first), int(c.addr.Col)),
 		})
 	}
 	if len(victims) > t.cfg.SampleSize {

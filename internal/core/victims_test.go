@@ -43,7 +43,7 @@ func discoveryRun(t *testing.T, tester *Tester) ([]patterns.Pattern, [][]memctl.
 // from failing address to the passes it failed, a map from row to its
 // lowest-column victim, and a final sort. Discovery must return
 // exactly its victims and discovered set for the same pass lists.
-func referenceVictims(tester *Tester, all []patterns.Pattern, lists [][]memctl.BitAddr, stats *discoveryStats) ([]victimInfo, FailureSet) {
+func referenceVictims(tester *Tester, all []patterns.Pattern, lists [][]memctl.BitAddr, stats *discoveryStats) ([]Victim, FailureSet) {
 	type obs struct {
 		failMask  uint32 // bit i set: failed in pass i
 		firstPass int8
@@ -63,7 +63,7 @@ func referenceVictims(tester *Tester, all []patterns.Pattern, lists [][]memctl.B
 	}
 
 	allMask := uint32(1)<<uint(len(all)) - 1
-	perRow := make(map[memctl.Row]victimInfo)
+	perRow := make(map[memctl.Row]Victim)
 	perRowCands := make(map[memctl.Row]int)
 	for a, o := range seen {
 		if o.failMask == allMask {
@@ -72,35 +72,35 @@ func referenceVictims(tester *Tester, all []patterns.Pattern, lists [][]memctl.B
 		}
 		r := memctl.Row{Chip: int(a.Chip), Bank: int(a.Bank), Row: int(a.Row)}
 		perRowCands[r]++
-		if prev, ok := perRow[r]; ok && prev.col <= a.Col {
+		if prev, ok := perRow[r]; ok && prev.Col <= a.Col {
 			continue
 		}
-		perRow[r] = victimInfo{
-			row:      r,
-			col:      a.Col,
-			failData: bitAt(tester.arena.Materialize(all[o.firstPass]), int(a.Col)),
+		perRow[r] = Victim{
+			Row:      r,
+			Col:      a.Col,
+			FailData: bitAt(tester.arena.Materialize(all[o.firstPass]), int(a.Col)),
 		}
 	}
 	for _, n := range perRowCands {
 		stats.extraCols += n - 1
 	}
 
-	victims := make([]victimInfo, 0, len(perRow))
+	victims := make([]Victim, 0, len(perRow))
 	for _, v := range perRow {
 		victims = append(victims, v)
 	}
 	sort.Slice(victims, func(i, j int) bool {
 		a, b := victims[i], victims[j]
-		if a.row.Chip != b.row.Chip {
-			return a.row.Chip < b.row.Chip
+		if a.Row.Chip != b.Row.Chip {
+			return a.Row.Chip < b.Row.Chip
 		}
-		if a.row.Bank != b.row.Bank {
-			return a.row.Bank < b.row.Bank
+		if a.Row.Bank != b.Row.Bank {
+			return a.Row.Bank < b.Row.Bank
 		}
-		if a.row.Row != b.row.Row {
-			return a.row.Row < b.row.Row
+		if a.Row.Row != b.Row.Row {
+			return a.Row.Row < b.Row.Row
 		}
-		return a.col < b.col
+		return a.Col < b.Col
 	})
 	if len(victims) > tester.cfg.SampleSize {
 		victims = victims[:tester.cfg.SampleSize]
@@ -150,7 +150,7 @@ func withSyntheticCells(lists [][]memctl.BitAddr) [][]memctl.BitAddr {
 
 // TestDiscoverVictimsMatchesMapReference is the differential guard on
 // discovery's merge-walk bookkeeping: for every vendor over several
-// seeds, on twin noisy modules, discoverVictims must return exactly
+// seeds, on twin noisy modules, DiscoverVictims must return exactly
 // the map-based reference's victims (row, column and failing data),
 // test count and discovered set. The same pass lists with synthetic
 // cells added (withSyntheticCells) must select identically too, and
@@ -160,9 +160,9 @@ func TestDiscoverVictimsMatchesMapReference(t *testing.T) {
 	var stats discoveryStats
 	for _, v := range scramble.Vendors() {
 		for _, seed := range []uint64{3, 17, 42} {
-			victims, tests, discovered, err := newTester(t, noisyHost(t, v, seed)).discoverVictims(context.Background())
+			victims, tests, discovered, err := newTester(t, noisyHost(t, v, seed)).DiscoverVictims(context.Background())
 			if err != nil {
-				t.Fatalf("vendor %v seed %d: discoverVictims: %v", v, seed, err)
+				t.Fatalf("vendor %v seed %d: DiscoverVictims: %v", v, seed, err)
 			}
 			ref := newTester(t, noisyHost(t, v, seed))
 			all, lists := discoveryRun(t, ref)
@@ -193,7 +193,7 @@ func TestDiscoverVictimsMatchesMapReference(t *testing.T) {
 
 // checkVictims fails the test unless discovery's victims and
 // discovered set equal the reference's.
-func checkVictims(t *testing.T, name string, victims []victimInfo, discovered FailureSet, wantVictims []victimInfo, wantDiscovered FailureSet) {
+func checkVictims(t *testing.T, name string, victims []Victim, discovered FailureSet, wantVictims []Victim, wantDiscovered FailureSet) {
 	t.Helper()
 	if len(victims) != len(wantVictims) {
 		t.Fatalf("%s: %d victims, reference %d", name, len(victims), len(wantVictims))
