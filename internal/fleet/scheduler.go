@@ -19,11 +19,12 @@ import (
 // after quantum, while runQuantum reports it wants more (its chip
 // arrays stay warm in cache). A module that still wants quanta when
 // the pool drains goes back to the queue's tail, so a later start
-// resumes it. A module enrolled while every worker runs an unbounded
-// module waits for a worker to free up (ROADMAP item 1). The queue and
-// the counters hang off one mutex: quanta are thousands of simulated
-// passes long, so queue contention is noise, and a single lock keeps
-// the idle/quiesce accounting exact (len(queue)+running is
+// resumes it. Known fault: an unbounded module never frees its
+// worker, so a module enrolled while every worker runs an unbounded
+// module starves until the pool drains. The queue and the counters
+// hang off one mutex: quanta are thousands of simulated passes long,
+// so queue contention is noise, and a single lock keeps the
+// idle/quiesce accounting exact (len(queue)+running is
 // transactional).
 type Pool struct {
 	workers int

@@ -14,10 +14,7 @@ import (
 // spill buffers, which this budget sizes at creation, and the module
 // name is interned.
 func TestObserveAllocBudget(t *testing.T) {
-	c, err := newSerialClassifier(ClassifierConfig{MaxKeys: 1 << 16, SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newSerialClassifier(ClassifierConfig{MaxKeys: 1 << 16, SpillDir: t.TempDir()})
 	defer c.close()
 	ev := Event{Module: "mod-0001"}
 	for i := 0; i < 10; i++ {
@@ -96,10 +93,7 @@ func TestNextIntoReusesEvent(t *testing.T) {
 // once.
 func TestSpillBufferGrowsOnce(t *testing.T) {
 	const limit = 2*initialKeys + 1000
-	c, err := newSerialClassifier(ClassifierConfig{MaxKeys: limit, SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newSerialClassifier(ClassifierConfig{MaxKeys: limit, SpillDir: t.TempDir()})
 	defer c.close()
 	s := &c.shards[0].b.epochs
 	if cap(s.mem) != initialKeys {

@@ -52,10 +52,7 @@ func BenchmarkClassifyForcedSpill(b *testing.B) {
 	dir := b.TempDir()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := newSerialClassifier(ClassifierConfig{MaxKeys: maxKeys, SpillDir: dir})
-		if err != nil {
-			b.Fatal(err)
-		}
+		c := newSerialClassifier(ClassifierConfig{MaxKeys: maxKeys, SpillDir: dir})
 		for _, ev := range events {
 			if err := c.observe(ev); err != nil {
 				b.Fatal(err)

@@ -128,7 +128,7 @@ type shard struct {
 // newClassifier builds a classifier of n shards, each with a 1/n share
 // of cfg.MaxKeys (which must be at least n) per key set; call close
 // if finish is never reached, or spill files leak.
-func newClassifier(cfg ClassifierConfig, n int) (*classifier, error) {
+func newClassifier(cfg ClassifierConfig, n int) *classifier {
 	if cfg.FS == nil {
 		cfg.FS = faultfs.OS{}
 	}
@@ -148,7 +148,7 @@ func newClassifier(cfg ClassifierConfig, n int) (*classifier, error) {
 			b:      newRunBuilder(cfg.MaxKeys / n),
 		})
 	}
-	return c, nil
+	return c
 }
 
 // Key packing: big-endian fields so bytewise order equals tuple
@@ -356,10 +356,7 @@ func Analyze(ctx context.Context, dir string, cfg ClassifierConfig) (*Rollup, er
 	if err != nil {
 		return nil, fmt.Errorf("fleetlog: listing log dir: %w", err)
 	}
-	c, err := newClassifier(cfg, max(1, min(runtime.GOMAXPROCS(0), len(segs), cfg.MaxKeys)))
-	if err != nil {
-		return nil, err
-	}
+	c := newClassifier(cfg, max(1, min(runtime.GOMAXPROCS(0), len(segs), cfg.MaxKeys)))
 	defer c.close()
 	sc := &scan{
 		ctx: ctx, fsys: cfg.FS, dir: dir, segs: segs,

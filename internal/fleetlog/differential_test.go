@@ -135,10 +135,7 @@ func genEvents(r *rand.Rand, nMods, nEvents int) []Event {
 // classifyEvents runs the streaming classifier over a slice.
 func classifyEvents(t *testing.T, events []Event, cfg ClassifierConfig) *Rollup {
 	t.Helper()
-	c, err := newSerialClassifier(cfg)
-	if err != nil {
-		t.Fatalf("newSerialClassifier: %v", err)
-	}
+	c := newSerialClassifier(cfg)
 	defer c.close()
 	for _, ev := range events {
 		if err := c.observe(ev); err != nil {

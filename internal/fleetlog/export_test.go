@@ -4,10 +4,7 @@ import "fmt"
 
 // newSerialClassifier builds a one-shard classifier that tests feed
 // event by event through observe.
-func newSerialClassifier(cfg ClassifierConfig) (*classifier, error) {
-	if cfg.MaxKeys <= 0 {
-		cfg.MaxKeys = defaultMaxKeys
-	}
+func newSerialClassifier(cfg ClassifierConfig) *classifier {
 	return newClassifier(cfg, 1)
 }
 

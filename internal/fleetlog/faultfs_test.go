@@ -253,10 +253,7 @@ func TestSpillWriteErrorRemovesPartialRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		dir := filepath.Join(t.TempDir(), "spill")
-		c, err := newSerialClassifier(ClassifierConfig{MaxKeys: maxKeys, SpillDir: dir, FS: inj})
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := newSerialClassifier(ClassifierConfig{MaxKeys: maxKeys, SpillDir: dir, FS: inj})
 		var oerr error
 		for epoch := 1; oerr == nil && epoch <= 2*maxKeys; epoch++ {
 			oerr = c.observe(Event{Module: "m", Epoch: epoch, Fails: []memctl.BitAddr{{Row: 1}, {Row: 2}}})
