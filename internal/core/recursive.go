@@ -152,8 +152,11 @@ func (a *regionArena) region(fill uint64, rIdx, size int) []uint64 {
 // error.
 func (t *Tester) recurse(ctx context.Context, victims []Victim, inverse bool, hitLimit int) ([]LevelReport, int, error) {
 	rowBits := t.host.Geometry().Cols
+	// Entries probing the same region at the same fill alias one arena
+	// row (the host never mutates pass data), so a pass fills
+	// O(distinct regions) rows, not O(victims).
 	arena := newRegionArena(t.host.Geometry().Words(), rowBits)
-	dead := make([]bool, len(victims))
+	dead := make([]bool, len(victims)) // discarded as marginal
 
 	// Reused per-pass slices: the pass's probed cells, their rows'
 	// data, and the victim index behind each cell.
