@@ -215,12 +215,7 @@ func run(ctx context.Context, opts options) error {
 
 	if opts.classify {
 		stopClassify := col.StartStage("classify")
-		victims, _, _, err := tester.DiscoverVictims(ctx)
-		if err != nil {
-			stopClassify()
-			return err
-		}
-		classified, tests, err := tester.ClassifyVictims(ctx, victims, nr.Distances)
+		classified, tests, err := tester.ClassifyVictims(ctx, nr.Victims, nr.Distances)
 		stopClassify()
 		if err != nil {
 			return err

@@ -199,7 +199,9 @@ type NeighborResult struct {
 	// Distances is the final set of signed bit distances at which any
 	// cell's physical neighbors can be found (Figure 8).
 	Distances []int
-	// SampleSize is the number of victim cells actually used.
+	// Victims is the victim sample discovery found and the recursion
+	// ran on, in canonical order; SampleSize is its length.
+	Victims    []Victim
 	SampleSize int
 	// DiscoveryTests, RecursionTests are the pass counts of the two
 	// phases.

@@ -26,6 +26,7 @@ func (t *Tester) DetectNeighborsCtx(ctx context.Context) (*NeighborResult, error
 	return &NeighborResult{
 		Levels:            levels,
 		Distances:         levels[len(levels)-1].Distances,
+		Victims:           victims,
 		SampleSize:        len(victims),
 		DiscoveryTests:    discTests,
 		RecursionTests:    tests,

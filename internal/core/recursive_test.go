@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"parbor/internal/coupling"
@@ -126,8 +127,8 @@ func TestRunLevelMatchesMapReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("vendor %v seed %d: discovery: %v", v, seed, err)
 			}
-			if got.SampleSize != len(victims) {
-				t.Fatalf("vendor %v seed %d: sample %d, reference %d", v, seed, got.SampleSize, len(victims))
+			if got.SampleSize != len(victims) || !slices.Equal(got.Victims, victims) {
+				t.Fatalf("vendor %v seed %d: sample of %d (%d carried), reference %d", v, seed, got.SampleSize, len(got.Victims), len(victims))
 			}
 			rowBits := ref.host.Geometry().Cols
 			sizes := levelSizes(rowBits, ref.cfg.FirstSplit, ref.cfg.Fanout)

@@ -2,6 +2,9 @@ package fleetlog
 
 import (
 	"io"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -143,5 +146,49 @@ func TestSpillSortAllocBudget(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("sortedMem allocated %.2f objects per 64k-key sort, want 0", allocs)
+	}
+}
+
+// TestSegmentCRCAllocBudget: the bulk check of a summarized segment
+// reads the file through the scan worker's reused buffer and hashes it
+// in place, so once that buffer is warm, checking a segment allocates
+// nothing beyond opening the file, however many chunks the segment
+// takes. The CRC it computes is the one the decoding scan recorded in
+// the summary.
+func TestSegmentCRCAllocBudget(t *testing.T) {
+	dir, segs := writeSegmented(t, genEvents(rand.New(rand.NewSource(47)), 6, 2000), 32<<10)
+	if len(segs) < 2 {
+		t.Fatalf("log has %d segments, want at least 2", len(segs))
+	}
+	summarize(t, dir)
+	data, err := os.ReadFile(filepath.Join(dir, sumName(segSeq(segs[0]))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := checkRun(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(filepath.Join(dir, segs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, 4<<10)
+	if h.meta.segBytes < 4*uint64(len(buf)) {
+		t.Fatalf("segment of %d bytes fits in %d chunks; the check is vacuous", h.meta.segBytes, h.meta.segBytes/uint64(len(buf)))
+	}
+	check := func() {
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		crc, err := fileCRC(t.Context(), f, int64(h.meta.segBytes), buf)
+		if err != nil || crc != h.meta.crc {
+			t.Fatalf("fileCRC = %#08x, %v; the summary recorded %#08x", crc, err, h.meta.crc)
+		}
+	}
+	check()
+	if allocs := testing.AllocsPerRun(50, check); allocs != 0 {
+		t.Fatalf("a warm bulk check allocated %.2f objects per segment, want 0", allocs)
 	}
 }

@@ -161,8 +161,9 @@ func BenchmarkWriterAppend(b *testing.B) {
 
 // BenchmarkAnalyze classifies a whole multi-segment log directory,
 // analytics-shaped (analyticsEvents), as every query after the first
-// does: every segment read and its records checksummed, the sealed
-// segments merged from their summaries, the tail decoded, keyed and
+// does: each sealed segment's length and CRC-32C checked against its
+// summary by hashing the file in bulk, the sealed segments merged from
+// their summaries, the tail decoded, its records checksummed, keyed and
 // sorted, and the module-range merge, on min(GOMAXPROCS, segments)
 // scan workers and up to GOMAXPROCS merge workers. It reports the
 // summaries' size per log byte.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -330,10 +331,10 @@ func (c *classifier) close() {
 // Analyze classifies a whole log directory: the offline half of the
 // analytics pipeline (parborlog, and the daemon's /v1/analytics
 // endpoint). It scans the segments on min(GOMAXPROCS, segments,
-// MaxKeys) workers, and every record of every segment is read and its
-// checksum verified. A segment whose summary matches that walk (same
-// byte length, record count and record-CRC digest) contributes its
-// summary's sorted run. Any other segment is decoded and keyed into
+// MaxKeys) workers. A segment whose summary still matches it (same
+// byte length and CRC-32C of the whole file, hashed in bulk without
+// parsing a record) contributes its summary's sorted run. Any other
+// segment is decoded, every record's checksum verified, and keyed into
 // the worker's shard; a sealed one (any but the last) whose keys fit
 // the worker's share of MaxKeys is summarized from those keys, and the
 // query merges the summary it wrote. With more than one worker the
@@ -468,63 +469,64 @@ func (sc *scan) sumPath(i int) string {
 }
 
 // summarized reports whether segment i is done with through its
-// summary: the summary checks out and matches a walk over the
-// segment's records, and sh merges it. A failed read of the segment,
-// recorded in errs, and a done context also end the segment here. A
-// missing, malformed or stale summary, and a torn segment, leave the
-// segment to a decoding scan.
+// summary: the summary checks out, the segment is still the file it
+// describes, and sh merges it. A done context also ends the segment
+// here. A missing, malformed or stale summary leaves the segment to a
+// decoding scan, which reports any damage to it.
 func (sc *scan) summarized(i int, sh *shard) bool {
 	f, h := sh.readSummary(sc.sumPath(i))
 	if f == nil {
 		return false
 	}
-	meta, err := sc.walk(i)
-	if err == nil && meta == h.meta {
+	if sc.unchanged(i, sh, h.meta) {
 		sh.runs = append(sh.runs, &run{hdr: h, f: f, ra: f, seg: i})
-		sh.events += int(meta.records)
+		sh.events += int(h.meta.records)
 		return true
 	}
 	//parbor:droperr read-side close of a summary that is not used
 	f.Close()
-	if _, torn := err.(errTorn); err == nil || torn {
-		return false
-	}
-	if err != errStopped {
-		sc.fail(i, err)
-	}
-	return true
+	return sc.ctx.Err() != nil
 }
 
-// errStopped ends a walk whose context is done.
-var errStopped = fmt.Errorf("fleetlog: walk stopped")
-
-// walk reads segment i's records, verifying their checksums, and
-// returns the segment's meta. It returns an errTorn for a torn
-// segment, errStopped once the context is done, and any other failure
-// to read the segment.
-func (sc *scan) walk(i int) (runMeta, error) {
-	meta := runMeta{digest: digestSeed}
-	sr, err := openSegment(sc.fsys, filepath.Join(sc.dir, sc.segs[i]))
+// unchanged reports whether segment i has meta's byte length and
+// CRC-32C. It hashes the file in bulk through sh's buffer and parses
+// no record: a segment it cannot read counts as changed.
+func (sc *scan) unchanged(i int, sh *shard, meta runMeta) bool {
+	f, err := sc.fsys.Open(filepath.Join(sc.dir, sc.segs[i]))
 	if err != nil {
-		return meta, err
+		return false
 	}
-	//parbor:droperr read-side close of a segment whose records are verified or whose error is returned
-	defer sr.close()
-	for {
-		_, err := sr.record()
-		if err == errSegEnd {
-			meta.segBytes = uint64(sr.size)
-			return meta, nil
+	//parbor:droperr read-side close of a segment that was only hashed
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil || uint64(st.Size()) != meta.segBytes {
+		return false
+	}
+	sh.buf = slices.Grow(sh.buf[:0], crcChunk)
+	crc, err := fileCRC(sc.ctx, f, st.Size(), sh.buf[:cap(sh.buf)])
+	return err == nil && crc == meta.crc
+}
+
+// crcChunk is the least a scan worker reads of a segment at once to
+// hash it.
+const crcChunk = 256 << 10
+
+// fileCRC returns the CRC-32C of the next size bytes of r, read
+// through buf, or ctx's error once it is done.
+func fileCRC(ctx context.Context, r io.Reader, size int64, buf []byte) (uint32, error) {
+	var crc uint32
+	for size > 0 {
+		if err := ctx.Err(); err != nil {
+			return 0, err
 		}
+		n, err := io.ReadFull(r, buf[:min(int64(len(buf)), size)])
 		if err != nil {
-			return meta, err
+			return 0, err
 		}
-		meta.records++
-		meta.digest = digestAdd(meta.digest, sr.crc)
-		if meta.records%ctxStride == 0 && sc.ctx.Err() != nil {
-			return meta, errStopped
-		}
+		crc = crc32.Update(crc, castagnoli, buf[:n])
+		size -= int64(n)
 	}
+	return crc, nil
 }
 
 // segment folds segment i into sh, decoding into the worker's reused
@@ -559,11 +561,10 @@ func (sc *scan) segment(i int, sh *shard, ev *Event) {
 		sh.seg = max(sh.seg, i)
 	}
 	runs := len(sh.runs)
-	meta := runMeta{digest: digestSeed}
+	var meta runMeta
 	for err == nil {
 		if err = sr.event(ev); err == nil {
 			meta.records++
-			meta.digest = digestAdd(meta.digest, sr.crc)
 			err = sh.observe(ev)
 		}
 		if meta.records%ctxStride == 0 && sc.ctx.Err() != nil {
@@ -582,7 +583,7 @@ func (sc *scan) segment(i int, sh *shard, ev *Event) {
 		return
 	}
 	if summarize && !torn && len(sh.runs) == runs {
-		meta.segBytes = uint64(sr.size)
+		meta.segBytes, meta.crc = uint64(sr.size), sr.sum.Sum32()
 		if !sh.summarize(sc.sumPath(i), meta) {
 			sc.unwritable.Store(true)
 		}

@@ -35,14 +35,14 @@
 //	          and in canonical ascending order
 //
 //	summary = "PBFS" magic | version | the segment's byte length,
-//	          record count and FNV-1a digest of its record CRCs
+//	          record count and CRC-32C of its whole file
 //	          | module names, ascending, with each one's key counts
 //	          and block sizes | every module's distinct epochs
 //	          | every module's distinct cells, each with its distinct
 //	          epochs | CRC-32/IEEE of all before
 //
-// A summary is used only when it decodes strictly and its length,
-// record count and digest match the segment as read; otherwise the
+// A summary is used only when it decodes strictly and the segment
+// still has its length and CRC-32C, hashed in bulk; otherwise the
 // segment is decoded, so a missing, torn or stale summary costs time,
 // never a different rollup. Spill runs use the same format.
 //

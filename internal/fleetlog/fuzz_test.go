@@ -3,6 +3,7 @@ package fleetlog
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -128,8 +129,8 @@ func FuzzFleetlogSummary(f *testing.F) {
 	f.Add(sum)
 	f.Add(sum[:len(sum)/2])
 	f.Add([]byte{})
-	f.Add([]byte(runMagic + "\x01"))
-	f.Add(append([]byte(runMagic+"\x01\x00\x00"), make([]byte, 8)...))
+	f.Add(append([]byte(runMagic), runVersion))
+	f.Add(append([]byte(runMagic), runVersion, 0, 0, 0, 0, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := checkRun(data)
 		if err != nil {
@@ -137,6 +138,61 @@ func FuzzFleetlogSummary(f *testing.F) {
 		}
 		if again := reencodeRun(data, h); !bytes.Equal(again, data) {
 			t.Fatalf("accepted run re-encodes differently:\nin  %x\nout %x", data, again)
+		}
+	})
+}
+
+// FuzzStaleSummary: a summary never changes a rollup. The bytes of a
+// summarized sealed segment are mutated (a bit flipped, the file cut
+// short, or a run of bytes rewritten in place, keeping its length), and
+// Analyze over the log with the now-stale summary must give what
+// Analyze gives over the same log with its summaries removed: the same
+// rollup, or the same error.
+func FuzzStaleSummary(f *testing.F) {
+	base, segs := writeSegmented(f, genEvents(rand.New(rand.NewSource(41)), 4, 80), 256)
+	if len(segs) < 4 {
+		f.Fatalf("log has %d segments, want at least 4", len(segs))
+	}
+	summarize(f, base)
+	for op := range uint8(3) {
+		f.Add(op, uint8(1), uint16(40), []byte{0x5a})
+		f.Add(op, uint8(2), uint16(7), []byte("PBFL"))
+	}
+	f.Add(uint8(2), uint8(0), uint16(300), []byte{0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, op, seg uint8, pos uint16, data []byte) {
+		dir := copyLog(t, base)
+		path := filepath.Join(dir, segs[int(seg)%(len(segs)-1)])
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := int(pos) % len(b)
+		switch op % 3 {
+		case 0:
+			b[at] ^= 1 << (op / 3 % 8)
+		case 1:
+			b = b[:at]
+		case 2:
+			copy(b[at:], data)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		bare := copyLog(t, dir)
+		for _, s := range sumFiles(t, bare) {
+			if err := os.Remove(filepath.Join(bare, s)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, gotErr := Analyze(t.Context(), dir, ClassifierConfig{SpillDir: t.TempDir()})
+		want, wantErr := Analyze(t.Context(), bare, ClassifierConfig{SpillDir: t.TempDir()})
+		switch {
+		case gotErr != nil || wantErr != nil:
+			if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+				t.Fatalf("with the stale summary: %v; without summaries: %v", gotErr, wantErr)
+			}
+		case marshal(t, got) != marshal(t, want):
+			t.Fatalf("with the stale summary:\n%s\nwithout summaries:\n%s", marshal(t, got), marshal(t, want))
 		}
 	})
 }

@@ -34,7 +34,7 @@ func withGOMAXPROCS(t *testing.T, procs []int, f func(t *testing.T, procs int)) 
 
 // writeSegmented writes events into a fresh log of small segments and
 // returns the directory and its segment names, in order.
-func writeSegmented(t *testing.T, events []Event, segBytes int64) (string, []string) {
+func writeSegmented(t testing.TB, events []Event, segBytes int64) (string, []string) {
 	t.Helper()
 	dir := t.TempDir()
 	w, err := OpenWriter(dir, WriterOptions{SegmentBytes: segBytes})
@@ -73,7 +73,7 @@ func recordEnds(t *testing.T, data []byte) []int {
 }
 
 // marshal is the rollup's canonical bytes.
-func marshal(t *testing.T, r *Rollup) string {
+func marshal(t testing.TB, r *Rollup) string {
 	t.Helper()
 	b, err := json.Marshal(r)
 	if err != nil {
@@ -212,7 +212,7 @@ func runFiles(t *testing.T, dir string) []string {
 }
 
 // copyLog copies a log directory's files into a fresh directory.
-func copyLog(t *testing.T, dir string) string {
+func copyLog(t testing.TB, dir string) string {
 	t.Helper()
 	cp := t.TempDir()
 	entries, err := os.ReadDir(dir)
@@ -237,7 +237,9 @@ func copyLog(t *testing.T, dir string) string {
 // at its first record and the lower one's near its end, where the tail
 // (claimed first by more than one worker) alone is corrupt, and where
 // the tail fails at its first record and a lower segment near its end.
-// Every worker's spill runs are removed on the error path.
+// Each case runs on a log without summaries and on one summarized
+// before the corruption, whose corrupt segments' summaries are then
+// stale. Every worker's spill runs are removed on the error path.
 func TestAnalyzeErrorIsSerialError(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	dir, segs := writeSegmented(t, genEvents(r, 8, 600), 512)
@@ -247,20 +249,32 @@ func TestAnalyzeErrorIsSerialError(t *testing.T) {
 	tail := len(segs) - 1
 	// The cases with a corrupt tail scan the whole log, so they run
 	// under a budget that spills less.
-	cases := []struct {
-		name    string
-		lo      int // the lowest corrupt segment, corrupt near its end
-		hi      int // another corrupt segment, corrupt at its first record, or -1
-		maxKeys int
-	}{
-		{"sealed", 3, 4, 8},
-		{"tail", tail, -1, 256},
-		{"tail and sealed", 2, tail, 256},
+	type errCase struct {
+		name       string
+		lo         int // the lowest corrupt segment, corrupt near its end
+		hi         int // another corrupt segment, corrupt at its first record, or -1
+		maxKeys    int
+		summarized bool
+	}
+	cases := []errCase{
+		{"sealed", 3, 4, 8, false},
+		{"tail", tail, -1, 256, false},
+		{"tail and sealed", 2, tail, 256, false},
+	}
+	for _, tc := range cases {
+		tc.name, tc.summarized = "summarized "+tc.name, true
+		cases = append(cases, tc)
 	}
 	dirs := make([]string, len(cases))
 	wants := make([]error, len(cases))
 	for c, tc := range cases {
 		dirs[c] = copyLog(t, dir)
+		if tc.summarized {
+			summarize(t, dirs[c])
+			if n := len(sumFiles(t, dirs[c])); n != len(segs)-1 {
+				t.Fatalf("%s: %d summaries for %d sealed segments", tc.name, n, len(segs)-1)
+			}
+		}
 		lo := filepath.Join(dirs[c], segs[tc.lo])
 		data, err := os.ReadFile(lo)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
 	"path/filepath"
@@ -45,7 +46,9 @@ type segReader struct {
 	size int64 // file size at open
 	off  int64 // offset of the next unread record
 	buf  []byte
-	crc  uint32 // the last record's checksum
+	// sum is the CRC-32C of the bytes br has read, which stop at size:
+	// at a clean end of segment, of the whole file as decoded.
+	sum hash.Hash32
 }
 
 // segReadBuf is a segment reader's buffer: large enough that a scan
@@ -67,7 +70,8 @@ func openSegment(fsys faultfs.FS, path string) (*segReader, error) {
 		f.Close()
 		return nil, err
 	}
-	sr := &segReader{name: filepath.Base(path), f: f, br: bufio.NewReaderSize(f, segReadBuf), size: st.Size()}
+	sr := &segReader{name: filepath.Base(path), f: f, size: st.Size(), sum: crc32.New(castagnoli)}
+	sr.br = bufio.NewReaderSize(io.TeeReader(io.LimitReader(f, sr.size), sr.sum), segReadBuf)
 	hdr := make([]byte, segHeaderLen)
 	if _, err := io.ReadFull(sr.br, hdr); err != nil {
 		if isInjectedFault(err) {
@@ -173,18 +177,7 @@ func (sr *segReader) next() ([]byte, error) {
 		return nil, fmt.Errorf("fleetlog: checksum mismatch at offset %d", sr.off)
 	}
 	sr.off += hdrLen + int64(plen) + 4
-	sr.crc = want
 	return payload, nil
-}
-
-// record is next with any failure but a clean end or a torn tail
-// wrapped with the segment's name.
-func (sr *segReader) record() ([]byte, error) {
-	payload, err := sr.next()
-	if _, torn := err.(errTorn); torn || err == errSegEnd || err == nil {
-		return payload, err
-	}
-	return nil, fmt.Errorf("fleetlog: %s: %w", sr.name, err)
 }
 
 // event decodes the next record into ev. It returns errSegEnd at a
@@ -192,11 +185,14 @@ func (sr *segReader) record() ([]byte, error) {
 // failure (corruption, an undecodable payload, a failed read) wrapped
 // with the segment's name.
 func (sr *segReader) event(ev *Event) error {
-	payload, err := sr.record()
-	if err != nil {
+	payload, err := sr.next()
+	if _, torn := err.(errTorn); torn || err == errSegEnd {
 		return err
 	}
-	if err := decodeEventInto(payload, ev); err != nil {
+	if err == nil {
+		err = decodeEventInto(payload, ev)
+	}
+	if err != nil {
 		return fmt.Errorf("fleetlog: %s: %w", sr.name, err)
 	}
 	return nil

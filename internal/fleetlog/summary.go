@@ -15,7 +15,7 @@ import (
 //   - a segment summary, <seq>.sum beside <seq>.seg, which Analyze
 //     writes the first time it reads the sealed segment: the whole
 //     segment's keys, plus the segment's byte length, record count and
-//     a digest of its record CRCs, so that a later Analyze can tell
+//     the CRC-32C of its whole file, so that a later Analyze can tell
 //     whether the summary still describes the segment it sits beside;
 //   - a spill run, which a classifier's scan worker appends to its one
 //     spill file when its key budget fills (the meta fields are zero).
@@ -23,7 +23,7 @@ import (
 // Layout (every integer a minimal uvarint unless noted):
 //
 //	"PBFS" | version (1 byte)
-//	segment bytes | records | digest (8 bytes little-endian)
+//	segment bytes | records | segment CRC-32C (4 bytes little-endian)
 //	module count
 //	per module, in ascending name order:
 //	    name length | name | epochs | epoch bytes | cells | cell bytes
@@ -49,40 +49,41 @@ import (
 // reads just its module range of every run. The format is canonical:
 // checkRun accepts exactly what runEncoder writes, so decode then
 // encode gives back the same bytes (FuzzFleetlogSummary).
+//
+// The segment CRC is CRC-32C (Castagnoli), not the IEEE polynomial of
+// the record checksums. Every record ends with the IEEE CRC of its own
+// payload, and CRCs are linear: an IEEE register that reads a payload
+// and then that payload's IEEE CRC ends in a state that depends only
+// on its state before and the payload's length. So the whole-file IEEE
+// CRC of two segments with the same framing is the same whatever their
+// payloads. Under another polynomial the pairs do not cancel.
+//
+// A summary of an earlier version fails the version check, and is
+// rebuilt as a missing one is.
 const (
 	runMagic   = "PBFS"
-	runVersion = 1
+	runVersion = 2
 	// sumSuffix names segment summaries: 00000001.sum summarizes
 	// 00000001.seg.
 	sumSuffix = ".sum"
 	// minCellBytes is the smallest encoded cell: four position
 	// uvarints, the epoch count and one epoch.
 	minCellBytes = 6
-	// digestSeed is the FNV-1a 64-bit offset basis.
-	digestSeed uint64 = 0xcbf29ce484222325
 )
+
+// castagnoli is the CRC-32C table a summary's segment CRC is computed
+// with; crc32 runs it on the CPU's CRC instructions where it has them.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // sumName formats a segment sequence number as its summary filename.
 func sumName(seq int) string { return fmt.Sprintf("%08d%s", seq, sumSuffix) }
-
-// digestAdd folds one record's CRC into a segment digest (FNV-1a over
-// the CRC's little-endian bytes). Every walk folds the CRCs in record
-// order, so equal digests mean the same records with high probability.
-func digestAdd(d uint64, crc uint32) uint64 {
-	for range 4 {
-		d ^= uint64(crc & 0xff)
-		d *= 0x100000001b3
-		crc >>= 8
-	}
-	return d
-}
 
 // runMeta identifies the segment a summary describes; spill runs carry
 // the zero value.
 type runMeta struct {
 	segBytes uint64
 	records  uint64
-	digest   uint64
+	crc      uint32 // CRC-32C of the segment's whole file
 }
 
 // runModule is one module's entry in a run header.
@@ -233,7 +234,7 @@ func (e *runEncoder) finish(meta runMeta) [4][]byte {
 	h = append(h, runVersion)
 	h = binary.AppendUvarint(h, meta.segBytes)
 	h = binary.AppendUvarint(h, meta.records)
-	h = binary.LittleEndian.AppendUint64(h, meta.digest)
+	h = binary.LittleEndian.AppendUint32(h, meta.crc)
 	h = binary.AppendUvarint(h, uint64(len(e.names)))
 	for i, name := range e.names {
 		bs := e.per[i]
@@ -318,11 +319,11 @@ func decodeRunHeader(b []byte) (*runHeader, error) {
 	if h.meta.records, err = c.uvarint(); err != nil {
 		return nil, errRun
 	}
-	if len(body)-c.off < 8 {
+	if len(body)-c.off < 4 {
 		return nil, errRun
 	}
-	h.meta.digest = binary.LittleEndian.Uint64(body[c.off:])
-	c.off += 8
+	h.meta.crc = binary.LittleEndian.Uint32(body[c.off:])
+	c.off += 4
 	n, err := c.uvarint()
 	// A module entry takes at least six bytes.
 	if err != nil || n > uint64(len(body)-c.off)/6 {

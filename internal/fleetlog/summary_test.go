@@ -2,8 +2,10 @@ package fleetlog
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -16,6 +18,7 @@ import (
 	"testing"
 
 	"parbor/internal/faultfs"
+	"parbor/internal/memctl"
 )
 
 // summaryStates are the states a log's segment summaries can be in;
@@ -470,7 +473,7 @@ func (c *cancelFS) Open(name string) (faultfs.File, error) {
 // short or with a byte flipped is rejected.
 func TestSummaryCodecRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
-	meta := runMeta{segBytes: 12345, records: 300, digest: 0xfeedface}
+	meta := runMeta{segBytes: 12345, records: 300, crc: 0xfeedface}
 	sh := &shard{b: newRunBuilder(1 << 20)}
 	for _, ev := range genEvents(r, 9, 300) {
 		if err := sh.observe(&ev); err != nil {
@@ -727,5 +730,122 @@ func TestAnalyzeWithoutWritableSummaries(t *testing.T) {
 	}
 	if sums, tmp := sumFiles(t, dir), tempFiles(t, dir); len(sums)+len(tmp) != 0 {
 		t.Fatalf("files written beside the segments: %v %v", sums, tmp)
+	}
+}
+
+// TestSummaryCRCSeesPayloads: two single-record segments whose records
+// have the same framing but different payloads get summaries with the
+// same length and record count and different segment CRCs, so neither
+// summary passes for the other's. Under the IEEE polynomial of the
+// record checksums the two whole-file CRCs would be equal: each
+// payload's CRC cancels it.
+func TestSummaryCRCSeesPayloads(t *testing.T) {
+	events := []Event{
+		{Module: "m-a", Epoch: 1, Fails: []memctl.BitAddr{addr(0, 0, 3, 7)}},
+		{Module: "m-b", Epoch: 2, Fails: []memctl.BitAddr{addr(1, 0, 3, 9)}},
+		{Module: "m-c", Epoch: 3},
+	}
+	dir, segs := writeSegmented(t, events, 1)
+	if len(segs) != 3 {
+		t.Fatalf("log has %d segments, want one per event", len(segs))
+	}
+	summarize(t, dir)
+	var seg [2][]byte
+	var meta [2]runMeta
+	for i := range seg {
+		var err error
+		if seg[i], err = os.ReadFile(filepath.Join(dir, segs[i])); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, sumName(segSeq(segs[i]))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := checkRun(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta[i] = h.meta
+	}
+	if len(seg[0]) != len(seg[1]) || slices.Equal(seg[0], seg[1]) {
+		t.Fatalf("segments of %d and %d bytes; want equal lengths and different bytes", len(seg[0]), len(seg[1]))
+	}
+	if meta[0].segBytes != meta[1].segBytes || meta[0].records != 1 || meta[1].records != 1 {
+		t.Fatalf("summary metas %+v and %+v; want one record each and equal lengths", meta[0], meta[1])
+	}
+	if meta[0].crc == meta[1].crc {
+		t.Fatalf("both summaries carry segment CRC %#08x for different bytes", meta[0].crc)
+	}
+	// The neighbour's summary beside the first segment is stale.
+	data, err := os.ReadFile(filepath.Join(dir, sumName(segSeq(segs[1]))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, sumName(segSeq(segs[0]))), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Analyze(t.Context(), dir, ClassifierConfig{SpillDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffRollups(t, "a neighbour's summary", got, oracleRollup(events))
+}
+
+// TestAnalyzeRebuildsV1Summaries: a summary of an earlier format
+// version is never merged, even when everything in it but the version
+// matches its segment, and the query rewrites it in the current
+// format. The version-1 summaries here carry keys their segments do
+// not hold, so merging one would change the rollup.
+func TestAnalyzeRebuildsV1Summaries(t *testing.T) {
+	events := genEvents(rand.New(rand.NewSource(43)), 6, 300)
+	dir, segs := writeSegmented(t, events, 512)
+	if len(segs) < 4 {
+		t.Fatalf("log has %d segments, want at least 4", len(segs))
+	}
+	summarize(t, dir)
+	sums := sumFiles(t, dir)
+	if len(sums) != len(segs)-1 {
+		t.Fatalf("%d summaries for %d sealed segments", len(sums), len(segs)-1)
+	}
+	current := make(map[string][]byte)
+	for _, name := range sums {
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		current[name] = data
+		h, err := checkRun(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := &shard{b: newRunBuilder(1 << 10)}
+		if err := sh.observe(&Event{Module: "v1-only", Epoch: 1, Fails: []memctl.BitAddr{addr(1, 1, 1, 1)}}); err != nil {
+			t.Fatal(err)
+		}
+		v1, _ := sh.b.appendRun(nil, h.meta)
+		v1[len(runMagic)] = 1
+		body := v1[:len(v1)-4]
+		binary.LittleEndian.PutUint32(v1[len(body):], crc32.ChecksumIEEE(body))
+		if _, err := checkRun(v1); err == nil {
+			t.Fatalf("%s: checkRun accepted a version-1 summary", name)
+		}
+		if err := os.WriteFile(path, v1, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := Analyze(t.Context(), dir, ClassifierConfig{SpillDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffRollups(t, "version-1 summaries", got, oracleRollup(events))
+	for name, want := range current {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(data, want) {
+			t.Fatalf("%s was not rewritten as the current summary (version byte %d)", name, data[len(runMagic)])
+		}
 	}
 }
