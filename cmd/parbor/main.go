@@ -45,7 +45,6 @@ import (
 	"parbor/internal/checkpoint"
 	"parbor/internal/core"
 	"parbor/internal/faultfs"
-	"parbor/internal/memctl"
 	"parbor/internal/obs"
 	"parbor/internal/onlinetest"
 	"parbor/internal/patterns"
@@ -247,7 +246,10 @@ func run(ctx context.Context, opts options) error {
 	}
 
 	if opts.profileRet {
-		host2, err := memctl.NewHostWithConfig(mod, memctl.HostConfig{Recorder: rec})
+		// A fresh twin module, as for the random baseline: the one
+		// detection tested has advanced its noise streams, so its
+		// profile would depend on which stages ran before it.
+		_, host2, err := newModuleHost(mod.Name(), vendor, chips, geom, seed, rec)
 		if err != nil {
 			return err
 		}

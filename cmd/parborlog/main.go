@@ -19,7 +19,7 @@
 // default budget, 8 KiB of read windows per further run; DESIGN.md
 // section 12) and with one open file per worker. The segments are
 // scanned on up to GOMAXPROCS workers, which share the budget rather
-// than each taking a copy of it; a sealed segment whose summary
+// than each taking a copy of it; a segment whose summary still
 // matches it is merged from the summary instead of being decoded. The
 // rollup is a pure function of the event set: order, duplicated
 // replays, segment boundaries, and the memory budget cannot change a

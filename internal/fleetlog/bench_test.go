@@ -161,19 +161,61 @@ func BenchmarkWriterAppend(b *testing.B) {
 
 // BenchmarkAnalyze classifies a whole multi-segment log directory,
 // analytics-shaped (analyticsEvents), as every query after the first
-// does: each sealed segment's length and CRC-32C checked against its
-// summary by hashing the file in bulk, the sealed segments merged from
-// their summaries, the tail decoded, its records checksummed, keyed and
-// sorted, and the module-range merge, on min(GOMAXPROCS, segments)
-// scan workers and up to GOMAXPROCS merge workers. It reports the
-// summaries' size per log byte.
+// does while nothing is appended: each segment's length and CRC-32C,
+// the tail's included, checked against its summary by hashing the file
+// in bulk, the segments merged from their summaries, and the
+// module-range merge, on min(GOMAXPROCS, segments) scan workers and up
+// to GOMAXPROCS merge workers. It reports the summaries' size per log
+// byte.
 func BenchmarkAnalyze(b *testing.B) { benchAnalyze(b, true) }
 
 // BenchmarkAnalyzeNoSummaries is BenchmarkAnalyze with the summaries
 // removed before every query, as the first query after the segments
-// were sealed finds them: it decodes, keys and sorts every sealed
-// segment into its summary and writes it.
+// were written finds them: it decodes, keys and sorts every segment
+// into its summary and writes it.
 func BenchmarkAnalyzeNoSummaries(b *testing.B) { benchAnalyze(b, false) }
+
+// BenchmarkAnalyzeGrowingTail is BenchmarkAnalyze on a log that a live
+// daemon is still appending to: between queries a writer appends a few
+// events of the next epoch to the tail, which never rotates, so every
+// query finds the tail's summary stale, decodes, keys and sorts the
+// tail and rewrites its summary, while the sealed segments merge from
+// theirs.
+func BenchmarkAnalyzeGrowingTail(b *testing.B) {
+	const perQuery = 8
+	events := analyticsEvents(21)
+	logged := len(analyticsEvents(20))
+	dir := writeEvents(b, events[:logged], 256<<10)
+	summarize(b, dir)
+	w, err := OpenWriter(dir, WriterOptions{SegmentBytes: 1 << 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	spill := b.TempDir()
+	folded := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for range perQuery {
+			if err := w.Append(events[logged%len(events)]); err != nil {
+				b.Fatal(err)
+			}
+			logged++
+		}
+		b.StartTimer()
+		ru, err := Analyze(b.Context(), dir, ClassifierConfig{SpillDir: spill})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ru.Events != logged {
+			b.Fatalf("folded %d events, want %d", ru.Events, logged)
+		}
+		folded += ru.Events
+	}
+	b.ReportMetric(float64(folded)/b.Elapsed().Seconds(), "events/s")
+}
 
 func benchAnalyze(b *testing.B, summaries bool) {
 	events := analyticsEvents(20)

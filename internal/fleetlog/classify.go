@@ -335,12 +335,12 @@ func (c *classifier) close() {
 // byte length and CRC-32C of the whole file, hashed in bulk without
 // parsing a record) contributes its summary's sorted run. Any other
 // segment is decoded, every record's checksum verified, and keyed into
-// the worker's shard; a sealed one (any but the last) whose keys fit
-// the worker's share of MaxKeys is summarized from those keys, and the
-// query merges the summary it wrote. With more than one worker the
-// tail, which has no summary, is claimed first. finish then merges the
-// runs in segment order on up to GOMAXPROCS workers over disjoint
-// module ranges. The rollup is the
+// the worker's shard; an untorn one whose keys fit the worker's share
+// of MaxKeys is summarized from those keys as the query opened it (so
+// the tail's summary is stale after an append), and the query merges
+// the summary it wrote. With more than one worker the tail is claimed
+// first. finish then merges the runs in segment order on up to
+// GOMAXPROCS workers over disjoint module ranges. The rollup is the
 // one a single classifier fed the log in order would give; so is the
 // error, the lowest-numbered failing segment's. Once ctx is done the
 // workers stop and Analyze returns ctx.Err(), with its spill files
@@ -447,11 +447,10 @@ func (sc *scan) work(sh *shard) {
 }
 
 // order returns the segment of the k-th claim. With tailFirst the tail,
-// the one segment that never has a summary and so is always decoded,
-// keyed and sorted, is claimed first, and it runs beside the sealed
-// segments rather than alone after them; the rest follow in segment
-// order. With one worker nothing runs beside the tail, and every claim
-// is in segment order, as a serial read goes.
+// whose summary an append makes stale, is claimed first, so a decode of
+// it runs beside the sealed segments, not alone after them; the rest
+// follow in segment order. With one worker every claim is in segment
+// order, as a serial read goes.
 func (sc *scan) order(k int) int {
 	switch {
 	case !sc.tailFirst:
@@ -469,16 +468,27 @@ func (sc *scan) sumPath(i int) string {
 }
 
 // summarized reports whether segment i is done with through its
-// summary: the summary checks out, the segment is still the file it
-// describes, and sh merges it. A done context also ends the segment
-// here. A missing, malformed or stale summary leaves the segment to a
+// summary: the summary, read whole into sh.buf, checks out, the segment
+// is still the file it describes, and sh merges it. The merge reads the
+// file checked, so another query renaming a new summary over it
+// meanwhile changes nothing. A done context also ends the segment here.
+// A missing, malformed or stale summary leaves the segment to a
 // decoding scan, which reports any damage to it.
 func (sc *scan) summarized(i int, sh *shard) bool {
-	f, h := sh.readSummary(sc.sumPath(i))
-	if f == nil {
+	f, err := sc.fsys.Open(sc.sumPath(i))
+	if err != nil {
 		return false
 	}
-	if sc.unchanged(i, sh, h.meta) {
+	st, err := f.Stat()
+	if err == nil {
+		sh.buf = slices.Grow(sh.buf[:0], int(st.Size()))[:st.Size()]
+		_, err = io.ReadFull(f, sh.buf)
+	}
+	var h *runHeader
+	if err == nil {
+		h = sc.unchanged(i, sh)
+	}
+	if h != nil {
 		sh.runs = append(sh.runs, &run{hdr: h, f: f, ra: f, seg: i})
 		sh.events += int(h.meta.records)
 		return true
@@ -488,23 +498,30 @@ func (sc *scan) summarized(i int, sh *shard) bool {
 	return sc.ctx.Err() != nil
 }
 
-// unchanged reports whether segment i has meta's byte length and
-// CRC-32C. It hashes the file in bulk through sh's buffer and parses
-// no record: a segment it cannot read counts as changed.
-func (sc *scan) unchanged(i int, sh *shard, meta runMeta) bool {
+// unchanged returns the header of the summary in sh.buf if it checks
+// out and segment i still has its byte length (compared first, so a
+// grown tail's summary goes unchecked) and CRC-32C, hashed in bulk
+// through sh.buf; else nil, as for an unreadable segment.
+func (sc *scan) unchanged(i int, sh *shard) *runHeader {
 	f, err := sc.fsys.Open(filepath.Join(sc.dir, sc.segs[i]))
 	if err != nil {
-		return false
+		return nil
 	}
 	//parbor:droperr read-side close of a segment that was only hashed
 	defer f.Close()
 	st, err := f.Stat()
-	if err != nil || uint64(st.Size()) != meta.segBytes {
-		return false
+	if err != nil || uint64(st.Size()) != runSegBytes(sh.buf) {
+		return nil
+	}
+	h, err := checkRun(sh.buf)
+	if err != nil {
+		return nil
 	}
 	sh.buf = slices.Grow(sh.buf[:0], crcChunk)
-	crc, err := fileCRC(sc.ctx, f, st.Size(), sh.buf[:cap(sh.buf)])
-	return err == nil && crc == meta.crc
+	if crc, err := fileCRC(sc.ctx, f, st.Size(), sh.buf[:cap(sh.buf)]); err != nil || crc != h.meta.crc {
+		return nil
+	}
+	return h
 }
 
 // crcChunk is the least a scan worker reads of a segment at once to
@@ -531,14 +548,13 @@ func fileCRC(ctx context.Context, r io.Reader, size int64, buf []byte) (uint32, 
 
 // segment folds segment i into sh, decoding into the worker's reused
 // ev. A torn tail is recorded and ends the segment; any other failure
-// is recorded against the segment and stops the scan. A sealed
-// segment is keyed into an empty builder (a residue is spilled first),
-// and if all its keys fit, they are written as its summary, which sh
-// then merges; the segment's keys never take more than the shard's
-// share of the key budget. After a summary cannot be written, the
-// query summarizes no more segments. The log's tail is sealed into an
-// in-memory run once decoded: claimed first, it would otherwise be
-// the residue the next sealed segment spills.
+// is recorded against the segment and stops the scan. A segment is
+// keyed into an empty builder (a residue is spilled first) and, if it
+// is untorn and all its keys fit the shard's share of the key budget,
+// written as its summary, which sh then merges. After a summary cannot
+// be written, the query summarizes no more segments. A tail that was
+// not summarized is sealed into an in-memory run: claimed first, it
+// would otherwise be the residue the next segment spills.
 func (sc *scan) segment(i int, sh *shard, ev *Event) {
 	sr, err := openSegment(sc.fsys, filepath.Join(sc.dir, sc.segs[i]))
 	if err != nil {
@@ -547,8 +563,7 @@ func (sc *scan) segment(i int, sh *shard, ev *Event) {
 	}
 	//parbor:droperr read-side close of a segment whose records are folded or whose error is recorded
 	defer sr.close()
-	tail := i == len(sc.segs)-1
-	summarize := !tail && !sc.unwritable.Load()
+	summarize := !sc.unwritable.Load()
 	if summarize && !sh.b.empty() {
 		if err := sh.spill(); err != nil {
 			sc.fail(i, err)
@@ -578,15 +593,15 @@ func (sc *scan) segment(i int, sh *shard, ev *Event) {
 		return
 	}
 	sc.torn[i] = torn
-	if tail {
-		sh.seal()
-		return
-	}
 	if summarize && !torn && len(sh.runs) == runs {
 		meta.segBytes, meta.crc = uint64(sr.size), sr.sum.Sum32()
 		if !sh.summarize(sc.sumPath(i), meta) {
 			sc.unwritable.Store(true)
 		}
+		return
+	}
+	if i == len(sc.segs)-1 {
+		sh.seal()
 	}
 }
 
@@ -597,34 +612,7 @@ func (sc *scan) fail(i int, err error) {
 	}
 }
 
-// readSummary opens the summary at path and checks all of it,
-// returning the open file and its header, or nil if it is missing,
-// unreadable or malformed. The merge reads the file it returns, so a
-// query merges the bytes it checked even if another query renames a
-// new summary over path meanwhile.
-func (s *shard) readSummary(path string) (faultfs.File, *runHeader) {
-	f, err := s.fsys.Open(path)
-	if err != nil {
-		return nil, nil
-	}
-	st, err := f.Stat()
-	if err == nil {
-		s.buf = slices.Grow(s.buf[:0], int(st.Size()))[:st.Size()]
-		_, err = io.ReadFull(f, s.buf)
-	}
-	var h *runHeader
-	if err == nil {
-		h, err = checkRun(s.buf)
-	}
-	if err != nil {
-		//parbor:droperr read-side close of a summary that is not used
-		f.Close()
-		return nil, nil
-	}
-	return f, h
-}
-
-// summarize sorts the builder's keys, one sealed segment's, into its
+// summarize sorts the builder's keys, one segment's, into its
 // summary with meta and writes it to path, and the shard merges the
 // file written. It reports false if the summary could not be written;
 // the shard then keeps the run in memory.

@@ -21,9 +21,9 @@ type CompactStats struct {
 
 // Compact rewrites a log directory into a fresh one: every intact
 // record is re-encoded canonically into new segments of the requested
-// size, each sealed one with its summary where Analyze would write one
-// (its keys fit a scan worker's share of the default key budget), and
-// torn tails are dropped (they carry no recoverable data).
+// size, each with its summary where Analyze would write one (its keys
+// fit a scan worker's share of the default key budget), and torn tails
+// are dropped (they carry no recoverable data).
 // The source is untouched; dst must not already contain segments, so
 // a half-finished compaction cannot be mistaken for a complete one.
 // Both sides go through opts.FS.
@@ -76,8 +76,7 @@ func Compact(srcDir, dstDir string, opts WriterOptions) (CompactStats, error) {
 		return st, err
 	}
 	st.SegmentsOut = len(outSegs)
-	// Every segment but the last is sealed: analyzing the log now
-	// summarizes them, as its first Analyze otherwise would.
+	// Analyzing the log now summarizes it, as its first Analyze would.
 	if _, err := Analyze(context.Background(), dstDir, ClassifierConfig{FS: fsys}); err != nil {
 		return st, fmt.Errorf("fleetlog: summarizing the compacted log: %w", err)
 	}

@@ -116,7 +116,7 @@ func TestTornWriteEveryByteBoundary(t *testing.T) {
 // rotatingScenario logs events through a writer of tiny segments on
 // fsys, with a Sync halfway, closes it, and analyzes the log: every
 // rotation syncs and closes a segment, syncs the directory and creates
-// the next, and the analysis writes every sealed segment's summary.
+// the next, and the analysis writes every segment's summary.
 func rotatingScenario(t *testing.T, fsys faultfs.FS, dir string, events []Event) error {
 	w, err := OpenWriter(dir, WriterOptions{FS: fsys, SegmentBytes: 200, RetryAttempts: 1})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -222,6 +223,29 @@ func TestDifferentialOracle(t *testing.T) {
 						t.Fatalf("summaries %s: Analyze: %v", state, err)
 					}
 					diffRollups(t, fmt.Sprintf("segBytes=%d, summaries %s", segBytes, state), got, logOracle(t, sdir))
+				}
+
+				// Every state of the tail's own summary, with the sealed
+				// segments' present, gives the rollup of the records the
+				// log then holds, and the query leaves the untorn tail a
+				// summary that describes it.
+				summarize(t, dir)
+				extra := genEvents(r, 2+r.Intn(8), 1+r.Intn(20))
+				for _, state := range tailStates {
+					tdir := withTailState(t, dir, state, extra)
+					got, err := Analyze(t.Context(), tdir, ClassifierConfig{SpillDir: t.TempDir()})
+					if err != nil {
+						t.Fatalf("tail %s: Analyze: %v", state, err)
+					}
+					label := fmt.Sprintf("segBytes=%d, tail %s", segBytes, state)
+					want := logOracle(t, tdir)
+					if state == "appended" {
+						want = oracleRollup(append(slices.Clone(events), extra...))
+					}
+					diffRollups(t, label, got, want)
+					if summarized := tailSummarized(t, tdir); summarized != (state != "torn segment") {
+						t.Fatalf("%s: after the query the tail's summary describes it: %v", label, summarized)
+					}
 				}
 			}
 		})

@@ -11,15 +11,15 @@
 // events back one record at a time — a segment is never materialized —
 // and the classifier keeps O(modules) state, spilling sorted key runs
 // to disk and merging them when a log is too large for its memory
-// budget. The first Analyze to read a sealed segment whose keys fit a
+// budget. The first Analyze to read an untorn segment whose keys fit a
 // scan worker's share of that budget writes them beside it as a
 // summary, which later queries merge instead of decoding the segment
-// again.
+// again, until an append to the segment (the tail) makes it stale.
 //
 // On-disk layout (see DESIGN.md section 12 for the framing diagrams):
 //
 //	<dir>/00000001.seg, 00000002.seg, ...   rotated at SegmentBytes
-//	<dir>/00000001.sum, ...                 beside each sealed segment
+//	<dir>/00000001.sum, ...                 beside each segment
 //	                                        (written to a .tmp file and
 //	                                        renamed into place)
 //

@@ -143,11 +143,11 @@ func FuzzFleetlogSummary(f *testing.F) {
 }
 
 // FuzzStaleSummary: a summary never changes a rollup. The bytes of a
-// summarized sealed segment are mutated (a bit flipped, the file cut
-// short, or a run of bytes rewritten in place, keeping its length), and
-// Analyze over the log with the now-stale summary must give what
-// Analyze gives over the same log with its summaries removed: the same
-// rollup, or the same error.
+// summarized segment, the tail included, are mutated (a bit flipped,
+// the file cut short, or a run of bytes rewritten in place, keeping
+// its length), and Analyze over the log with the now-stale summary
+// must give what Analyze gives over the same log with its summaries
+// removed: the same rollup, or the same error.
 func FuzzStaleSummary(f *testing.F) {
 	base, segs := writeSegmented(f, genEvents(rand.New(rand.NewSource(41)), 4, 80), 256)
 	if len(segs) < 4 {
@@ -161,7 +161,7 @@ func FuzzStaleSummary(f *testing.F) {
 	f.Add(uint8(2), uint8(0), uint16(300), []byte{0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, op, seg uint8, pos uint16, data []byte) {
 		dir := copyLog(t, base)
-		path := filepath.Join(dir, segs[int(seg)%(len(segs)-1)])
+		path := filepath.Join(dir, segs[int(seg)%len(segs)])
 		b, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

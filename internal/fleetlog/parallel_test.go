@@ -271,8 +271,8 @@ func TestAnalyzeErrorIsSerialError(t *testing.T) {
 		dirs[c] = copyLog(t, dir)
 		if tc.summarized {
 			summarize(t, dirs[c])
-			if n := len(sumFiles(t, dirs[c])); n != len(segs)-1 {
-				t.Fatalf("%s: %d summaries for %d sealed segments", tc.name, n, len(segs)-1)
+			if n := len(sumFiles(t, dirs[c])); n != len(segs) {
+				t.Fatalf("%s: %d summaries for %d segments", tc.name, n, len(segs))
 			}
 		}
 		lo := filepath.Join(dirs[c], segs[tc.lo])
@@ -450,7 +450,7 @@ func TestAnalyzeMergesRunsInSegmentOrder(t *testing.T) {
 		if n := distinctSorts.Load() - before; n != 0 {
 			t.Fatalf("summaries %s: %d distinct-epoch counts sorted a log whose epochs ascend", state, n)
 		}
-		if sums := sumFiles(t, dir); len(sums) != len(segs)-1 {
+		if sums := sumFiles(t, dir); len(sums) != len(segs) {
 			t.Fatalf("summaries %s: %d summaries for %d segments", state, len(sums), len(segs))
 		}
 	}

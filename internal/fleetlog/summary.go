@@ -13,7 +13,7 @@ import (
 // partitioned file format. Two things are runs:
 //
 //   - a segment summary, <seq>.sum beside <seq>.seg, which Analyze
-//     writes the first time it reads the sealed segment: the whole
+//     writes the first time it decodes the segment untorn: the whole
 //     segment's keys, plus the segment's byte length, record count and
 //     the CRC-32C of its whole file, so that a later Analyze can tell
 //     whether the summary still describes the segment it sits beside;
@@ -369,6 +369,13 @@ func decodeRunHeader(b []byte) (*runHeader, error) {
 	h.epochEnd = base + eTotal
 	h.cellEnd = h.epochEnd + cTotal
 	return &h, nil
+}
+
+// runSegBytes returns the segment byte length a run's header records,
+// read without decoding the rest: 0 if b is too short to hold it.
+func runSegBytes(b []byte) uint64 {
+	n, _ := binary.Uvarint(b[min(len(b), len(runMagic)+1):])
+	return n
 }
 
 // checkRun strictly decodes a whole run: its header, its CRC, and

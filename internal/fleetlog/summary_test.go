@@ -48,7 +48,7 @@ func withSummaryState(t *testing.T, dir, state string) string {
 	for i, seg := range segs {
 		sum := filepath.Join(cp, sumName(segSeq(seg)))
 		if _, err := os.Stat(sum); err != nil {
-			continue // the tail, or a segment the writer did not summarize
+			continue // a segment the query did not summarize
 		}
 		st := state
 		if st == "mixed" {
@@ -96,8 +96,109 @@ func withSummaryState(t *testing.T, dir, state string) string {
 	return cp
 }
 
+// tailStates are the states of a log's tail and its summary that
+// withTailState makes; Analyze must give the rollup of the log's
+// records in every one, and leave the tail a summary that describes it
+// whenever the tail is untorn.
+var tailStates = []string{"present", "absent", "torn", "appended", "torn segment"}
+
+// withTailState copies a summarized log directory and puts the copy's
+// tail into state, its sealed segments' summaries left present:
+//
+//   - present:      the tail's summary as Analyze wrote it;
+//   - absent:       the tail's summary removed;
+//   - torn:         the tail's summary cut short;
+//   - appended:     extra appended to the tail by a writer reopened
+//     on the log, which makes the tail's summary stale;
+//   - torn segment: half of the tail's last record cut off, as a
+//     crash mid-append leaves it, which makes the summary stale too.
+func withTailState(t *testing.T, dir, state string, extra []Event) string {
+	t.Helper()
+	cp := copyLog(t, dir)
+	segs, err := listSegments(faultfs.OS{}, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := filepath.Join(cp, segs[len(segs)-1])
+	sum := filepath.Join(cp, sumName(segSeq(segs[len(segs)-1])))
+	if !fileExists(sum) {
+		t.Fatalf("%s: the tail has no summary to put in state %s", dir, state)
+	}
+	switch state {
+	case "absent":
+		if err := os.Remove(sum); err != nil {
+			t.Fatal(err)
+		}
+	case "torn":
+		data, err := os.ReadFile(sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(sum, data[:len(data)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	case "appended":
+		w, err := OpenWriter(cp, WriterOptions{SegmentBytes: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range extra {
+			if err := w.Append(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if after, err := listSegments(faultfs.OS{}, cp); err != nil || len(after) != len(segs) {
+			t.Fatalf("appending to the tail made segments %v (%v), want %d", after, err, len(segs))
+		}
+	case "torn segment":
+		data, err := os.ReadFile(tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends := recordEnds(t, data)
+		if len(ends) == 0 {
+			t.Fatalf("%s: the tail holds no record to tear", dir)
+		}
+		start := segHeaderLen
+		if len(ends) > 1 {
+			start = ends[len(ends)-2]
+		}
+		if err := os.WriteFile(tail, data[:(start+ends[len(ends)-1])/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cp
+}
+
+// tailSummarized reports whether the log's tail has a summary that
+// decodes strictly and describes the tail as it now is.
+func tailSummarized(t *testing.T, dir string) bool {
+	t.Helper()
+	segs, err := listSegments(faultfs.OS{}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := segs[len(segs)-1]
+	data, err := os.ReadFile(filepath.Join(dir, sumName(segSeq(tail))))
+	if err != nil {
+		return false
+	}
+	h, err := checkRun(data)
+	if err != nil {
+		return false
+	}
+	seg, err := os.ReadFile(filepath.Join(dir, tail))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.meta.segBytes == uint64(len(seg)) && h.meta.crc == crc32.Checksum(seg, castagnoli)
+}
+
 // summarize analyzes a log once, which writes a summary beside every
-// sealed segment that lacks one.
+// untorn segment that lacks one.
 func summarize(t testing.TB, dir string) {
 	t.Helper()
 	if _, err := Analyze(context.Background(), dir, ClassifierConfig{SpillDir: t.TempDir()}); err != nil {
@@ -170,10 +271,10 @@ func straddlingReplays(t *testing.T, dir string) int {
 }
 
 // TestAnalyzeSummarizesSealedSegments: the writer leaves summaries to
-// Analyze, which writes one beside every sealed segment — one written
-// by a writer reopened on the log included — that decodes strictly
-// and describes the segment, and none beside the tail; the next
-// Analyze merges them to the same rollup.
+// Analyze, which writes one beside every untorn segment — one written
+// by a writer reopened on the log included, and the tail — that
+// decodes strictly and describes the segment; the next Analyze merges
+// them to the same rollup.
 func TestAnalyzeSummarizesSealedSegments(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	events := genEvents(r, 6, 200)
@@ -209,14 +310,11 @@ func TestAnalyzeSummarizesSealedSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 		diffRollups(t, fmt.Sprintf("pass %d", pass), got, oracleRollup(events))
-		if sums := sumFiles(t, dir); len(sums) != len(segs)-1 {
-			t.Fatalf("pass %d: %d summaries for %d segments, want one per sealed segment", pass, len(sums), len(segs))
+		if sums := sumFiles(t, dir); len(sums) != len(segs) {
+			t.Fatalf("pass %d: %d summaries for %d segments, want one per untorn segment", pass, len(sums), len(segs))
 		}
 	}
-	if fileExists(filepath.Join(dir, sumName(segSeq(segs[len(segs)-1])))) {
-		t.Fatal("the tail segment has a summary")
-	}
-	for _, seg := range segs[:len(segs)-1] {
+	for _, seg := range segs {
 		data, err := os.ReadFile(filepath.Join(dir, sumName(segSeq(seg))))
 		if err != nil {
 			t.Fatal(err)
@@ -236,7 +334,7 @@ func TestAnalyzeSummarizesSealedSegments(t *testing.T) {
 }
 
 // TestCompactCarriesSummaries: a compacted log has a summary beside
-// every sealed segment and gives the source's rollup bytes.
+// every segment and gives the source's rollup bytes.
 func TestCompactCarriesSummaries(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	src, dst := t.TempDir(), t.TempDir()
@@ -265,7 +363,7 @@ func TestCompactCarriesSummaries(t *testing.T) {
 	if stats.SegmentsOut < 3 {
 		t.Fatalf("compacted into %d segments, want at least 3", stats.SegmentsOut)
 	}
-	if n := len(sumFiles(t, dst)); n != stats.SegmentsOut-1 {
+	if n := len(sumFiles(t, dst)); n != stats.SegmentsOut {
 		t.Fatalf("compacted log has %d summaries for %d segments", n, stats.SegmentsOut)
 	}
 	want, err := Analyze(t.Context(), src, ClassifierConfig{SpillDir: t.TempDir()})
@@ -294,7 +392,7 @@ func TestGCRemovesSummaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	sums := sumFiles(t, dir)
-	want := []string{sumName(segSeq(segs[len(segs)-3])), sumName(segSeq(segs[len(segs)-2]))}
+	want := []string{sumName(segSeq(segs[len(segs)-3])), sumName(segSeq(segs[len(segs)-2])), sumName(segSeq(segs[len(segs)-1]))}
 	if !slices.Equal(sums, want) {
 		t.Fatalf("summaries after GC %v, want %v", sums, want)
 	}
@@ -362,7 +460,7 @@ func TestGCSweepsSummaryDebris(t *testing.T) {
 			t.Fatal(err)
 		}
 		var want []string
-		for _, seg := range left[:len(left)-1] {
+		for _, seg := range left {
 			want = append(want, sumName(segSeq(seg)))
 		}
 		if sums := sumFiles(t, dir); !slices.Equal(sums, want) {
@@ -559,7 +657,7 @@ func summaryOf(tb testing.TB) []byte {
 // TestAnalyzeConcurrentQueries: Analyze calls that run at once on a
 // log without summaries, and so write the same summaries over each
 // other, all give the oracle's rollup, and leave one valid summary
-// beside every sealed segment and no temporary file.
+// beside every segment and no temporary file.
 func TestAnalyzeConcurrentQueries(t *testing.T) {
 	events := genEvents(rand.New(rand.NewSource(31)), 6, 600)
 	dir, segs := writeSegmented(t, events, 256)
@@ -595,7 +693,7 @@ func TestAnalyzeConcurrentQueries(t *testing.T) {
 					t.Fatalf("round %d, query %d: rollup differs from the oracle's:\ngot  %s\nwant %s", round, q, g, want)
 				}
 			}
-			if sums := sumFiles(t, dir); len(sums) != len(segs)-1 {
+			if sums := sumFiles(t, dir); len(sums) != len(segs) {
 				t.Fatalf("round %d: %d summaries for %d segments", round, len(sums), len(segs))
 			}
 			for _, s := range sumFiles(t, dir) {
@@ -612,6 +710,153 @@ func TestAnalyzeConcurrentQueries(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestAnalyzeWhileAppending: queries that run while a writer appends
+// to the log, rotating now and then, each give the oracle's rollup of
+// a prefix of the appended events (a record caught half-written counts
+// as a torn tail), though each summarizes the tail as it found it; once
+// the writer is closed, a query finds those summaries stale and gives
+// the rollup of every event, and leaves the tail a summary that
+// describes it.
+func TestAnalyzeWhileAppending(t *testing.T) {
+	events := genEvents(rand.New(rand.NewSource(47)), 6, 1200)
+	withGOMAXPROCS(t, []int{1, 4}, func(t *testing.T, procs int) {
+		dir, _ := writeSegmented(t, events[:200], 2<<10)
+		summarize(t, dir)
+		w, err := OpenWriter(dir, WriterOptions{SegmentBytes: 2 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appended := make(chan error, 1)
+		go func() {
+			for _, ev := range events[200:] {
+				if err := w.Append(ev); err != nil {
+					w.Close()
+					appended <- err
+					return
+				}
+			}
+			appended <- w.Close()
+		}()
+		stopped := false
+		defer func() {
+			if !stopped {
+				<-appended
+			}
+		}()
+		partial := 0
+		for q := 0; !stopped; q++ {
+			select {
+			case err := <-appended:
+				stopped = true
+				if err != nil {
+					t.Fatal(err)
+				}
+			default:
+			}
+			got, err := Analyze(t.Context(), dir, ClassifierConfig{SpillDir: t.TempDir()})
+			if err != nil {
+				t.Fatalf("query %d: %v", q, err)
+			}
+			if got.Events < 200 || got.Events > len(events) {
+				t.Fatalf("query %d folded %d events, want 200 to %d", q, got.Events, len(events))
+			}
+			if got.Events < len(events) {
+				partial++
+			}
+			got.Truncations = 0
+			diffRollups(t, fmt.Sprintf("query %d", q), got, oracleRollup(events[:got.Events]))
+		}
+		t.Logf("%d queries found the writer's appends unfinished", partial)
+		got, err := Analyze(t.Context(), dir, ClassifierConfig{SpillDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffRollups(t, "after the writer closed", got, oracleRollup(events))
+		if !tailSummarized(t, dir) {
+			t.Fatal("the tail has no summary that describes it")
+		}
+	})
+}
+
+// appendingFS runs appends once, at the first read of the segment
+// named tail, after the query has taken the segment's size.
+type appendingFS struct {
+	faultfs.FS
+	tail    string
+	appends func()
+	once    sync.Once
+}
+
+func (a *appendingFS) Open(name string) (faultfs.File, error) {
+	f, err := a.FS.Open(name)
+	if err != nil || filepath.Base(name) != a.tail {
+		return f, err
+	}
+	return &appendingFile{File: f, fs: a}, nil
+}
+
+type appendingFile struct {
+	faultfs.File
+	fs *appendingFS
+}
+
+func (f *appendingFile) Read(p []byte) (int, error) {
+	f.fs.once.Do(f.fs.appends)
+	return f.File.Read(p)
+}
+
+// TestAnalyzeTailAppendedDuringQuery: a writer appends to the tail
+// while a query reads it, whether the query checks the tail's summary
+// or decodes the tail. The query gives the rollup of the tail it
+// found and, decoding, summarizes that; the next query finds the
+// summary stale, gives the rollup of every event, and rewrites the
+// tail's summary.
+func TestAnalyzeTailAppendedDuringQuery(t *testing.T) {
+	events := genEvents(rand.New(rand.NewSource(53)), 6, 400)
+	extra := genEvents(rand.New(rand.NewSource(59)), 6, 20)
+	all := append(slices.Clone(events), extra...)
+	for _, state := range []string{"present", "absent"} {
+		dir, segs := writeSegmented(t, events, 2<<10)
+		summarize(t, dir)
+		tail := segs[len(segs)-1]
+		if state == "absent" {
+			if err := os.Remove(filepath.Join(dir, sumName(segSeq(tail)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w, err := OpenWriter(dir, WriterOptions{SegmentBytes: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fsys := &appendingFS{FS: faultfs.OS{}, tail: tail, appends: func() {
+			for _, ev := range extra {
+				if err := w.Append(ev); err != nil {
+					t.Error(err)
+				}
+			}
+		}}
+		got, err := Analyze(t.Context(), dir, ClassifierConfig{SpillDir: t.TempDir(), FS: fsys})
+		if err != nil {
+			t.Fatalf("summary %s: %v", state, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		diffRollups(t, fmt.Sprintf("summary %s, appended during the query", state), got, oracleRollup(events))
+		if tailSummarized(t, dir) {
+			t.Fatalf("summary %s: the tail's summary covers the bytes appended during the query", state)
+		}
+		got, err = Analyze(t.Context(), dir, ClassifierConfig{SpillDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffRollups(t, fmt.Sprintf("summary %s, the next query", state), got, oracleRollup(all))
+		if !tailSummarized(t, dir) {
+			t.Fatalf("summary %s: the next query did not rewrite the tail's summary", state)
+		}
+	}
 }
 
 // tempFiles lists a log directory's temporary summary files.
@@ -804,8 +1049,8 @@ func TestAnalyzeRebuildsV1Summaries(t *testing.T) {
 	}
 	summarize(t, dir)
 	sums := sumFiles(t, dir)
-	if len(sums) != len(segs)-1 {
-		t.Fatalf("%d summaries for %d sealed segments", len(sums), len(segs)-1)
+	if len(sums) != len(segs) {
+		t.Fatalf("%d summaries for %d segments", len(sums), len(segs))
 	}
 	current := make(map[string][]byte)
 	for _, name := range sums {

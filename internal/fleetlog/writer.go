@@ -113,9 +113,9 @@ func segmentNames(entries []fs.DirEntry) []string {
 // goroutines, and each record is written with a single write call so
 // concurrent appends never interleave bytes. A segment is synced
 // before it is closed, and the directory at the first sync point after
-// a segment is created. Summaries of sealed segments are Analyze's to
-// write (summary.go), not the Writer's: the append path pays nothing
-// for them.
+// a segment is created. Summaries of segments are Analyze's to write
+// (summary.go), not the Writer's: the append path pays nothing for
+// them, and an append to the tail makes the tail's summary stale.
 type Writer struct {
 	mu   sync.Mutex
 	dir  string
