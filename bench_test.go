@@ -710,7 +710,7 @@ func BenchmarkFullPassParallelism(b *testing.B) {
 			}
 			// One immutable checker row aliased across the whole
 			// module — the path the pipeline takes for its uniform
-			// patterns (see patterns.Arena and memctl.RowSource).
+			// patterns (see memctl.RowSource).
 			row := make([]uint64, host.Geometry().Words())
 			for i := range row {
 				row[i] = 0xaaaaaaaaaaaaaaaa

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"io"
 	"testing"
 
 	"parbor/internal/exp"
@@ -15,22 +16,11 @@ func tinyOpts() (exp.Options, exp.Fig16Options) {
 			Densities: []sim.Density{sim.Density16Gbit}}
 }
 
-func TestRunEachExperiment(t *testing.T) {
-	o, fo := tinyOpts()
-	for _, which := range []string{
-		"table1", "fig11", "fig12", "fig13", "fig14", "fig15", "table2", "fig16", "appendix", "retention",
-	} {
-		if err := run(context.Background(), which, o, fo, nil); err != nil {
-			t.Errorf("run(%q): %v", which, err)
-		}
-	}
-}
-
 func TestRunWithCollectorReconciles(t *testing.T) {
 	o, fo := tinyOpts()
 	col := obs.NewCollector()
 	o.Recorder = col
-	if err := run(context.Background(), "table1", o, fo, col); err != nil {
+	if err := run(context.Background(), io.Discard, "table1", o, fo, col); err != nil {
 		t.Fatalf("run(table1): %v", err)
 	}
 	rep := col.Snapshot("paperrepro-test")
@@ -48,9 +38,31 @@ func TestRunWithCollectorReconciles(t *testing.T) {
 	}
 }
 
+// TestRunFig16Figures: the fig16 stage reports each density's three
+// headline figures of the refresh study.
+func TestRunFig16Figures(t *testing.T) {
+	o, fo := tinyOpts()
+	col := obs.NewCollector()
+	if err := run(context.Background(), io.Discard, "fig16", o, fo, col); err != nil {
+		t.Fatalf("run(fig16): %v", err)
+	}
+	rep := col.Snapshot("paperrepro-test")
+	if err := rep.Reconcile(); err != nil {
+		t.Fatalf("report does not reconcile: %v", err)
+	}
+	for _, name := range []string{"fig16_dcref_vs_base_pct_16Gbit", "fig16_dcref_vs_raidr_pct_16Gbit", "fig16_refresh_reduction_pct_16Gbit"} {
+		if _, ok := rep.Figures[name]; !ok {
+			t.Errorf("figure %s missing from %v", name, rep.Figures)
+		}
+	}
+	if len(rep.Figures) != 3 {
+		t.Errorf("figures %v, want exactly three", rep.Figures)
+	}
+}
+
 func TestRunUnknownExperiment(t *testing.T) {
 	o, fo := tinyOpts()
-	if err := run(context.Background(), "bogus", o, fo, nil); err == nil {
+	if err := run(context.Background(), io.Discard, "bogus", o, fo, nil); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }

@@ -175,11 +175,13 @@ func run(ctx context.Context, opts options) error {
 	fmt.Printf("Module %s: vendor %s, %d chips x (%d rows x %d cols), seed %d\n\n",
 		mod.Name(), mod.Vendor(), mod.Chips(), rows, cols, seed)
 
+	// The mapping's chunk size (128 bits, 16 on toy) also sizes the
+	// neighbor-aware patterns of the retention profile and online sweep.
+	truth, err := parbor.NewMapping(vendor)
+	if err != nil {
+		return err
+	}
 	if opts.showMapping {
-		truth, err := parbor.NewMapping(vendor)
-		if err != nil {
-			return err
-		}
 		fmt.Println("Ground-truth mapping (simulation only; PARBOR never sees this):")
 		for i, seg := range truth.Segments() {
 			fmt.Printf("  segment %2d: %v\n", i, seg)
@@ -257,11 +259,7 @@ func run(ctx context.Context, opts options) error {
 		if err != nil {
 			return err
 		}
-		chunk := 128
-		if vendor == parbor.VendorToy {
-			chunk = 16
-		}
-		pats, err := patterns.NeighborAware(nr.Distances, chunk)
+		pats, err := patterns.NeighborAware(nr.Distances, truth.ChunkBits())
 		if err != nil {
 			return err
 		}
@@ -305,7 +303,7 @@ func run(ctx context.Context, opts options) error {
 	}
 	if opts.online > 0 {
 		stopOnline := col.StartStage("online")
-		err := runOnline(ctx, opts, vendor, geom, rec, nr.Distances)
+		err := runOnline(ctx, opts, vendor, geom, rec, onlinetest.Config{Distances: nr.Distances, ChunkBits: truth.ChunkBits()})
 		stopOnline()
 		if err != nil {
 			return err
@@ -358,30 +356,20 @@ func newModuleHost(name string, vendor parbor.Vendor, chips int, geom parbor.Geo
 	return mod, host, nil
 }
 
-// onlineConfig is the scheduler configuration both the fresh-start and
-// resume paths use, so a resumed sweep matches an uninterrupted one.
-func onlineConfig(vendor parbor.Vendor, distances []int) onlinetest.Config {
-	chunk := 128
-	if vendor == parbor.VendorToy {
-		chunk = 16
-	}
-	return onlinetest.Config{Distances: distances, ChunkBits: chunk}
-}
-
 // runOnline runs the requested online-test epochs on a fresh twin
 // module (same configuration and seed as the detection target, so the
 // sweep starts from a known machine state) and optionally checkpoints
 // the sweep afterwards.
-func runOnline(ctx context.Context, opts options, vendor parbor.Vendor, geom parbor.Geometry, rec obs.Recorder, distances []int) error {
+func runOnline(ctx context.Context, opts options, vendor parbor.Vendor, geom parbor.Geometry, rec obs.Recorder, cfg onlinetest.Config) error {
 	mod, host, err := newModuleHost(opts.vendorName+"1", vendor, opts.chips, geom, opts.seed, rec)
 	if err != nil {
 		return err
 	}
-	sched, err := onlinetest.New(host, onlineConfig(vendor, distances))
+	sched, err := onlinetest.New(host, cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nOnline test sweep (%d epochs, distances %v):\n", opts.online, distances)
+	fmt.Printf("\nOnline test sweep (%d epochs, distances %v):\n", opts.online, cfg.Distances)
 	return onlineEpochs(ctx, opts, mod, opts.seed, sched)
 }
 

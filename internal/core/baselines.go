@@ -18,7 +18,7 @@ func (t *Tester) RandomPatternTest(ctx context.Context, passes int) (FailureSet,
 	for i := 0; i < passes; i++ {
 		// Random patterns are row-dependent (not Uniform), so this
 		// takes fullPassPattern's per-row generation path.
-		got, err := t.fullPassPattern(ctx, t.arena, patterns.Random(t.cfg.Seed, i))
+		got, err := t.fullPassPattern(ctx, patterns.Random(t.cfg.Seed, i), nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: random pass %d: %w", i, err)
 		}
@@ -34,8 +34,9 @@ func (t *Tester) RandomPatternTest(ctx context.Context, passes int) (FailureSet,
 func (t *Tester) SimplePatternTest(ctx context.Context) (FailureSet, error) {
 	fails := make(FailureSet)
 	solid := patterns.Solid()
+	row := make([]uint64, t.host.Geometry().Words())
 	for i, p := range []patterns.Pattern{solid, solid.Inverse()} {
-		got, err := t.fullPassPattern(ctx, t.arena, p)
+		got, err := t.fullPassPattern(ctx, p, row)
 		if err != nil {
 			return nil, fmt.Errorf("core: simple pass %d: %w", i, err)
 		}

@@ -105,12 +105,6 @@ func (c Config) Validate() error {
 type Tester struct {
 	host *memctl.Host
 	cfg  Config
-	// arena memoizes the uniform fixed-name patterns (discovery
-	// stripes, solid, and their inverses) so repeated full-module
-	// passes alias one immutable row instead of refilling every row.
-	// Neighbor-aware pattern sets get a fresh arena per generation:
-	// their names repeat across distance sets (see patterns.Arena).
-	arena *patterns.Arena
 }
 
 // New builds a Tester. The zero Config selects the paper's defaults.
@@ -121,21 +115,20 @@ func New(host *memctl.Host, cfg Config) (*Tester, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Tester{
-		host:  host,
-		cfg:   cfg.withDefaults(),
-		arena: patterns.NewArena(host.Geometry().Words()),
-	}, nil
+	return &Tester{host: host, cfg: cfg.withDefaults()}, nil
 }
 
 // fullPassPattern runs one full-module pass with pattern p at the
-// host's configured wait. Uniform patterns alias an arena-memoized
-// row, skipping per-row pattern generation entirely; row-dependent
-// patterns fill the host's per-chip buffer row by row.
-func (t *Tester) fullPassPattern(ctx context.Context, a *patterns.Arena, p patterns.Pattern) ([]memctl.BitAddr, error) {
+// host's configured wait. A uniform p is filled once into row, a
+// caller-owned buffer of Geometry().Words() words, which then backs
+// every row of the pass, skipping per-row pattern generation
+// entirely; row-dependent patterns ignore row and fill the host's
+// per-chip buffer row by row. The host copies what it writes, so a
+// caller may refill row for its next pass.
+func (t *Tester) fullPassPattern(ctx context.Context, p patterns.Pattern, row []uint64) ([]memctl.BitAddr, error) {
 	var src memctl.RowSource
 	if p.Uniform {
-		row := a.Materialize(p)
+		p.Fill(0, 0, 0, row)
 		src = func(memctl.Row, []uint64) []uint64 { return row }
 	} else {
 		fill := p.Fill

@@ -360,24 +360,6 @@ func TestFailureSetOps(t *testing.T) {
 	}
 }
 
-func TestChunkForDistances(t *testing.T) {
-	tests := []struct {
-		dists []int
-		want  int
-	}{
-		{dists: []int{-48, 48}, want: 128},
-		{dists: []int{-64, -1, 1, 64}, want: 128},
-		{dists: []int{1}, want: 16},
-		{dists: []int{-5, 5}, want: 16},
-		{dists: []int{100}, want: 256},
-	}
-	for _, tt := range tests {
-		if got := chunkForDistances(tt.dists); got != tt.want {
-			t.Errorf("chunkForDistances(%v) = %d, want %d", tt.dists, got, tt.want)
-		}
-	}
-}
-
 func TestFullChipTestEmptyDistances(t *testing.T) {
 	host := testHost(t, scramble.VendorA, 8, 1)
 	tester := newTester(t, host)

@@ -17,20 +17,16 @@ func (t *Tester) FullChipTestCtx(ctx context.Context, distances []int) (FailureS
 	if len(distances) == 0 {
 		return nil, 0, fmt.Errorf("core: empty distance set")
 	}
-	chunk := chunkForDistances(distances)
-	pats, err := patterns.NeighborAware(distances, chunk)
+	pats, err := patterns.NeighborAware(distances, patterns.ChunkFor(distances))
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: generating neighbor-aware patterns: %w", err)
 	}
-	// Fresh arena per generated pattern set: NeighborAware reuses
-	// names across distance sets, so the tester-wide arena would serve
-	// stale rows here.
-	arena := patterns.NewArena(t.host.Geometry().Words())
+	row := make([]uint64, t.host.Geometry().Words())
 	fails := make(FailureSet)
 	tests := 0
 	for _, p := range pats {
 		for _, pp := range []patterns.Pattern{p, p.Inverse()} {
-			got, err := t.fullPassPattern(ctx, arena, pp)
+			got, err := t.fullPassPattern(ctx, pp, row)
 			if err != nil {
 				return nil, 0, fmt.Errorf("core: full-chip pass %d: %w", tests, err)
 			}
@@ -39,25 +35,4 @@ func (t *Tester) FullChipTestCtx(ctx context.Context, distances []int) (FailureS
 		}
 	}
 	return fails, tests, nil
-}
-
-// chunkForDistances infers the interference-free chunk size from the
-// detected distances: the smallest power-of-two window at least twice
-// the maximum distance (Section 5.2.5: neighbors within ±64 imply
-// 128-bit chunks), with a floor of 16 bits.
-func chunkForDistances(distances []int) int {
-	maxD := 0
-	for _, d := range distances {
-		if d < 0 {
-			d = -d
-		}
-		if d > maxD {
-			maxD = d
-		}
-	}
-	chunk := 16
-	for chunk < 2*maxD {
-		chunk *= 2
-	}
-	return chunk
 }

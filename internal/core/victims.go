@@ -46,26 +46,30 @@ func (t *Tester) DiscoverVictims(ctx context.Context) ([]Victim, int, FailureSet
 		all = append(all, p, p.Inverse())
 	}
 
+	// Discovery patterns are uniform: each pass's data is one row,
+	// kept so that selectVictims can read a victim's failing data.
+	rows := make([][]uint64, len(all))
 	var cands, scratch []candidate
 	for i, p := range all {
-		fails, err := t.fullPassPattern(ctx, t.arena, p)
+		rows[i] = make([]uint64, t.host.Geometry().Words())
+		fails, err := t.fullPassPattern(ctx, p, rows[i])
 		if err != nil {
 			return nil, 0, nil, fmt.Errorf("core: discovery pass %d: %w", i, err)
 		}
 		cands, scratch = mergeCandidates(scratch[:0], cands, fails, 1<<uint(i)), cands
 	}
 
-	victims, discovered := t.selectVictims(cands, all)
+	victims, discovered := t.selectVictims(cands, rows)
 	return victims, len(all), discovered, nil
 }
 
 // selectVictims picks the victim sample from the canonical candidate
-// list of the discovery passes all, and returns it with the set of
-// every candidate.
-func (t *Tester) selectVictims(cands []candidate, all []patterns.Pattern) ([]Victim, FailureSet) {
+// list of the discovery passes, whose uniform row data is rows, and
+// returns it with the set of every candidate.
+func (t *Tester) selectVictims(cands []candidate, rows [][]uint64) ([]Victim, FailureSet) {
 	discovered := make(FailureSet, len(cands))
 	var victims []Victim
-	allMask := uint32(1)<<uint(len(all)) - 1
+	allMask := uint32(1)<<uint(len(rows)) - 1
 	for _, c := range cands {
 		discovered[c.addr] = struct{}{}
 		if c.failMask == allMask {
@@ -75,13 +79,12 @@ func (t *Tester) selectVictims(cands []candidate, all []patterns.Pattern) ([]Vic
 		if n := len(victims); n > 0 && victims[n-1].Row == r {
 			continue // the row already has its lowest-column victim
 		}
-		// Discovery patterns are uniform, so the first failing pass's
-		// data for this row is just its memoized arena row.
-		first := all[bits.TrailingZeros32(c.failMask)]
+		// The first failing pass wrote the same row everywhere.
+		first := rows[bits.TrailingZeros32(c.failMask)]
 		victims = append(victims, Victim{
 			Row:      r,
 			Col:      c.addr.Col,
-			FailData: bitAt(t.arena.Materialize(first), int(c.addr.Col)),
+			FailData: bitAt(first, int(c.addr.Col)),
 		})
 	}
 	if len(victims) > t.cfg.SampleSize {

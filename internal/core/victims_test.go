@@ -21,29 +21,31 @@ type discoveryStats struct {
 }
 
 // discoveryRun runs the ten discovery passes on tester's host and
-// returns the passes' patterns and failure lists.
-func discoveryRun(t *testing.T, tester *Tester) ([]patterns.Pattern, [][]memctl.BitAddr) {
+// returns the passes' uniform rows and failure lists.
+func discoveryRun(t *testing.T, tester *Tester) ([][]uint64, [][]memctl.BitAddr) {
 	t.Helper()
 	var all []patterns.Pattern
 	for _, p := range patterns.DiscoveryPatterns() {
 		all = append(all, p, p.Inverse())
 	}
+	rows := make([][]uint64, len(all))
 	lists := make([][]memctl.BitAddr, len(all))
 	for i, p := range all {
-		fails, err := tester.fullPassPattern(context.Background(), tester.arena, p)
+		rows[i] = make([]uint64, tester.host.Geometry().Words())
+		fails, err := tester.fullPassPattern(context.Background(), p, rows[i])
 		if err != nil {
 			t.Fatalf("discovery pass %d: %v", i, err)
 		}
 		lists[i] = fails
 	}
-	return all, lists
+	return rows, lists
 }
 
 // referenceVictims is victim selection as first written: a hash map
 // from failing address to the passes it failed, a map from row to its
 // lowest-column victim, and a final sort. Discovery must return
 // exactly its victims and discovered set for the same pass lists.
-func referenceVictims(tester *Tester, all []patterns.Pattern, lists [][]memctl.BitAddr, stats *discoveryStats) ([]Victim, FailureSet) {
+func referenceVictims(tester *Tester, rows [][]uint64, lists [][]memctl.BitAddr, stats *discoveryStats) ([]Victim, FailureSet) {
 	type obs struct {
 		failMask  uint32 // bit i set: failed in pass i
 		firstPass int8
@@ -62,7 +64,7 @@ func referenceVictims(tester *Tester, all []patterns.Pattern, lists [][]memctl.B
 		}
 	}
 
-	allMask := uint32(1)<<uint(len(all)) - 1
+	allMask := uint32(1)<<uint(len(rows)) - 1
 	perRow := make(map[memctl.Row]Victim)
 	perRowCands := make(map[memctl.Row]int)
 	for a, o := range seen {
@@ -78,7 +80,7 @@ func referenceVictims(tester *Tester, all []patterns.Pattern, lists [][]memctl.B
 		perRow[r] = Victim{
 			Row:      r,
 			Col:      a.Col,
-			FailData: bitAt(tester.arena.Materialize(all[o.firstPass]), int(a.Col)),
+			FailData: bitAt(rows[o.firstPass], int(a.Col)),
 		}
 	}
 	for _, n := range perRowCands {
@@ -165,11 +167,11 @@ func TestDiscoverVictimsMatchesMapReference(t *testing.T) {
 				t.Fatalf("vendor %v seed %d: DiscoverVictims: %v", v, seed, err)
 			}
 			ref := newTester(t, noisyHost(t, v, seed))
-			all, lists := discoveryRun(t, ref)
-			if tests != len(all) {
-				t.Errorf("vendor %v seed %d: %d tests, reference %d", v, seed, tests, len(all))
+			rows, lists := discoveryRun(t, ref)
+			if tests != len(rows) {
+				t.Errorf("vendor %v seed %d: %d tests, reference %d", v, seed, tests, len(rows))
 			}
-			wantVictims, wantDiscovered := referenceVictims(ref, all, lists, &stats)
+			wantVictims, wantDiscovered := referenceVictims(ref, rows, lists, &stats)
 			checkVictims(t, fmt.Sprintf("vendor %v seed %d", v, seed), victims, discovered, wantVictims, wantDiscovered)
 
 			synthetic := withSyntheticCells(lists)
@@ -177,8 +179,8 @@ func TestDiscoverVictimsMatchesMapReference(t *testing.T) {
 			for i, fails := range synthetic {
 				cands, scratch = mergeCandidates(scratch[:0], cands, fails, 1<<uint(i)), cands
 			}
-			victims, discovered = ref.selectVictims(cands, all)
-			wantVictims, wantDiscovered = referenceVictims(ref, all, synthetic, &stats)
+			victims, discovered = ref.selectVictims(cands, rows)
+			wantVictims, wantDiscovered = referenceVictims(ref, rows, synthetic, &stats)
 			checkVictims(t, fmt.Sprintf("vendor %v seed %d with synthetic cells", v, seed), victims, discovered, wantVictims, wantDiscovered)
 		}
 	}

@@ -363,6 +363,10 @@ type Fig15Row struct {
 // paper sweeps 1K/5K/10K/15K victims; since the recursion uses one
 // victim per row, the experiment quadruples the per-chip row count so
 // the module actually offers 15K+ candidate rows.
+//
+// sampleSizes ascend. A module with fewer victims than a size gets
+// one row for it, sampling all its victims, and none for the larger
+// sizes, which would rerun the same detection on the same sample.
 func Fig15(ctx context.Context, o Options, sampleSizes []int) ([]Fig15Row, error) {
 	o = o.withDefaults()
 	o.RowsPerChip *= 4
@@ -394,6 +398,9 @@ func Fig15(ctx context.Context, o Options, sampleSizes []int) ([]Fig15Row, error
 				SampleSize: res.SampleSize,
 				Entries:    normalizeRanking(res.Levels[3].Frequencies),
 			})
+			if res.SampleSize < n {
+				break
+			}
 		}
 	}
 	return rows, nil

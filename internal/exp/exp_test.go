@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -152,6 +153,29 @@ func TestFig15SampleSizes(t *testing.T) {
 	}
 	if out := FormatFig15(rows); !strings.Contains(out, "sample") {
 		t.Error("FormatFig15 output malformed")
+	}
+}
+
+// TestFig15StopsAtSaturation: sample sizes beyond a module's victim
+// count give that module one saturated row, not one identical rerun
+// per size.
+func TestFig15StopsAtSaturation(t *testing.T) {
+	rows, err := Fig15(context.Background(), fastOpts(), []int{50, 5000, 10000})
+	if err != nil {
+		t.Fatalf("Fig15: %v", err)
+	}
+	var got []string
+	for _, r := range rows {
+		got = append(got, fmt.Sprintf("%s/%d", r.Module, r.SampleSize))
+	}
+	if len(rows) != 4 {
+		t.Fatalf("rows %v, want 2 per module: sample 50, then one saturated", got)
+	}
+	for i := 0; i < len(rows); i += 2 {
+		small, sat := rows[i], rows[i+1]
+		if small.Module != sat.Module || small.SampleSize != 50 || sat.SampleSize <= 50 || sat.SampleSize >= 5000 {
+			t.Errorf("rows %v, want per module sample 50 then one row with all its victims (fewer than 5000)", got)
+		}
 	}
 }
 

@@ -302,8 +302,7 @@ type NPSFResult struct {
 // in both polarities — the Type-1 active NPSF condition restricted to
 // the physically meaningful neighborhoods PARBOR identified.
 func (e *Engine) NPSF(ctx context.Context, distances []int, waitMs float64) (*NPSFResult, error) {
-	chunk := chunkFor(distances)
-	pats, err := patterns.NeighborAware(distances, chunk)
+	pats, err := patterns.NeighborAware(distances, patterns.ChunkFor(distances))
 	if err != nil {
 		return nil, fmt.Errorf("march: NPSF patterns: %w", err)
 	}
@@ -325,21 +324,4 @@ func (e *Engine) NPSF(ctx context.Context, distances []int, waitMs float64) (*NP
 		}
 	}
 	return res, nil
-}
-
-func chunkFor(distances []int) int {
-	max := 0
-	for _, d := range distances {
-		if d < 0 {
-			d = -d
-		}
-		if d > max {
-			max = d
-		}
-	}
-	chunk := 16
-	for chunk < 2*max {
-		chunk *= 2
-	}
-	return chunk
 }

@@ -74,7 +74,7 @@ type BitAddr struct {
 // or ignores buf and returns its own immutable row, which the host
 // aliases — it is read during the write sweep, never mutated and never
 // retained past the pass — so a source may hand the same backing array
-// to every row (see patterns.Arena). The read sweep diffs each row
+// to every row (see patterns.Pattern.Uniform). The read sweep diffs each row
 // against the chip's stored copy of that same data
 // (dram.Chip.ReadRowDelta), so the source is called once per row per
 // pass. A returned row must hold Words() words and stay unchanged for
@@ -492,8 +492,8 @@ func (h *Host) resetSweep() { h.sweep = sweepState{} }
 // to the chips, never mutated and never retained past the pass.
 // Several rows may therefore share one backing slice (data[i] ==
 // data[j]), which is how callers avoid refilling identical pattern
-// rows every pass (see patterns.Arena and the region sharing in
-// package core).
+// rows every pass (see patterns.Pattern.Uniform and the region
+// sharing in package core).
 //
 // The read sweep diffs each row against the data the chip stores for
 // it (dram.Chip.ReadRowDelta), which is data[i] because the pass just

@@ -10,7 +10,7 @@ import (
 )
 
 // TestFullPassSourceShapesAgree: a RowSource may alias one immutable
-// row (the arena path) or fill the host's per-chip buffer. Both shapes
+// row (a uniform pattern's one filled row) or fill the host's per-chip buffer. Both shapes
 // of the same pattern must drive twin modules through identical
 // passes — the same failures, the same pass count, and the same
 // contents when the rows are read back afterwards — serially and
@@ -27,12 +27,12 @@ func TestFullPassSourceShapesAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := aliasHost.Geometry()
-		arena := patterns.NewArena(g.Words())
+		row := make([]uint64, g.Words())
 		total := 0
 		for _, base := range patterns.DiscoveryPatterns() {
 			for _, p := range []patterns.Pattern{base, base.Inverse()} {
-				row := arena.Materialize(p)
 				fill := p.Fill
+				fill(0, 0, 0, row)
 				aliased := func(Row, []uint64) []uint64 { return row }
 				filled := func(r Row, buf []uint64) []uint64 {
 					fill(r.Chip, r.Bank, r.Row, buf)

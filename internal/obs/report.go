@@ -80,8 +80,8 @@ var reconciledCounters = map[string]bool{
 type Report struct {
 	// Schema is always ReportSchema for reports this package writes.
 	Schema string `json:"schema"`
-	// Tool names the producing command ("parbor", "paperrepro",
-	// "dcref") or test harness.
+	// Tool names the producing command ("parbor", "paperrepro") or
+	// test harness.
 	Tool string `json:"tool"`
 	// Config echoes the run parameters (vendor, rows, chips, seed,
 	// ...) so a report is self-describing.

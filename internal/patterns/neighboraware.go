@@ -5,6 +5,22 @@ import (
 	"sort"
 )
 
+// ChunkFor infers the interference-free chunk size from a detected
+// distance set: the smallest power-of-two window at least twice the
+// largest distance (Section 5.2.5: neighbors within ±64 imply 128-bit
+// chunks), with a floor of 16 bits.
+func ChunkFor(distances []int) int {
+	maxD := 0
+	for _, d := range distances {
+		maxD = max(maxD, d, -d)
+	}
+	chunk := 16
+	for chunk < 2*maxD {
+		chunk *= 2
+	}
+	return chunk
+}
+
 // NeighborAware generates the neighbor-location-aware charge patterns
 // of Section 5.2.5: a minimal set of rounds such that every cell is,
 // in some round, charged while every candidate neighbor location

@@ -19,8 +19,8 @@ type Pattern struct {
 	Name string
 	Fill Fill
 	// Uniform marks fills that ignore (chip, bank, row): every row of
-	// the module receives identical data, so one materialized row can
-	// back the whole pass (see Arena). The generators in this package
+	// the module receives identical data, so one filled row can back
+	// the whole pass (see memctl.RowSource). The generators in this package
 	// set it; custom patterns may too, provided the fill really is
 	// row-independent.
 	Uniform bool
@@ -40,48 +40,6 @@ func (p Pattern) Inverse() Pattern {
 		},
 		Uniform: p.Uniform,
 	}
-}
-
-// Arena memoizes materialized rows of uniform patterns so that
-// full-module passes can alias one immutable backing slice per
-// pattern (see memctl.RowSource) instead of regenerating
-// O(rows × words) of identical data on every pass.
-//
-// Rows are keyed by Pattern.Name, so an arena must only ever see
-// pattern sets whose names identify their data uniquely. That holds
-// for this package's fixed generators (solid, the stripes, and their
-// inverses), but NeighborAware reuses names across distance sets —
-// use a fresh arena per generated pattern set.
-//
-// Arena is not safe for concurrent use: materialize before starting a
-// pass and hand the returned slice to the host.
-type Arena struct {
-	words int
-	rows  map[string][]uint64
-}
-
-// NewArena returns an arena producing rows of words 64-bit words.
-func NewArena(words int) *Arena {
-	return &Arena{words: words, rows: make(map[string][]uint64)}
-}
-
-// Materialize returns the memoized row of a uniform pattern, filling
-// it on first use. The returned slice is shared: every later
-// Materialize of the same name aliases it, and the test host reads it
-// throughout a pass's write sweep, so callers must never write to it.
-// It panics on a non-uniform pattern, whose data cannot be
-// represented by a single row.
-func (a *Arena) Materialize(p Pattern) []uint64 {
-	if !p.Uniform {
-		panic("patterns: Materialize on non-uniform pattern " + p.Name)
-	}
-	if row, ok := a.rows[p.Name]; ok {
-		return row
-	}
-	row := make([]uint64, a.words)
-	p.Fill(0, 0, 0, row)
-	a.rows[p.Name] = row
-	return row
 }
 
 // solid returns the all-zeros pattern.

@@ -298,3 +298,21 @@ func TestFromChunkMaskReplication(t *testing.T) {
 		}
 	}
 }
+
+func TestChunkForDistances(t *testing.T) {
+	tests := []struct {
+		dists []int
+		want  int
+	}{
+		{dists: []int{-48, 48}, want: 128},
+		{dists: []int{-64, -1, 1, 64}, want: 128},
+		{dists: []int{1}, want: 16},
+		{dists: []int{-5, 5}, want: 16},
+		{dists: []int{100}, want: 256},
+	}
+	for _, tt := range tests {
+		if got := ChunkFor(tt.dists); got != tt.want {
+			t.Errorf("ChunkFor(%v) = %d, want %d", tt.dists, got, tt.want)
+		}
+	}
+}

@@ -146,8 +146,8 @@ type BitAddr = memctl.BitAddr
 // RowSource supplies one row's pattern data for a full-module pass
 // (Host.FullPass): it either fills the host-owned buf it is handed and
 // returns it, or returns its own immutable row, which the host
-// aliases — sources backed by memoized pattern rows (see
-// NewPatternArena) make the sweep free of per-row pattern generation.
+// aliases — a source returning one filled row of a uniform pattern
+// makes the sweep free of per-row pattern generation.
 type RowSource = memctl.RowSource
 
 // NewHost wraps a module in a test host. waitMs is the retention
@@ -288,18 +288,6 @@ type ClassifiedVictim = core.ClassifiedVictim
 
 // Pattern is a row data pattern.
 type Pattern = patterns.Pattern
-
-// PatternArena memoizes materialized rows of uniform patterns so
-// full-module passes can alias one immutable row per pattern through
-// a RowSource passed to Host.FullPass instead of regenerating every
-// row (DESIGN.md §9).
-type PatternArena = patterns.Arena
-
-// NewPatternArena builds an arena producing rows of the given word
-// count (Geometry().Words()). A materialized row reaches a full pass
-// through a source that ignores its buffer:
-// func(Row, []uint64) []uint64 { return row }.
-func NewPatternArena(words int) *PatternArena { return patterns.NewArena(words) }
 
 // NeighborAwarePatterns builds the worst-case stress patterns for a
 // detected distance set and scrambling chunk size (Section 5.2.5).
