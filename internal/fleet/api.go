@@ -24,10 +24,11 @@ import (
 //	GET    /v1/analytics               event-log fault-mode analytics
 //	GET    /v1/report                  daemon's own parbor/report/v1
 //
-// Everything is JSON; errors are {"error": "..."} with a 4xx/5xx
-// status. The checkpoint endpoint serves checkpoint.Marshal bytes
-// verbatim, so `curl .../checkpoint > snap.json` produces a file
-// `parbor -resume snap.json` accepts.
+// Everything is compact JSON (pipe it through `python3 -m json.tool`
+// to read it); errors are {"error": "..."} with a 4xx/5xx status. The
+// checkpoint endpoint serves checkpoint.Marshal bytes verbatim, so
+// `curl .../checkpoint > snap.json` produces a file `parbor -resume
+// snap.json` accepts.
 
 // EnrollRequest is the POST /v1/modules body: a spec plus an optional
 // checkpoint to resume from — the same pair a persisted StateEntry
@@ -198,9 +199,7 @@ func (d *Daemon) handleModule(fn func(http.ResponseWriter, *Module)) http.Handle
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

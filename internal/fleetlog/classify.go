@@ -345,7 +345,10 @@ func (c *classifier) close() {
 // error, the lowest-numbered failing segment's. Once ctx is done the
 // workers stop and Analyze returns ctx.Err(), with its spill files
 // removed. Concurrent calls on one directory are safe: a summary is
-// renamed into place whole, and a query merges the file it checked.
+// renamed into place whole, and a query merges the file it checked. A
+// summary whose CRC checks but whose blocks do not decode, which only
+// a writer bug or a crafted file makes, fails the query with an error
+// that names it.
 func Analyze(ctx context.Context, dir string, cfg ClassifierConfig) (*Rollup, error) {
 	if cfg.FS == nil {
 		cfg.FS = faultfs.OS{}
@@ -468,12 +471,14 @@ func (sc *scan) sumPath(i int) string {
 }
 
 // summarized reports whether segment i is done with through its
-// summary: the summary, read whole into sh.buf, checks out, the segment
-// is still the file it describes, and sh merges it. The merge reads the
-// file checked, so another query renaming a new summary over it
-// meanwhile changes nothing. A done context also ends the segment here.
-// A missing, malformed or stale summary leaves the segment to a
-// decoding scan, which reports any damage to it.
+// summary: the summary, read whole into sh.buf, has a valid header and
+// CRC, the segment is still the file it describes, and sh merges it.
+// The merge reads the file checked, so another query renaming a new
+// summary over it meanwhile changes nothing. A done context also ends
+// the segment here. A missing, torn or stale summary leaves the
+// segment to a decoding scan, which reports any damage to it. The
+// blocks are decoded only by the merge, so a summary whose CRC checks
+// but whose blocks do not decode fails the query there.
 func (sc *scan) summarized(i int, sh *shard) bool {
 	f, err := sc.fsys.Open(sc.sumPath(i))
 	if err != nil {
@@ -498,10 +503,10 @@ func (sc *scan) summarized(i int, sh *shard) bool {
 	return sc.ctx.Err() != nil
 }
 
-// unchanged returns the header of the summary in sh.buf if it checks
-// out and segment i still has its byte length (compared first, so a
-// grown tail's summary goes unchecked) and CRC-32C, hashed in bulk
-// through sh.buf; else nil, as for an unreadable segment.
+// unchanged returns the header of the summary in sh.buf if its header
+// and CRC check out and segment i still has its byte length (compared
+// first, so a grown tail's summary goes unchecked) and CRC-32C, hashed
+// in bulk through sh.buf; else nil, as for an unreadable segment.
 func (sc *scan) unchanged(i int, sh *shard) *runHeader {
 	f, err := sc.fsys.Open(filepath.Join(sc.dir, sc.segs[i]))
 	if err != nil {

@@ -2,11 +2,14 @@ package fleetlog
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"parbor/internal/faultfs"
@@ -120,10 +123,14 @@ func FuzzFleetlogReader(f *testing.F) {
 	})
 }
 
-// FuzzFleetlogSummary: the run decoder behind segment summaries and
-// spill runs is strict and never panics. Whatever checkRun accepts
-// re-encodes, through the classifier's run builder, to the identical
-// bytes, so no two accepted runs mean the same keys.
+// FuzzFleetlogSummary: the run decoders behind segment summaries and
+// spill runs, checkRun at open and then a merge of every module, are
+// strict and never panic, whether the merge reads the run in memory or
+// through a window, as it reads a summary file. Each input's CRC is
+// recomputed, so that mutations reach the blocks rather than stop at
+// the CRC. Whatever both accept re-encodes, through the classifier's
+// run builder, to the identical bytes, so no two accepted runs mean the
+// same keys.
 func FuzzFleetlogSummary(f *testing.F) {
 	sum := summaryOf(f)
 	f.Add(sum)
@@ -132,9 +139,25 @@ func FuzzFleetlogSummary(f *testing.F) {
 	f.Add(append([]byte(runMagic), runVersion))
 	f.Add(append([]byte(runMagic), runVersion, 0, 0, 0, 0, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		data = slices.Clone(data)
+		if body := len(data) - 4; body >= 0 {
+			binary.LittleEndian.PutUint32(data[body:], crc32.ChecksumIEEE(data[:body]))
+		}
 		h, err := checkRun(data)
 		if err != nil {
 			return // rejected input: the only requirement is no panic
+		}
+		var errs [2]error
+		for k, ra := range []io.ReaderAt{memReaderAt(data), bytes.NewReader(data)} {
+			runs := []*run{{hdr: h, ra: ra}}
+			names := numberModules(runs)
+			_, errs[k] = mergeRange(t.Context(), runs, names, modRange{0, len(names)}, 0)
+		}
+		if (errs[0] == nil) != (errs[1] == nil) {
+			t.Fatalf("in memory the merge gives %v, through a window %v", errs[0], errs[1])
+		}
+		if errs[0] != nil {
+			return
 		}
 		if again := reencodeRun(data, h); !bytes.Equal(again, data) {
 			t.Fatalf("accepted run re-encodes differently:\nin  %x\nout %x", data, again)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sort"
@@ -264,6 +265,8 @@ var distinctSorts atomic.Int64
 // cell's distinct epochs are counted over the runs that hold it (a
 // replayed epoch can put one (cell, epoch) in two runs). The cells
 // then feed the transient/permanent split and the bank-group fold.
+// Every block is decoded once, here, as strictly as the format is
+// defined: a run that does not decode fails the merge (endModule).
 func mergeRange(ctx context.Context, runs []*run, names []string, pr modRange, window int) ([]ModuleRollup, error) {
 	srcs := make([]mergeSrc, 0, len(runs))
 	for _, r := range runs {
@@ -296,19 +299,14 @@ func mergeRange(ctx context.Context, runs []*run, names []string, pr modRange, w
 		}
 		mr := ModuleRollup{Module: names[g]}
 
-		// Distinct epochs.
-		if len(active) == 1 {
-			s := &srcs[active[0]]
-			m := &s.r.hdr.mods[s.at]
-			eEnd, _ := s.r.hdr.blockEnds(s.at)
-			mr.Epochs = m.epochs
-			s.es.skip(eEnd - m.epochAt)
-		} else {
-			scratch = scratch[:0]
-			for _, i := range active {
-				s := &srcs[i]
-				scratch = s.es.appendEpochs(scratch, s.r.hdr.mods[s.at].epochs)
-			}
+		// Distinct epochs: one run's epochs of a module are distinct.
+		scratch = scratch[:0]
+		for _, i := range active {
+			s := &srcs[i]
+			scratch = s.es.appendEpochs(scratch, s.r.hdr.mods[s.at].epochs)
+		}
+		mr.Epochs = len(scratch)
+		if len(active) > 1 {
 			mr.Epochs = countDistinct(scratch)
 		}
 
@@ -362,18 +360,33 @@ func mergeRange(ctx context.Context, runs []*run, names []string, pr modRange, w
 			addMode(&mr, bank.mode())
 		}
 		for _, i := range active {
-			srcs[i].at++
-		}
-		out = append(out, mr)
-	}
-	for i := range srcs {
-		for _, err := range []error{srcs[i].es.err, srcs[i].cs.err} {
-			if err != nil {
+			if err := srcs[i].endModule(); err != nil {
 				return nil, err
 			}
 		}
+		out = append(out, mr)
 	}
 	return out, nil
+}
+
+// endModule moves s past its current module once the module's blocks
+// are decoded, and fails if they did not end exactly where the header
+// ends them. The merge is the one decoder of a run's blocks (checkRun
+// reads only the header and the CRC), so this is what rejects a block
+// that decodes into its neighbour's bytes, or stops short of its end.
+// A summary that fails here has a valid CRC, so it can only come from
+// a writer bug or a crafted file; the query fails with its name.
+func (s *mergeSrc) endModule() error {
+	eEnd, cEnd := s.r.hdr.blockEnds(s.at)
+	s.at++
+	err := cmp.Or(s.es.err, s.cs.err)
+	if err == nil && (s.es.pos() != eEnd || s.cs.pos() != cEnd) {
+		err = errRun
+	}
+	if err != nil && s.r.f != nil {
+		return fmt.Errorf("fleetlog: %s: %w", filepath.Base(s.r.f.Name()), err)
+	}
+	return err
 }
 
 // addMode counts one bank group of mode in mr.

@@ -47,8 +47,10 @@ import (
 // A module's keys are thus one contiguous block in each run, found by
 // the prefix sums of the byte lengths in the header: a merge worker
 // reads just its module range of every run. The format is canonical:
-// checkRun accepts exactly what runEncoder writes, so decode then
-// encode gives back the same bytes (FuzzFleetlogSummary).
+// checkRun, which checks the header and the CRC at open, and then
+// mergeRange, which decodes every block once, accept exactly what
+// runEncoder writes, so decode then encode gives back the same bytes
+// (FuzzFleetlogSummary).
 //
 // The segment CRC is CRC-32C (Castagnoli), not the IEEE polynomial of
 // the record checksums. Every record ends with the IEEE CRC of its own
@@ -304,7 +306,7 @@ var errRun = fmt.Errorf("fleetlog: malformed key run")
 // b: magic, version, minimal varints, names ascending and of legal
 // length, every module holding a key, block sizes that can hold their
 // counts and that tile the rest of the run exactly. It checks neither
-// the blocks nor the CRC (checkRun does).
+// the blocks (mergeRange does) nor the CRC (checkRun does).
 func decodeRunHeader(b []byte) (*runHeader, error) {
 	if len(b) < len(runMagic)+1+4 || string(b[:len(runMagic)]) != runMagic || b[len(runMagic)] != runVersion {
 		return nil, errRun
@@ -378,9 +380,9 @@ func runSegBytes(b []byte) uint64 {
 	return n
 }
 
-// checkRun strictly decodes a whole run: its header, its CRC, and
-// every block, which must hold exactly the counts and bytes the header
-// gives.
+// checkRun checks a whole run at open by its header and its CRC only.
+// The blocks are left to the merge, which decodes each of them once,
+// as strictly (mergeRange).
 func checkRun(b []byte) (*runHeader, error) {
 	h, err := decodeRunHeader(b)
 	if err != nil {
@@ -389,22 +391,6 @@ func checkRun(b []byte) (*runHeader, error) {
 	body := b[:len(b)-4]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(b[len(body):]) {
 		return nil, errRun
-	}
-	ra := memReaderAt(b)
-	var es, cs section
-	var cr cellReader
-	var eps []uint32
-	for i, m := range h.mods {
-		eEnd, cEnd := h.blockEnds(i)
-		es.open(ra, m.epochAt, eEnd, 0)
-		eps = es.appendEpochs(eps[:0], m.epochs)
-		cs.open(ra, m.cellAt, cEnd, 0)
-		for cr.start(&cs, m.cells); cr.next(); {
-			eps = cs.appendEpochs(eps[:0], cr.epochs)
-		}
-		if es.err != nil || cs.err != nil || len(es.p) != 0 || len(cs.p) != 0 {
-			return nil, errRun
-		}
 	}
 	return h, nil
 }
@@ -500,20 +486,8 @@ func (s *section) uvarintSlow() uint64 {
 	return v
 }
 
-// skip discards n bytes.
-func (s *section) skip(n int64) {
-	if n <= int64(len(s.p)) {
-		s.p = s.p[n:]
-		return
-	}
-	n -= int64(len(s.p))
-	s.p = s.p[:0]
-	if n > s.end-s.next {
-		s.fail(errRun)
-		return
-	}
-	s.next += n
-}
+// pos returns the offset of the next byte to be consumed.
+func (s *section) pos() int64 { return s.next - int64(len(s.p)) }
 
 // appendEpochs decodes an epoch block of n epochs (or a cell's
 // epochs) and appends them to dst. One-byte deltas, nearly all of

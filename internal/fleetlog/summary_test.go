@@ -629,6 +629,99 @@ func reencodeRun(data []byte, h *runHeader) []byte {
 	return out
 }
 
+// TestSummaryBlocksDecodedInMerge: a summary is checked at open by its
+// header and CRC only, and its blocks are decoded once, by the merge. A
+// byte flipped in a cell block fails the CRC at open, so the segment is
+// decoded instead and its summary rewritten. A header that moves one
+// byte of cell block from module i to module i+1, under a recomputed
+// CRC, passes the open check; the merge finds that module i's cells do
+// not end where the header ends them, and the query fails with an
+// error that names the summary.
+func TestSummaryBlocksDecodedInMerge(t *testing.T) {
+	events := genEvents(rand.New(rand.NewSource(53)), 6, 600)
+	dir, segs := writeSegmented(t, events, 4096)
+	if len(segs) < 2 {
+		t.Fatalf("log has %d segments, want at least 2", len(segs))
+	}
+	summarize(t, dir)
+	name := sumName(segSeq(segs[0]))
+	orig, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := checkRun(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cellBytes := func(j int) int64 {
+		_, cEnd := h.blockEnds(j)
+		return cEnd - h.mods[j].cellAt
+	}
+	i := 0
+	for i+1 < len(h.mods) && cellBytes(i) <= int64(h.mods[i].cells*minCellBytes) {
+		i++
+	}
+	if i+1 >= len(h.mods) {
+		t.Fatalf("%s has no module whose cell block can lose a byte and a module after it", name)
+	}
+	analyze := func(t *testing.T, data []byte) (*Rollup, string, error) {
+		t.Helper()
+		cp := copyLog(t, dir)
+		path := filepath.Join(cp, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Analyze(t.Context(), cp, ClassifierConfig{SpillDir: t.TempDir()})
+		return r, path, err
+	}
+
+	t.Run("flipped cell byte", func(t *testing.T) {
+		bad := slices.Clone(orig)
+		bad[h.mods[i].cellAt] ^= 0x01
+		got, path, err := analyze(t, bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffRollups(t, "a summary with a flipped cell byte", got, oracleRollup(events))
+		if data, err := os.ReadFile(path); err != nil || !slices.Equal(data, orig) {
+			t.Fatalf("%s was not rewritten (%v)", name, err)
+		}
+	})
+
+	t.Run("cell byte moved to the next module", func(t *testing.T) {
+		bad := append([]byte(runMagic), runVersion)
+		bad = binary.AppendUvarint(bad, h.meta.segBytes)
+		bad = binary.AppendUvarint(bad, h.meta.records)
+		bad = binary.LittleEndian.AppendUint32(bad, h.meta.crc)
+		bad = binary.AppendUvarint(bad, uint64(len(h.mods)))
+		for j, m := range h.mods {
+			eEnd, _ := h.blockEnds(j)
+			cBytes := cellBytes(j)
+			switch j {
+			case i:
+				cBytes--
+			case i + 1:
+				cBytes++
+			}
+			bad = binary.AppendUvarint(bad, uint64(len(m.name)))
+			bad = append(bad, m.name...)
+			for _, v := range []int64{int64(m.epochs), eEnd - m.epochAt, int64(m.cells), cBytes} {
+				bad = binary.AppendUvarint(bad, uint64(v))
+			}
+		}
+		bad = append(bad, orig[h.mods[0].epochAt:len(orig)-4]...)
+		bad = binary.LittleEndian.AppendUint32(bad, crc32.ChecksumIEEE(bad))
+		if _, err := checkRun(bad); err != nil {
+			t.Fatalf("the open check rejected the moved byte: %v", err)
+		}
+		withGOMAXPROCS(t, []int{1, 4}, func(t *testing.T, _ int) {
+			if _, _, err := analyze(t, bad); err == nil || !strings.Contains(err.Error(), name) {
+				t.Fatalf("Analyze over a summary with a moved cell byte: %v; want an error naming %s", err, name)
+			}
+		})
+	})
+}
+
 // summaryOf returns the summary bytes of a small summarized log's
 // first segment, for seeding.
 func summaryOf(tb testing.TB) []byte {

@@ -246,10 +246,6 @@ func RefreshKinds() []RefreshKind { return refresh.Kinds() }
 // App is a synthetic SPEC-like workload profile.
 type App = trace.App
 
-// SPECApps returns the 17 application profiles of the DC-REF
-// evaluation.
-func SPECApps() []App { return trace.SPEC2006() }
-
 // Workloads builds n random multi-programmed mixes of `cores` apps.
 func Workloads(n, cores int, seed uint64) [][]App { return trace.Workloads(n, cores, seed) }
 

@@ -68,9 +68,6 @@ func TestFacadeListsAndDefaults(t *testing.T) {
 	if got := len(parbor.Vendors()); got != 3 {
 		t.Errorf("Vendors() = %d entries, want 3", got)
 	}
-	if got := len(parbor.SPECApps()); got != 17 {
-		t.Errorf("SPECApps() = %d entries, want 17", got)
-	}
 	if got := len(parbor.RefreshKinds()); got != 3 {
 		t.Errorf("RefreshKinds() = %d entries, want 3", got)
 	}
