@@ -10,9 +10,6 @@
 //	parbor -vendor B -classify -show-mapping
 //	parbor -vendor A -profile-retention
 //	parbor -vendor A -report out.json -cpuprofile cpu.pprof
-//	parbor -vendor A -online 6
-//	parbor -vendor A -online 3 -checkpoint sweep.json
-//	parbor -resume sweep.json -online 3
 //	parbor -vendor A -timeout 30s
 //
 // With -report, the run emits a structured observability report
@@ -20,13 +17,9 @@
 // stage's wall time and DRAM-command delta, command totals, test-host
 // timing histograms, and the derived headline figures.
 //
-// With -online N, the detected distance set feeds N online-test
-// epochs on a fresh twin module and the failure-set checksum is
-// printed; -checkpoint writes a parbor/checkpoint/v2 snapshot after
-// those epochs, and -resume continues a snapshotted sweep (module
-// configuration comes from the snapshot; detection is skipped). A
-// checkpointed-then-resumed sweep is bit-identical to an
-// uninterrupted one.
+// Online testing with the detected distances, checkpointed and
+// resumable, is the fleet daemon's job (cmd/parbord): a module enrolled
+// without distances gets them from this same detection.
 //
 // -timeout bounds the whole run, and SIGINT/SIGTERM cancel it
 // cooperatively: in-flight passes stop at the next row-stride check.
@@ -42,11 +35,8 @@ import (
 	"time"
 
 	"parbor"
-	"parbor/internal/checkpoint"
 	"parbor/internal/core"
-	"parbor/internal/faultfs"
 	"parbor/internal/obs"
-	"parbor/internal/onlinetest"
 	"parbor/internal/patterns"
 	"parbor/internal/retention"
 	"parbor/internal/scramble"
@@ -68,9 +58,6 @@ func main() {
 		cpuprofile    = flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
 		memprofile    = flag.String("memprofile", "", "write a pprof heap profile to this path")
 		timeout       = flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline)")
-		online        = flag.Int("online", 0, "run this many online-test epochs with the detected distances")
-		ckpt          = flag.String("checkpoint", "", "write a checkpoint snapshot to this path after the online epochs")
-		resume        = flag.String("resume", "", "resume an online sweep from this checkpoint (skips detection)")
 	)
 	flag.Parse()
 
@@ -89,9 +76,6 @@ func main() {
 		cpuprofile:    *cpuprofile,
 		memprofile:    *memprofile,
 		timeout:       *timeout,
-		online:        *online,
-		checkpoint:    *ckpt,
-		resume:        *resume,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -120,15 +104,9 @@ type options struct {
 	cpuprofile    string
 	memprofile    string
 	timeout       time.Duration
-	online        int
-	checkpoint    string
-	resume        string
 }
 
 func run(ctx context.Context, opts options) error {
-	if opts.resume != "" {
-		return runResume(ctx, opts)
-	}
 	vendorName, rows, chips, sample, seed := opts.vendorName, opts.rows, opts.chips, opts.sample, opts.seed
 	vendor, err := scramble.ParseVendor(vendorName)
 	if err != nil {
@@ -176,7 +154,7 @@ func run(ctx context.Context, opts options) error {
 		mod.Name(), mod.Vendor(), mod.Chips(), rows, cols, seed)
 
 	// The mapping's chunk size (128 bits, 16 on toy) also sizes the
-	// neighbor-aware patterns of the retention profile and online sweep.
+	// neighbor-aware patterns of the retention profile.
 	truth, err := parbor.NewMapping(vendor)
 	if err != nil {
 		return err
@@ -301,14 +279,6 @@ func run(ctx context.Context, opts options) error {
 		fmt.Printf("  found only by random: %d\n", len(random)-both)
 		fmt.Printf("  found by both:        %d\n", both)
 	}
-	if opts.online > 0 {
-		stopOnline := col.StartStage("online")
-		err := runOnline(ctx, opts, vendor, geom, rec, onlinetest.Config{Distances: nr.Distances, ChunkBits: truth.ChunkBits()})
-		stopOnline()
-		if err != nil {
-			return err
-		}
-	}
 
 	if col != nil {
 		col.SetFigure("discovery_tests", float64(nr.DiscoveryTests))
@@ -354,93 +324,4 @@ func newModuleHost(name string, vendor parbor.Vendor, chips int, geom parbor.Geo
 		return nil, nil, err
 	}
 	return mod, host, nil
-}
-
-// runOnline runs the requested online-test epochs on a fresh twin
-// module (same configuration and seed as the detection target, so the
-// sweep starts from a known machine state) and optionally checkpoints
-// the sweep afterwards.
-func runOnline(ctx context.Context, opts options, vendor parbor.Vendor, geom parbor.Geometry, rec obs.Recorder, cfg onlinetest.Config) error {
-	mod, host, err := newModuleHost(opts.vendorName+"1", vendor, opts.chips, geom, opts.seed, rec)
-	if err != nil {
-		return err
-	}
-	sched, err := onlinetest.New(host, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nOnline test sweep (%d epochs, distances %v):\n", opts.online, cfg.Distances)
-	return onlineEpochs(ctx, opts, mod, opts.seed, sched)
-}
-
-// runResume continues a checkpointed sweep: the module is rebuilt from
-// the snapshot's identity and seed (the command line's module flags
-// are ignored), the saved clocks are applied, and the scheduler picks
-// up exactly where the snapshot left it.
-func runResume(ctx context.Context, opts options) error {
-	if opts.online <= 0 {
-		return fmt.Errorf("-resume requires -online N (how many more epochs to run)")
-	}
-	snap, err := checkpoint.ReadFile(faultfs.OS{}, opts.resume)
-	if err != nil {
-		return err
-	}
-	vendor, err := scramble.ParseVendor(snap.Module.Vendor)
-	if err != nil {
-		return fmt.Errorf("checkpoint %s: %w", opts.resume, err)
-	}
-	geom := parbor.Geometry{Banks: snap.Module.Banks, Rows: snap.Module.Rows, Cols: snap.Module.Cols}
-	mod, host, err := newModuleHost(snap.Module.Name, vendor, snap.Module.Chips, geom, snap.Seed, nil)
-	if err != nil {
-		return err
-	}
-	if err := snap.Apply(mod); err != nil {
-		return err
-	}
-	sched, err := onlinetest.Resume(host, snap.Scheduler)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Resumed module %s (vendor %s, %d chips, seed %d) at %.1f%% sweep coverage\n",
-		mod.Name(), mod.Vendor(), mod.Chips(), snap.Seed, 100*sched.Coverage())
-	fmt.Printf("\nOnline test sweep (%d more epochs, distances %v):\n",
-		opts.online, snap.Scheduler.Config.Distances)
-	return onlineEpochs(ctx, opts, mod, snap.Seed, sched)
-}
-
-// onlineEpochs drives the shared epoch loop, prints the sweep summary
-// with the failure-set checksum, and writes the checkpoint if one was
-// requested.
-func onlineEpochs(ctx context.Context, opts options, mod *parbor.Module, seed uint64, sched *onlinetest.Scheduler) error {
-	for i := 0; i < opts.online; i++ {
-		res, err := sched.RunEpoch(ctx)
-		if err != nil {
-			return fmt.Errorf("online epoch %d: %w", i+1, err)
-		}
-		line := fmt.Sprintf("  epoch %2d: %2d rows, %3d tests, %2d new failures",
-			i+1, len(res.RowsTested), res.Tests, len(res.NewFailures))
-		if res.Degraded {
-			line += fmt.Sprintf(" [degraded: %d skipped, %d quarantined, %d unrestored]",
-				len(res.SkippedRows), len(res.Quarantined), len(res.UnrestoredRows))
-		}
-		if res.SweepCompleted {
-			line += " (sweep complete)"
-		}
-		fmt.Println(line)
-	}
-	fails := core.FailureSet(sched.Failures())
-	fmt.Printf("Online sweep: coverage %.1f%%, %d rounds, %d tests, %d failures, checksum %s\n",
-		100*sched.Coverage(), sched.Rounds(), sched.Tests(), len(fails), fails.Checksum())
-	if q := sched.Quarantined(); len(q) > 0 {
-		fmt.Printf("  quarantined chips: %v (%d retries, %d degraded epochs)\n",
-			q, sched.Retries(), sched.DegradedEpochs())
-	}
-	if opts.checkpoint != "" {
-		snap := checkpoint.Capture(mod, seed, sched.State())
-		if err := snap.WriteFile(faultfs.OS{}, opts.checkpoint); err != nil {
-			return err
-		}
-		fmt.Printf("Checkpoint written to %s\n", opts.checkpoint)
-	}
-	return nil
 }

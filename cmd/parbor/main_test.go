@@ -2,11 +2,8 @@ package main
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestRunSmallModule(t *testing.T) {
@@ -51,51 +48,5 @@ func TestRunCancelled(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), context.Canceled.Error()) {
 		t.Fatalf("run error %v does not mention cancellation", err)
-	}
-}
-
-// TestRunOnlineCheckpointResume exercises the CLI's full
-// interrupt/resume story: N epochs straight through must produce the
-// same failure checksum as N/2 epochs, a checkpoint, and N/2 resumed
-// epochs. The checksum lines printed by onlineEpochs are compared via
-// the scheduler state embedded in the final checkpoints.
-func TestRunOnlineCheckpointResume(t *testing.T) {
-	dir := t.TempDir()
-	full := filepath.Join(dir, "full.json")
-	half := filepath.Join(dir, "half.json")
-	resumed := filepath.Join(dir, "resumed.json")
-
-	base := options{vendorName: "toy", rows: 64, chips: 2, seed: 7, timeout: time.Minute}
-
-	// Uninterrupted: 6 epochs.
-	opts := base
-	opts.online = 6
-	opts.checkpoint = full
-	if err := run(context.Background(), opts); err != nil {
-		t.Fatalf("uninterrupted run: %v", err)
-	}
-
-	// Interrupted: 3 epochs + checkpoint, then resume for 3 more.
-	opts = base
-	opts.online = 3
-	opts.checkpoint = half
-	if err := run(context.Background(), opts); err != nil {
-		t.Fatalf("first half: %v", err)
-	}
-	opts = options{resume: half, online: 3, checkpoint: resumed}
-	if err := run(context.Background(), opts); err != nil {
-		t.Fatalf("resumed half: %v", err)
-	}
-
-	a, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Fatalf("resumed checkpoint differs from uninterrupted one:\n--- full ---\n%s\n--- resumed ---\n%s", a, b)
 	}
 }

@@ -22,9 +22,12 @@
 // ({"schema":"parbor/fleet-state/v1","spec":{...},"snapshot":{...}});
 // the snapshot is optional, and plain enrollment bodies as accepted
 // by POST /v1/modules can be converted by wrapping them in the entry
-// schema. With -run-to-idle the daemon exits once no module wants
-// another epoch (instead of waiting for a signal); -rollup prints the
-// final fleet rollup JSON to stdout on exit.
+// schema. A spec enrolled without a snapshot and with an empty
+// "test" distance set gets its neighbor distances from PARBOR
+// detection on a twin of the module, and keeps them from then on.
+// With -run-to-idle the daemon exits once no module wants another
+// epoch (instead of waiting for a signal); -rollup prints the final
+// fleet rollup JSON to stdout on exit.
 //
 // API routes are documented in internal/fleet/api.go and DESIGN.md
 // section 11.

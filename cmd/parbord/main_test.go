@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,6 +14,7 @@ import (
 	"parbor/internal/faults"
 	"parbor/internal/fleet"
 	"parbor/internal/onlinetest"
+	"parbor/internal/scramble"
 )
 
 // writeEnrollFile writes a JSON enrollment array of n tiny modules and
@@ -49,6 +52,13 @@ func writeEnrollFile(t *testing.T, n int) string {
 			},
 		})
 	}
+	return writeEntries(t, entries)
+}
+
+// writeEntries writes state entries as an -enroll file and returns its
+// path.
+func writeEntries(t *testing.T, entries []fleet.StateEntry) string {
+	t.Helper()
 	data, err := json.Marshal(entries)
 	if err != nil {
 		t.Fatalf("marshal enroll file: %v", err)
@@ -168,4 +178,67 @@ func TestRunWithDiskChaos(t *testing.T) {
 	// The post-crash contract: whatever survived must be loadable with
 	// a clean filesystem.
 	loaded(t, logDir, 2)
+}
+
+// TestRunDrainHalfwayAndResume: a module enrolled without distances
+// detects them, and a sweep drained halfway and resumed from its state
+// entry ends byte-identical to one run straight through. Run A sweeps 6
+// epochs; run B sweeps 3 and drains; run C enrolls B's drained entry
+// with its budget raised to 6 into a fresh log directory. A's and C's
+// fleet-state.json must be the same bytes: same detected distances,
+// same clocks, same failure sets.
+func TestRunDrainHalfwayAndResume(t *testing.T) {
+	cc := coupling.DefaultConfig()
+	cc.VulnerableRate = 2e-3
+	entry := func(maxEpochs int) fleet.StateEntry {
+		return fleet.StateEntry{Schema: fleet.StateSchema, Spec: fleet.ModuleSpec{
+			ID: "toy1", Vendor: "toy", Chips: 2, Banks: 1, Rows: 64, Cols: 1024, Seed: 7,
+			Coupling: cc, Faults: faults.DefaultConfig(),
+			Test:      onlinetest.Config{ChunkBits: 16},
+			MaxEpochs: maxEpochs,
+		}}
+	}
+	runDir := func(enroll string) string {
+		t.Helper()
+		dir := filepath.Join(t.TempDir(), "log")
+		if err := run(context.Background(), options{enroll: enroll, runToIdle: true, logDir: dir}); err != nil {
+			t.Fatalf("run to idle: %v", err)
+		}
+		return dir
+	}
+	readState := func(dir string) ([]byte, []fleet.StateEntry) {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, "fleet-state.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var entries []fleet.StateEntry
+		if err := json.Unmarshal(data, &entries); err != nil || len(entries) != 1 {
+			t.Fatalf("fleet-state.json: %d entries, err %v; want 1", len(entries), err)
+		}
+		return data, entries
+	}
+
+	full, fullEntries := readState(runDir(writeEntries(t, []fleet.StateEntry{entry(6)})))
+	_, half := readState(runDir(writeEntries(t, []fleet.StateEntry{entry(3)})))
+	if got := half[0].Snapshot.Scheduler.Epochs; got != 3 {
+		t.Fatalf("halfway entry ran %d epochs, want 3", got)
+	}
+	half[0].Spec.MaxEpochs = 6
+	resumed, _ := readState(runDir(writeEntries(t, half)))
+
+	if !bytes.Equal(full, resumed) {
+		t.Fatalf("resumed fleet state differs from the uninterrupted one:\n--- full ---\n%s\n--- resumed ---\n%s", full, resumed)
+	}
+	st := fullEntries[0].Snapshot.Scheduler
+	truth, err := scramble.New(scramble.VendorToy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{-5, -1, 1, 5}; !reflect.DeepEqual(st.Config.Distances, want) || !reflect.DeepEqual(truth.Distances(), want) {
+		t.Errorf("snapshot distances %v, true %v; want %v", st.Config.Distances, truth.Distances(), want)
+	}
+	if st.Epochs != 6 || len(st.EverSeen) == 0 {
+		t.Errorf("uninterrupted sweep: %d epochs, %d failures; want 6 epochs and some failures", st.Epochs, len(st.EverSeen))
+	}
 }

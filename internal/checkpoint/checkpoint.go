@@ -31,7 +31,6 @@ import (
 	"fmt"
 
 	"parbor/internal/dram"
-	"parbor/internal/faultfs"
 	"parbor/internal/onlinetest"
 	"parbor/internal/strictjson"
 )
@@ -60,7 +59,7 @@ type ModuleIdent struct {
 	Cols   int    `json:"cols"`
 }
 
-// Snapshot is the parbor/checkpoint/v2 on-disk format.
+// Snapshot is the parbor/checkpoint/v2 format.
 type Snapshot struct {
 	Schema string      `json:"schema"`
 	Module ModuleIdent `json:"module"`
@@ -147,9 +146,8 @@ func (s *Snapshot) Apply(mod *dram.Module) error {
 }
 
 // Marshal serializes the snapshot as indented JSON with a trailing
-// newline — the exact bytes WriteFile persists. The in-memory form
-// exists for services that hold thousands of live snapshots (package
-// fleet streams them over HTTP) without touching the filesystem.
+// newline, the bytes package fleet streams over HTTP. Snapshots live
+// in memory; the fleet persists them inside its state file.
 func (s *Snapshot) Marshal() ([]byte, error) {
 	data, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
@@ -171,29 +169,4 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("checkpoint: unknown schema %q", s.Schema)
 	}
 	return &s, nil
-}
-
-// WriteFile serializes the snapshot as indented JSON to path,
-// atomically: a crash at any point leaves either the previous
-// snapshot or the complete new one, never a torn hybrid — a resumer
-// must never be handed half a checkpoint. Pass faultfs.OS{} for the
-// real filesystem.
-func (s *Snapshot) WriteFile(fsys faultfs.FS, path string) error {
-	data, err := s.Marshal()
-	if err != nil {
-		return err
-	}
-	if err := faultfs.WriteFileAtomic(fsys, path, data, 0o644); err != nil {
-		return fmt.Errorf("checkpoint: writing snapshot: %w", err)
-	}
-	return nil
-}
-
-// ReadFile loads a snapshot written by WriteFile from fsys.
-func ReadFile(fsys faultfs.FS, path string) (*Snapshot, error) {
-	data, err := fsys.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: reading snapshot: %w", err)
-	}
-	return Unmarshal(data)
 }

@@ -5,9 +5,6 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/binary"
-	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"regexp"
 	"testing"
@@ -15,7 +12,6 @@ import (
 	"parbor/internal/chaos"
 	"parbor/internal/coupling"
 	"parbor/internal/dram"
-	"parbor/internal/faultfs"
 	"parbor/internal/faults"
 	"parbor/internal/memctl"
 	"parbor/internal/onlinetest"
@@ -87,20 +83,21 @@ func TestInterruptResumeBitIdentical(t *testing.T) {
 	straight := newSched(t, newModule(t, seed))
 	epochs(t, straight, total)
 
-	// Interrupted process: half the epochs, then snapshot to disk.
+	// Interrupted process: half the epochs, then serialize the
+	// snapshot.
 	firstMod := newModule(t, seed)
 	first := newSched(t, firstMod)
 	epochs(t, first, total/2)
-	path := filepath.Join(t.TempDir(), "sweep.json")
-	if err := Capture(firstMod, seed, first.State()).WriteFile(faultfs.OS{}, path); err != nil {
-		t.Fatalf("WriteFile: %v", err)
+	data, err := Capture(firstMod, seed, first.State()).Marshal()
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
 	}
 
 	// Resuming process: fresh module from config+seed, clocks applied,
 	// scheduler rebuilt from state.
-	snap, err := ReadFile(faultfs.OS{}, path)
+	snap, err := Unmarshal(data)
 	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
+		t.Fatalf("Unmarshal: %v", err)
 	}
 	resumedMod := newModule(t, snap.Seed)
 	if err := snap.Apply(resumedMod); err != nil {
@@ -136,8 +133,7 @@ func TestInterruptResumeBitIdentical(t *testing.T) {
 // empty, materializing only the rows its remaining epochs touch — saw
 // a different draw order than the uninterrupted run and diverged.
 // Keyed per-(pass, row, cell) draws make the materialization history
-// invisible. The snapshot travels through the in-memory
-// Marshal/Unmarshal round-trip rather than a file.
+// invisible.
 func TestInterruptResumeBitIdenticalVRTHot(t *testing.T) {
 	const seed = 23
 	const total = 8
@@ -325,24 +321,15 @@ func TestSnapshotValidation(t *testing.T) {
 	}
 }
 
-func TestReadFileRejectsGarbage(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := ReadFile(faultfs.OS{}, filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("missing file accepted")
-	}
-	bad := filepath.Join(dir, "bad.json")
-	if err := writeString(bad, "not json"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFile(faultfs.OS{}, bad); err == nil {
-		t.Error("unparsable file accepted")
-	}
-	wrong := filepath.Join(dir, "wrong.json")
-	if err := writeString(wrong, `{"schema":"parbor/other/v9"}`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFile(faultfs.OS{}, wrong); err == nil {
-		t.Error("wrong schema accepted")
+func TestUnmarshalRejectsGarbage(t *testing.T) {
+	for name, data := range map[string]string{
+		"empty":        "",
+		"unparsable":   "not json",
+		"wrong schema": `{"schema":"parbor/other/v9"}`,
+	} {
+		if _, err := Unmarshal([]byte(data)); err == nil {
+			t.Errorf("%s snapshot accepted", name)
+		}
 	}
 }
 
@@ -406,27 +393,4 @@ func TestUnmarshalIsStrict(t *testing.T) {
 			t.Errorf("%s ever_seen %q accepted", name, text)
 		}
 	}
-}
-
-// TestReadFileUsesSeam: ReadFile reads through the filesystem it is
-// given, so storage fault injection reaches checkpoint loads.
-func TestReadFileUsesSeam(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snap.json")
-	if err := writeString(path, `{"schema":"`+Schema+`"}`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFile(faultfs.OS{}, path); err != nil {
-		t.Fatalf("ReadFile: %v", err)
-	}
-	inj, err := faultfs.NewInjector(faultfs.OS{}, faultfs.InjectorConfig{ReadErrProb: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFile(inj, path); !errors.Is(err, faultfs.ErrIO) {
-		t.Errorf("ReadFile through a failing filesystem: err = %v, want faultfs.ErrIO", err)
-	}
-}
-
-func writeString(path, s string) error {
-	return os.WriteFile(path, []byte(s), 0o644)
 }

@@ -26,9 +26,9 @@ import (
 //
 // Everything is compact JSON (pipe it through `python3 -m json.tool`
 // to read it); errors are {"error": "..."} with a 4xx/5xx status. The
-// checkpoint endpoint serves checkpoint.Marshal bytes verbatim, so
-// `curl .../checkpoint > snap.json` produces a file `parbor -resume
-// snap.json` accepts.
+// checkpoint endpoint serves checkpoint.Marshal bytes verbatim, so a
+// curl'd snapshot is the "snapshot" of an EnrollRequest or state entry
+// as it stands.
 
 // EnrollRequest is the POST /v1/modules body: a spec plus an optional
 // checkpoint to resume from — the same pair a persisted StateEntry

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -8,8 +9,11 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"parbor/internal/coupling"
+	"parbor/internal/faults"
 	"parbor/internal/fleetlog"
 	"parbor/internal/memctl"
+	"parbor/internal/scramble"
 )
 
 // BenchmarkAnalyticsHandler serves GET /v1/analytics over httptest
@@ -72,4 +76,28 @@ func BenchmarkAnalyticsHandler(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/op")
 	b.ReportMetric(float64(bytes)/float64(b.N), "resp-bytes/op")
+}
+
+// BenchmarkDetectDistances runs the neighbor detection a spec without
+// distances triggers at enrollment, on one module of each vendor at the
+// benchmark fleet's geometry (8 chips x 32 rows x 8K columns, the
+// default coupling at a 2e-3 vulnerable-cell rate, the default noise
+// model): the twin's construction, discovery and the recursion.
+func BenchmarkDetectDistances(b *testing.B) {
+	cc := coupling.DefaultConfig()
+	cc.VulnerableRate = 2e-3
+	for _, v := range []scramble.Vendor{scramble.VendorA, scramble.VendorB, scramble.VendorC} {
+		b.Run(v.String(), func(b *testing.B) {
+			spec := ModuleSpec{
+				ID: "detect", Vendor: v.String(), Chips: 8, Banks: 1, Rows: 32, Cols: 8192,
+				Seed: 7, Coupling: cc, Faults: faults.DefaultConfig(),
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := detectDistances(context.Background(), spec, v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -18,6 +19,7 @@ import (
 	"parbor/internal/fleetlog"
 	"parbor/internal/memctl"
 	"parbor/internal/onlinetest"
+	"parbor/internal/scramble"
 )
 
 // newDaemon builds a daemon for a test and ties its file-backed
@@ -86,6 +88,11 @@ func TestSpecValidate(t *testing.T) {
 	if err := good.validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
+	detecting := testSpec(0)
+	detecting.Test.Distances = nil
+	if err := detecting.validate(); err != nil {
+		t.Fatalf("spec without distances rejected: %v", err)
+	}
 	cases := []struct {
 		name   string
 		mutate func(*ModuleSpec)
@@ -98,7 +105,17 @@ func TestSpecValidate(t *testing.T) {
 		{"negative chips", func(sp *ModuleSpec) { sp.Chips = -1 }},
 		{"negative wait", func(sp *ModuleSpec) { sp.WaitMs = -1 }},
 		{"negative budget", func(sp *ModuleSpec) { sp.MaxEpochs = -1 }},
-		{"no distances", func(sp *ModuleSpec) { sp.Test.Distances = nil }},
+		// No distances means "detect", but the rest of Test is still
+		// checked.
+		{"no distances, negative rows per epoch", func(sp *ModuleSpec) {
+			sp.Test.Distances, sp.Test.RowsPerEpoch = nil, -1
+		}},
+		{"no distances, negative chunk", func(sp *ModuleSpec) {
+			sp.Test.Distances, sp.Test.ChunkBits = nil, -8
+		}},
+		{"no distances, negative retries", func(sp *ModuleSpec) {
+			sp.Test.Distances, sp.Test.MaxRetries = nil, -1
+		}},
 		{"bad chaos", func(sp *ModuleSpec) {
 			sp.Chaos = &chaos.Config{WriteFaultProb: 2}
 		}},
@@ -587,5 +604,108 @@ func TestLoadStateIsStrict(t *testing.T) {
 	}
 	if n := newDaemon(t, Config{Workers: 1, LogDir: dir}).Registry().Len(); n != 1 {
 		t.Fatalf("unedited state file: loaded %d modules, want 1", n)
+	}
+}
+
+// TestEnrollDetectsDistances: a spec without distances enrolls with
+// the vendor's true neighbor distances, which PARBOR finds on a twin
+// of the module. The module then runs exactly as one whose spec
+// carried those distances (byte-identical snapshots, counters that
+// reconcile: the twin's commands reach neither), and a daemon resumed
+// from the drained state does not detect again.
+func TestEnrollDetectsDistances(t *testing.T) {
+	cc := coupling.DefaultConfig()
+	cc.VulnerableRate = 2e-3
+	geoms := []struct {
+		vendor            scramble.Vendor
+		chips, rows, cols int
+	}{
+		{scramble.VendorA, 8, 32, 8192},
+		{scramble.VendorB, 8, 32, 8192},
+		{scramble.VendorC, 8, 32, 8192},
+		{scramble.VendorToy, 2, 64, 1024},
+	}
+	var detecting, explicit []ModuleSpec
+	truths := map[string][]int{}
+	for _, g := range geoms {
+		truth, err := scramble.New(g.vendor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := ModuleSpec{
+			ID: "detect-" + g.vendor.String(), Vendor: g.vendor.String(),
+			Chips: g.chips, Banks: 1, Rows: g.rows, Cols: g.cols, Seed: 7,
+			Coupling: cc, Faults: faults.DefaultConfig(),
+			Test:      onlinetest.Config{ChunkBits: truth.ChunkBits(), RowsPerEpoch: 8},
+			MaxEpochs: 3,
+		}
+		detecting = append(detecting, sp)
+		sp.Test.Distances = truth.Distances()
+		explicit = append(explicit, sp)
+		truths[sp.ID] = truth.Distances()
+	}
+
+	calls := 0
+	t.Cleanup(func() { detect = detectDistances })
+	detect = func(ctx context.Context, spec ModuleSpec, v scramble.Vendor) ([]int, error) {
+		calls++
+		return detectDistances(ctx, spec, v)
+	}
+
+	dir := t.TempDir()
+	d := runToDrain(t, dir, detecting...)
+	ref := runToDrain(t, t.TempDir(), explicit...)
+	if calls != len(detecting) {
+		t.Fatalf("enrolling %d specs without distances ran detection %d times", len(detecting), calls)
+	}
+	if err := d.Reconcile(); err != nil {
+		t.Fatalf("reconcile after detection: %v", err)
+	}
+	for _, m := range d.Registry().List() {
+		if got, want := m.spec.Test.Distances, truths[m.ID()]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: detected distances %v, want %v", m.ID(), got, want)
+		}
+		if m.Status() != StatusDone {
+			t.Errorf("%s: %s after its epochs, want done", m.ID(), m.Status())
+		}
+		r, _ := ref.Registry().Get(m.ID())
+		got, err := m.Snapshot().Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := r.Snapshot().Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: snapshot differs from a module enrolled with the true distances", m.ID())
+		}
+	}
+
+	resumed := newDaemon(t, Config{Workers: 1, LogDir: dir})
+	if calls != len(detecting) {
+		t.Errorf("resuming the drained fleet ran detection %d more times", calls-len(detecting))
+	}
+	for _, m := range resumed.Registry().List() {
+		if got, want := m.spec.Test.Distances, truths[m.ID()]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: resumed with distances %v, want %v", m.ID(), got, want)
+		}
+	}
+}
+
+// TestEnrollRefusedWhenDetectionFails: a spec without distances whose
+// module has no data-dependent cells gives detection nothing to find,
+// and the enrollment is refused with detection's error.
+func TestEnrollRefusedWhenDetectionFails(t *testing.T) {
+	sp := testSpec(0)
+	sp.Test.Distances = nil
+	sp.Coupling.VulnerableRate = 0
+	sp.Faults = faults.Config{}
+	d := newDaemon(t, Config{Workers: 1})
+	if _, err := d.Enroll(sp, nil); err == nil || !strings.Contains(err.Error(), "detecting neighbor distances") {
+		t.Fatalf("enroll without distances on a module without victims: err = %v, want a detection error", err)
+	}
+	if n := len(d.Registry().List()); n != 0 {
+		t.Errorf("refused enrollment left %d modules registered", n)
 	}
 }

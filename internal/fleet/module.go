@@ -7,6 +7,7 @@ import (
 
 	"parbor/internal/chaos"
 	"parbor/internal/checkpoint"
+	"parbor/internal/core"
 	"parbor/internal/dram"
 	"parbor/internal/fleetlog"
 	"parbor/internal/memctl"
@@ -74,7 +75,9 @@ type Module struct {
 }
 
 // buildModule constructs the runtime for a spec, optionally resuming
-// from a checkpoint snapshot. fleetRec and sink may be nil.
+// from a checkpoint snapshot. A spec without a snapshot and without
+// distances first gets them from detectDistances; a detection error
+// refuses the enrollment. fleetRec and sink may be nil.
 func buildModule(spec ModuleSpec, snap *checkpoint.Snapshot, fleetRec obs.Recorder, sink func(fleetlog.Event)) (*Module, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
@@ -83,17 +86,17 @@ func buildModule(spec ModuleSpec, snap *checkpoint.Snapshot, fleetRec obs.Record
 	if err != nil {
 		return nil, err
 	}
+	if snap == nil && len(spec.Test.Distances) == 0 {
+		// Enroll keeps its context-free signature; detection at the
+		// fleet's geometries takes milliseconds.
+		distances, derr := detect(context.TODO(), spec, vendor)
+		if derr != nil {
+			return nil, fmt.Errorf("fleet: module %s: detecting neighbor distances: %w", spec.ID, derr)
+		}
+		spec.Test.Distances = distances
+	}
 	col := obs.NewCollector()
-	mod, err := dram.NewModule(dram.ModuleConfig{
-		Name:     spec.ID,
-		Vendor:   vendor,
-		Chips:    spec.Chips,
-		Geometry: spec.geometry(),
-		Coupling: spec.Coupling,
-		Faults:   spec.Faults,
-		Seed:     spec.Seed,
-		Recorder: col,
-	})
+	mod, err := dram.NewModule(spec.moduleConfig(vendor, col))
 	if err != nil {
 		return nil, fmt.Errorf("fleet: module %s: %w", spec.ID, err)
 	}
@@ -152,6 +155,36 @@ func buildModule(spec ModuleSpec, snap *checkpoint.Snapshot, fleetRec obs.Record
 		m.status = StatusIdle
 	}
 	return m, nil
+}
+
+// detect is the neighbor detection buildModule runs; tests count its
+// calls through it.
+var detect = detectDistances
+
+// detectDistances runs PARBOR neighbor detection (package core, the
+// default victim sample, the spec's seed) on a twin of the spec's
+// module: the same geometry, failure models, wait and seed, on a
+// one-worker host with no recorder and no fault plane. The enrolled
+// module never sees the twin's commands, so its clocks and counters
+// start exactly where they would for a spec carrying the distances.
+func detectDistances(ctx context.Context, spec ModuleSpec, vendor scramble.Vendor) ([]int, error) {
+	twin, err := dram.NewModule(spec.moduleConfig(vendor, nil))
+	if err != nil {
+		return nil, err
+	}
+	host, err := memctl.NewHostWithConfig(twin, memctl.HostConfig{WaitMs: spec.WaitMs, Parallelism: 1})
+	if err != nil {
+		return nil, err
+	}
+	tester, err := core.New(host, core.Config{Seed: spec.Seed})
+	if err != nil {
+		return nil, err
+	}
+	res, err := tester.DetectNeighborsCtx(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return res.Distances, nil
 }
 
 // captureLocked captures the current between-epochs state. Capture

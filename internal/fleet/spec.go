@@ -35,6 +35,7 @@ import (
 	"parbor/internal/coupling"
 	"parbor/internal/dram"
 	"parbor/internal/faults"
+	"parbor/internal/obs"
 	"parbor/internal/onlinetest"
 	"parbor/internal/scramble"
 )
@@ -66,7 +67,11 @@ type ModuleSpec struct {
 	Coupling coupling.Config `json:"coupling"`
 	Faults   faults.Config   `json:"faults,omitempty"`
 	// Test tunes the online-test scheduler (distances, rows per epoch,
-	// retry budget).
+	// retry budget). Empty Distances, in a spec enrolled without a
+	// snapshot, mean "detect": the fleet runs PARBOR neighbor
+	// detection on a twin of the module (same geometry, failure
+	// models, wait and seed) and writes the distances it finds here,
+	// so the persisted spec and every later resume carry them.
 	Test onlinetest.Config `json:"test"`
 	// Chaos, when non-nil, attaches a per-module controller fault
 	// plane: transient glitches and kill/revive chip outages, keyed on
@@ -103,6 +108,21 @@ func (sp ModuleSpec) geometry() dram.Geometry {
 	return dram.Geometry{Banks: sp.Banks, Rows: sp.Rows, Cols: sp.Cols}
 }
 
+// moduleConfig assembles the simulated module the spec describes,
+// reporting to rec (nil for no reporting).
+func (sp ModuleSpec) moduleConfig(vendor scramble.Vendor, rec obs.Recorder) dram.ModuleConfig {
+	return dram.ModuleConfig{
+		Name:     sp.ID,
+		Vendor:   vendor,
+		Chips:    sp.Chips,
+		Geometry: sp.geometry(),
+		Coupling: sp.Coupling,
+		Faults:   sp.Faults,
+		Seed:     sp.Seed,
+		Recorder: rec,
+	}
+}
+
 // validate rejects specs the fleet cannot build. The deeper layers
 // validate again at construction; this pass exists so the API can
 // refuse an enrollment with a useful error before any allocation.
@@ -125,7 +145,13 @@ func (sp ModuleSpec) validate() error {
 	if sp.MaxEpochs < 0 {
 		return fmt.Errorf("fleet: module %s: negative epoch budget %d", sp.ID, sp.MaxEpochs)
 	}
-	if err := sp.Test.Validate(); err != nil {
+	test := sp.Test
+	if len(test.Distances) == 0 {
+		// Detection fills the distances in (buildModule); every other
+		// field must still be valid.
+		test.Distances = []int{1}
+	}
+	if err := test.Validate(); err != nil {
 		return fmt.Errorf("fleet: module %s: %w", sp.ID, err)
 	}
 	if sp.Chaos != nil {

@@ -37,7 +37,6 @@ import (
 	"parbor/internal/core"
 	"parbor/internal/coupling"
 	"parbor/internal/dram"
-	"parbor/internal/faultfs"
 	"parbor/internal/faults"
 	"parbor/internal/march"
 	"parbor/internal/memctl"
@@ -426,9 +425,6 @@ type Checkpoint = checkpoint.Snapshot
 func CaptureCheckpoint(mod *Module, seed uint64, st OnlineState) *Checkpoint {
 	return checkpoint.Capture(mod, seed, st)
 }
-
-// ReadCheckpoint loads a snapshot written by Checkpoint.WriteFile.
-func ReadCheckpoint(path string) (*Checkpoint, error) { return checkpoint.ReadFile(faultfs.OS{}, path) }
 
 // ExtendedResult is the outcome of second-order neighbor detection
 // (Tester.DetectExtendedNeighbors) — the generalization the paper's
